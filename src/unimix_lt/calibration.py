@@ -7,6 +7,14 @@ max in the worst-case metric. The adaptive metrics instead cut each
 class's sorted probabilities into equal-count ranges (remainder samples
 go one-per-range from the first range onward; ties are broken by stable
 sort on original index).
+
+Each public metric validates its own inputs. `evaluate_predictions`
+validates the matrix once and then runs private cores on the checked
+arrays: the row maxima are taken once, and each class column is sorted
+once for both ACE and TACE. That sort uses numpy's fast default kind and
+falls back to a stable sort for a column whose values tie, so the tie
+rule above holds on every build and the reported numbers do not depend
+on the sort kind.
 """
 
 from __future__ import annotations
@@ -40,8 +48,9 @@ def _check_inputs(preds, labels):
         raise ValueError("predictions must be a nonempty N x C matrix")
     if y.shape != (p.shape[0],):
         raise ValueError("labels must be a vector matching the prediction rows")
-    if np.any(p < 0) or np.any(p > 1):
-        raise ValueError("predictions must lie in [0, 1]")
+    # written so that NaN, which fails every comparison, fails the check
+    if not ((p >= 0).all() and (p <= 1).all()):
+        raise ValueError("predictions must be finite and lie in [0, 1]")
     if np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-9):
         raise ValueError("prediction rows must sum to 1")
     if y.min() < 0 or y.max() >= p.shape[1]:
@@ -49,17 +58,21 @@ def _check_inputs(preds, labels):
     return p, y
 
 
+def _top(p, y):
+    """(confidence, predicted class, 0/1 correctness) of each row."""
+    pred = p.argmax(axis=1)
+    return p.max(axis=1), pred, (pred == y).astype(np.float64)
+
+
 def _bin_index(conf: np.ndarray, num_bins: int) -> np.ndarray:
     # [lo, hi) bins, except the last bin also contains 1.0
     return np.minimum((conf * num_bins).astype(np.int64), num_bins - 1)
 
 
-def _binned_gaps(preds, labels, num_bins):
-    p, y = _check_inputs(preds, labels)
+def _bin_sums(conf, correct, num_bins):
+    """Per-bin (count, correct sum, confidence sum) of the winning scores."""
     if num_bins < 1:
         raise ValueError("need at least one bin")
-    conf = p.max(axis=1)
-    correct = (p.argmax(axis=1) == y).astype(np.float64)
     idx = _bin_index(conf, num_bins)
     counts = np.bincount(idx, minlength=num_bins)
     acc_sum = np.bincount(idx, weights=correct, minlength=num_bins)
@@ -67,25 +80,29 @@ def _binned_gaps(preds, labels, num_bins):
     return counts, acc_sum, conf_sum
 
 
-def ece(preds, labels, num_bins: int = DEFAULT_BINS) -> float:
-    """Expected calibration error: count-weighted mean |accuracy - confidence|."""
-    counts, acc_sum, conf_sum = _binned_gaps(preds, labels, num_bins)
+def _binned_gaps(preds, labels, num_bins):
+    p, y = _check_inputs(preds, labels)
+    conf, _, correct = _top(p, y)
+    return _bin_sums(conf, correct, num_bins)
+
+
+def _nonempty_gaps(counts, acc_sum, conf_sum):
     nonempty = counts > 0
-    gaps = np.abs(acc_sum[nonempty] - conf_sum[nonempty]) / counts[nonempty]
-    return float((counts[nonempty] / counts.sum()) @ gaps)
+    return counts[nonempty], np.abs(acc_sum[nonempty] - conf_sum[nonempty]) / counts[nonempty]
 
 
-def mce(preds, labels, num_bins: int = DEFAULT_BINS) -> float:
-    """Maximum calibration error: worst bin gap |accuracy - confidence|."""
-    counts, acc_sum, conf_sum = _binned_gaps(preds, labels, num_bins)
-    nonempty = counts > 0
-    gaps = np.abs(acc_sum[nonempty] - conf_sum[nonempty]) / counts[nonempty]
-    return float(gaps.max())
+def _ece(bins) -> float:
+    counts, gaps = _nonempty_gaps(*bins)
+    return float((counts / counts.sum()) @ gaps)
 
 
-def reliability_bins(preds, labels, num_bins: int = DEFAULT_BINS):
-    """Per-bin (lo, hi, count, accuracy, confidence); empty bins report zeros."""
-    counts, acc_sum, conf_sum = _binned_gaps(preds, labels, num_bins)
+def _mce(bins) -> float:
+    return float(_nonempty_gaps(*bins)[1].max())
+
+
+def _reliability(bins):
+    counts, acc_sum, conf_sum = bins
+    num_bins = counts.shape[0]
     rows = []
     for b in range(num_bins):
         n = int(counts[b])
@@ -95,11 +112,60 @@ def reliability_bins(preds, labels, num_bins: int = DEFAULT_BINS):
     return rows
 
 
+def ece(preds, labels, num_bins: int = DEFAULT_BINS) -> float:
+    """Expected calibration error: count-weighted mean |accuracy - confidence|."""
+    return _ece(_binned_gaps(preds, labels, num_bins))
+
+
+def mce(preds, labels, num_bins: int = DEFAULT_BINS) -> float:
+    """Maximum calibration error: worst bin gap |accuracy - confidence|."""
+    return _mce(_binned_gaps(preds, labels, num_bins))
+
+
+def reliability_bins(preds, labels, num_bins: int = DEFAULT_BINS):
+    """Per-bin (lo, hi, count, accuracy, confidence); empty bins report zeros."""
+    return _reliability(_binned_gaps(preds, labels, num_bins))
+
+
 def _ranges(m: int, num_ranges: int):
     base, extra = divmod(m, num_ranges)
     sizes = [base + (1 if r < extra else 0) for r in range(num_ranges)]
     stop = np.cumsum(sizes)
     return zip(stop - sizes, stop)
+
+
+def _adaptive_errors(p, y, num_ranges: int, thresholds) -> list[float]:
+    """The adaptive error at each threshold, sorting each class column once.
+
+    A threshold keeps the suffix of the sorted column from its first value
+    >= threshold: the same probabilities, in the same order, as sorting the
+    survivors alone.
+    """
+    if num_ranges < 1:
+        raise ValueError("need at least one range")
+    c = p.shape[1]
+    survivors = [0] * len(thresholds)
+    gap_sums = [0.0] * len(thresholds)
+    for k in range(c):
+        col = np.ascontiguousarray(p[:, k])
+        order = np.argsort(col)
+        ranked = col[order]
+        if np.any(ranked[1:] == ranked[:-1]):
+            # the default kind may put equal values in any order; ties go by row
+            order = np.argsort(col, kind="stable")
+            ranked = col[order]
+        hits = (y[order] == k).astype(np.float64)
+        for t, threshold in enumerate(thresholds):
+            start = int(np.searchsorted(ranked, threshold, "left"))
+            survivors[t] += ranked.size - start
+            for lo, hi in _ranges(ranked.size - start, num_ranges):
+                if hi > lo:
+                    lo, hi = start + lo, start + hi
+                    gap_sums[t] += abs(hits[lo:hi].mean() - ranked[lo:hi].mean())
+    for threshold, kept in zip(thresholds, survivors):
+        if kept == 0:
+            raise ValueError(f"threshold {threshold} discarded every probability")
+    return [gap_sum / (c * num_ranges) for gap_sum in gap_sums]
 
 
 def adaptive_calibration_error(preds, labels, num_ranges: int = DEFAULT_BINS,
@@ -111,31 +177,10 @@ def adaptive_calibration_error(preds, labels, num_ranges: int = DEFAULT_BINS,
     C x R (class, range) grid, with empty ranges counting zero.
     """
     p, y = _check_inputs(preds, labels)
-    if num_ranges < 1:
-        raise ValueError("need at least one range")
-    n, c = p.shape
-    total_survivors = 0
-    gap_sum = 0.0
-    for k in range(c):
-        probs = p[:, k]
-        keep = np.flatnonzero(probs >= threshold)
-        if keep.size == 0:
-            continue
-        total_survivors += keep.size
-        order = keep[np.argsort(probs[keep], kind="stable")]
-        hits = (y[order] == k).astype(np.float64)
-        sorted_probs = probs[order]
-        for lo, hi in _ranges(order.size, num_ranges):
-            if hi > lo:
-                gap_sum += abs(hits[lo:hi].mean() - sorted_probs[lo:hi].mean())
-    if total_survivors == 0:
-        raise ValueError(f"threshold {threshold} discarded every probability")
-    return gap_sum / (c * num_ranges)
+    return _adaptive_errors(p, y, num_ranges, (threshold,))[0]
 
 
-def sce(preds, labels, num_bins: int = DEFAULT_BINS) -> float:
-    """Static calibration error: the binned gap computed per class probability."""
-    p, y = _check_inputs(preds, labels)
+def _sce(p, y, num_bins: int) -> float:
     if num_bins < 1:
         raise ValueError("need at least one bin")
     n, c = p.shape
@@ -151,22 +196,32 @@ def sce(preds, labels, num_bins: int = DEFAULT_BINS) -> float:
     return float(total / c)
 
 
-def brier(preds, labels) -> float:
-    """Mean squared gap between the one-hot truth and every class probability."""
-    p, y = _check_inputs(preds, labels)
+def sce(preds, labels, num_bins: int = DEFAULT_BINS) -> float:
+    """Static calibration error: the binned gap computed per class probability."""
+    return _sce(*_check_inputs(preds, labels), num_bins)
+
+
+def _brier(p, y) -> float:
     onehot = np.zeros_like(p)
     onehot[np.arange(p.shape[0]), y] = 1.0
     return float(((onehot - p) ** 2).mean())
 
 
-def confusion_matrix(preds, labels):
-    """(counts, ln(1 + counts)) with rows indexed by true label, columns by prediction."""
-    p, y = _check_inputs(preds, labels)
-    c = p.shape[1]
-    pred = p.argmax(axis=1)
+def brier(preds, labels) -> float:
+    """Mean squared gap between the one-hot truth and every class probability."""
+    return _brier(*_check_inputs(preds, labels))
+
+
+def _confusion(pred, y, c: int):
     counts = np.zeros((c, c), dtype=np.int64)
     np.add.at(counts, (y, pred), 1)
     return counts, np.log1p(counts.astype(np.float64))
+
+
+def confusion_matrix(preds, labels):
+    """(counts, ln(1 + counts)) with rows indexed by true label, columns by prediction."""
+    p, y = _check_inputs(preds, labels)
+    return _confusion(p.argmax(axis=1), y, p.shape[1])
 
 
 @dataclass(frozen=True)
@@ -181,18 +236,21 @@ class EvalBatchStats:
             raise ValueError("accuracy and confidence must lie in [0, 1]")
 
 
-def batch_density(preds, labels, batch_size: int) -> list[EvalBatchStats]:
-    """Joint accuracy/confidence points over sequential chunks of `batch_size`."""
-    p, y = _check_inputs(preds, labels)
+def _density(conf, correct, batch_size: int) -> list[EvalBatchStats]:
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    conf = p.max(axis=1)
-    correct = (p.argmax(axis=1) == y).astype(np.float64)
     out = []
-    for start in range(0, p.shape[0], batch_size):
+    for start in range(0, conf.shape[0], batch_size):
         chunk = slice(start, start + batch_size)
         out.append(EvalBatchStats(float(correct[chunk].mean()), float(conf[chunk].mean())))
     return out
+
+
+def batch_density(preds, labels, batch_size: int) -> list[EvalBatchStats]:
+    """Joint accuracy/confidence points over sequential chunks of `batch_size`."""
+    p, y = _check_inputs(preds, labels)
+    conf, _, correct = _top(p, y)
+    return _density(conf, correct, batch_size)
 
 
 @dataclass(eq=False)
@@ -225,19 +283,22 @@ def evaluate_predictions(preds, labels, num_bins: int = DEFAULT_BINS,
                          num_ranges: int = DEFAULT_BINS,
                          tace_threshold: float = DEFAULT_TACE_THRESHOLD,
                          density_batch: int = 100) -> CalibrationReport:
-    """Full metric suite over one prediction matrix."""
+    """Full metric suite over one prediction matrix, validated once."""
     p, y = _check_inputs(preds, labels)
-    counts, counts_log = confusion_matrix(p, y)
+    conf, pred, correct = _top(p, y)
+    bins = _bin_sums(conf, correct, num_bins)
+    counts, counts_log = _confusion(pred, y, p.shape[1])
+    ace, tace = _adaptive_errors(p, y, num_ranges, (0.0, tace_threshold))
     return CalibrationReport(
-        accuracy=float((p.argmax(axis=1) == y).mean()),
-        ece=ece(p, y, num_bins),
-        mce=mce(p, y, num_bins),
-        ace=adaptive_calibration_error(p, y, num_ranges, threshold=0.0),
-        tace=adaptive_calibration_error(p, y, num_ranges, threshold=tace_threshold),
-        sce=sce(p, y, num_bins),
-        brier=brier(p, y),
-        reliability=reliability_bins(p, y, num_bins),
+        accuracy=float(correct.mean()),
+        ece=_ece(bins),
+        mce=_mce(bins),
+        ace=ace,
+        tace=tace,
+        sce=_sce(p, y, num_bins),
+        brier=_brier(p, y),
+        reliability=_reliability(bins),
         confusion=counts,
         confusion_log=counts_log,
-        density=batch_density(p, y, density_batch),
+        density=_density(conf, correct, density_batch),
     )

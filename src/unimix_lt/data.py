@@ -189,7 +189,11 @@ def save_csv(ds: Dataset, path) -> None:
 
 
 def load_csv(path) -> Dataset:
-    """Read a dataset written by `save_csv`; C is max label + 1."""
+    """Read a dataset written by `save_csv`; C is max label + 1.
+
+    Malformed rows, negative labels and non-finite features raise
+    ValueError naming the file and line.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -215,6 +219,10 @@ def load_csv(path) -> Dataset:
             labels.append(label)
     if not labels:
         raise ValueError(f"{path}: no data rows")
+    features = np.asarray(features)
+    bad_rows = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad_rows.size:
+        raise ValueError(f"{path}:{bad_rows[0] + 2}: features must be finite")
     labels = np.asarray(labels, dtype=np.int64)
     counts = np.bincount(labels, minlength=labels.max() + 1)
-    return Dataset(np.asarray(features), labels, counts)
+    return Dataset(features, labels, counts)

@@ -246,11 +246,27 @@ def save_model(params: MLPParams, path) -> None:
 
 
 def load_model(path) -> MLPParams:
+    """Read a model written by `save_model`; a malformed file raises ValueError."""
     with open(path) as fh:
         payload = json.load(fh)
-    dims = payload["layer_dims"]
+    if not isinstance(payload, dict) or not {"layer_dims", "layers"} <= payload.keys():
+        raise ValueError(f"{path}: a model needs 'layer_dims' and 'layers'")
+    dims, records = payload["layer_dims"], payload["layers"]
+    if (not isinstance(dims, list) or len(dims) < 2
+            or not all(type(d) is int and d >= 1 for d in dims)):
+        raise ValueError(f"{path}: layer_dims must list at least two positive widths")
+    if not isinstance(records, list) or len(records) != len(dims) - 1:
+        raise ValueError(f"{path}: layer_dims {dims} needs {len(dims) - 1} layers")
     layers = []
-    for (fan_in, fan_out), rec in zip(zip(dims[:-1], dims[1:]), payload["layers"]):
-        w = np.asarray(rec["w"], dtype=np.float64).reshape(fan_in, fan_out)
-        layers.append((w, np.asarray(rec["b"], dtype=np.float64)))
+    for l, (fan_in, fan_out, rec) in enumerate(zip(dims[:-1], dims[1:], records)):
+        if not isinstance(rec, dict) or not {"w", "b"} <= rec.keys():
+            raise ValueError(f"{path}: layer {l} needs 'w' and 'b'")
+        w = np.asarray(rec["w"], dtype=np.float64)
+        b = np.asarray(rec["b"], dtype=np.float64)
+        if w.size != fan_in * fan_out or b.shape != (fan_out,):
+            raise ValueError(f"{path}: layer {l} needs {fan_in * fan_out} weights "
+                             f"and {fan_out} biases")
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise ValueError(f"{path}: layer {l} has non-finite parameters")
+        layers.append((w.reshape(fan_in, fan_out), b))
     return MLPParams(layers)

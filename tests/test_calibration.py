@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from unimix_lt import calibration
 from unimix_lt.calibration import (adaptive_calibration_error, batch_density, brier,
                                    confusion_matrix, ece, evaluate_predictions, mce,
                                    reliability_bins, sce)
@@ -192,3 +193,108 @@ def test_empty_input_rejected():
         ece(np.empty((0, 3)), np.empty(0, dtype=int))
     with pytest.raises(ValueError):
         brier(np.empty((0, 3)), np.empty(0, dtype=int))
+
+
+def test_non_finite_predictions_rejected():
+    preds, labels = random_fixture(np.random.default_rng(6), n=20, c=3)
+    for bad in (np.nan, np.inf, -np.inf):
+        broken = preds.copy()
+        broken[4, 1] = bad
+        for fn in (ece, sce, brier, adaptive_calibration_error, evaluate_predictions):
+            with pytest.raises(ValueError, match="finite"):
+                fn(broken, labels)
+
+
+def stable_sort_ace(preds, labels, num_ranges, threshold):
+    """The adaptive error as first written: survivors of each class stably sorted."""
+    p = np.asarray(preds, dtype=np.float64)
+    y = np.asarray(labels)
+    c = p.shape[1]
+    total_survivors = 0
+    gap_sum = 0.0
+    for k in range(c):
+        probs = p[:, k]
+        keep = np.flatnonzero(probs >= threshold)
+        if keep.size == 0:
+            continue
+        total_survivors += keep.size
+        order = keep[np.argsort(probs[keep], kind="stable")]
+        hits = (y[order] == k).astype(np.float64)
+        sorted_probs = probs[order]
+        base, extra = divmod(order.size, num_ranges)
+        sizes = [base + (1 if r < extra else 0) for r in range(num_ranges)]
+        stop = np.cumsum(sizes)
+        for lo, hi in zip(stop - sizes, stop):
+            if hi > lo:
+                gap_sum += abs(hits[lo:hi].mean() - sorted_probs[lo:hi].mean())
+    if total_survivors == 0:
+        raise ValueError("every probability discarded")
+    return gap_sum / (c * num_ranges)
+
+
+def tied_fixtures(seed):
+    """Prediction matrices from smooth to heavily tied, with labels."""
+    rng = np.random.default_rng(seed)
+    n, c = 240, 6
+    labels = rng.integers(0, c, n)
+    smooth = rng.dirichlet(np.full(c, 0.3), size=n)
+    # a few probability levels per row: integer weights 0..3, renormalised
+    weights = rng.integers(0, 4, (n, c)).astype(np.float64)
+    weights[weights.sum(axis=1) == 0, 0] = 1.0
+    quantised = weights / weights.sum(axis=1, keepdims=True)
+    onehot = np.eye(c)[rng.integers(0, c, n)]
+    mixed = np.where(rng.random((n, 1)) < 0.5, onehot, np.full((n, c), 1.0 / c))
+    return [(smooth, labels), (quantised, labels), (onehot, labels), (mixed, labels)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_adaptive_matches_stable_sort_oracle(seed):
+    # thresholds keep every, some or (for some classes) none of the probabilities;
+    # 500 ranges outnumber the survivors of every class
+    for preds, labels in tied_fixtures(seed):
+        for num_ranges in (1, 7, 15, 500):
+            for threshold in (0.0, 1e-3, 0.2, 0.5, 0.99, 1.0):
+                try:
+                    expected = stable_sort_ace(preds, labels, num_ranges, threshold)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        adaptive_calibration_error(preds, labels, num_ranges, threshold)
+                    continue
+                got = adaptive_calibration_error(preds, labels, num_ranges, threshold)
+                assert got == expected
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_evaluate_predictions_matches_separate_metrics(seed):
+    for preds, labels in tied_fixtures(seed):
+        for num_ranges, threshold in ((15, 1e-3), (500, 0.3)):
+            report = evaluate_predictions(preds, labels, num_bins=10, num_ranges=num_ranges,
+                                          tace_threshold=threshold, density_batch=50)
+            assert report.scalars() == {
+                "accuracy": float((preds.argmax(axis=1) == labels).mean()),
+                "ece": ece(preds, labels, 10),
+                "mce": mce(preds, labels, 10),
+                "ace": stable_sort_ace(preds, labels, num_ranges, 0.0),
+                "tace": stable_sort_ace(preds, labels, num_ranges, threshold),
+                "sce": sce(preds, labels, 10),
+                "brier": brier(preds, labels),
+            }
+            assert report.reliability == reliability_bins(preds, labels, 10)
+            counts, counts_log = confusion_matrix(preds, labels)
+            assert np.array_equal(report.confusion, counts)
+            assert np.array_equal(report.confusion_log, counts_log)
+            assert report.density == batch_density(preds, labels, 50)
+
+
+def test_evaluate_predictions_validates_once(monkeypatch):
+    calls = []
+    check = calibration._check_inputs
+
+    def counting(preds, labels):
+        calls.append(1)
+        return check(preds, labels)
+
+    monkeypatch.setattr(calibration, "_check_inputs", counting)
+    preds, labels = random_fixture(np.random.default_rng(7), n=90, c=4)
+    evaluate_predictions(preds, labels)
+    assert len(calls) == 1

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import unimix_lt
 from unimix_lt.cli import main
 from unimix_lt.data import load_csv
+from unimix_lt.model import init_params, save_model
 
 TINY_TRAIN = {
     "classes": 4, "rho": 10.0, "n_max": 40, "dims": 4,
@@ -181,6 +187,58 @@ def test_eval_dimension_mismatch(tmp_path):
                  "--n-max", "20", "--dims", "7", "--seed", "0"]) == 0
     assert main(["eval", "--out", str(tmp_path / "x"), "--model", str(run / "model.json"),
                  "--data", str(bad / "data.csv")]) == 1
+
+
+def eval_inputs(tmp_path, feature="0.5"):
+    """A 4-feature, 3-class model and a three-row CSV whose last row holds `feature`."""
+    model = tmp_path / "model.json"
+    save_model(init_params([4, 8, 3], 0), model)
+    data = tmp_path / "data.csv"
+    data.write_text("f0,f1,f2,f3,label\n0.1,0.2,0.3,0.4,0\n0.5,0.6,0.7,0.8,1\n"
+                    f"0.9,1.0,{feature},1.2,2\n")
+    return model, data
+
+
+def run_eval(tmp_path, model, data):
+    return main(["eval", "--out", str(tmp_path / "ev"), "--model", str(model),
+                 "--data", str(data)])
+
+
+def test_eval_rejects_nan_feature(tmp_path, capsys):
+    model, data = eval_inputs(tmp_path, feature="nan")
+    assert run_eval(tmp_path, model, data) == 1
+    err = capsys.readouterr().err
+    assert "data.csv:4: features must be finite" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "ev" / "report.json").exists()
+
+
+def test_eval_rejects_model_without_layers(tmp_path, capsys):
+    model, data = eval_inputs(tmp_path)
+    payload = json.loads(model.read_text())
+    del payload["layers"]
+    model.write_text(json.dumps(payload))
+    assert run_eval(tmp_path, model, data) == 1
+    assert "needs 'layer_dims' and 'layers'" in capsys.readouterr().err
+
+
+def test_eval_rejects_truncated_layer_list(tmp_path, capsys):
+    model, data = eval_inputs(tmp_path)
+    payload = json.loads(model.read_text())
+    payload["layer_dims"] = [4, 8, 3, 5]
+    model.write_text(json.dumps(payload))
+    assert run_eval(tmp_path, model, data) == 1
+    assert "needs 3 layers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", ["unimix_lt", "unimix_lt.cli"])
+def test_python_dash_m_runs_the_cli(tmp_path, module):
+    src = str(Path(unimix_lt.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", module, "eval"], capture_output=True,
+                          text=True, cwd=tmp_path, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert "--out" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_circles_demo_outputs(tmp_path):

@@ -139,6 +139,14 @@ def test_load_csv_negative_label(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+def test_load_csv_non_finite_feature_reports_line(tmp_path, bad):
+    path = tmp_path / "nonfinite.csv"
+    path.write_text(f"f0,f1,label\n1.0,2.0,0\n1.0,2.0,1\n3.0,{bad},1\n")
+    with pytest.raises(ValueError, match=r"nonfinite\.csv:4: features must be finite"):
+        load_csv(path)
+
+
 def test_load_csv_empty(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")

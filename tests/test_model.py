@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -253,6 +255,63 @@ def test_model_save_load_round_trip(tmp_path):
     for (w, b), (rw, rb) in zip(params.layers, back.layers):
         np.testing.assert_array_equal(w, rw)
         np.testing.assert_array_equal(b, rb)
+
+
+def saved_payload(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(init_params([3, 4, 2], 1), path)
+    return json.loads(path.read_text())
+
+
+def load_payload(tmp_path, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    return load_model(path)
+
+
+@pytest.mark.parametrize("key", ["layer_dims", "layers"])
+def test_load_model_rejects_missing_key(tmp_path, key):
+    payload = saved_payload(tmp_path)
+    del payload[key]
+    with pytest.raises(ValueError, match="needs 'layer_dims' and 'layers'"):
+        load_payload(tmp_path, payload)
+
+
+def test_load_model_rejects_missing_layer_key(tmp_path):
+    payload = saved_payload(tmp_path)
+    del payload["layers"][1]["b"]
+    with pytest.raises(ValueError, match="layer 1 needs 'w' and 'b'"):
+        load_payload(tmp_path, payload)
+
+
+def test_load_model_rejects_layer_count_mismatch(tmp_path):
+    # zip() over dims and layers used to drop the extra width silently
+    payload = saved_payload(tmp_path)
+    payload["layer_dims"] = [3, 4, 2, 5]
+    with pytest.raises(ValueError, match="needs 3 layers"):
+        load_payload(tmp_path, payload)
+
+
+def test_load_model_rejects_wrong_weight_size(tmp_path):
+    payload = saved_payload(tmp_path)
+    payload["layers"][0]["w"] = payload["layers"][0]["w"][:-1]
+    with pytest.raises(ValueError, match="layer 0 needs 12 weights and 4 biases"):
+        load_payload(tmp_path, payload)
+
+
+def test_load_model_rejects_wrong_bias_size(tmp_path):
+    payload = saved_payload(tmp_path)
+    payload["layers"][1]["b"].append(0.0)
+    with pytest.raises(ValueError, match="layer 1 needs 8 weights and 2 biases"):
+        load_payload(tmp_path, payload)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_load_model_rejects_non_finite_weights(tmp_path, bad):
+    payload = saved_payload(tmp_path)
+    payload["layers"][1]["w"][3] = bad
+    with pytest.raises(ValueError, match="layer 1 has non-finite parameters"):
+        load_payload(tmp_path, payload)
 
 
 def test_lr_schedule_shape():
