@@ -22,7 +22,7 @@ from .mixing import (MixConfig, MixedSample, mc_xi_aug_histogram, mix_pair,
 from .model import (LRSchedule, MLPParams, TrainConfig, backward, forward,
                     init_params, load_model, predict_proba, save_model, sgd_step,
                     train_two_phase)
-from .sampling import SamplerSpec, draw_batch, draw_class, draw_classes, inverse_prior
+from .sampling import draw_batch, draw_class, draw_classes, inverse_prior
 from .streams import derive_rng
 from .theory import (DensityCurve, LTSpec, continuous_lt_density, discrete_lt_prior,
                      emit_density_curves, factor_density, lambda_from_rho,

@@ -64,15 +64,22 @@ def _write_resolved(out_dir: Path, command: str, resolved: dict) -> None:
 
 
 def _claim_run_dir(out_dir: Path, command: str) -> None:
-    """One command per run directory; replays of the same command are fine."""
+    """One command per run directory; replays of the same command are fine.
+
+    An unreadable or malformed `config.resolved.json` is refused rather
+    than overwritten: the directory's earlier run can no longer be identified.
+    """
     cfg = out_dir / "config.resolved.json"
     if not cfg.is_file():
         return
     try:
         with open(cfg) as fh:
-            previous = json.load(fh).get("command")
-    except (json.JSONDecodeError, OSError):
-        return
+            state = json.load(fh)
+    except (ValueError, OSError) as exc:
+        raise ConfigError(f"{cfg} is unreadable ({exc}); use a fresh --out") from None
+    if not isinstance(state, dict):
+        raise ConfigError(f"{cfg} does not hold a run's resolved config; use a fresh --out")
+    previous = state.get("command")
     if previous is not None and previous != command:
         raise ConfigError(f"{out_dir} already holds a '{previous}' run; use a fresh --out")
 

@@ -32,12 +32,18 @@ __all__ = [
 
 @dataclass(eq=False)
 class Dataset:
-    """Immutable labeled feature set: N x d features, integer labels in [0, C)."""
+    """Immutable labeled feature set: N x d features, integer labels in [0, C).
+
+    `class_order` lists the sample indices sorted by class (ascending within
+    a class) and `class_starts[k]` is where class k begins in it, so class
+    k's members are `class_order[class_starts[k]:class_starts[k] + n_k]`.
+    """
 
     features: np.ndarray
     labels: np.ndarray
     class_counts: np.ndarray
-    indices_by_class: list[np.ndarray] = field(init=False, repr=False)
+    class_order: np.ndarray = field(init=False, repr=False)
+    class_starts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -53,7 +59,8 @@ class Dataset:
         hist = np.bincount(self.labels, minlength=c)
         if not np.array_equal(hist, self.class_counts):
             raise ValueError("class_counts does not match the label histogram")
-        self.indices_by_class = [np.flatnonzero(self.labels == k) for k in range(c)]
+        self.class_order = np.argsort(self.labels, kind="stable")
+        self.class_starts = np.cumsum(self.class_counts) - self.class_counts
 
     @property
     def num_samples(self) -> int:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import Dataset, empirical_prior
 from .errors import InvariantViolation
-from .losses import LossSpec, batch_grad, batch_loss, softmax
+from .losses import LossSpec, batch_grad, batch_loss
 from .mixing import MixConfig, sample_beta, unimix_factor
 from .sampling import draw_batch, inverse_prior
 from .streams import derive_rng
@@ -84,11 +84,20 @@ def _forward_cached(params: MLPParams, x: np.ndarray):
 
 
 def forward(params: MLPParams, x: np.ndarray) -> np.ndarray:
-    """Logits for a single sample (d,) or a batch (N, d)."""
+    """Logits for a single sample (d,) or a batch (N, d).
+
+    Keeps no activations: each layer's bias add and rectifier run in place
+    and the previous activation is dropped once it is used.
+    """
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    logits, _ = _forward_cached(params, np.atleast_2d(x))
-    return logits[0] if single else logits
+    h = np.atleast_2d(x)
+    last = len(params.layers) - 1
+    for l, (w, b) in enumerate(params.layers):
+        h = h @ w
+        h += b
+        if l < last:
+            np.maximum(h, 0.0, out=h)
+    return h[0] if x.ndim == 1 else h
 
 
 def _backward_cached(params: MLPParams, acts, grad_logits):
@@ -231,8 +240,16 @@ def train_two_phase(ds: Dataset, cfg: TrainConfig):
 
 
 def predict_proba(params: MLPParams, x: np.ndarray) -> np.ndarray:
-    """Raw softmax probabilities; margins are never applied at inference."""
-    return softmax(forward(params, x))
+    """Raw softmax probabilities; margins are never applied at inference.
+
+    The logits are normalised in place with the arithmetic of
+    `losses.softmax`, so the result is the only N x C array.
+    """
+    z = forward(params, x)
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def save_model(params: MLPParams, path) -> None:

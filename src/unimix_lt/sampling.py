@@ -5,24 +5,20 @@ uniform instance within the class) so the tau contract holds exactly no
 matter how skewed the per-class counts are. tau = 1 reproduces plain
 uniform-over-instances sampling when composed with the empirical prior;
 tau < 1 favors the tail.
+
+`draw_batch` draws every class of a batch with `draw_classes`, then one
+uniform offset per sample, and picks the instances from the dataset's
+class-sorted index in one vectorized gather.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
 from .theory import check_prior
 
-__all__ = ["SamplerSpec", "inverse_prior", "draw_class", "draw_classes", "draw_batch"]
-
-
-@dataclass(frozen=True)
-class SamplerSpec:
-    tau: float = -1.0
-    seed: int = 0
+__all__ = ["inverse_prior", "draw_class", "draw_classes", "draw_batch"]
 
 
 def inverse_prior(prior: np.ndarray, tau: float) -> np.ndarray:
@@ -71,9 +67,7 @@ def draw_batch(ds: Dataset, prior: np.ndarray, batch_size: int,
     if batch_size == 0:
         return np.empty((0, ds.dims)), np.empty(0, dtype=np.int64)
     classes = draw_classes(p, batch_size, rng)
-    picks = np.empty(batch_size, dtype=np.int64)
     offsets = rng.random(batch_size)
-    for i, k in enumerate(classes):
-        members = ds.indices_by_class[k]
-        picks[i] = members[int(offsets[i] * members.size)]
+    within = (offsets * ds.class_counts[classes]).astype(np.int64)
+    picks = ds.class_order[ds.class_starts[classes] + within]
     return ds.features[picks], ds.labels[picks]

@@ -162,6 +162,21 @@ def test_run_dirs_are_single_command(tmp_path):
                  "--out", str(run)]) == 0
 
 
+@pytest.mark.parametrize("state", [b'{"command": "tra', b"\xff\xfe not utf-8", b"[1, 2]"],
+                         ids=["truncated", "undecodable", "not-an-object"])
+def test_unreadable_run_state_is_refused(tmp_path, capsys, state):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "config.resolved.json").write_bytes(state)
+    before = read_bytes(run)
+    assert main(["train", "--config", write_cfg(tmp_path, TINY_TRAIN), "--out", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert "config.resolved.json" in err and "fresh --out" in err
+    assert "Traceback" not in err
+    assert read_bytes(run) == before
+    assert sorted(p.name for p in run.iterdir()) == ["config.resolved.json"]
+
+
 def test_report_follows_model_pointer(tmp_path):
     run = tmp_path / "train_run"
     cfg = write_cfg(tmp_path, TINY_TRAIN)

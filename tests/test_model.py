@@ -3,14 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from unimix_lt.data import gen_lt_gaussians
+from unimix_lt.data import empirical_prior, gen_lt_gaussians
 from unimix_lt.errors import InvariantViolation
-from unimix_lt.losses import LossSpec, batch_grad, batch_loss
-from unimix_lt.mixing import MixConfig, sample_beta
-from unimix_lt.model import (LRSchedule, TrainConfig, backward, forward, init_params,
-                             load_model, predict_proba, save_model, sgd_step,
+from unimix_lt.losses import LOSS_KINDS, LossSpec, batch_grad, batch_loss, softmax
+from unimix_lt.mixing import MIX_MODES, MixConfig, sample_beta, unimix_factor
+from unimix_lt.model import (LRSchedule, TrainConfig, _forward_cached, backward, forward,
+                             init_params, load_model, predict_proba, save_model, sgd_step,
                              train_two_phase)
-from unimix_lt.sampling import draw_batch
+from unimix_lt.sampling import draw_batch, inverse_prior
 from unimix_lt.streams import derive_rng
 
 
@@ -219,6 +219,74 @@ def test_train_degenerates_to_plain_mixup_ce():
         np.testing.assert_array_equal(b, rb)
 
 
+def _reference_train(ds, cfg, draw):
+    """The two-phase loop with the batch sampler `draw` and separate
+    `batch_loss`/`batch_grad` calls per label, combined as
+    xi * (label i) + (1 - xi) * (label j)."""
+    prior = empirical_prior(ds)
+    pair_prior = inverse_prior(prior, cfg.mix.pair_tau)
+    params = init_params([ds.dims, *cfg.hidden_dims, ds.num_classes],
+                         derive_rng(cfg.seed, "init"))
+    rng_batch = derive_rng(cfg.seed, "sampler", 0)
+    rng_pair = derive_rng(cfg.seed, "sampler", 1)
+    rng_mix = derive_rng(cfg.seed, "mix")
+    spec, n = cfg.loss, cfg.batch_size
+    state, log = None, []
+    for step in range(cfg.t2_steps):
+        lr = cfg.lr.at(step)
+        if step < cfg.t1_steps:
+            x_i, y_i = draw(ds, prior, n, rng_batch)
+            x_j, y_j = draw(ds, pair_prior, n, rng_pair)
+            if cfg.mix.mode == "vanilla_mixup":
+                xi = sample_beta(cfg.mix.alpha, rng_mix, size=n)
+            else:
+                xi = unimix_factor(prior[y_i], prior[y_j], cfg.mix.alpha, rng_mix)
+            x = xi[:, None] * x_i + (1.0 - xi)[:, None] * x_j
+            logits = forward(params, x)
+            losses = xi * batch_loss(spec, logits, y_i) \
+                + (1.0 - xi) * batch_loss(spec, logits, y_j)
+            g = (xi[:, None] * batch_grad(spec, logits, y_i)
+                 + (1.0 - xi)[:, None] * batch_grad(spec, logits, y_j)) / n
+            phase = 1
+        else:
+            x, y = draw(ds, prior, n, rng_batch)
+            logits = forward(params, x)
+            losses = batch_loss(spec, logits, y)
+            g = batch_grad(spec, logits, y) / n
+            phase = 2
+        state = sgd_step(params, backward(params, x, g), state, lr, cfg.momentum,
+                         cfg.weight_decay)
+        log.append((step, phase, float(losses.mean()), lr))
+    return params, log
+
+
+def _kind_spec(kind, ds):
+    prior = ds.class_counts / ds.num_samples
+    return LossSpec(kind=kind, gamma=2.0, class_counts=ds.class_counts, prior=prior)
+
+
+REFERENCE_RUNS = [
+    # the shipped configs/unimix_bayias.json path: bayias_ce, unimix_full, tau 0
+    ("bayias_ce", MixConfig(alpha=0.5, mode="unimix_full", tau=0.0)),
+    *((kind, MixConfig(alpha=0.5, mode=MIX_MODES[i % len(MIX_MODES)], tau=-1.0))
+      for i, kind in enumerate(LOSS_KINDS)),
+]
+
+
+@pytest.mark.parametrize("kind,mix", REFERENCE_RUNS,
+                         ids=[f"{k}-{m.mode}-tau{m.tau:g}" for k, m in REFERENCE_RUNS])
+def test_train_matches_per_sample_sampler_reference(kind, mix, per_sample_draw_batch):
+    """The class-sorted sampler keeps params and log bitwise, for every loss kind."""
+    ds = gen_lt_gaussians(5, 20.0, 60, 4, seed=4)
+    cfg = TrainConfig(t1_steps=12, t2_steps=16, batch_size=24, lr=LRSchedule.scaled(0.1, 16),
+                      mix=mix, loss=_kind_spec(kind, ds), seed=5, hidden_dims=(8,))
+    params, log = train_two_phase(ds, cfg)
+    ref, ref_log = _reference_train(ds, cfg, per_sample_draw_batch)
+    assert log == ref_log
+    for (w, b), (rw, rb) in zip(params.layers, ref.layers):
+        assert np.array_equal(w, rw) and np.array_equal(b, rb)
+
+
 def test_train_rejects_bad_config():
     with pytest.raises(ValueError):
         _basic_config(t1_steps=50, t2_steps=40)
@@ -244,6 +312,16 @@ def test_predict_proba_contract():
     np.testing.assert_array_equal(probs.argmax(axis=1), forward(params, x).argmax(axis=1))
     np.testing.assert_array_equal(predict_proba(params, x[0]), predict_proba(params, x[:1])[0])
     np.testing.assert_allclose(predict_proba(params, x[0]), probs[0], rtol=1e-12)
+
+
+def test_predict_proba_is_softmax_of_forward_exactly():
+    """The in-place inference path equals the allocating one bit for bit."""
+    params = init_params([16, 64, 64, 100], 8)
+    x = derive_rng(9, "t").standard_normal((500, 16)) * 3.0
+    logits = forward(params, x)
+    assert np.array_equal(logits, _forward_cached(params, x)[0])
+    assert np.array_equal(predict_proba(params, x), softmax(logits))
+    assert np.array_equal(predict_proba(params, x[3]), softmax(forward(params, x[3])))
 
 
 def test_model_save_load_round_trip(tmp_path):

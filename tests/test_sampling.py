@@ -104,3 +104,61 @@ def test_draw_batch_deterministic():
     xb, yb = draw_batch(ds, prior, 32, derive_rng(4, "t"))
     np.testing.assert_array_equal(xa, xb)
     np.testing.assert_array_equal(ya, yb)
+
+
+def _oracle_cases():
+    """(name, dataset, prior) covering interleaved labels, singletons, empty classes, C=100."""
+    rng = np.random.default_rng(20)
+    labels = rng.integers(0, 5, 60)
+    labels[:5] = np.arange(5)  # every class populated, labels interleaved
+    shuffled = Dataset(rng.standard_normal((60, 3)), labels, np.bincount(labels, minlength=5))
+    singletons = gen_lt_gaussians(8, 500.0, 40, 2, seed=3)  # tail classes hold one sample
+    assert np.sum(singletons.class_counts == 1) >= 2
+    gaps = np.array([0, 0, 2, 2, 2, 5, 5, 7, 2, 5])  # classes 1, 3, 4 and 6 are empty
+    holes = Dataset(rng.standard_normal((10, 2)), gaps, np.bincount(gaps, minlength=8))
+    wide = gen_lt_gaussians(100, 50.0, 120, 4, seed=5)
+
+    def empirical(ds):
+        return ds.class_counts / ds.num_samples
+
+    return [
+        ("shuffled", shuffled, empirical(shuffled)),
+        ("shuffled-inverse", shuffled, inverse_prior(empirical(shuffled), -1.0)),
+        ("singletons", singletons, inverse_prior(empirical(singletons), -1.0)),
+        ("empty-classes", holes, empirical(holes)),
+        ("c100", wide, empirical(wide)),
+        ("c100-uniform", wide, np.full(100, 0.01)),
+    ]
+
+
+@pytest.mark.parametrize("batch_size", [0, 1, 7, 128])
+def test_class_sorted_draw_matches_per_sample_oracle(batch_size, per_sample_draw_batch):
+    for name, ds, prior in _oracle_cases():
+        for seed in range(40):
+            rng, after = derive_rng(seed, "o"), derive_rng(seed, "o")
+            want = per_sample_draw_batch(ds, prior, batch_size, after)
+            got = draw_batch(ds, prior, batch_size, rng)
+            assert np.array_equal(got[0], want[0]), (name, seed)
+            assert np.array_equal(got[1], want[1]), (name, seed)
+            assert got[1].dtype == np.int64
+            # the draw leaves the stream where the oracle left it
+            assert rng.random() == after.random(), (name, seed)
+
+
+def test_class_order_lists_each_class_in_index_order():
+    for _, ds, _ in _oracle_cases():
+        for k, (start, count) in enumerate(zip(ds.class_starts, ds.class_counts)):
+            np.testing.assert_array_equal(ds.class_order[start:start + count],
+                                          np.flatnonzero(ds.labels == k))
+
+
+def test_draw_batch_rejects_bad_priors():
+    ds = Dataset(np.zeros((3, 2)), np.array([0, 0, 2]), np.array([2, 0, 1]))
+    with pytest.raises(ValueError, match="empty classes \\[1\\]"):
+        draw_batch(ds, np.array([0.5, 0.25, 0.25]), 4, derive_rng(0, "t"))
+    with pytest.raises(ValueError, match="class count"):
+        draw_batch(ds, np.array([0.5, 0.5]), 4, derive_rng(0, "t"))
+    with pytest.raises(ValueError, match="sums to"):
+        draw_batch(ds, np.array([0.5, 0.0, 0.25]), 4, derive_rng(0, "t"))
+    _, y = draw_batch(ds, np.array([0.75, 0.0, 0.25]), 50, derive_rng(0, "t"))
+    assert set(y.tolist()) == {0, 2}
