@@ -21,9 +21,9 @@ import numpy as np
 
 from .data import Dataset, TwoCircleSpec, empirical_prior, gen_two_circles
 from .losses import LossSpec
-from .mixing import MixConfig, sample_beta, unimix_factor
+from .mixing import MixConfig, mix_batch
 from .model import LRSchedule, TrainConfig, train_two_phase
-from .sampling import draw_batch, inverse_prior
+from .sampling import inverse_prior
 from .streams import derive_rng
 
 __all__ = ["SCENARIOS", "BoundaryResult", "run_circles", "virtual_cloud", "run_all_scenarios"]
@@ -49,19 +49,21 @@ class BoundaryResult:
         return self.angle_error_deg + 10.0 * abs(self.offset)
 
 
+# scenario -> (mixing, share of the steps trained on mixed batches)
+_SCENARIO_MIX = {
+    "balanced": (MixConfig(alpha=1.0, mode="vanilla_mixup", tau=1.0), 0.0),
+    "imbalanced": (MixConfig(alpha=1.0, mode="vanilla_mixup", tau=1.0), 0.0),
+    "mixup": (MixConfig(alpha=1.0, mode="vanilla_mixup", tau=1.0), 0.9),
+    "unimix": (MixConfig(alpha=0.5, mode="unimix_full", tau=-1.0), 0.9),
+}
+
+
 def _scenario_config(scenario: str, seed: int, steps: int, batch_size: int,
                      lr: float) -> TrainConfig:
-    if scenario in ("balanced", "imbalanced"):
-        mix = MixConfig(alpha=1.0, mode="vanilla_mixup", tau=1.0)
-        t1 = 0  # plain training throughout
-    elif scenario == "mixup":
-        mix = MixConfig(alpha=1.0, mode="vanilla_mixup", tau=1.0)
-        t1 = int(round(0.9 * steps))
-    elif scenario == "unimix":
-        mix = MixConfig(alpha=0.5, mode="unimix_full", tau=-1.0)
-        t1 = int(round(0.9 * steps))
-    else:
+    if scenario not in _SCENARIO_MIX:
         raise ValueError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
+    mix, mixed_share = _SCENARIO_MIX[scenario]
+    t1 = int(round(mixed_share * steps))
     return TrainConfig(
         t1_steps=t1,
         t2_steps=steps,
@@ -100,21 +102,13 @@ def run_circles(spec: TwoCircleSpec, scenario: str, steps: int = 400,
 
 def virtual_cloud(ds: Dataset, scenario: str, num_points: int, seed: int) -> np.ndarray:
     """Mixed virtual points (x, y, reinforced label) for scatter plots."""
-    if scenario not in ("mixup", "unimix"):
+    mix, mixed_share = _SCENARIO_MIX.get(scenario, (None, 0.0))
+    if not mixed_share:
         return np.empty((0, 3))
     prior = empirical_prior(ds)
     rng = derive_rng(seed, "cloud")
-    if scenario == "mixup":
-        pair_prior, alpha = prior, 1.0
-    else:
-        pair_prior, alpha = inverse_prior(prior, -1.0), 0.5
-    x_i, y_i = draw_batch(ds, prior, num_points, rng)
-    x_j, y_j = draw_batch(ds, pair_prior, num_points, rng)
-    if scenario == "mixup":
-        xi = sample_beta(alpha, rng, size=num_points)
-    else:
-        xi = unimix_factor(prior[y_i], prior[y_j], alpha, rng)
-    mixed = xi[:, None] * x_i + (1.0 - xi)[:, None] * x_j
+    mixed, y_i, y_j, xi = mix_batch(ds, prior, inverse_prior(prior, mix.pair_tau), mix,
+                                    num_points, rng, rng, rng)
     labels = np.where(xi >= 0.5, y_i, y_j)
     return np.column_stack([mixed, labels.astype(np.float64)])
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -355,6 +356,17 @@ def cmd_report(args) -> int:
 
 # ------------------------------------------------------------------ parsing
 
+def _finite_float(text: str) -> float:
+    """Argument type of every float flag: NaN and infinities are refused."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _add_common(sub, with_config=True, with_out=True):
     if with_config:
         sub.add_argument("--config", help="JSON config (e.g. a config.resolved.json)")
@@ -373,15 +385,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--kind", choices=["gaussians", "circles"])
     p.add_argument("--classes", type=int)
-    p.add_argument("--rho", type=float)
+    p.add_argument("--rho", type=_finite_float)
     p.add_argument("--n-max", dest="n_max", type=int)
     p.add_argument("--dims", type=int)
-    p.add_argument("--cluster-spread", dest="cluster_spread", type=float)
+    p.add_argument("--cluster-spread", dest="cluster_spread", type=_finite_float)
     p.add_argument("--reverse", action="store_const", const=True, default=None,
                    help="reverse the class counts (reversed-LT test sets)")
-    p.add_argument("--x0", type=float)
-    p.add_argument("--y0", type=float)
-    p.add_argument("--radius", type=float)
+    p.add_argument("--x0", type=_finite_float)
+    p.add_argument("--y0", type=_finite_float)
+    p.add_argument("--radius", type=_finite_float)
     p.add_argument("--n-pos", dest="n_pos", type=int)
     p.add_argument("--n-neg", dest="n_neg", type=int)
     p.add_argument("--seed", type=int)
@@ -391,9 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit density curves and a Monte Carlo histogram")
     _add_common(p)
     p.add_argument("--classes", type=int)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--alpha", type=float)
+    p.add_argument("--rho", type=_finite_float)
+    p.add_argument("--tau", type=_finite_float)
+    p.add_argument("--alpha", type=_finite_float)
     p.add_argument("--mode", choices=sorted(_MODE_ALIASES))
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
@@ -411,21 +423,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help="dataset CSV")
     p.add_argument("--bins", type=int)
     p.add_argument("--ranges", type=int)
-    p.add_argument("--tace-threshold", dest="tace_threshold", type=float)
+    p.add_argument("--tace-threshold", dest="tace_threshold", type=_finite_float)
     p.add_argument("--density-batch", dest="density_batch", type=int)
     p.set_defaults(func=cmd_eval)
 
     p = subs.add_parser("circles-demo", help="run the decision-boundary study")
     _add_common(p)
-    p.add_argument("--x0", type=float)
-    p.add_argument("--y0", type=float)
-    p.add_argument("--radius", type=float)
+    p.add_argument("--x0", type=_finite_float)
+    p.add_argument("--y0", type=_finite_float)
+    p.add_argument("--radius", type=_finite_float)
     p.add_argument("--n-pos", dest="n_pos", type=int)
     p.add_argument("--n-neg", dest="n_neg", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--steps", type=int)
     p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr", type=float)
+    p.add_argument("--lr", type=_finite_float)
     p.add_argument("--cloud-points", dest="cloud_points", type=int)
     p.set_defaults(func=cmd_circles_demo)
 

@@ -9,10 +9,11 @@ original run exactly.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
-from .data import gen_lt_gaussians
+from .data import empirical_prior, gen_lt_gaussians
 from .errors import ConfigError
 from .losses import LOSS_KINDS, LossSpec
 from .mixing import MIX_MODES, MixConfig
@@ -116,7 +117,7 @@ def build_training_run(cfg: dict):
             cluster_spread=float(cfg["cluster_spread"]),
             seed=int(cfg["seed"]),
         )
-        prior = ds.class_counts / ds.num_samples
+        prior = empirical_prior(ds)
         train_cfg = TrainConfig(
             t1_steps=int(cfg["t1_steps"]),
             t2_steps=int(cfg["t2_steps"]),
@@ -138,8 +139,15 @@ def build_training_run(cfg: dict):
 
 
 def load_config(path) -> dict:
+    """Parse a JSON config; NaN, Infinity and numbers that overflow a float are refused."""
+    def finite(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}: numbers must be finite, got {text}")
+        return value
+
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_float=finite, parse_constant=finite)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None

@@ -10,15 +10,22 @@ which for a balanced target reduces to ln(pi_y) + ln(C) and vanishes when
 train and target priors agree. The margin is a training-time device only;
 inference uses the raw logits.
 
-The comparison zoo implements the bare formulas of the usual suspects:
-focal reweighting, effective-number (class-balanced) weights, per-class
-logit temperatures, a true-class-only margin scaled by n^(-1/4), and the
-prior-scaled margin on every logit. Two of the zoo members deliberately
-break softmax shift invariance and simplex-tangent gradients: the
-per-class temperature rescales logits rather than shifting them.
+The comparison zoo covers the usual suspects: focal reweighting,
+effective-number (class-balanced) weights, per-class logit temperatures,
+a true-class-only margin scaled by n^(-1/4), and the prior-scaled margin
+on every logit. A `LossSpec` validates its kind's parameters and fixes
+them once per run as a margin on every logit (bayias_ce, la), a margin on
+the true logit only (ldam), a per-class temperature `scale` (cdt) or
+per-class `weights` (cb). Every kind but focal then shares one path: the
+loss is w_y * -log softmax(u)_y of the transformed logits u, and its
+gradient is w_y * (softmax(u) - e_y) / scale. The per-class temperature
+rescales logits rather than shifting them, so cdt alone breaks softmax
+shift invariance and simplex-tangent gradients.
 
-Natural log throughout. All functions accept a single logit vector; the
-batch_* variants take an (N, C) matrix and vectorize over rows.
+Natural log throughout. `batch_loss` and `batch_grad` take an (N, C)
+logit matrix and N labels; `loss_value` and `loss_grad` are their
+single-vector case. `cross_entropy`, `bayias_ce` and `bayias_ce_pairwise`
+evaluate one logit vector on their own, as an oracle for the batch path.
 """
 
 from __future__ import annotations
@@ -40,15 +47,11 @@ __all__ = [
     "bayias_ce",
     "bayias_ce_pairwise",
     "focal_loss",
-    "cb_loss",
-    "cdt_loss",
-    "ldam_loss",
     "la_loss",
     "loss_value",
     "loss_grad",
     "batch_loss",
     "batch_grad",
-    "mixed_vrm_loss",
 ]
 
 LOSS_KINDS = ("ce", "bayias_ce", "focal", "cb", "cdt", "ldam", "la")
@@ -117,66 +120,14 @@ def bayias_ce_pairwise(z: np.ndarray, y: int, margins: np.ndarray) -> float:
     return float(np.log1p(np.exp(others).sum()))
 
 
-def focal_loss(z: np.ndarray, y: int, gamma: float) -> float:
-    """Cross entropy weighted down for easy samples by (1 - p_y)^gamma."""
-    if gamma < 0:
-        raise ValueError(f"focal gamma must be >= 0, got {gamma}")
-    if gamma == 0.0:
-        return cross_entropy(z, y)
-    log_p = log_softmax(z)[y]
-    return float(-((1.0 - math.exp(log_p)) ** gamma) * log_p)
-
-
-def _cb_weight(class_counts: np.ndarray, beta: float) -> np.ndarray:
-    if not 0.0 <= beta < 1.0:
-        raise ValueError(f"effective-number beta must be in [0, 1), got {beta}")
-    counts = np.asarray(class_counts, dtype=np.float64)
-    return (1.0 - beta) / (1.0 - beta**counts)
-
-
-def cb_loss(z: np.ndarray, y: int, class_counts: np.ndarray, beta: float) -> float:
-    """Cross entropy scaled by the effective-number weight (1-b)/(1-b^n_y)."""
-    return float(_cb_weight(class_counts, beta)[y] * cross_entropy(z, y))
-
-
-def _cdt_scale(class_counts: np.ndarray, gamma: float) -> np.ndarray:
-    if gamma < 0:
-        raise ValueError(f"temperature gamma must be >= 0, got {gamma}")
-    counts = np.asarray(class_counts, dtype=np.float64)
-    return (counts.max() / counts) ** gamma
-
-
-def cdt_loss(z: np.ndarray, y: int, class_counts: np.ndarray, gamma: float) -> float:
-    """Cross entropy on temperature-scaled logits z_k / (n_max/n_k)^gamma."""
-    return _nll(np.asarray(z, dtype=np.float64) / _cdt_scale(class_counts, gamma), y, None)
-
-
-def _ldam_margins(class_counts: np.ndarray, const: float) -> np.ndarray:
-    if const <= 0:
-        raise ValueError(f"margin constant must be positive, got {const}")
-    counts = np.asarray(class_counts, dtype=np.float64)
-    return const / counts**0.25
-
-
-def ldam_loss(z: np.ndarray, y: int, class_counts: np.ndarray, const: float) -> float:
-    """Cross entropy with margin const/n_y^(1/4) subtracted from the true logit only."""
-    u = np.array(z, dtype=np.float64)
-    u[y] -= _ldam_margins(class_counts, const)[y]
-    return _nll(u, y, None)
-
-
-def la_loss(z: np.ndarray, y: int, prior: np.ndarray, tau: float) -> float:
-    """Cross entropy with margin tau*ln(pi_k) added to every logit."""
-    pi = check_prior(prior, require_positive=True)
-    return _nll(z, y, tau * np.log(pi))
-
-
 @dataclass(frozen=True, eq=False)
 class LossSpec:
     """Tagged loss selection with its per-kind parameters.
 
     `class_counts` feeds cb/cdt/ldam, `prior` feeds the margin losses;
     `target_prior` (margin loss only) defaults to a balanced target.
+    Construction fixes the kind's logit transform in `margins`,
+    `true_margins`, `scale` and `weights`, each None where the kind has none.
     """
 
     kind: str
@@ -191,52 +142,59 @@ class LossSpec:
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"loss kind must be one of {LOSS_KINDS}, got {self.kind!r}")
-        if self.kind in ("cb", "cdt", "ldam") and self.class_counts is None:
-            raise ValueError(f"{self.kind} loss needs class_counts")
         if self.kind in ("bayias_ce", "la") and self.prior is None:
             raise ValueError(f"{self.kind} loss needs the training prior")
-        # fail fast on bad parameters; margins are fixed once per run
-        if self.kind == "focal":
-            focal_loss(np.zeros(2), 0, self.gamma)
-        elif self.kind == "cb":
-            _cb_weight(self.class_counts, self.beta)
-        elif self.kind == "cdt":
-            _cdt_scale(self.class_counts, self.gamma)
-        elif self.kind == "ldam":
-            _ldam_margins(self.class_counts, self.ldam_c)
-        object.__setattr__(self, "margins", self._build_margins())
-
-    def _build_margins(self) -> np.ndarray | None:
+        if self.kind in ("cb", "cdt", "ldam"):
+            if self.class_counts is None:
+                raise ValueError(f"{self.kind} loss needs class_counts")
+            counts = np.asarray(self.class_counts, dtype=np.float64)
+        # fail fast on bad parameters; each kind's logit transform is fixed once per run
+        margins = true_margins = scale = weights = None
         if self.kind == "bayias_ce":
-            return bayias_margin(self.prior, self.target_prior)
-        if self.kind == "la":
-            return self.la_tau * np.log(check_prior(self.prior, require_positive=True))
-        return None
+            margins = bayias_margin(self.prior, self.target_prior)
+        elif self.kind == "la":
+            margins = self.la_tau * np.log(check_prior(self.prior, require_positive=True))
+        elif self.kind == "focal" and not self.gamma >= 0:
+            raise ValueError(f"focal gamma must be >= 0, got {self.gamma}")
+        elif self.kind == "cb":
+            if not 0.0 <= self.beta < 1.0:
+                raise ValueError(f"effective-number beta must be in [0, 1), got {self.beta}")
+            weights = (1.0 - self.beta) / (1.0 - self.beta**counts)
+        elif self.kind == "cdt":
+            if not self.gamma >= 0:
+                raise ValueError(f"temperature gamma must be >= 0, got {self.gamma}")
+            scale = (counts.max() / counts) ** self.gamma
+        elif self.kind == "ldam":
+            if not self.ldam_c > 0:
+                raise ValueError(f"margin constant must be positive, got {self.ldam_c}")
+            true_margins = self.ldam_c / counts**0.25
+        for name, value in (("margins", margins), ("true_margins", true_margins),
+                            ("scale", scale), ("weights", weights)):
+            object.__setattr__(self, name, value)
+
+
+def _logits(spec: LossSpec, z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The logits u the softmax sees: z + margins, z less the true-class margin, or z / scale."""
+    if spec.margins is not None:
+        return z + spec.margins
+    if spec.true_margins is not None:
+        u = z.copy()
+        u[np.arange(u.shape[0]), y] -= spec.true_margins[y]
+        return u
+    if spec.scale is not None:
+        return z / spec.scale
+    return z
 
 
 def batch_loss(spec: LossSpec, z: np.ndarray, y) -> np.ndarray:
     """Per-sample loss values for an (N, C) logit matrix and (N,) labels."""
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
-    if spec.kind == "ce":
-        return _nll(z, y, None)
-    if spec.kind in ("bayias_ce", "la"):
-        return _nll(z, y, spec.margins)
-    if spec.kind == "focal":
-        if spec.gamma == 0.0:
-            return _nll(z, y, None)
+    if spec.kind == "focal" and spec.gamma != 0.0:
         log_p = np.take_along_axis(log_softmax(z), y[:, None], axis=1)[:, 0]
         return -((1.0 - np.exp(log_p)) ** spec.gamma) * log_p
-    if spec.kind == "cb":
-        return _cb_weight(spec.class_counts, spec.beta)[y] * _nll(z, y, None)
-    if spec.kind == "cdt":
-        return _nll(z / _cdt_scale(spec.class_counts, spec.gamma), y, None)
-    if spec.kind == "ldam":
-        u = z.copy()
-        rows = np.arange(u.shape[0])
-        u[rows, y] -= _ldam_margins(spec.class_counts, spec.ldam_c)[y]
-        return _nll(u, y, None)
-    raise AssertionError(spec.kind)
+    nll = _nll(_logits(spec, z, y), y, None)
+    return nll if spec.weights is None else spec.weights[y] * nll
 
 
 def batch_grad(spec: LossSpec, z: np.ndarray, y) -> np.ndarray:
@@ -244,32 +202,26 @@ def batch_grad(spec: LossSpec, z: np.ndarray, y) -> np.ndarray:
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
     rows = np.arange(z.shape[0])
-    onehot = np.zeros_like(z)
-    onehot[rows, y] = 1.0
-    if spec.kind == "ce":
-        return softmax(z) - onehot
-    if spec.kind in ("bayias_ce", "la"):
-        return softmax(z + spec.margins) - onehot
-    if spec.kind == "focal":
-        if spec.gamma == 0.0:
-            return softmax(z) - onehot
+    if spec.kind == "focal" and spec.gamma != 0.0:
         p = softmax(z)
-        log_p = np.log(np.take_along_axis(p, y[:, None], axis=1)[:, 0])
-        p_y = np.exp(log_p)
-        coef = spec.gamma * (1.0 - p_y) ** (spec.gamma - 1.0) * p_y * log_p \
-            - (1.0 - p_y) ** spec.gamma
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_p = np.log(p[rows, y])
+            p_y = np.exp(log_p)
+            coef = spec.gamma * (1.0 - p_y) ** (spec.gamma - 1.0) * p_y * log_p \
+                - (1.0 - p_y) ** spec.gamma
+        # where p_y rounds to 1 or 0 the formula meets 0 * inf; use its limits there
+        coef[p_y == 1.0] = 0.0
+        coef[p_y == 0.0] = -1.0
+        onehot = np.zeros_like(p)
+        onehot[rows, y] = 1.0
         return coef[:, None] * (onehot - p)
-    if spec.kind == "cb":
-        w = _cb_weight(spec.class_counts, spec.beta)[y]
-        return w[:, None] * (softmax(z) - onehot)
-    if spec.kind == "cdt":
-        scale = _cdt_scale(spec.class_counts, spec.gamma)
-        return (softmax(z / scale) - onehot) / scale
-    if spec.kind == "ldam":
-        u = z.copy()
-        u[rows, y] -= _ldam_margins(spec.class_counts, spec.ldam_c)[y]
-        return softmax(u) - onehot
-    raise AssertionError(spec.kind)
+    g = softmax(_logits(spec, z, y))
+    g[rows, y] -= 1.0
+    if spec.weights is not None:
+        g *= spec.weights[y][:, None]
+    if spec.scale is not None:
+        g /= spec.scale
+    return g
 
 
 def loss_value(spec: LossSpec, z: np.ndarray, y: int) -> float:
@@ -282,8 +234,11 @@ def loss_grad(spec: LossSpec, z: np.ndarray, y: int) -> np.ndarray:
     return batch_grad(spec, np.asarray(z)[None, :], [y])[0]
 
 
-def mixed_vrm_loss(spec: LossSpec, z: np.ndarray, y_i: int, y_j: int, xi: float) -> float:
-    """Convex label combination xi*loss(z, y_i) + (1-xi)*loss(z, y_j)."""
-    if not 0.0 <= xi <= 1.0:
-        raise ValueError(f"mixing weight must be in [0, 1], got {xi}")
-    return xi * loss_value(spec, z, y_i) + (1.0 - xi) * loss_value(spec, z, y_j)
+def focal_loss(z: np.ndarray, y: int, gamma: float) -> float:
+    """Cross entropy weighted down for easy samples by (1 - p_y)^gamma."""
+    return loss_value(LossSpec(kind="focal", gamma=gamma), z, y)
+
+
+def la_loss(z: np.ndarray, y: int, prior: np.ndarray, tau: float) -> float:
+    """Cross entropy with margin tau*ln(pi_k) added to every logit."""
+    return loss_value(LossSpec(kind="la", la_tau=tau, prior=prior), z, y)

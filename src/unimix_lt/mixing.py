@@ -11,9 +11,13 @@ obtained by splitting the Beta density at c; the rarer class of the pair
 then tends to receive the dominant mixing weight. The cyclic shift is the
 unique sampling rule with that density.
 
-A mixed sample reinforces the class whose weight is >= 0.5 (ties go to
-the first pair member). `mc_xi_aug_histogram` tallies that class over
-many random pairs to validate the closed forms in `theory`.
+`mix_batch` is the one pair-draw-and-mix step: it draws the first pair
+members by the prior and the second by the pair prior, picks each pair's
+factor (a plain Beta draw in vanilla mode, the prior-aware factor
+otherwise) and combines the features. A mixed sample reinforces the class
+whose weight is >= 0.5 (ties go to the first pair member).
+`mc_xi_aug_histogram` tallies that class over many random pairs to
+validate the closed forms in `theory`.
 """
 
 from __future__ import annotations
@@ -24,19 +28,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import draw_classes, inverse_prior
+from .data import Dataset
+from .sampling import draw_batch, draw_classes, inverse_prior
 from .streams import derive_rng
 from .theory import check_prior
 
 __all__ = [
     "MixConfig",
-    "MixedSample",
     "MIX_MODES",
     "sample_beta",
     "cyclic_shift",
     "unimix_factor",
-    "mix_pair",
-    "xi_aug_class",
+    "mix_batch",
     "mc_xi_aug_histogram",
 ]
 
@@ -61,20 +64,6 @@ class MixConfig:
     def pair_tau(self) -> float:
         """Exponent for the pair-member sampler; random (tau=1) except in full mode."""
         return self.tau if self.mode == "unimix_full" else 1.0
-
-
-@dataclass(frozen=True)
-class MixedSample:
-    """A virtual sample: mixed features, the source labels, and the mixing weight."""
-
-    x_mixed: np.ndarray
-    y_i: int
-    y_j: int
-    xi: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.xi <= 1.0:
-            raise ValueError(f"mixing weight must be in [0, 1], got {self.xi}")
 
 
 def sample_beta(alpha: float, rng: np.random.Generator, size=None):
@@ -104,32 +93,47 @@ def unimix_factor(pi_i, pi_j, alpha: float, rng: np.random.Generator):
     return cyclic_shift(sample_beta(alpha, rng, size=None if c.ndim == 0 else c.shape), c)
 
 
-def mix_pair(xi_sample: tuple[np.ndarray, int], xj_sample: tuple[np.ndarray, int],
-             xi: float) -> MixedSample:
-    """Convex feature combination xi*x_i + (1-xi)*x_j with both labels kept."""
-    x_i, y_i = xi_sample
-    x_j, y_j = xj_sample
-    x_i = np.asarray(x_i, dtype=np.float64)
-    x_j = np.asarray(x_j, dtype=np.float64)
-    if x_i.shape != x_j.shape:
-        raise ValueError(f"feature shapes differ: {x_i.shape} vs {x_j.shape}")
-    return MixedSample(xi * x_i + (1.0 - xi) * x_j, int(y_i), int(y_j), float(xi))
+def _factor(mix: MixConfig, prior: np.ndarray, y_i: np.ndarray, y_j: np.ndarray,
+            rng: np.random.Generator) -> np.ndarray:
+    """Mixing weight of each pair: Beta(alpha, alpha) in vanilla mode, else prior-aware."""
+    if mix.mode == "vanilla_mixup":
+        return sample_beta(mix.alpha, rng, size=y_i.shape[0])
+    return unimix_factor(prior[y_i], prior[y_j], mix.alpha, rng)
 
 
-def xi_aug_class(sample: MixedSample) -> int:
-    """Class the mixed sample reinforces: y_i iff xi >= 0.5, else y_j."""
-    return sample.y_i if sample.xi >= 0.5 else sample.y_j
+def mix_batch(ds: Dataset, prior: np.ndarray, pair_prior: np.ndarray, mix: MixConfig,
+              n: int, rng_i: np.random.Generator, rng_j: np.random.Generator,
+              rng_mix: np.random.Generator):
+    """`n` mixed samples: returns (x, y_i, y_j, xi) with x = xi*x_i + (1-xi)*x_j.
+
+    The streams are drawn in order: first members (rng_i), second members
+    (rng_j), then the factors (rng_mix); one stream may serve all three.
+    """
+    x_i, y_i = draw_batch(ds, prior, n, rng_i)
+    x_j, y_j = draw_batch(ds, pair_prior, n, rng_j)
+    xi = _factor(mix, prior, y_i, y_j, rng_mix)
+    x = xi[:, None] * x_i + (1.0 - xi)[:, None] * x_j
+    return x, y_i, y_j, xi
 
 
 def _mc_chunk(prior, pair_prior, config, trials, rng):
     y_i = draw_classes(prior, trials, rng)
     y_j = draw_classes(pair_prior, trials, rng)
-    if config.mode == "vanilla_mixup":
-        xi = sample_beta(config.alpha, rng, size=trials)
-    else:
-        xi = unimix_factor(prior[y_i], prior[y_j], config.alpha, rng)
+    xi = _factor(config, prior, y_i, y_j, rng)
     winner = np.where(xi >= 0.5, y_i, y_j)
     return np.bincount(winner, minlength=prior.shape[0])
+
+
+def _max_workers() -> int:
+    """Worker-thread cap from UNIMIX_LT_THREADS; unset, empty or 0 means every core."""
+    raw = os.environ.get("UNIMIX_LT_THREADS", "").strip()
+    try:
+        workers = int(raw or 0)
+    except ValueError:
+        workers = -1
+    if workers < 0:
+        raise ValueError(f"UNIMIX_LT_THREADS must be a non-negative integer, got {raw!r}")
+    return workers or os.cpu_count() or 1
 
 
 def mc_xi_aug_histogram(ds_prior: np.ndarray, config: MixConfig, trials: int,
@@ -151,8 +155,8 @@ def mc_xi_aug_histogram(ds_prior: np.ndarray, config: MixConfig, trials: int,
     pair_prior = inverse_prior(prior, config.pair_tau)
     sizes = [trials // streams + (1 if k < trials % streams else 0) for k in range(streams)]
     jobs = [(size, derive_rng(seed, "mc", k)) for k, size in enumerate(sizes) if size > 0]
+    max_workers = _max_workers()
     if len(jobs) > 1:
-        max_workers = int(os.environ.get("UNIMIX_LT_THREADS", 0) or os.cpu_count() or 1)
         with ThreadPoolExecutor(max_workers=min(len(jobs), max_workers)) as pool:
             parts = list(pool.map(
                 lambda job: _mc_chunk(prior, pair_prior, config, job[0], job[1]), jobs))

@@ -22,7 +22,7 @@ import numpy as np
 from .data import Dataset, empirical_prior
 from .errors import InvariantViolation
 from .losses import LossSpec, batch_grad, batch_loss
-from .mixing import MixConfig, sample_beta, unimix_factor
+from .mixing import MixConfig, mix_batch
 from .sampling import draw_batch, inverse_prior
 from .streams import derive_rng
 
@@ -211,13 +211,8 @@ def train_two_phase(ds: Dataset, cfg: TrainConfig):
     for step in range(cfg.t2_steps):
         lr = cfg.lr.at(step)
         if step < cfg.t1_steps:
-            x_i, y_i = draw_batch(ds, prior, n, rng_batch)
-            x_j, y_j = draw_batch(ds, pair_prior, n, rng_pair)
-            if cfg.mix.mode == "vanilla_mixup":
-                xi = sample_beta(cfg.mix.alpha, rng_mix, size=n)
-            else:
-                xi = unimix_factor(prior[y_i], prior[y_j], cfg.mix.alpha, rng_mix)
-            x = xi[:, None] * x_i + (1.0 - xi)[:, None] * x_j
+            x, y_i, y_j, xi = mix_batch(ds, prior, pair_prior, cfg.mix, n,
+                                        rng_batch, rng_pair, rng_mix)
             logits, acts = _forward_cached(params, x)
             losses = xi * batch_loss(cfg.loss, logits, y_i) \
                 + (1.0 - xi) * batch_loss(cfg.loss, logits, y_j)

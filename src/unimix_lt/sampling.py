@@ -18,7 +18,7 @@ import numpy as np
 from .data import Dataset
 from .theory import check_prior
 
-__all__ = ["inverse_prior", "draw_class", "draw_classes", "draw_batch"]
+__all__ = ["inverse_prior", "draw_classes", "draw_batch"]
 
 
 def inverse_prior(prior: np.ndarray, tau: float) -> np.ndarray:
@@ -45,11 +45,6 @@ def draw_classes(prior: np.ndarray, size: int, rng: np.random.Generator) -> np.n
     edges = np.cumsum(p)
     edges[-1] = 1.0  # guard against cumsum rounding at the top edge
     return np.searchsorted(edges, rng.random(size), side="right").astype(np.int64)
-
-
-def draw_class(prior: np.ndarray, rng: np.random.Generator) -> int:
-    """Single categorical draw."""
-    return int(draw_classes(prior, 1, rng)[0])
 
 
 def draw_batch(ds: Dataset, prior: np.ndarray, batch_size: int,

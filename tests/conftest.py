@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from unimix_lt.sampling import draw_classes
+from unimix_lt.data import empirical_prior
+from unimix_lt.losses import bayias_margin, log_softmax, softmax
+from unimix_lt.mixing import sample_beta, unimix_factor
+from unimix_lt.sampling import draw_batch, draw_classes, inverse_prior
+from unimix_lt.streams import derive_rng
 from unimix_lt.theory import check_prior
 
 
@@ -23,3 +27,118 @@ def _per_sample_draw_batch(ds, prior, batch_size, rng):
 def per_sample_draw_batch():
     """Oracle for `sampling.draw_batch`: same signature, same stream use."""
     return _per_sample_draw_batch
+
+
+def _nll(u, y):
+    m = u.max(axis=-1, keepdims=True)
+    lse = (m + np.log(np.exp(u - m).sum(axis=-1, keepdims=True)))[..., 0]
+    return lse - np.take_along_axis(u, np.asarray(y)[:, None], axis=-1)[:, 0]
+
+
+def _chain_margins(spec):
+    if spec.kind == "bayias_ce":
+        return bayias_margin(spec.prior, spec.target_prior)
+    if spec.kind == "la":
+        return spec.la_tau * np.log(check_prior(spec.prior, require_positive=True))
+    return None
+
+
+def _chain_counts(spec):
+    return np.asarray(spec.class_counts, dtype=np.float64)
+
+
+def _if_chain_batch_loss(spec, z, y):
+    """`losses.batch_loss` as one branch per loss kind, before the shared path."""
+    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
+    y = np.atleast_1d(np.asarray(y, dtype=np.int64))
+    if spec.kind == "ce":
+        return _nll(z, y)
+    if spec.kind in ("bayias_ce", "la"):
+        return _nll(z + _chain_margins(spec), y)
+    if spec.kind == "focal":
+        if spec.gamma == 0.0:
+            return _nll(z, y)
+        log_p = np.take_along_axis(log_softmax(z), y[:, None], axis=1)[:, 0]
+        return -((1.0 - np.exp(log_p)) ** spec.gamma) * log_p
+    if spec.kind == "cb":
+        w = (1.0 - spec.beta) / (1.0 - spec.beta**_chain_counts(spec))
+        return w[y] * _nll(z, y)
+    if spec.kind == "cdt":
+        counts = _chain_counts(spec)
+        return _nll(z / (counts.max() / counts) ** spec.gamma, y)
+    if spec.kind == "ldam":
+        u = z.copy()
+        u[np.arange(u.shape[0]), y] -= (spec.ldam_c / _chain_counts(spec)**0.25)[y]
+        return _nll(u, y)
+    raise AssertionError(spec.kind)
+
+
+def _if_chain_batch_grad(spec, z, y):
+    """`losses.batch_grad` as one branch per loss kind, before the shared path."""
+    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
+    y = np.atleast_1d(np.asarray(y, dtype=np.int64))
+    rows = np.arange(z.shape[0])
+    onehot = np.zeros_like(z)
+    onehot[rows, y] = 1.0
+    if spec.kind == "ce":
+        return softmax(z) - onehot
+    if spec.kind in ("bayias_ce", "la"):
+        return softmax(z + _chain_margins(spec)) - onehot
+    if spec.kind == "focal":
+        if spec.gamma == 0.0:
+            return softmax(z) - onehot
+        p = softmax(z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_p = np.log(np.take_along_axis(p, y[:, None], axis=1)[:, 0])
+            p_y = np.exp(log_p)
+            coef = spec.gamma * (1.0 - p_y) ** (spec.gamma - 1.0) * p_y * log_p \
+                - (1.0 - p_y) ** spec.gamma
+        return coef[:, None] * (onehot - p)
+    if spec.kind == "cb":
+        w = (1.0 - spec.beta) / (1.0 - spec.beta**_chain_counts(spec))
+        return w[y][:, None] * (softmax(z) - onehot)
+    if spec.kind == "cdt":
+        counts = _chain_counts(spec)
+        scale = (counts.max() / counts) ** spec.gamma
+        return (softmax(z / scale) - onehot) / scale
+    if spec.kind == "ldam":
+        u = z.copy()
+        u[rows, y] -= (spec.ldam_c / _chain_counts(spec)**0.25)[y]
+        return softmax(u) - onehot
+    raise AssertionError(spec.kind)
+
+
+@pytest.fixture
+def if_chain_losses():
+    """Oracle for `batch_loss`/`batch_grad`: (loss, grad) written per kind.
+
+    The focal gradient keeps its old NaN where p_y rounds to 0 or 1.
+    """
+    return _if_chain_batch_loss, _if_chain_batch_grad
+
+
+def _inline_virtual_cloud(ds, scenario, num_points, seed):
+    """`circles.virtual_cloud` with its mixing written out, before `mix_batch`."""
+    if scenario not in ("mixup", "unimix"):
+        return np.empty((0, 3))
+    prior = empirical_prior(ds)
+    rng = derive_rng(seed, "cloud")
+    if scenario == "mixup":
+        pair_prior, alpha = prior, 1.0
+    else:
+        pair_prior, alpha = inverse_prior(prior, -1.0), 0.5
+    x_i, y_i = draw_batch(ds, prior, num_points, rng)
+    x_j, y_j = draw_batch(ds, pair_prior, num_points, rng)
+    if scenario == "mixup":
+        xi = sample_beta(alpha, rng, size=num_points)
+    else:
+        xi = unimix_factor(prior[y_i], prior[y_j], alpha, rng)
+    mixed = xi[:, None] * x_i + (1.0 - xi)[:, None] * x_j
+    labels = np.where(xi >= 0.5, y_i, y_j)
+    return np.column_stack([mixed, labels.astype(np.float64)])
+
+
+@pytest.fixture
+def inline_virtual_cloud():
+    """Oracle for `circles.virtual_cloud`: same signature, same stream use."""
+    return _inline_virtual_cloud

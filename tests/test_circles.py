@@ -44,3 +44,14 @@ def test_virtual_cloud_shapes():
         assert cloud.shape == (50, 3)
         assert set(np.unique(cloud[:, 2])) <= {0.0, 1.0}
     assert virtual_cloud(ds, "balanced", 50, seed=1).shape == (0, 3)
+
+
+def test_virtual_cloud_matches_inline_mixing(inline_virtual_cloud):
+    for data_seed in (0, 1, 2):
+        ds = gen_two_circles(TwoCircleSpec(seed=data_seed))
+        for scenario in ("balanced", "imbalanced", "mixup", "unimix", "remix"):
+            for seed in range(4):
+                got = virtual_cloud(ds, scenario, 300, seed)
+                want = inline_virtual_cloud(ds, scenario, 300, seed)
+                assert got.shape == want.shape and np.array_equal(got, want), \
+                    (data_seed, scenario, seed)

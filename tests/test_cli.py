@@ -297,3 +297,31 @@ def test_report_empty_dir_fails(tmp_path):
     runs = tmp_path / "runs"
     runs.mkdir()
     assert main(["report", "--runs", str(runs)]) == 1
+
+
+def _train_cfg_text(key, literal):
+    cfg = json.dumps({**TINY_TRAIN, key: "@"})
+    return cfg.replace('"@"', literal)
+
+
+@pytest.mark.parametrize("argv,config_text", [
+    pytest.param(["gen-data", "--rho", "nan"], None, id="gen-data-flag"),
+    pytest.param(["verify-dist", "--rho", "inf"], None, id="verify-dist-flag"),
+    pytest.param(["circles-demo", "--lr=-inf"], None, id="circles-demo-flag"),
+    pytest.param(["gen-data"], '{"rho": NaN}', id="gen-data-config"),
+    pytest.param(["train"], _train_cfg_text("lr", "NaN"), id="train-lr"),
+    pytest.param(["train"], _train_cfg_text("cluster_spread", "NaN"), id="train-spread"),
+    pytest.param(["train"], _train_cfg_text("loss_params", '{"gamma": NaN}'), id="train-gamma"),
+    pytest.param(["train"], _train_cfg_text("rho", "Infinity"), id="train-rho"),
+    pytest.param(["train"], _train_cfg_text("lr", "1e309"), id="train-overflow"),
+])
+def test_non_finite_numbers_exit_one(tmp_path, capsys, argv, config_text):
+    out = tmp_path / "run"
+    if config_text is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config_text)
+        argv = [*argv, "--config", str(cfg)]
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "finite" in err and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())

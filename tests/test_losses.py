@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from unimix_lt.losses import (LossSpec, bayias_ce, bayias_ce_pairwise, bayias_margin,
-                              cb_loss, cross_entropy, focal_loss, la_loss, ldam_loss,
-                              loss_grad, loss_value, mixed_vrm_loss, softmax)
+from unimix_lt.data import lt_class_counts
+from unimix_lt.losses import (LossSpec, batch_grad, batch_loss, bayias_ce, bayias_ce_pairwise,
+                              bayias_margin, cross_entropy, focal_loss, la_loss, loss_grad,
+                              loss_value, softmax)
 
 COUNTS = np.array([500, 300, 180, 108, 65, 5])
 PRIOR = COUNTS / COUNTS.sum()
@@ -154,7 +156,7 @@ def test_cb_equal_counts_is_scaled_ce():
     spec = LossSpec(kind="cb", beta=beta, class_counts=counts)
     rng = np.random.default_rng(4)
     z = rng.standard_normal(4)
-    assert math.isclose(cb_loss(z, 1, counts, beta), w * cross_entropy(z, 1), rel_tol=1e-15)
+    assert math.isclose(loss_value(spec, z, 1), w * cross_entropy(z, 1), rel_tol=1e-15)
     g = loss_grad(spec, z, 1)
     g_ce = loss_grad(LossSpec(kind="ce"), z, 1)
     cos = g @ g_ce / (np.linalg.norm(g) * np.linalg.norm(g_ce))
@@ -164,26 +166,15 @@ def test_cb_equal_counts_is_scaled_ce():
 def test_ldam_margin_hits_true_logit_only():
     z = np.array([1.0, 0.5, -0.3, 0.2, 0.1, 0.05])
     y = 5  # tail class, largest margin
+    spec = LossSpec(kind="ldam", ldam_c=0.5, class_counts=COUNTS)
     margins = 0.5 / COUNTS**0.25
     u_true_only = z.copy()
     u_true_only[y] -= margins[y]
     expected = -np.log(softmax(u_true_only)[y])
-    assert math.isclose(ldam_loss(z, y, COUNTS, 0.5), expected, rel_tol=1e-14)
+    assert math.isclose(loss_value(spec, z, y), expected, rel_tol=1e-14)
     # the deliberately-wrong variant margins every logit and disagrees
     wrong = -np.log(softmax(z - margins)[y])
-    assert abs(wrong - ldam_loss(z, y, COUNTS, 0.5)) > 1e-3
-
-
-def test_mixed_vrm_loss_identities():
-    spec = LossSpec(kind="ce")
-    z = np.array([0.4, -0.2, 1.1])
-    assert mixed_vrm_loss(spec, z, 0, 2, 1.0) == loss_value(spec, z, 0)
-    l1 = loss_value(spec, z, 1)
-    assert mixed_vrm_loss(spec, z, 1, 1, 0.5) == l1
-    combined = 0.3 * loss_value(spec, z, 0) + 0.7 * loss_value(spec, z, 2)
-    assert mixed_vrm_loss(spec, z, 0, 2, 0.3) == combined
-    with pytest.raises(ValueError):
-        mixed_vrm_loss(spec, z, 0, 1, 1.2)
+    assert abs(wrong - loss_value(spec, z, y)) > 1e-3
 
 
 def test_loss_spec_validation():
@@ -197,3 +188,78 @@ def test_loss_spec_validation():
         LossSpec(kind="focal", gamma=-1.0)
     with pytest.raises(ValueError):
         LossSpec(kind="cb", beta=1.0, class_counts=COUNTS)
+    with pytest.raises(ValueError):
+        LossSpec(kind="focal", gamma=float("nan"))
+    with pytest.raises(ValueError):
+        LossSpec(kind="cdt", gamma=-0.5, class_counts=COUNTS)
+    with pytest.raises(ValueError):
+        LossSpec(kind="ldam", ldam_c=0.0, class_counts=COUNTS)
+
+
+def test_loss_spec_fixes_each_kind_transform_once():
+    specs = all_specs()
+    np.testing.assert_array_equal(specs["bayias_ce"].margins, bayias_margin(PRIOR))
+    np.testing.assert_array_equal(specs["la"].margins, np.log(PRIOR))
+    np.testing.assert_array_equal(specs["ldam"].true_margins, 0.5 / COUNTS**0.25)
+    np.testing.assert_array_equal(specs["cdt"].scale, (500 / COUNTS) ** 0.3)
+    np.testing.assert_array_equal(specs["cb"].weights, (1 - 0.999) / (1 - 0.999**COUNTS))
+    for name in ("ce", "focal"):
+        spec = specs[name]
+        assert (spec.margins, spec.true_margins, spec.scale, spec.weights) == (None,) * 4
+
+
+def _oracle_specs(c):
+    counts = lt_class_counts(c, 50.0, 500)
+    prior = counts / counts.sum()
+    target = np.linspace(1.0, 2.0, c)
+    return [
+        LossSpec(kind="ce"),
+        LossSpec(kind="bayias_ce", prior=prior),
+        LossSpec(kind="bayias_ce", prior=prior, target_prior=target / target.sum()),
+        *(LossSpec(kind="focal", gamma=g) for g in (0.0, 0.5, 1.0, 2.0)),
+        LossSpec(kind="cb", beta=0.999, class_counts=counts),
+        LossSpec(kind="cb", beta=0.0, class_counts=counts),
+        LossSpec(kind="cdt", gamma=0.3, class_counts=counts),
+        LossSpec(kind="cdt", gamma=0.0, class_counts=counts),
+        LossSpec(kind="ldam", ldam_c=0.5, class_counts=counts),
+        LossSpec(kind="la", la_tau=1.0, prior=prior),
+        LossSpec(kind="la", la_tau=0.0, prior=prior),
+    ]
+
+
+@pytest.mark.parametrize("c", [2, 3, 10, 100])
+@pytest.mark.parametrize("scale", [0.1, 3.0, 30.0])
+def test_batch_path_matches_per_kind_oracle(c, scale, if_chain_losses):
+    oracle_loss, oracle_grad = if_chain_losses
+    rng = np.random.default_rng(c * 1000 + int(scale * 10))
+    z = rng.standard_normal((64, c)) * scale
+    y = rng.integers(0, c, 64)
+    specs = _oracle_specs(c)
+    assert len(specs) == 14
+    for spec in specs:
+        got, want = batch_loss(spec, z, y), oracle_loss(spec, z, y)
+        assert np.array_equal(got, want), (spec.kind, spec.gamma)
+        got, want = batch_grad(spec, z, y), oracle_grad(spec, z, y)
+        # the oracle's focal gradient is NaN where p_y rounds to 1 (gamma < 1)
+        finite = np.isfinite(want).all(axis=1)
+        assert np.array_equal(got[finite], want[finite]), (spec.kind, spec.gamma)
+        assert np.isfinite(got).all(), (spec.kind, spec.gamma)
+
+
+@pytest.mark.parametrize("gamma", [0.5, 0.9, 1.0, 2.0])
+def test_focal_grad_finite_where_p_y_rounds_to_one_or_zero(gamma):
+    rng = np.random.default_rng(9)
+    z = rng.standard_normal((64, 5)) * 30
+    y = z.argmax(axis=1)
+    z_far = np.array([[0.0, 800.0, 1.0]])  # p_y underflows to 0
+    spec = LossSpec(kind="focal", gamma=gamma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = batch_grad(spec, z, y)
+        g_far = batch_grad(spec, z_far, [0])
+    p_y = softmax(z)[np.arange(64), y]
+    assert np.any(p_y == 1.0)
+    assert np.isfinite(g).all()
+    assert np.all(g[p_y == 1.0] == 0.0)  # the limit: no push on a certain sample
+    # as p_y -> 0 the focal weight tends to 1: the plain cross-entropy gradient
+    np.testing.assert_array_equal(g_far, loss_grad(LossSpec(kind="ce"), z_far[0], 0)[None])

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from unimix_lt.mixing import (MixConfig, MixedSample, cyclic_shift,
-                              mc_xi_aug_histogram, mix_pair, sample_beta,
-                              unimix_factor, xi_aug_class)
+from unimix_lt import mixing
+from unimix_lt.cli import main
+from unimix_lt.data import Dataset, gen_lt_gaussians
+from unimix_lt.mixing import (MixConfig, cyclic_shift, mc_xi_aug_histogram, mix_batch,
+                              sample_beta, unimix_factor)
+from unimix_lt.sampling import draw_batch, inverse_prior
 from unimix_lt.streams import derive_rng
 from unimix_lt.theory import LTSpec, discrete_lt_prior
 
@@ -92,23 +95,61 @@ def test_unimix_factor_rejects_bad_priors():
         unimix_factor(0.0, 0.5, 0.5, derive_rng(0, "mix"))
 
 
-def test_mix_pair_endpoints_and_midpoint():
-    x_i = np.array([0.0, 0.0])
-    x_j = np.array([2.0, 4.0])
-    assert np.array_equal(mix_pair((x_i, 0), (x_j, 1), 1.0).x_mixed, x_i)
-    assert np.array_equal(mix_pair((x_i, 0), (x_j, 1), 0.0).x_mixed, x_j)
-    np.testing.assert_array_equal(mix_pair((x_i, 0), (x_j, 1), 0.5).x_mixed, [1.0, 2.0])
+class _FixedBeta:
+    """Stands in for a factor stream: every Beta draw returns `values`."""
+
+    def __init__(self, values, rng=None):
+        self.values = np.asarray(values, dtype=np.float64)
+        self.rng = rng
+
+    def beta(self, a, b, size=None):
+        return self.values.copy()
+
+    def random(self, size=None):
+        return self.rng.random(size)
 
 
-def test_mix_pair_dimension_mismatch():
-    with pytest.raises(ValueError):
-        mix_pair((np.zeros(2), 0), (np.zeros(3), 1), 0.5)
+# one sample per class: first members always class 0, second always class 1
+PAIR_DS = Dataset(np.array([[0.0, 0.0], [2.0, 4.0]]), np.array([0, 1]), np.array([1, 1]))
+VANILLA = MixConfig(alpha=1.0, mode="vanilla_mixup", tau=1.0)
 
 
-def test_xi_aug_class_threshold():
-    assert xi_aug_class(MixedSample(np.zeros(1), 3, 7, 0.7)) == 3
-    assert xi_aug_class(MixedSample(np.zeros(1), 3, 7, 0.5)) == 3  # tie goes to y_i
-    assert xi_aug_class(MixedSample(np.zeros(1), 3, 7, 0.49)) == 7
+def test_mix_batch_endpoints_and_midpoint():
+    x, y_i, y_j, xi = mix_batch(PAIR_DS, np.array([1.0, 0.0]), np.array([0.0, 1.0]), VANILLA,
+                                3, derive_rng(0, "t"), derive_rng(1, "t"),
+                                _FixedBeta([1.0, 0.0, 0.5]))
+    np.testing.assert_array_equal(x, [[0.0, 0.0], [2.0, 4.0], [1.0, 2.0]])
+    np.testing.assert_array_equal(y_i, [0, 0, 0])
+    np.testing.assert_array_equal(y_j, [1, 1, 1])
+    np.testing.assert_array_equal(xi, [1.0, 0.0, 0.5])
+
+
+@pytest.mark.parametrize("mode", ["vanilla_mixup", "unimix_factor_only", "unimix_full"])
+def test_mix_batch_stream_order(mode):
+    ds = gen_lt_gaussians(5, 20.0, 50, 3, seed=2)
+    prior = ds.class_counts / ds.num_samples
+    mix = MixConfig(alpha=0.5, mode=mode, tau=-1.0)
+    pair_prior = inverse_prior(prior, mix.pair_tau)
+    for seed in range(5):
+        streams = [derive_rng(seed, "t", k) for k in range(3)]
+        x, y_i, y_j, xi = mix_batch(ds, prior, pair_prior, mix, 32, *streams)
+        a, b, m = (derive_rng(seed, "t", k) for k in range(3))
+        x_i, want_i = draw_batch(ds, prior, 32, a)
+        x_j, want_j = draw_batch(ds, pair_prior, 32, b)
+        want_xi = (sample_beta(0.5, m, size=32) if mode == "vanilla_mixup"
+                   else unimix_factor(prior[want_i], prior[want_j], 0.5, m))
+        assert np.array_equal(y_i, want_i) and np.array_equal(y_j, want_j)
+        assert np.array_equal(xi, want_xi)
+        assert np.array_equal(x, xi[:, None] * x_i + (1.0 - xi)[:, None] * x_j)
+        assert all(s.random() == r.random() for s, r in zip(streams, (a, b, m)))
+
+
+def test_reinforced_class_threshold():
+    # first members are always class 0 and second members class 1, so the
+    # histogram counts how many weights reach 0.5; the tie goes to y_i
+    rng = _FixedBeta([0.7, 0.5, 0.49], derive_rng(0, "t"))
+    counts = mixing._mc_chunk(np.array([1.0, 0.0]), np.array([0.0, 1.0]), VANILLA, 3, rng)
+    np.testing.assert_array_equal(counts, [2, 1])
 
 
 def test_mc_histogram_mixup_matches_prior():
@@ -168,3 +209,26 @@ def test_mix_config_validation():
         MixConfig(mode="remix")
     assert MixConfig(mode="vanilla_mixup", tau=-2.0).pair_tau == 1.0
     assert MixConfig(mode="unimix_full", tau=-2.0).pair_tau == -2.0
+
+
+@pytest.mark.parametrize("value", ["0", "1"])
+def test_thread_cap_values_keep_the_histogram(value, monkeypatch):
+    prior = discrete_lt_prior(LTSpec(10, 50.0))
+    cfg = MixConfig(alpha=0.5, mode="unimix_full", tau=-1.0)
+    monkeypatch.delenv("UNIMIX_LT_THREADS", raising=False)
+    want = mc_xi_aug_histogram(prior, cfg, 20_000, seed=3, streams=4)
+    monkeypatch.setenv("UNIMIX_LT_THREADS", value)
+    np.testing.assert_array_equal(mc_xi_aug_histogram(prior, cfg, 20_000, seed=3, streams=4),
+                                  want)
+
+
+@pytest.mark.parametrize("value", ["-1", "abc"])
+def test_thread_cap_rejects_bad_values(value, monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("UNIMIX_LT_THREADS", value)
+    prior = discrete_lt_prior(LTSpec(10, 50.0))
+    with pytest.raises(ValueError, match="UNIMIX_LT_THREADS"):
+        mc_xi_aug_histogram(prior, MixConfig(), 1000, seed=0, streams=2)
+    rc = main(["verify-dist", "--classes", "10", "--trials", "1000", "--out",
+               str(tmp_path / "mc")])
+    err = capsys.readouterr().err
+    assert rc == 1 and "UNIMIX_LT_THREADS" in err and "Traceback" not in err

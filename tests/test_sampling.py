@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from unimix_lt.data import Dataset, gen_lt_gaussians
-from unimix_lt.sampling import draw_batch, draw_class, draw_classes, inverse_prior
+from unimix_lt.sampling import draw_batch, draw_classes, inverse_prior
 from unimix_lt.streams import derive_rng
 
 
@@ -38,7 +38,7 @@ def test_inverse_prior_zero_entry_negative_tau():
 
 def test_draw_class_degenerate_prior():
     rng = derive_rng(0, "t")
-    assert all(draw_class(np.array([1.0, 0.0]), rng) == 0 for _ in range(100))
+    assert all(draw_classes(np.array([1.0, 0.0]), 1, rng)[0] == 0 for _ in range(100))
 
 
 def test_draw_class_uniform_frequencies():
