@@ -102,6 +102,8 @@ def run_circles(spec: TwoCircleSpec, scenario: str, steps: int = 400,
 
 def virtual_cloud(ds: Dataset, scenario: str, num_points: int, seed: int) -> np.ndarray:
     """Mixed virtual points (x, y, reinforced label) for scatter plots."""
+    if num_points < 0:
+        raise ValueError(f"num_points must be >= 0, got {num_points}")
     mix, mixed_share = _SCENARIO_MIX.get(scenario, (None, 0.0))
     if not mixed_share:
         return np.empty((0, 3))

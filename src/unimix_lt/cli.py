@@ -1,27 +1,31 @@
 """Command-line entry point and run-artifact persistence.
 
-Every subcommand writes its outputs into a run directory, always
-including `config.resolved.json` with every default made explicit;
-re-running a command from that file reproduces the output files byte for
-byte. All files are written atomically (temp file + rename). Exit codes:
-0 success, 1 configuration or I/O error, 2 runtime invariant violation.
+Every run-directory command (gen-data, verify-dist, train, eval,
+circles-demo) takes one path: resolve its config (defaults < `--config` <
+flags, typed by `config.resolve_config`), claim `--out`, compute every
+output, then commit: each artifact is written atomically (temp file +
+rename), and `config.resolved.json`, with every default made explicit, is
+written last. A command that fails before the commit leaves nothing in
+`--out`. Re-running a command from its `config.resolved.json` reproduces
+the output files byte for byte. Exit codes: 0 success, 1 configuration or
+I/O error, 2 runtime invariant violation.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import calibration
 from .circles import SCENARIOS, run_all_scenarios, virtual_cloud
-from .config import build_training_run, load_config, resolve_train_config
+from .config import build_training_run, load_config, resolve_config, resolve_train_config
 from .data import (TwoCircleSpec, gen_lt_gaussians, gen_two_circles, load_csv,
                    save_csv)
 from .errors import ConfigError, InvariantViolation
@@ -43,25 +47,33 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, write) -> None:
+    """Run `write(tmp)` on a temp file beside `path`, then rename it onto `path`."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    write(tmp)
     os.replace(tmp, path)
 
 
 def _write_json(path: Path, obj) -> None:
-    _atomic_write(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    _atomic_write(path, lambda tmp: tmp.write_text(text))
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    _atomic_write(path, "\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    _atomic_write(path, lambda tmp: tmp.write_text(text))
 
 
-def _write_resolved(out_dir: Path, command: str, resolved: dict) -> None:
-    _write_json(out_dir / "config.resolved.json", {"command": command, **resolved})
+def _read_object(path: Path) -> dict:
+    """The JSON object in `path`; ValueError if the file holds anything else."""
+    with open(path) as fh:
+        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError("not a JSON object")
+    return obj
 
 
 def _claim_run_dir(out_dir: Path, command: str) -> None:
@@ -74,32 +86,38 @@ def _claim_run_dir(out_dir: Path, command: str) -> None:
     if not cfg.is_file():
         return
     try:
-        with open(cfg) as fh:
-            state = json.load(fh)
+        previous = _read_object(cfg).get("command")
     except (ValueError, OSError) as exc:
         raise ConfigError(f"{cfg} is unreadable ({exc}); use a fresh --out") from None
-    if not isinstance(state, dict):
-        raise ConfigError(f"{cfg} does not hold a run's resolved config; use a fresh --out")
-    previous = state.get("command")
     if previous is not None and previous != command:
         raise ConfigError(f"{out_dir} already holds a '{previous}' run; use a fresh --out")
 
 
-def _merge(args, config_keys: dict, defaults: dict) -> dict:
-    """defaults < config file < explicit flags."""
-    resolved = dict(defaults)
-    if getattr(args, "config", None):
-        loaded = load_config(args.config)
-        loaded.pop("command", None)
-        unknown = set(loaded) - set(defaults)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        resolved.update(loaded)
-    for key, attr in config_keys.items():
-        value = getattr(args, attr)
-        if value is not None:
-            resolved[key] = value
+def _open_run(args, resolve) -> dict:
+    """Resolve a run-directory command's config, then claim `--out` for it.
+
+    `resolve(config, flags)` merges the command's defaults < the `--config`
+    object < the flags given on the command line.
+    """
+    config = load_config(args.config) if args.config else {}
+    flags = {k: v for k, v in vars(args).items()
+             if v is not None and k not in ("command", "func", "config", "out")}
+    resolved = resolve(config, flags)
+    _claim_run_dir(Path(args.out), args.command)
     return resolved
+
+
+def _commit(args, resolved: dict, artifacts: dict) -> int:
+    """Write every artifact, then `config.resolved.json` last.
+
+    Each artifact is `name: (writer, *rest)`, written as
+    `writer(out / name, *rest)` once every output has been computed.
+    """
+    out = Path(args.out)
+    for name, (writer, *rest) in artifacts.items():
+        writer(out / name, *rest)
+    _write_json(out / "config.resolved.json", {"command": args.command, **resolved})
+    return 0
 
 
 # ---------------------------------------------------------------- gen-data
@@ -113,33 +131,27 @@ _GEN_DEFAULTS = {
 }
 
 
+def _circle_spec(resolved: dict) -> TwoCircleSpec:
+    return TwoCircleSpec(center=(resolved["x0"], resolved["y0"]), radius=resolved["radius"],
+                         n_pos=resolved["n_pos"], n_neg=resolved["n_neg"],
+                         seed=resolved["seed"])
+
+
 def cmd_gen_data(args) -> int:
-    keys = {k: k for k in _GEN_DEFAULTS}
-    resolved = _merge(args, keys, _GEN_DEFAULTS)
-    out = Path(args.out)
-    _claim_run_dir(out, "gen-data")
+    resolved = _open_run(args, partial(resolve_config, _GEN_DEFAULTS))
     if resolved["kind"] == "gaussians":
         ds = gen_lt_gaussians(
-            num_classes=int(resolved["classes"]), rho=float(resolved["rho"]),
-            n_max=int(resolved["n_max"]), dims=int(resolved["dims"]),
-            cluster_spread=float(resolved["cluster_spread"]),
-            seed=int(resolved["seed"]), reverse=bool(resolved["reverse"]))
+            num_classes=resolved["classes"], rho=resolved["rho"], n_max=resolved["n_max"],
+            dims=resolved["dims"], cluster_spread=resolved["cluster_spread"],
+            seed=resolved["seed"], reverse=resolved["reverse"])
     elif resolved["kind"] == "circles":
-        ds = gen_two_circles(TwoCircleSpec(
-            center=(float(resolved["x0"]), float(resolved["y0"])),
-            radius=float(resolved["radius"]), n_pos=int(resolved["n_pos"]),
-            n_neg=int(resolved["n_neg"]), seed=int(resolved["seed"])))
+        ds = gen_two_circles(_circle_spec(resolved))
     else:
         raise ConfigError(f"kind must be 'gaussians' or 'circles', got {resolved['kind']!r}")
-    tmp = out / "data.csv.part"
-    out.mkdir(parents=True, exist_ok=True)
-    save_csv(ds, tmp)
-    os.replace(tmp, out / "data.csv")
-    _write_json(out / "meta.json", {**resolved,
-                                    "num_samples": ds.num_samples,
-                                    "class_counts": ds.class_counts.tolist()})
-    _write_resolved(out, "gen-data", resolved)
-    return 0
+    meta = {**resolved, "num_samples": ds.num_samples,
+            "class_counts": ds.class_counts.tolist()}
+    return _commit(args, resolved, {"data.csv": (_atomic_write, partial(save_csv, ds)),
+                                    "meta.json": (_write_json, meta)})
 
 
 # -------------------------------------------------------------- verify-dist
@@ -165,32 +177,25 @@ def _closed_form_histogram(spec: LTSpec, mode: str) -> np.ndarray:
 
 
 def cmd_verify_dist(args) -> int:
-    keys = {k: k for k in _VERIFY_DEFAULTS}
-    resolved = _merge(args, keys, _VERIFY_DEFAULTS)
+    resolved = _open_run(args, partial(resolve_config, _VERIFY_DEFAULTS))
     if resolved["mode"] not in _MODE_ALIASES and resolved["mode"] not in MIX_MODES:
         raise ConfigError(f"mode must be one of {sorted(_MODE_ALIASES)}")
     mode = _MODE_ALIASES.get(resolved["mode"], resolved["mode"])
-    classes, rho, tau = int(resolved["classes"]), float(resolved["rho"]), float(resolved["tau"])
-    resolution = int(resolved["resolution"]) or classes
-    resolved["resolution"] = resolution
-    spec = LTSpec(num_classes=classes, rho=rho, tau=tau)
-    out = Path(args.out)
-    _claim_run_dir(out, "verify-dist")
+    classes, tau = resolved["classes"], resolved["tau"]
+    resolved["resolution"] = resolved["resolution"] or classes
+    spec = LTSpec(num_classes=classes, rho=resolved["rho"], tau=tau)
 
-    curves = emit_density_curves(spec, resolution)
+    curves = emit_density_curves(spec, resolved["resolution"])
     curve_rows = [(c.kind, y, d) for c in curves for y, d in zip(c.y, c.density)]
-    _write_csv(out / "curves.csv", ["kind", "y", "density"], curve_rows)
-
-    config = MixConfig(alpha=float(resolved["alpha"]), mode=mode, tau=tau)
-    hist = mc_xi_aug_histogram(discrete_lt_prior(spec), config,
-                               int(resolved["trials"]), int(resolved["seed"]),
-                               streams=int(resolved["streams"]))
+    config = MixConfig(alpha=resolved["alpha"], mode=mode, tau=tau)
+    hist = mc_xi_aug_histogram(discrete_lt_prior(spec), config, resolved["trials"],
+                               resolved["seed"], streams=resolved["streams"])
     closed = _closed_form_histogram(spec, mode)
     hist_rows = [(k + 1, hist[k], closed[k]) for k in range(classes)]
-    _write_csv(out / "histogram.csv",
-               ["class", "empirical_prob", "closed_form_prob"], hist_rows)
-    _write_resolved(out, "verify-dist", resolved)
-    return 0
+    return _commit(args, resolved, {
+        "curves.csv": (_write_csv, ["kind", "y", "density"], curve_rows),
+        "histogram.csv": (_write_csv, ["class", "empirical_prob", "closed_form_prob"],
+                          hist_rows)})
 
 
 # -------------------------------------------------------------------- train
@@ -198,20 +203,12 @@ def cmd_verify_dist(args) -> int:
 def cmd_train(args) -> int:
     if not args.config:
         raise ConfigError("train requires --config")
-    raw = load_config(args.config)
-    raw.pop("command", None)
-    resolved = resolve_train_config(raw)
-    out = Path(args.out)
-    _claim_run_dir(out, "train")
+    resolved = _open_run(args, resolve_train_config)
     ds, cfg = build_training_run(resolved)
     params, log = train_two_phase(ds, cfg)
-    out.mkdir(parents=True, exist_ok=True)
-    tmp = out / "model.json.part"
-    save_model(params, tmp)
-    os.replace(tmp, out / "model.json")
-    _write_csv(out / "train_log.csv", ["step", "phase", "loss", "lr"], log)
-    _write_resolved(out, "train", resolved)
-    return 0
+    return _commit(args, resolved, {
+        "model.json": (_atomic_write, partial(save_model, params)),
+        "train_log.csv": (_write_csv, ["step", "phase", "loss", "lr"], log)})
 
 
 # --------------------------------------------------------------------- eval
@@ -221,11 +218,9 @@ _EVAL_DEFAULTS = {"model": "", "data": "", "bins": 15, "ranges": 15,
 
 
 def cmd_eval(args) -> int:
-    keys = {k: k for k in _EVAL_DEFAULTS}
-    resolved = _merge(args, keys, _EVAL_DEFAULTS)
+    resolved = _open_run(args, partial(resolve_config, _EVAL_DEFAULTS))
     if not resolved["model"] or not resolved["data"]:
         raise ConfigError("eval requires --model and --data")
-    _claim_run_dir(Path(args.out), "eval")
     params = load_model(resolved["model"])
     ds = load_csv(resolved["data"])
     if ds.dims != params.layer_dims[0]:
@@ -235,26 +230,21 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"data has {ds.num_classes} classes but the model emits "
                           f"{params.layer_dims[-1]} logits")
     preds = predict_proba(params, ds.features)
-    labels = ds.labels
     report = calibration.evaluate_predictions(
-        preds, labels, num_bins=int(resolved["bins"]),
-        num_ranges=int(resolved["ranges"]),
-        tace_threshold=float(resolved["tace_threshold"]),
-        density_batch=int(resolved["density_batch"]))
-    out = Path(args.out)
-    _write_json(out / "report.json", report.scalars())
-    _write_csv(out / "reliability.csv", ["bin_lo", "bin_hi", "count", "acc", "conf"],
-               report.reliability)
+        preds, ds.labels, num_bins=resolved["bins"], num_ranges=resolved["ranges"],
+        tace_threshold=resolved["tace_threshold"], density_batch=resolved["density_batch"])
     c = report.confusion.shape[0]
     header = ["true"] + [f"pred_{k}" for k in range(c)]
-    _write_csv(out / "confusion.csv", header,
-               [(k, *report.confusion[k]) for k in range(c)])
-    _write_csv(out / "confusion_log.csv", header,
-               [(k, *report.confusion_log[k]) for k in range(c)])
-    _write_csv(out / "density.csv", ["batch", "conf", "acc"],
-               [(i, s.confidence, s.accuracy) for i, s in enumerate(report.density)])
-    _write_resolved(out, "eval", resolved)
-    return 0
+    return _commit(args, resolved, {
+        "report.json": (_write_json, report.scalars()),
+        "reliability.csv": (_write_csv, ["bin_lo", "bin_hi", "count", "acc", "conf"],
+                            report.reliability),
+        "confusion.csv": (_write_csv, header,
+                          [(k, *report.confusion[k]) for k in range(c)]),
+        "confusion_log.csv": (_write_csv, header,
+                              [(k, *report.confusion_log[k]) for k in range(c)]),
+        "density.csv": (_write_csv, ["batch", "conf", "acc"],
+                        [(i, s.confidence, s.accuracy) for i, s in enumerate(report.density)])})
 
 
 # ------------------------------------------------------------- circles-demo
@@ -266,34 +256,26 @@ _CIRCLES_DEFAULTS = {
 
 
 def cmd_circles_demo(args) -> int:
-    keys = {k: k for k in _CIRCLES_DEFAULTS}
-    resolved = _merge(args, keys, _CIRCLES_DEFAULTS)
-    _claim_run_dir(Path(args.out), "circles-demo")
-    spec = TwoCircleSpec(center=(float(resolved["x0"]), float(resolved["y0"])),
-                         radius=float(resolved["radius"]), n_pos=int(resolved["n_pos"]),
-                         n_neg=int(resolved["n_neg"]), seed=int(resolved["seed"]))
-    results = run_all_scenarios(spec, steps=int(resolved["steps"]),
-                                batch_size=int(resolved["batch_size"]),
-                                lr=float(resolved["lr"]))
-    out = Path(args.out)
-    _write_csv(out / "boundary.csv",
-               ["scenario", "w0", "w1", "b", "angle_error_deg", "offset"],
-               [(r.scenario, r.weight[0], r.weight[1], r.bias,
-                 r.angle_error_deg, r.offset) for r in results])
+    resolved = _open_run(args, partial(resolve_config, _CIRCLES_DEFAULTS))
+    spec = _circle_spec(resolved)
+    results = run_all_scenarios(spec, steps=resolved["steps"],
+                                batch_size=resolved["batch_size"], lr=resolved["lr"])
+    boundary_rows = [(r.scenario, r.weight[0], r.weight[1], r.bias, r.angle_error_deg,
+                      r.offset) for r in results]
     point_rows = []
     for scenario in SCENARIOS:
         data_spec = replace(spec, n_neg=spec.n_pos) if scenario == "balanced" else spec
         ds = gen_two_circles(data_spec)
         for (x, y), label in zip(ds.features, ds.labels):
             point_rows.append((scenario, x, y, int(label), 0))
-        cloud = virtual_cloud(ds, scenario, int(resolved["cloud_points"]),
-                              int(resolved["seed"]))
+        cloud = virtual_cloud(ds, scenario, resolved["cloud_points"], resolved["seed"])
         for x, y, label in cloud:
             point_rows.append((scenario, x, y, int(label), 1))
-    _write_csv(out / "points.csv", ["scenario", "x", "y", "label", "is_virtual"],
-               point_rows)
-    _write_resolved(out, "circles-demo", resolved)
-    return 0
+    return _commit(args, resolved, {
+        "boundary.csv": (_write_csv, ["scenario", "w0", "w1", "b", "angle_error_deg",
+                                      "offset"], boundary_rows),
+        "points.csv": (_write_csv, ["scenario", "x", "y", "label", "is_virtual"],
+                       point_rows)})
 
 
 # ------------------------------------------------------------------- report
@@ -309,17 +291,17 @@ def _training_metadata(run_dir: Path) -> tuple[str, str]:
         if not cfg_path.is_file():
             return "", ""
         try:
-            with open(cfg_path) as fh:
-                cfg = json.load(fh)
-        except (json.JSONDecodeError, OSError):
-            print(f"warning: {run_dir.name}: unreadable config.resolved.json",
+            cfg = _read_object(cfg_path)
+        except (ValueError, OSError) as exc:
+            print(f"warning: {run_dir.name}: unreadable config.resolved.json ({exc})",
                   file=sys.stderr)
             return "", ""
         if "loss" in cfg:
             return cfg.get("loss", ""), cfg.get("mix_mode", "")
-        if not cfg.get("model"):
+        model = cfg.get("model")
+        if not model or not isinstance(model, str):
             return "", ""
-        cfg_path = Path(cfg["model"]).parent / "config.resolved.json"
+        cfg_path = Path(model).parent / "config.resolved.json"
     return "", ""
 
 
@@ -334,9 +316,8 @@ def cmd_report(args) -> int:
             print(f"warning: {run_dir.name}: no report.json, skipped", file=sys.stderr)
             continue
         try:
-            with open(report_path) as fh:
-                scalars = json.load(fh)
-        except (json.JSONDecodeError, OSError) as exc:
+            scalars = _read_object(report_path)
+        except (ValueError, OSError) as exc:
             print(f"warning: {run_dir.name}: unreadable report.json ({exc}), skipped",
                   file=sys.stderr)
             continue
@@ -356,17 +337,6 @@ def cmd_report(args) -> int:
 
 # ------------------------------------------------------------------ parsing
 
-def _finite_float(text: str) -> float:
-    """Argument type of every float flag: NaN and infinities are refused."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
-
-
 def _add_common(sub, with_config=True, with_out=True):
     if with_config:
         sub.add_argument("--config", help="JSON config (e.g. a config.resolved.json)")
@@ -385,15 +355,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--kind", choices=["gaussians", "circles"])
     p.add_argument("--classes", type=int)
-    p.add_argument("--rho", type=_finite_float)
+    p.add_argument("--rho", type=float)
     p.add_argument("--n-max", dest="n_max", type=int)
     p.add_argument("--dims", type=int)
-    p.add_argument("--cluster-spread", dest="cluster_spread", type=_finite_float)
+    p.add_argument("--cluster-spread", dest="cluster_spread", type=float)
     p.add_argument("--reverse", action="store_const", const=True, default=None,
                    help="reverse the class counts (reversed-LT test sets)")
-    p.add_argument("--x0", type=_finite_float)
-    p.add_argument("--y0", type=_finite_float)
-    p.add_argument("--radius", type=_finite_float)
+    p.add_argument("--x0", type=float)
+    p.add_argument("--y0", type=float)
+    p.add_argument("--radius", type=float)
     p.add_argument("--n-pos", dest="n_pos", type=int)
     p.add_argument("--n-neg", dest="n_neg", type=int)
     p.add_argument("--seed", type=int)
@@ -403,9 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit density curves and a Monte Carlo histogram")
     _add_common(p)
     p.add_argument("--classes", type=int)
-    p.add_argument("--rho", type=_finite_float)
-    p.add_argument("--tau", type=_finite_float)
-    p.add_argument("--alpha", type=_finite_float)
+    p.add_argument("--rho", type=float)
+    p.add_argument("--tau", type=float)
+    p.add_argument("--alpha", type=float)
     p.add_argument("--mode", choices=sorted(_MODE_ALIASES))
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
@@ -423,21 +393,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help="dataset CSV")
     p.add_argument("--bins", type=int)
     p.add_argument("--ranges", type=int)
-    p.add_argument("--tace-threshold", dest="tace_threshold", type=_finite_float)
+    p.add_argument("--tace-threshold", dest="tace_threshold", type=float)
     p.add_argument("--density-batch", dest="density_batch", type=int)
     p.set_defaults(func=cmd_eval)
 
     p = subs.add_parser("circles-demo", help="run the decision-boundary study")
     _add_common(p)
-    p.add_argument("--x0", type=_finite_float)
-    p.add_argument("--y0", type=_finite_float)
-    p.add_argument("--radius", type=_finite_float)
+    p.add_argument("--x0", type=float)
+    p.add_argument("--y0", type=float)
+    p.add_argument("--radius", type=float)
     p.add_argument("--n-pos", dest="n_pos", type=int)
     p.add_argument("--n-neg", dest="n_neg", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--steps", type=int)
     p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr", type=_finite_float)
+    p.add_argument("--lr", type=float)
     p.add_argument("--cloud-points", dest="cloud_points", type=int)
     p.set_defaults(func=cmd_circles_demo)
 

@@ -1,9 +1,9 @@
-"""Training-run configuration: strict key validation and default resolution.
+"""Run configuration: one typed resolver for every command's config.
 
 A raw JSON config is resolved to a complete dict (every default made
-explicit) before anything runs; the resolved dict is what run directories
-persist, and resolving it again is the identity, so replays reproduce the
-original run exactly.
+explicit, every value of its default's JSON type) before anything runs;
+the resolved dict is what run directories persist, and resolving it again
+is the identity, so replays reproduce the original run exactly.
 """
 
 from __future__ import annotations
@@ -20,18 +20,8 @@ from .mixing import MIX_MODES, MixConfig
 from .model import LRSchedule, TrainConfig
 from .theory import check_prior
 
-__all__ = ["TRAIN_KEYS", "LOSS_PARAM_KEYS", "resolve_train_config",
+__all__ = ["TRAIN_KEYS", "LOSS_PARAM_KEYS", "resolve_config", "resolve_train_config",
            "build_training_run", "load_config"]
-
-TRAIN_KEYS = {
-    "classes", "rho", "n_max", "dims", "cluster_spread",
-    "alpha", "tau", "mix_mode",
-    "loss", "loss_params",
-    "t1_steps", "t2_steps", "batch_size", "lr", "momentum", "weight_decay",
-    "hidden_dims", "seed",
-}
-
-LOSS_PARAM_KEYS = {"gamma", "beta", "ldam_c", "la_tau", "target_prior"}
 
 _DEFAULTS = {
     "classes": 10,
@@ -42,6 +32,8 @@ _DEFAULTS = {
     "tau": -1.0,
     "mix_mode": "unimix_full",
     "loss": "bayias_ce",
+    "loss_params": {"gamma": 1.0, "beta": 0.999, "ldam_c": 0.5, "la_tau": 1.0,
+                    "target_prior": "balanced"},
     "t2_steps": 2000,
     "batch_size": 128,
     "lr": 0.1,
@@ -49,97 +41,120 @@ _DEFAULTS = {
     "weight_decay": 2e-4,
     "hidden_dims": [64, 64],
     "seed": 0,
+    # alpha and t1_steps follow mix_mode and t2_steps unless given
+    "alpha": 0.5,
+    "t1_steps": 1800,
 }
 
-_LOSS_PARAM_DEFAULTS = {"gamma": 1.0, "beta": 0.999, "ldam_c": 0.5, "la_tau": 1.0,
-                        "target_prior": "balanced"}
+TRAIN_KEYS = frozenset(_DEFAULTS)
+LOSS_PARAM_KEYS = frozenset(_DEFAULTS["loss_params"])
+
+# Keys whose values may be lists; they are checked where they are used.
+_LIST_KEYS = frozenset({"hidden_dims", "target_prior"})
+
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
 
 
-def resolve_train_config(raw: dict) -> dict:
-    """Fill every default and reject unknown keys; idempotent on its output."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = set(raw) - TRAIN_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    cfg = dict(_DEFAULTS)
-    cfg.update({k: v for k, v in raw.items() if k not in ("loss_params", "t1_steps", "alpha")})
+def _typed(name: str, value, default):
+    """`value` if its JSON type is that of `default`; a float key also takes an integer."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(default, float) and number:
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be a finite number")
+        return value
+    if type(value) is not type(default):
+        raise ConfigError(f"{name} must be {_TYPE_NAMES[type(default)]}, got {value!r}")
+    return value
+
+
+def resolve_config(defaults: dict, *layers, where: str = "") -> dict:
+    """Merge `layers` over `defaults`, each later layer winning.
+
+    Every layer must be a JSON object whose keys are keys of `defaults`.
+    A scalar must have its default's JSON type: a bool key takes only
+    true or false, an int key only an integer, a float key an integer or
+    a float (stored as a finite float), a str key only a string. An object
+    default is resolved the same way, key by key.
+    """
+    resolved = dict(defaults)
+    for layer in layers:
+        if not isinstance(layer, dict):
+            raise ConfigError(f"{where or 'config'} must be a JSON object")
+        unknown = set(layer) - set(defaults)
+        if unknown:
+            raise ConfigError(f"unknown {where or 'config'} keys: {sorted(unknown)}")
+        for key, value in layer.items():
+            if isinstance(defaults[key], dict):
+                value = resolve_config(resolved[key], value, where=key)
+            elif key not in _LIST_KEYS:
+                value = _typed(f"{where}.{key}" if where else key, value, defaults[key])
+            resolved[key] = value
+    return resolved
+
+
+def resolve_train_config(*layers) -> dict:
+    """Resolve a train config from `layers` over its defaults; idempotent on its output."""
+    cfg = resolve_config(_DEFAULTS, *layers)
     if cfg["loss"] not in LOSS_KINDS:
         raise ConfigError(f"loss must be one of {LOSS_KINDS}, got {cfg['loss']!r}")
     if cfg["mix_mode"] not in MIX_MODES:
         raise ConfigError(f"mix_mode must be one of {MIX_MODES}, got {cfg['mix_mode']!r}")
-    params = dict(_LOSS_PARAM_DEFAULTS)
-    raw_params = raw.get("loss_params", {})
-    if not isinstance(raw_params, dict):
-        raise ConfigError("loss_params must be a JSON object")
-    unknown = set(raw_params) - LOSS_PARAM_KEYS
-    if unknown:
-        raise ConfigError(f"unknown loss_params keys: {sorted(unknown)}")
-    params.update(raw_params)
-    cfg["loss_params"] = params
-    # beta mixing defaults to 1.0 only for the plain-mixup mode
-    cfg["alpha"] = raw.get("alpha", 1.0 if cfg["mix_mode"] == "vanilla_mixup" else 0.5)
-    cfg["t1_steps"] = raw.get("t1_steps", int(round(0.9 * cfg["t2_steps"])))
+    given = {key for layer in layers for key in layer}
+    if "alpha" not in given:  # beta mixing defaults to 1.0 only for the plain-mixup mode
+        cfg["alpha"] = 1.0 if cfg["mix_mode"] == "vanilla_mixup" else 0.5
+    if "t1_steps" not in given:
+        cfg["t1_steps"] = round(0.9 * cfg["t2_steps"])
     return cfg
 
 
 def _loss_spec(cfg: dict, class_counts: np.ndarray, prior: np.ndarray) -> LossSpec:
-    p = cfg["loss_params"]
-    target = p["target_prior"]
-    try:
-        if target == "balanced":
-            target_prior = None
-        else:
-            target_prior = check_prior(np.asarray(target, dtype=np.float64),
-                                       require_positive=True)
-        return LossSpec(
-            kind=cfg["loss"],
-            gamma=float(p["gamma"]),
-            beta=float(p["beta"]),
-            ldam_c=float(p["ldam_c"]),
-            la_tau=float(p["la_tau"]),
-            class_counts=class_counts,
-            prior=prior,
-            target_prior=target_prior,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    """The config's loss; every loss_params key is a LossSpec field."""
+    params = dict(cfg["loss_params"])
+    target = params.pop("target_prior")
+    target_prior = (None if target == "balanced"
+                    else check_prior(np.asarray(target, dtype=np.float64), require_positive=True))
+    return LossSpec(kind=cfg["loss"], class_counts=class_counts, prior=prior,
+                    target_prior=target_prior, **params)
 
 
 def build_training_run(cfg: dict):
     """Materialize (dataset, TrainConfig) from a resolved config dict."""
     try:
         ds = gen_lt_gaussians(
-            num_classes=int(cfg["classes"]),
-            rho=float(cfg["rho"]),
-            n_max=int(cfg["n_max"]),
-            dims=int(cfg["dims"]),
-            cluster_spread=float(cfg["cluster_spread"]),
-            seed=int(cfg["seed"]),
+            num_classes=cfg["classes"],
+            rho=cfg["rho"],
+            n_max=cfg["n_max"],
+            dims=cfg["dims"],
+            cluster_spread=cfg["cluster_spread"],
+            seed=cfg["seed"],
         )
         prior = empirical_prior(ds)
         train_cfg = TrainConfig(
-            t1_steps=int(cfg["t1_steps"]),
-            t2_steps=int(cfg["t2_steps"]),
-            batch_size=int(cfg["batch_size"]),
-            lr=LRSchedule.scaled(float(cfg["lr"]), int(cfg["t2_steps"])),
-            mix=MixConfig(alpha=float(cfg["alpha"]), mode=cfg["mix_mode"],
-                          tau=float(cfg["tau"])),
+            t1_steps=cfg["t1_steps"],
+            t2_steps=cfg["t2_steps"],
+            batch_size=cfg["batch_size"],
+            lr=LRSchedule.scaled(cfg["lr"], cfg["t2_steps"]),
+            mix=MixConfig(alpha=cfg["alpha"], mode=cfg["mix_mode"], tau=cfg["tau"]),
             loss=_loss_spec(cfg, ds.class_counts, prior),
-            seed=int(cfg["seed"]),
-            momentum=float(cfg["momentum"]),
-            weight_decay=float(cfg["weight_decay"]),
+            seed=cfg["seed"],
+            momentum=cfg["momentum"],
+            weight_decay=cfg["weight_decay"],
             hidden_dims=tuple(int(h) for h in cfg["hidden_dims"]),
         )
     except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(str(exc)) from None
     return ds, train_cfg
 
 
 def load_config(path) -> dict:
-    """Parse a JSON config; NaN, Infinity and numbers that overflow a float are refused."""
+    """Parse a JSON config object and drop the "command" key a run directory records.
+
+    NaN, Infinity and float literals that overflow a float are refused.
+    """
     def finite(text: str) -> float:
         value = float(text)
         if not math.isfinite(value):
@@ -148,6 +163,10 @@ def load_config(path) -> dict:
 
     try:
         with open(path) as fh:
-            return json.load(fh, parse_float=finite, parse_constant=finite)
+            cfg = json.load(fh, parse_float=finite, parse_constant=finite)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{path}: a config must be a JSON object")
+    cfg.pop("command", None)
+    return cfg

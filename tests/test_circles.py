@@ -44,6 +44,9 @@ def test_virtual_cloud_shapes():
         assert cloud.shape == (50, 3)
         assert set(np.unique(cloud[:, 2])) <= {0.0, 1.0}
     assert virtual_cloud(ds, "balanced", 50, seed=1).shape == (0, 3)
+    for scenario in ("balanced", "unimix"):
+        with pytest.raises(ValueError, match="num_points"):
+            virtual_cloud(ds, scenario, -1, seed=1)
 
 
 def test_virtual_cloud_matches_inline_mixing(inline_virtual_cloud):

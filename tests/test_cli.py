@@ -280,17 +280,24 @@ def test_report_aggregates_and_warns(tmp_path, capsys):
         (d / "report.json").write_text(json.dumps(scalars))
         (d / "config.resolved.json").write_text(
             json.dumps({"loss": "ce", "mix_mode": "unimix_full"}))
-    corrupt = runs / "c_run"
-    corrupt.mkdir()
-    (corrupt / "report.json").write_text("{not json")
+    for name, text in (("c_run", "{not json"), ("d_run", "[0.5]")):
+        (runs / name).mkdir()
+        (runs / name / "report.json").write_text(text)
+    # a run whose config is no object keeps its metrics, without loss or mix mode
+    (runs / "e_run").mkdir()
+    (runs / "e_run" / "report.json").write_text(json.dumps({"accuracy": 0.25}))
+    (runs / "e_run" / "config.resolved.json").write_text("[1]")
     out = tmp_path / "summary"
     assert main(["report", "--runs", str(runs), "--out", str(out)]) == 0
-    assert "c_run" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "c_run: unreadable report.json" in err and "d_run: unreadable report.json" in err
+    assert "e_run: unreadable config.resolved.json" in err and "Traceback" not in err
     lines = (out / "summary.csv").read_text().strip().splitlines()
     assert lines[0].startswith("run,loss,mix_mode,accuracy")
-    assert [l.split(",")[0] for l in lines[1:]] == ["a_run", "b_run"]
+    assert [l.split(",")[0] for l in lines[1:]] == ["a_run", "b_run", "e_run"]
     rows = json.loads((out / "summary.json").read_text())
     assert rows[1]["accuracy"] == 0.75
+    assert (rows[2]["loss"], rows[2]["mix_mode"], rows[2]["accuracy"]) == ("", "", 0.25)
 
 
 def test_report_empty_dir_fails(tmp_path):
@@ -314,6 +321,8 @@ def _train_cfg_text(key, literal):
     pytest.param(["train"], _train_cfg_text("loss_params", '{"gamma": NaN}'), id="train-gamma"),
     pytest.param(["train"], _train_cfg_text("rho", "Infinity"), id="train-rho"),
     pytest.param(["train"], _train_cfg_text("lr", "1e309"), id="train-overflow"),
+    pytest.param(["train"], _train_cfg_text("rho", "1" + "0" * 400), id="train-int-overflow"),
+    pytest.param(["gen-data"], '{"rho": 1' + "0" * 400 + "}", id="gen-data-int-overflow"),
 ])
 def test_non_finite_numbers_exit_one(tmp_path, capsys, argv, config_text):
     out = tmp_path / "run"
@@ -324,4 +333,32 @@ def test_non_finite_numbers_exit_one(tmp_path, capsys, argv, config_text):
     assert main([*argv, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "finite" in err and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv,config_text,threads", [
+    pytest.param(["train"], "[1, 2]", None, id="train-config-list"),
+    pytest.param(["gen-data"], '{"rho": null}', None, id="gen-data-null-number"),
+    pytest.param(["verify-dist"], '{"seed": "abc", "trials": 1000}', None,
+                 id="verify-dist-string-seed"),
+    pytest.param(["train"], _train_cfg_text("classes", "4.7"), None, id="train-float-int"),
+    pytest.param(["circles-demo"], '{"steps": true}', None, id="circles-demo-bool-int"),
+    pytest.param(["gen-data"], '{"reverse": "no"}', None, id="gen-data-string-bool"),
+    pytest.param(["verify-dist", "--trials", "0"], None, None, id="verify-dist-trials-0"),
+    pytest.param(["verify-dist", "--streams", "0"], None, None, id="verify-dist-streams-0"),
+    pytest.param(["verify-dist", "--trials", "1000"], None, "abc", id="verify-dist-threads"),
+    pytest.param(["circles-demo", "--cloud-points", "-1", "--steps", "10"], None, None,
+                 id="circles-demo-negative-cloud"),
+])
+def test_bad_input_exits_one_and_writes_nothing(tmp_path, capsys, monkeypatch, argv,
+                                                config_text, threads):
+    out = tmp_path / "run"
+    if config_text is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config_text)
+        argv = [*argv, "--config", str(cfg)]
+    if threads is not None:
+        monkeypatch.setenv("UNIMIX_LT_THREADS", threads)
+    assert main([*argv, "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())

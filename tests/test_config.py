@@ -60,3 +60,27 @@ def test_bad_values_surface_as_config_errors():
     with pytest.raises(ConfigError):
         build_training_run(resolve_train_config(
             {"loss": "bayias_ce", "loss_params": {"target_prior": [0.5, 0.5, 0.5]}}))
+
+
+def test_scalars_take_their_defaults_json_type():
+    resolved = resolve_train_config({"rho": 100, "alpha": 1, "loss_params": {"gamma": 2}})
+    assert (resolved["rho"], resolved["alpha"], resolved["loss_params"]["gamma"]) == (100, 1, 2)
+    assert all(type(v) is float for v in (resolved["rho"], resolved["alpha"],
+                                          resolved["loss_params"]["gamma"]))
+    assert resolve_train_config({"hidden_dims": [3], "loss_params": {
+        "target_prior": [0.5, 0.5]}})["hidden_dims"] == [3]
+    bad = [({"classes": 4.7}, "classes must be an integer"),
+           ({"classes": True}, "classes must be an integer"),
+           ({"t1_steps": 10.0}, "t1_steps must be an integer"),
+           ({"seed": "1"}, "seed must be an integer"),
+           ({"lr": None}, "lr must be a number"),
+           ({"alpha": "0.5"}, "alpha must be a number"),
+           ({"rho": 10 ** 400}, "rho must be a finite number"),
+           ({"mix_mode": 3}, "mix_mode must be a string"),
+           ({"loss_params": {"gamma": "x"}}, "loss_params.gamma must be a number"),
+           ({"loss_params": [1]}, "loss_params must be a JSON object")]
+    for raw, message in bad:
+        with pytest.raises(ConfigError, match=message):
+            resolve_train_config(raw)
+    with pytest.raises(ConfigError, match="config must be a JSON object"):
+        resolve_train_config([1])
