@@ -143,6 +143,10 @@ def _adaptive_errors(p, y, num_ranges: int, thresholds) -> list[float]:
     """
     if num_ranges < 1:
         raise ValueError("need at least one range")
+    for threshold in thresholds:
+        # written so that NaN, which fails every comparison, fails the check
+        if not 0.0 <= threshold < 1.0:
+            raise ValueError(f"threshold must lie in [0, 1), got {threshold}")
     c = p.shape[1]
     survivors = [0] * len(thresholds)
     gap_sums = [0.0] * len(thresholds)
@@ -172,9 +176,10 @@ def adaptive_calibration_error(preds, labels, num_ranges: int = DEFAULT_BINS,
                                threshold: float = 0.0) -> float:
     """Equal-count per-class calibration error over all class probabilities.
 
-    Probabilities below `threshold` are discarded first; threshold 0 keeps
-    everything. The result averages |accuracy - confidence| over the
-    C x R (class, range) grid, with empty ranges counting zero.
+    Probabilities below `threshold`, which must lie in [0, 1), are discarded
+    first; threshold 0 keeps everything. The result averages
+    |accuracy - confidence| over the C x R (class, range) grid, with empty
+    ranges counting zero.
     """
     p, y = _check_inputs(preds, labels)
     return _adaptive_errors(p, y, num_ranges, (threshold,))[0]

@@ -4,12 +4,19 @@ Two generators cover the experiments: isotropic Gaussian clusters with
 exponentially decaying per-class counts, and the two-disjoint-circles
 binary set used for the decision-boundary study. Both are deterministic
 functions of (spec, seed).
+
+Datasets travel as CSV: a `f0,...,f{d-1},label` header, then one row of d
+repr-written floats and an integer label per sample, CRLF-terminated.
+`load_csv` parses a well-formed file in one vectorized pass and hands any
+other file to a per-line parser, so the accepted inputs and the
+`path:line` errors are those of that parser alone.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +35,13 @@ __all__ = [
     "lt_class_counts",
     "class_means",
 ]
+
+_MAX_LABEL = np.iinfo(np.int64).max
+# Printable ASCII and the whitespace Python's `float` and `int` strip: on
+# these bytes numpy's number parsers accept what Python's accept, with the
+# same values. numpy also takes \x1c-\x1f as whitespace and some non-ASCII
+# characters in an integer, which Python refuses.
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n\r\x0b\x0c"
 
 
 @dataclass(eq=False)
@@ -187,31 +201,99 @@ def empirical_prior(ds: Dataset) -> np.ndarray:
 
 
 def save_csv(ds: Dataset, path) -> None:
-    """Write `f0,...,f{d-1},label` rows; floats use repr for exact round-trips."""
+    """Write `f0,...,f{d-1},label` rows; floats use repr for exact round-trips.
+
+    Rows end in CRLF, as `csv.writer` ends them; the text is built in one
+    pass and written with one call.
+    """
+    header = ",".join([f"f{i}" for i in range(ds.dims)] + ["label"])
+    rows = [",".join([*map(repr, row), str(label)])
+            for row, label in zip(ds.features.tolist(), ds.labels.tolist())]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{i}" for i in range(ds.dims)] + ["label"])
-        for row, label in zip(ds.features, ds.labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+        fh.write("\r\n".join([header, *rows, ""]))
 
 
 def load_csv(path) -> Dataset:
-    """Read a dataset written by `save_csv`; C is max label + 1.
+    """Read a dataset in `save_csv`'s format; C is max label + 1.
 
-    Malformed rows, negative labels and non-finite features raise
-    ValueError naming the file and line.
+    The header must be exactly `f0,...,f{d-1},label`. Each row holds d
+    floats and a non-negative integer label, in any form Python's `float`
+    and `int` accept (quoted fields too), with LF, CRLF or CR line ends.
+    Blank rows, ragged rows, negative or out-of-range labels and non-finite
+    features raise ValueError naming the file and line.
+
+    A well-formed file is parsed in one vectorized `np.loadtxt` pass. Any
+    file that pass cannot take whole is read again by the per-line parser,
+    which is the one source of errors: loadtxt raises or warns, or returns
+    fewer rows than it read lines (it skips blank ones), or the file holds
+    a byte outside printable ASCII and tab/VT/FF/CR/LF, or a feature is
+    non-finite, or a label negative.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
+        dims = _read_header(path, reader)
+        table, lines = _parse_body(fh, dims)
+    if table is not None and table.shape[0] == lines and _is_plain(path):
+        features = np.ascontiguousarray(table["f"])
+        labels = np.ascontiguousarray(table["y"])
+        if np.isfinite(features).all() and (labels >= 0).all():
+            return _dataset(features, labels)
+    return _load_lines(path)
+
+
+def _read_header(path, reader) -> int:
+    """Check the `f0,...,f{d-1},label` header row and return d."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError(f"{path}: empty file") from None
+    if not header or header[-1] != "label":
+        raise ValueError(f"{path}: last column must be 'label', got header {header}")
+    dims = len(header) - 1
+    if dims < 1 or header[:-1] != [f"f{i}" for i in range(dims)]:
+        raise ValueError(f"{path}: expected feature columns f0..f{dims - 1}")
+    return dims
+
+
+def _parse_body(fh, dims: int):
+    """(the rest of `fh` as one structured array or None if numpy balks, lines read).
+
+    numpy reads the lines the per-line parser's `csv.reader` would get, so
+    it splits rows at the same LF, CRLF and lone CR.
+    """
+    dtype = np.dtype([("f", np.float64, (dims,)), ("y", np.int64)])
+    lines = 0
+
+    def counted():
+        nonlocal lines
+        for line in fh:
+            lines += 1
+            yield line
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # loadtxt warns on an empty body
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        if not header or header[-1] != "label":
-            raise ValueError(f"{path}: last column must be 'label', got header {header}")
-        dims = len(header) - 1
-        if dims < 1 or header[:-1] != [f"f{i}" for i in range(dims)]:
-            raise ValueError(f"{path}: expected feature columns f0..f{dims - 1}")
+            table = np.loadtxt(counted(), dtype=dtype, delimiter=",", comments=None,
+                               ndmin=1)
+        except (ValueError, Warning):
+            return None, 0
+    return table, lines
+
+
+def _is_plain(path) -> bool:
+    """Whether every byte of the file is in `_PLAIN_BYTES`, read in 1 MiB blocks."""
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            if block.translate(None, _PLAIN_BYTES):
+                return False
+    return True
+
+
+def _load_lines(path) -> Dataset:
+    """The per-line parser: every input `load_csv` accepts, every error it raises."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        dims = _read_header(path, reader)
         features, labels = [], []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != dims + 1:
@@ -223,6 +305,8 @@ def load_csv(path) -> Dataset:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             if label < 0:
                 raise ValueError(f"{path}:{lineno}: negative label {label}")
+            if label > _MAX_LABEL:
+                raise ValueError(f"{path}:{lineno}: label {label} out of range")
             labels.append(label)
     if not labels:
         raise ValueError(f"{path}: no data rows")
@@ -230,6 +314,8 @@ def load_csv(path) -> Dataset:
     bad_rows = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if bad_rows.size:
         raise ValueError(f"{path}:{bad_rows[0] + 2}: features must be finite")
-    labels = np.asarray(labels, dtype=np.int64)
-    counts = np.bincount(labels, minlength=labels.max() + 1)
-    return Dataset(features, labels, counts)
+    return _dataset(features, np.asarray(labels, dtype=np.int64))
+
+
+def _dataset(features: np.ndarray, labels: np.ndarray) -> Dataset:
+    return Dataset(features, labels, np.bincount(labels, minlength=labels.max() + 1))

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -142,3 +144,18 @@ def _inline_virtual_cloud(ds, scenario, num_points, seed):
 def inline_virtual_cloud():
     """Oracle for `circles.virtual_cloud`: same signature, same stream use."""
     return _inline_virtual_cloud
+
+
+def _csv_writer_save_csv(ds, path):
+    """`data.save_csv` as first written: one `csv.writer` row per sample."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"f{i}" for i in range(ds.dims)] + ["label"])
+        for row, label in zip(ds.features, ds.labels):
+            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+
+
+@pytest.fixture
+def csv_writer_save_csv():
+    """Byte-equality oracle for `data.save_csv`: same signature, same file."""
+    return _csv_writer_save_csv

@@ -70,6 +70,15 @@ def test_tace_threshold_discards_small_probabilities():
     assert math.isclose(tace, 0.00025, abs_tol=1e-12)
 
 
+@pytest.mark.parametrize("threshold", [-1.0, -1e-12, 1.0, 1.5, float("nan")])
+def test_adaptive_threshold_outside_unit_interval_is_error(threshold):
+    preds, labels = two_class([0.9995, 0.25], [0, 1])
+    with pytest.raises(ValueError, match=r"threshold must lie in \[0, 1\)"):
+        adaptive_calibration_error(preds, labels, num_ranges=1, threshold=threshold)
+    with pytest.raises(ValueError, match=r"threshold must lie in \[0, 1\)"):
+        evaluate_predictions(preds, labels, tace_threshold=threshold)
+
+
 def test_adaptive_all_discarded_is_error():
     preds = np.full((6, 4), 0.25)
     labels = np.zeros(6, dtype=int)
@@ -207,6 +216,8 @@ def test_non_finite_predictions_rejected():
 
 def stable_sort_ace(preds, labels, num_ranges, threshold):
     """The adaptive error as first written: survivors of each class stably sorted."""
+    if not 0.0 <= threshold < 1.0:
+        raise ValueError("threshold must lie in [0, 1)")
     p = np.asarray(preds, dtype=np.float64)
     y = np.asarray(labels)
     c = p.shape[1]

@@ -228,6 +228,29 @@ def test_eval_rejects_nan_feature(tmp_path, capsys):
     assert not (tmp_path / "ev" / "report.json").exists()
 
 
+def test_eval_rejects_label_above_int64(tmp_path, capsys):
+    model, data = eval_inputs(tmp_path)
+    data.write_text(data.read_text() + "0.1,0.2,0.3,0.4,99999999999999999999\n")
+    assert run_eval(tmp_path, model, data) == 1
+    err = capsys.readouterr().err
+    assert "data.csv:5: label 99999999999999999999 out of range" in err
+    assert "Traceback" not in err
+    out = tmp_path / "ev"
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("threshold", ["-1", "1.5"])
+def test_eval_rejects_tace_threshold_outside_unit_interval(tmp_path, capsys, threshold):
+    model, data = eval_inputs(tmp_path)
+    out = tmp_path / "ev"
+    assert main(["eval", "--out", str(out), "--model", str(model), "--data", str(data),
+                 f"--tace-threshold={threshold}"]) == 1
+    err = capsys.readouterr().err
+    assert f"threshold must lie in [0, 1), got {float(threshold)}" in err
+    assert "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_eval_rejects_model_without_layers(tmp_path, capsys):
     model, data = eval_inputs(tmp_path)
     payload = json.loads(model.read_text())

@@ -1,8 +1,12 @@
 import math
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from unimix_lt import data
 from unimix_lt.data import (Dataset, TwoCircleSpec, class_means, empirical_prior,
                             gen_lt_gaussians, gen_two_circles, load_csv,
                             lt_class_counts, save_csv)
@@ -165,3 +169,171 @@ def test_empirical_prior_empty_class():
     ds = Dataset(np.zeros((3, 2)), np.array([0, 0, 2]), np.array([2, 0, 1]))
     with pytest.raises(ValueError, match="no samples"):
         empirical_prior(ds)
+
+
+# ------------------------------------------------------- CSV boundary: oracle
+
+H = "f0,f1,label"
+BIG = "99999999999999999999"  # above int64
+
+# id -> (file content, the per-line parser's error text or None when it accepts)
+CSV_CORPUS = {
+    "lf": (f"{H}\n1.5,-2.0,0\n0.25,3e-5,2\n", None),
+    "crlf": (f"{H}\r\n1.5,-2.0,0\r\n0.25,3e-5,2\r\n", None),
+    "lone-cr": (f"{H}\r1.5,-2.0,0\r0.25,3e-5,2\r", None),
+    "lone-cr-and-blank": (f"{H}\n1.5,-2.0,0\r0.25,3e-5,2\n\n", "expected 3 fields, got 0"),
+    "mixed-line-ends": (f"{H}\r\n1.5,-2.0,0\n0.25,3e-5,2\r\n", None),
+    "no-trailing-newline": (f"{H}\n1.5,-2.0,0\n0.25,3e-5,2", None),
+    "crlf-no-trailing-newline": (f"{H}\r\n1.5,-2.0,0\r\n0.25,3e-5,2", None),
+    "blank-line": (f"{H}\n1.5,-2.0,0\n\n0.25,3e-5,2\n", ":3: expected 3 fields, got 0"),
+    "trailing-blank-line": (f"{H}\n1.5,-2.0,0\n\n", ":3: expected 3 fields, got 0"),
+    "whitespace-line": (f"{H}\n1.5,-2.0,0\n   \n", ":3: expected 3 fields, got 1"),
+    "hash-line": (f"{H}\n1.5,-2.0,0\n# note,1,1\n", ":3: could not convert"),
+    "trailing-comma": (f"{H}\n1.5,-2.0,0,\n", ":2: expected 3 fields, got 4"),
+    "short-row": (f"{H}\n1.5,0\n", ":2: expected 3 fields, got 2"),
+    "empty-field": (f"{H}\n1.5,,0\n", ":2: could not convert"),
+    "quoted-field": (f'{H}\n"1.5",-2.0,"0"\n', None),
+    "quoted-newline": (f'{H}\n"1.5\n",-2.0,0\n', None),
+    "underscore-digits": (f"{H}\n1_0.5,-2.0,0\n", None),
+    "full-width-digit": (f"{H}\n１.5,-2.0,２\n", None),
+    "padded-fields": (f"{H}\n 1.5 ,\t-2.0, 1 \n", None),
+    "label-3.0": (f"{H}\n1.5,-2.0,3.0\n", ":2: invalid literal for int()"),
+    "label-+3": (f"{H}\n1.5,-2.0,+3\n", None),
+    "label-space-3": (f"{H}\n1.5,-2.0, 3\n", None),
+    "label-1e2": (f"{H}\n1.5,-2.0,1e2\n", ":2: invalid literal for int()"),
+    "label-negative": (f"{H}\n1.5,-2.0,0\n1.5,-2.0,-3\n", ":3: negative label -3"),
+    "label-above-int64": (f"{H}\n1.5,-2.0,{BIG}\n", f":2: label {BIG} out of range"),
+    "feature-nan": (f"{H}\n1.5,-2.0,0\nnan,1.0,1\n", ":3: features must be finite"),
+    "feature-inf": (f"{H}\n1.5,inf,0\n", ":2: features must be finite"),
+    "feature-Infinity": (f"{H}\n-Infinity,1.0,0\n", ":2: features must be finite"),
+    "feature-overflow": (f"{H}\n1e999,1.0,0\n", ":2: features must be finite"),
+    "feature-hex": (f"{H}\n0x1p3,1.0,0\n", ":2: could not convert"),
+    "feature-nbsp": (f"{H}\n\xa01.5,1.0,0\n", None),
+    # numpy's parsers take these; Python's `float` and `int` do not
+    "feature-x1c": (f"{H}\n1.5\x1c,1.0,0\n", ":2: could not convert"),
+    "label-x1f": (f"{H}\n1.5,1.0,\x1f0\n", ":2: invalid literal for int()"),
+    "label-non-ascii": (f"{H}\n1.5,1.0,0\u01fe\n", ":2: invalid literal for int()"),
+    "feature-extremes": (f"{H}\n-0.0,5e-324,0\n1.797e308,2.2250738585072014e-308,1\n"
+                         "1e-05,-1e-400,1\n", None),
+    "header-only": (f"{H}\n", ": no data rows"),
+    "header-only-no-newline": (H, ": no data rows"),
+    "header-then-blank": (f"{H}\n\n", ":2: expected 3 fields, got 0"),
+    "empty-file": ("", ": empty file"),
+    "bad-header": ("f0,f2,label\n1.5,-2.0,0\n", "expected feature columns"),
+    "invalid-utf8": (f"{H}\n1.5,-2.0,0\n".encode() + b"\xff,1.0,1\n", "can't decode"),
+}
+
+
+def _write(tmp_path, content):
+    path = tmp_path / "data.csv"
+    path.write_bytes(content.encode() if isinstance(content, str) else content)
+    return path
+
+
+def _outcome(fn, path):
+    """(features bytes, shape, labels, class counts) or (error type, message)."""
+    try:
+        ds = fn(path)
+    except Exception as exc:  # compared by type and message below
+        return type(exc), str(exc)
+    return (ds.features.tobytes(), ds.features.shape, ds.labels.tolist(),
+            ds.class_counts.tolist())
+
+
+@pytest.mark.parametrize("content,error", CSV_CORPUS.values(), ids=CSV_CORPUS.keys())
+def test_load_csv_matches_per_line_parser(tmp_path, content, error):
+    path = _write(tmp_path, content)
+    expected = _outcome(data._load_lines, path)
+    assert _outcome(load_csv, path) == expected
+    if error is None:
+        assert isinstance(expected[0], bytes)
+    else:
+        assert issubclass(expected[0], ValueError) and error in expected[1]
+
+
+def test_load_csv_fast_path_reads_save_csv_output(tmp_path, monkeypatch):
+    ds = gen_lt_gaussians(6, 10.0, 60, 4, seed=5)
+    path = tmp_path / "data.csv"
+    save_csv(ds, path)
+    expected = _outcome(data._load_lines, path)
+
+    def refuse(path):
+        raise AssertionError("per-line parser called on a well-formed file")
+
+    monkeypatch.setattr(data, "_load_lines", refuse)
+    back = load_csv(path)
+    assert _outcome(lambda _: back, path) == expected
+    assert back.features.flags.c_contiguous and back.labels.flags.c_contiguous
+
+
+def _special_datasets():
+    yield gen_lt_gaussians(5, 10.0, 40, 3, seed=2)
+    yield gen_two_circles(TwoCircleSpec(n_pos=30, n_neg=5, seed=4))
+    extremes = np.array([[-0.0, 5e-324], [1.797e308, -2.2250738585072014e-308],
+                         [1e-05, 123456789.0], [0.1, -1e22]])
+    yield Dataset(extremes, np.array([0, 2, 2, 0]), np.array([2, 0, 2]))
+
+
+@pytest.mark.parametrize("ds", list(_special_datasets()), ids=["gaussians", "circles",
+                                                                "extremes"])
+def test_save_csv_matches_csv_writer(tmp_path, csv_writer_save_csv, ds):
+    csv_writer_save_csv(ds, tmp_path / "oracle.csv")
+    save_csv(ds, tmp_path / "data.csv")
+    assert (tmp_path / "data.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+    back = load_csv(tmp_path / "data.csv")
+    assert back.features.tobytes() == ds.features.tobytes()
+    np.testing.assert_array_equal(back.labels, ds.labels)
+
+
+# ------------------------------------------------------ CSV boundary: fuzzing
+
+_FUZZ = settings(max_examples=150, deadline=None, database=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+_FIELD_CHARS = "0123456789.-+eE_ \t\"#xXpnaifINFy\x00\x0b\x0c\x1c\x1f\x85\xa0\u01fe１"
+_SPECIAL = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1.797e308, -1.797e308, 1e-05,
+            1.5e-07, 0.1, 1e16, 123456789012345678.0]
+
+
+def _often(common, rare, ratio=7):
+    """A draw from `common` about `ratio` times as often as one from `rare`."""
+    return st.sampled_from([common] * ratio + [rare]).flatmap(lambda strategy: strategy)
+
+
+# mostly well-formed rows, so that both parsers see every field position
+_JUNK = st.text(_FIELD_CHARS, max_size=6)
+_FEATURE = _often(st.sampled_from(["1.5", "-0.0", "1e-05", " 3", "+4", "5e-324"]), _JUNK)
+_LABEL = _often(st.sampled_from(["0", "2", " 1", "+3"]), _JUNK)
+_ROW = _often(st.tuples(_FEATURE, _FEATURE, _LABEL).map(",".join),
+              st.lists(_FEATURE, max_size=4).map(",".join))
+_END = _often(st.sampled_from(["\n", "\r\n"]), st.sampled_from(["\r", ""]))
+
+
+@_FUZZ
+@given(content=st.one_of(
+    st.binary(max_size=40),
+    st.binary(max_size=40).map(lambda body: f"{H}\n".encode() + body),
+    st.lists(st.tuples(_ROW, _END), max_size=5).map(
+        lambda rows: (f"{H}\r\n" + "".join(r + end for r, end in rows)).encode())))
+def test_load_csv_fuzz_matches_per_line_parser(tmp_path, content):
+    path = _write(tmp_path, content)
+    got = _outcome(load_csv, path)
+    assert got == _outcome(data._load_lines, path)
+    assert isinstance(got[0], bytes) or issubclass(got[0], ValueError)
+
+
+@_FUZZ
+@given(shape=st.tuples(st.integers(1, 20), st.integers(1, 5)), data_=st.data())
+def test_save_load_round_trip_fuzz(tmp_path, csv_writer_save_csv, shape, data_):
+    floats = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from(_SPECIAL))
+    features = data_.draw(hnp.arrays(np.float64, shape, elements=floats))
+    labels = data_.draw(hnp.arrays(np.int64, shape[0], elements=st.integers(0, 3)))
+    ds = Dataset(features, labels, np.bincount(labels, minlength=labels.max() + 1))
+    path = tmp_path / "data.csv"
+    save_csv(ds, path)
+    csv_writer_save_csv(ds, tmp_path / "oracle.csv")
+    assert path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+    back = load_csv(path)
+    assert back.features.tobytes() == ds.features.tobytes()
+    assert back.labels.tolist() == ds.labels.tolist()
+    assert _outcome(data._load_lines, path) == _outcome(lambda _: back, path)
