@@ -222,13 +222,10 @@ def cmd_eval(args) -> int:
     if not resolved["model"] or not resolved["data"]:
         raise ConfigError("eval requires --model and --data")
     params = load_model(resolved["model"])
-    ds = load_csv(resolved["data"])
+    ds = load_csv(resolved["data"], max_classes=params.layer_dims[-1])
     if ds.dims != params.layer_dims[0]:
         raise ConfigError(f"data has {ds.dims} features but the model expects "
                           f"{params.layer_dims[0]}")
-    if ds.num_classes > params.layer_dims[-1]:
-        raise ConfigError(f"data has {ds.num_classes} classes but the model emits "
-                          f"{params.layer_dims[-1]} logits")
     preds = predict_proba(params, ds.features)
     report = calibration.evaluate_predictions(
         preds, ds.labels, num_bins=resolved["bins"], num_ranges=resolved["ranges"],

@@ -213,38 +213,49 @@ def save_csv(ds: Dataset, path) -> None:
         fh.write("\r\n".join([header, *rows, ""]))
 
 
-def load_csv(path) -> Dataset:
+def load_csv(path, max_classes: int | None = None) -> Dataset:
     """Read a dataset in `save_csv`'s format; C is max label + 1.
 
     The header must be exactly `f0,...,f{d-1},label`. Each row holds d
     floats and a non-negative integer label, in any form Python's `float`
     and `int` accept (quoted fields too), with LF, CRLF or CR line ends.
-    Blank rows, ragged rows, negative or out-of-range labels and non-finite
-    features raise ValueError naming the file and line.
+    Blank rows, ragged rows, fields over the `csv` module's size limit,
+    negative or out-of-range labels and non-finite features raise
+    ValueError naming the file and line. With `max_classes`, a label at or
+    above it is out of range, and is refused before any array sized by
+    the labels is built.
 
     A well-formed file is parsed in one vectorized `np.loadtxt` pass. Any
     file that pass cannot take whole is read again by the per-line parser,
     which is the one source of errors: loadtxt raises or warns, or returns
     fewer rows than it read lines (it skips blank ones), or the file holds
     a byte outside printable ASCII and tab/VT/FF/CR/LF, or a feature is
-    non-finite, or a label negative.
+    non-finite, or a label out of range.
     """
+    limit = _MAX_LABEL + 1 if max_classes is None else max_classes
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        dims = _read_header(path, reader)
+        dims = _read_header(path, _records(path, csv.reader(fh)))
         table, lines = _parse_body(fh, dims)
     if table is not None and table.shape[0] == lines and _is_plain(path):
         features = np.ascontiguousarray(table["f"])
         labels = np.ascontiguousarray(table["y"])
-        if np.isfinite(features).all() and (labels >= 0).all():
+        if np.isfinite(features).all() and (labels >= 0).all() and (labels < limit).all():
             return _dataset(features, labels)
-    return _load_lines(path)
+    return _load_lines(path, limit)
 
 
-def _read_header(path, reader) -> int:
+def _records(path, reader):
+    """The rows of a `csv.reader`; its errors become ValueErrors naming file and line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+
+
+def _read_header(path, rows) -> int:
     """Check the `f0,...,f{d-1},label` header row and return d."""
     try:
-        header = next(reader)
+        header = next(rows)
     except StopIteration:
         raise ValueError(f"{path}: empty file") from None
     if not header or header[-1] != "label":
@@ -259,15 +270,19 @@ def _parse_body(fh, dims: int):
     """(the rest of `fh` as one structured array or None if numpy balks, lines read).
 
     numpy reads the lines the per-line parser's `csv.reader` would get, so
-    it splits rows at the same LF, CRLF and lone CR.
+    it splits rows at the same LF, CRLF and lone CR. A line longer than the
+    `csv` field size limit may hold a field that parser refuses, so numpy's
+    result is dropped then.
     """
     dtype = np.dtype([("f", np.float64, (dims,)), ("y", np.int64)])
-    lines = 0
+    lines, too_long, limit = 0, False, csv.field_size_limit()
 
     def counted():
-        nonlocal lines
+        nonlocal lines, too_long
         for line in fh:
             lines += 1
+            if len(line) > limit:
+                too_long = True
             yield line
 
     with warnings.catch_warnings():
@@ -277,6 +292,8 @@ def _parse_body(fh, dims: int):
                                ndmin=1)
         except (ValueError, Warning):
             return None, 0
+    if too_long:
+        return None, 0
     return table, lines
 
 
@@ -289,13 +306,16 @@ def _is_plain(path) -> bool:
     return True
 
 
-def _load_lines(path) -> Dataset:
-    """The per-line parser: every input `load_csv` accepts, every error it raises."""
+def _load_lines(path, limit: int = _MAX_LABEL + 1) -> Dataset:
+    """The per-line parser: every input `load_csv` accepts, every error it raises.
+
+    Labels must lie in [0, limit).
+    """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        dims = _read_header(path, reader)
+        rows = _records(path, csv.reader(fh))
+        dims = _read_header(path, rows)
         features, labels = [], []
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in enumerate(rows, start=2):
             if len(row) != dims + 1:
                 raise ValueError(f"{path}:{lineno}: expected {dims + 1} fields, got {len(row)}")
             try:
@@ -305,8 +325,8 @@ def _load_lines(path) -> Dataset:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             if label < 0:
                 raise ValueError(f"{path}:{lineno}: negative label {label}")
-            if label > _MAX_LABEL:
-                raise ValueError(f"{path}:{lineno}: label {label} out of range")
+            if label >= limit:
+                raise ValueError(f"{path}:{lineno}: label {label} out of range [0, {limit})")
             labels.append(label)
     if not labels:
         raise ValueError(f"{path}: no data rows")

@@ -17,11 +17,16 @@ factor (a plain Beta draw in vanilla mode, the prior-aware factor
 otherwise) and combines the features. A mixed sample reinforces the class
 whose weight is >= 0.5 (ties go to the first pair member).
 `mc_xi_aug_histogram` tallies that class over many random pairs to
-validate the closed forms in `theory`.
+validate the closed forms in `theory`. Each of its streams is drawn in
+blocks of 2^16 pairs from three generators placed where the first
+members, the second members and the factors of the whole stream begin
+(0, trials and 2 * trials 64-bit outputs in), so memory stays flat in the
+trial count and the counts are those of whole-array draws, bit for bit.
 """
 
 from __future__ import annotations
 
+import copy
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -44,6 +49,8 @@ __all__ = [
 ]
 
 MIX_MODES = ("vanilla_mixup", "unimix_factor_only", "unimix_full")
+
+_MC_BLOCK = 1 << 16  # Monte Carlo pairs drawn per block of one stream
 
 
 @dataclass(frozen=True)
@@ -116,12 +123,33 @@ def mix_batch(ds: Dataset, prior: np.ndarray, pair_prior: np.ndarray, mix: MixCo
     return x, y_i, y_j, xi
 
 
+def _advanced(rng: np.random.Generator, draws: int) -> np.random.Generator:
+    """A copy of `rng` placed `draws` 64-bit outputs further along its stream."""
+    bit_generator = copy.deepcopy(rng.bit_generator)
+    bit_generator.advance(draws)
+    return np.random.Generator(bit_generator)
+
+
 def _mc_chunk(prior, pair_prior, config, trials, rng):
-    y_i = draw_classes(prior, trials, rng)
-    y_j = draw_classes(pair_prior, trials, rng)
-    xi = _factor(config, prior, y_i, y_j, rng)
-    winner = np.where(xi >= 0.5, y_i, y_j)
-    return np.bincount(winner, minlength=prior.shape[0])
+    """Reinforced-class counts of `trials` pairs drawn from one stream.
+
+    The stream is read as if whole `trials`-long arrays were drawn from it
+    in turn: first members, second members, then the factors. Each of the
+    three generators starts where its array began (one 64-bit output per
+    uniform), and Beta draws are taken one element after another, so
+    blocks of `_MC_BLOCK` pairs draw the same values in the same order
+    while memory stays flat in `trials`.
+    """
+    rng_j = _advanced(rng, trials)
+    rng_mix = _advanced(rng, 2 * trials)
+    counts = np.zeros(prior.shape[0], dtype=np.int64)
+    for start in range(0, trials, _MC_BLOCK):
+        n = min(_MC_BLOCK, trials - start)
+        y_i = draw_classes(prior, n, rng)
+        y_j = draw_classes(pair_prior, n, rng_j)
+        xi = _factor(config, prior, y_i, y_j, rng_mix)
+        counts += np.bincount(np.where(xi >= 0.5, y_i, y_j), minlength=counts.shape[0])
+    return counts
 
 
 def _max_workers() -> int:

@@ -9,6 +9,13 @@ tau < 1 favors the tail.
 `draw_batch` draws every class of a batch with `draw_classes`, then one
 uniform offset per sample, and picks the instances from the dataset's
 class-sorted index in one vectorized gather.
+
+`draw_classes` inverts the prior's CDF at one uniform per draw. Bulk draws
+(the Monte Carlo histogram's) look the class up in a guide table, the
+"indexed search" of Chen & Asau (1974): the bucket floor(u * 4096) gives
+the first candidate class and a few branchless halving steps finish, with
+exactly the classes `np.searchsorted` returns. Small batches, such as the
+trainer's, keep `np.searchsorted`, which costs less than building a table.
 """
 
 from __future__ import annotations
@@ -19,6 +26,10 @@ from .data import Dataset
 from .theory import check_prior
 
 __all__ = ["inverse_prior", "draw_classes", "draw_batch"]
+
+# Guide-table buckets; a power of two, so u * _GUIDE_SIZE is exact. Below it
+# building the table costs more than it saves.
+_GUIDE_SIZE = 4096
 
 
 def inverse_prior(prior: np.ndarray, tau: float) -> np.ndarray:
@@ -40,11 +51,40 @@ def inverse_prior(prior: np.ndarray, tau: float) -> np.ndarray:
 
 
 def draw_classes(prior: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized categorical draw of `size` class indices."""
+    """Vectorized categorical draw of `size` class indices.
+
+    One uniform u per draw; the class is the number of cumulative edges
+    <= u, as `np.searchsorted(edges, u, side="right")` counts it. From
+    `_GUIDE_SIZE` draws up, `_guided_search` gives the same classes faster.
+    """
     p = check_prior(prior)
     edges = np.cumsum(p)
     edges[-1] = 1.0  # guard against cumsum rounding at the top edge
-    return np.searchsorted(edges, rng.random(size), side="right").astype(np.int64)
+    u = rng.random(size)
+    if size < _GUIDE_SIZE:
+        return np.searchsorted(edges, u, side="right").astype(np.int64, copy=False)
+    return _guided_search(edges, u)
+
+
+def _guided_search(edges: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """`np.searchsorted(edges, u, side="right")` for u in [0, 1), by a guide table.
+
+    With M = `_GUIDE_SIZE`, u lies in bucket k = floor(u * M), that is in
+    [k/M, (k+1)/M), and its class in [lo[k], lo[k+1]] with
+    lo[k] = #{edges <= k/M}. A branchless binary search of bit_length(W)
+    halving steps from lo[k], W the widest bucket, ends on the class. All
+    edges but the last are a cumsum of non-negative terms, so they never
+    decrease, and the last is 1 > u: "edge <= u" holds on a prefix of them,
+    which makes both searches count the same edges.
+    """
+    lo = np.searchsorted(edges, np.arange(_GUIDE_SIZE) / _GUIDE_SIZE, side="right")
+    width = np.diff(lo, append=edges.size - 1)  # no class above C - 1 since u < 1
+    steps = int(width.max()).bit_length()
+    padded = np.concatenate([edges, np.full(1 << steps, np.inf)])
+    pos = lo[(u * _GUIDE_SIZE).astype(np.intp)]
+    for k in reversed(range(steps)):
+        pos += (1 << k) * (padded[(1 << k) - 1:][pos] <= u)
+    return pos.astype(np.int64, copy=False)
 
 
 def draw_batch(ds: Dataset, prior: np.ndarray, batch_size: int,

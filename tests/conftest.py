@@ -31,6 +31,32 @@ def per_sample_draw_batch():
     return _per_sample_draw_batch
 
 
+def _whole_array_mc_chunk(prior, pair_prior, config, trials, rng):
+    """`mixing._mc_chunk` before blocking: whole `trials`-long arrays, one stream.
+
+    Classes come from `np.searchsorted` on the cumulative edges, as
+    `draw_classes` drew them before its guide table.
+    """
+    def classes(p):
+        edges = np.cumsum(p)
+        edges[-1] = 1.0
+        return np.searchsorted(edges, rng.random(trials), side="right")
+
+    y_i = classes(prior)
+    y_j = classes(pair_prior)
+    if config.mode == "vanilla_mixup":
+        xi = sample_beta(config.alpha, rng, size=trials)
+    else:
+        xi = unimix_factor(prior[y_i], prior[y_j], config.alpha, rng)
+    return np.bincount(np.where(xi >= 0.5, y_i, y_j), minlength=prior.shape[0])
+
+
+@pytest.fixture
+def whole_array_mc_chunk():
+    """Oracle for `mixing._mc_chunk`: same signature, same counts."""
+    return _whole_array_mc_chunk
+
+
 def _nll(u, y):
     m = u.max(axis=-1, keepdims=True)
     lse = (m + np.log(np.exp(u - m).sum(axis=-1, keepdims=True)))[..., 0]

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -234,6 +235,36 @@ def test_eval_rejects_label_above_int64(tmp_path, capsys):
     assert run_eval(tmp_path, model, data) == 1
     err = capsys.readouterr().err
     assert "data.csv:5: label 99999999999999999999 out of range" in err
+    assert "Traceback" not in err
+    out = tmp_path / "ev"
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("label", ["3", "1000000000"])
+def test_eval_rejects_label_at_or_above_the_logit_count(tmp_path, capsys, label):
+    # the model emits 3 logits; the label is refused before any array of
+    # label size is built, so 1e9 costs no memory
+    model, data = eval_inputs(tmp_path)
+    data.write_text(data.read_text() + f"0.1,0.2,0.3,0.4,{label}\n")
+    tracemalloc.start()
+    try:
+        assert run_eval(tmp_path, model, data) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert f"data.csv:5: label {label} out of range [0, 3)" in err
+    assert "Traceback" not in err
+    assert peak < 2**26
+    out = tmp_path / "ev"
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_eval_rejects_field_over_csv_limit(tmp_path, capsys):
+    model, data = eval_inputs(tmp_path, feature=f'"{"1" * 200_000}"')
+    assert run_eval(tmp_path, model, data) == 1
+    err = capsys.readouterr().err
+    assert "data.csv:4: field larger than field limit" in err
     assert "Traceback" not in err
     out = tmp_path / "ev"
     assert not out.exists() or not any(out.iterdir())

@@ -203,6 +203,15 @@ CSV_CORPUS = {
     "label-1e2": (f"{H}\n1.5,-2.0,1e2\n", ":2: invalid literal for int()"),
     "label-negative": (f"{H}\n1.5,-2.0,0\n1.5,-2.0,-3\n", ":3: negative label -3"),
     "label-above-int64": (f"{H}\n1.5,-2.0,{BIG}\n", f":2: label {BIG} out of range"),
+    "field-over-csv-limit": (f'{H}\n1.5,-2.0,0\n"{"1" * 200_000}",-2.0,0\n',
+                             ":3: field larger than field limit"),
+    "unquoted-field-over-csv-limit": (f"{H}\n{'1' * 200_000},-2.0,0\n",
+                                      ":2: field larger than field limit"),
+    "plain-number-over-csv-limit": (f"{H}\n0.{'0' * 200_000}1,-2.0,0\n",
+                                    ":2: field larger than field limit"),
+    "long-line-under-csv-limit": (f"{H}\n{'0' * 100_000}.5,{'0' * 100_000}1.5,0\n", None),
+    "header-over-csv-limit": (f"{'f' * 200_000},label\n1.5,0\n",
+                              ":1: field larger than field limit"),
     "feature-nan": (f"{H}\n1.5,-2.0,0\nnan,1.0,1\n", ":3: features must be finite"),
     "feature-inf": (f"{H}\n1.5,inf,0\n", ":2: features must be finite"),
     "feature-Infinity": (f"{H}\n-Infinity,1.0,0\n", ":2: features must be finite"),

@@ -1,4 +1,6 @@
+import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,12 +146,59 @@ def test_mix_batch_stream_order(mode):
         assert all(s.random() == r.random() for s, r in zip(streams, (a, b, m)))
 
 
-def test_reinforced_class_threshold():
+def test_reinforced_class_threshold(monkeypatch):
     # first members are always class 0 and second members class 1, so the
     # histogram counts how many weights reach 0.5; the tie goes to y_i
-    rng = _FixedBeta([0.7, 0.5, 0.49], derive_rng(0, "t"))
-    counts = mixing._mc_chunk(np.array([1.0, 0.0]), np.array([0.0, 1.0]), VANILLA, 3, rng)
+    monkeypatch.setattr(mixing, "sample_beta",
+                        lambda alpha, rng, size=None: np.array([0.7, 0.5, 0.49]))
+    counts = mixing._mc_chunk(np.array([1.0, 0.0]), np.array([0.0, 1.0]), VANILLA, 3,
+                              derive_rng(0, "t"))
     np.testing.assert_array_equal(counts, [2, 1])
+
+
+# around one block of pairs, and a prime count spanning many blocks
+MC_TRIALS = [1, 7, 65_535, 65_536, 65_537, 200_000, 1_000_003]
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.5, 1.0])
+@pytest.mark.parametrize("mode", ["vanilla_mixup", "unimix_factor_only", "unimix_full"])
+def test_blocked_mc_counts_match_whole_arrays(mode, alpha, whole_array_mc_chunk,
+                                              monkeypatch):
+    prior = discrete_lt_prior(LTSpec(20, 100.0))
+    cfg = MixConfig(alpha=alpha, mode=mode, tau=-1.0)
+    blocked = mixing._mc_chunk
+    chunks = []
+
+    def checked(prior, pair_prior, config, trials, rng):
+        start = np.random.Generator(copy.deepcopy(rng.bit_generator))
+        got = blocked(prior, pair_prior, config, trials, rng)
+        chunks.append((got, whole_array_mc_chunk(prior, pair_prior, config, trials, start)))
+        return got
+
+    monkeypatch.setattr(mixing, "_mc_chunk", checked)
+    for n, trials in enumerate(MC_TRIALS):
+        streams = 1 + n % 4
+        chunks.clear()
+        hist = mc_xi_aug_histogram(prior, cfg, trials, seed=5, streams=streams)
+        assert len(chunks) == min(trials, streams)
+        for got, want in chunks:
+            assert got.dtype == want.dtype == np.int64
+            np.testing.assert_array_equal(got, want, err_msg=f"{trials} trials")
+        np.testing.assert_array_equal(hist, sum(got for got, _ in chunks) / trials)
+
+
+def test_mc_histogram_memory_is_flat_in_trials(monkeypatch):
+    # whole 1e6-long arrays peak near 74 MB; blocks of 2^16 pairs need a few
+    monkeypatch.setenv("UNIMIX_LT_THREADS", "1")
+    prior = discrete_lt_prior(LTSpec(100, 200.0, -1.0))
+    cfg = MixConfig(alpha=0.5, mode="unimix_full", tau=-1.0)
+    tracemalloc.start()
+    try:
+        mc_xi_aug_histogram(prior, cfg, 1_000_000, seed=7, streams=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
 
 
 def test_mc_histogram_mixup_matches_prior():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from unimix_lt import sampling
 from unimix_lt.data import Dataset, gen_lt_gaussians
 from unimix_lt.sampling import draw_batch, draw_classes, inverse_prior
 from unimix_lt.streams import derive_rng
+from unimix_lt.theory import LTSpec, discrete_lt_prior
 
 
 def test_inverse_prior_identity_at_tau_one():
@@ -54,6 +56,60 @@ def test_draw_class_deterministic():
     a = draw_classes(np.array([0.3, 0.7]), 50, derive_rng(3, "t"))
     b = draw_classes(np.array([0.3, 0.7]), 50, derive_rng(3, "t"))
     np.testing.assert_array_equal(a, b)
+
+
+GUIDE = sampling._GUIDE_SIZE
+
+
+def _lookup_priors() -> dict[str, np.ndarray]:
+    """Priors that stress the guide table, by name."""
+    rng = np.random.default_rng(11)
+    priors = {
+        "zero_mass": np.array([0.0, 0.25, 0.0, 0.0, 0.5, 0.25, 0.0]),
+        "quarters_on_bucket_edges": np.full(4, 0.25),
+        "every_edge_on_a_bucket_edge": np.full(GUIDE, 1.0 / GUIDE),
+        "tiny_masses": np.array([1e-300] * 50 + [0.5] + [1e-300] * 50 + [0.5]),
+        "tiny_top_class": np.array([0.5, 0.5, 1e-300]),
+        "cumsum_above_one": np.array([0.5, 0.5 + 2**-52, 1e-300]),
+        "one_heavy_class": np.r_[np.full(4999, 1e-300), 1.0],
+    }
+    for c in (2, 3, 17, 100, 1000, 5000):
+        priors[f"lt_{c}"] = discrete_lt_prior(LTSpec(c, 200.0))
+        priors[f"sparse_dirichlet_{c}"] = rng.dirichlet(np.full(c, 0.05))
+    return priors
+
+
+LOOKUP_PRIORS = _lookup_priors()
+
+
+def _edges(prior):
+    edges = np.cumsum(prior)
+    edges[-1] = 1.0
+    return edges
+
+
+@pytest.mark.parametrize("name", sorted(LOOKUP_PRIORS))
+def test_guided_search_matches_searchsorted(name):
+    edges = _edges(LOOKUP_PRIORS[name])
+    grid = np.arange(GUIDE) / GUIDE
+    u = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                        grid, np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf),
+                        [0.0, np.nextafter(1.0, 0.0)]])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    got = sampling._guided_search(edges, u)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, np.searchsorted(edges, u, side="right"))
+
+
+@pytest.mark.parametrize("size", [GUIDE - 1, GUIDE, GUIDE + 1, 3 * GUIDE])
+def test_draw_classes_equals_searchsorted_on_the_same_draws(size):
+    for name, prior in LOOKUP_PRIORS.items():
+        rng, ref = derive_rng(9, "t"), derive_rng(9, "t")
+        got = draw_classes(prior, size, rng)
+        want = np.searchsorted(_edges(prior), ref.random(size), side="right")
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want, err_msg=name)
+        assert rng.random() == ref.random()  # one uniform per draw, either path
 
 
 def test_draw_batch_empty():
