@@ -8,13 +8,13 @@ class's sorted probabilities into equal-count ranges (remainder samples
 go one-per-range from the first range onward; ties are broken by stable
 sort on original index).
 
-Each public metric validates its own inputs. `evaluate_predictions`
-validates the matrix once and then runs private cores on the checked
-arrays: the row maxima are taken once, and each class column is sorted
-once for both ACE and TACE. That sort uses numpy's fast default kind and
-falls back to a stable sort for a column whose values tie, so the tie
-rule above holds on every build and the reported numbers do not depend
-on the sort kind.
+`evaluate_predictions` is the one public entry point. It validates the
+matrix and every size and threshold once, then runs private cores on the
+checked arrays: the row maxima are taken once, and each class column is
+sorted once for both ACE and TACE. That sort uses numpy's fast default
+kind and falls back to a stable sort for a column whose values tie, so
+the tie rule above holds on every build and the reported numbers do not
+depend on the sort kind.
 """
 
 from __future__ import annotations
@@ -23,22 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "EvalBatchStats",
-    "CalibrationReport",
-    "ece",
-    "mce",
-    "adaptive_calibration_error",
-    "sce",
-    "brier",
-    "confusion_matrix",
-    "batch_density",
-    "reliability_bins",
-    "evaluate_predictions",
-]
+__all__ = ["EvalBatchStats", "CalibrationReport", "evaluate_predictions"]
 
 DEFAULT_BINS = 15
 DEFAULT_TACE_THRESHOLD = 1e-3
+# Upper bound on bins and on ranges; each one costs memory and time per class.
+MAX_BINS = 100_000
 
 
 def _check_inputs(preds, labels):
@@ -71,19 +61,11 @@ def _bin_index(conf: np.ndarray, num_bins: int) -> np.ndarray:
 
 def _bin_sums(conf, correct, num_bins):
     """Per-bin (count, correct sum, confidence sum) of the winning scores."""
-    if num_bins < 1:
-        raise ValueError("need at least one bin")
     idx = _bin_index(conf, num_bins)
     counts = np.bincount(idx, minlength=num_bins)
     acc_sum = np.bincount(idx, weights=correct, minlength=num_bins)
     conf_sum = np.bincount(idx, weights=conf, minlength=num_bins)
     return counts, acc_sum, conf_sum
-
-
-def _binned_gaps(preds, labels, num_bins):
-    p, y = _check_inputs(preds, labels)
-    conf, _, correct = _top(p, y)
-    return _bin_sums(conf, correct, num_bins)
 
 
 def _nonempty_gaps(counts, acc_sum, conf_sum):
@@ -112,21 +94,6 @@ def _reliability(bins):
     return rows
 
 
-def ece(preds, labels, num_bins: int = DEFAULT_BINS) -> float:
-    """Expected calibration error: count-weighted mean |accuracy - confidence|."""
-    return _ece(_binned_gaps(preds, labels, num_bins))
-
-
-def mce(preds, labels, num_bins: int = DEFAULT_BINS) -> float:
-    """Maximum calibration error: worst bin gap |accuracy - confidence|."""
-    return _mce(_binned_gaps(preds, labels, num_bins))
-
-
-def reliability_bins(preds, labels, num_bins: int = DEFAULT_BINS):
-    """Per-bin (lo, hi, count, accuracy, confidence); empty bins report zeros."""
-    return _reliability(_binned_gaps(preds, labels, num_bins))
-
-
 def _ranges(m: int, num_ranges: int):
     base, extra = divmod(m, num_ranges)
     sizes = [base + (1 if r < extra else 0) for r in range(num_ranges)]
@@ -141,12 +108,6 @@ def _adaptive_errors(p, y, num_ranges: int, thresholds) -> list[float]:
     >= threshold: the same probabilities, in the same order, as sorting the
     survivors alone.
     """
-    if num_ranges < 1:
-        raise ValueError("need at least one range")
-    for threshold in thresholds:
-        # written so that NaN, which fails every comparison, fails the check
-        if not 0.0 <= threshold < 1.0:
-            raise ValueError(f"threshold must lie in [0, 1), got {threshold}")
     c = p.shape[1]
     survivors = [0] * len(thresholds)
     gap_sums = [0.0] * len(thresholds)
@@ -172,22 +133,7 @@ def _adaptive_errors(p, y, num_ranges: int, thresholds) -> list[float]:
     return [gap_sum / (c * num_ranges) for gap_sum in gap_sums]
 
 
-def adaptive_calibration_error(preds, labels, num_ranges: int = DEFAULT_BINS,
-                               threshold: float = 0.0) -> float:
-    """Equal-count per-class calibration error over all class probabilities.
-
-    Probabilities below `threshold`, which must lie in [0, 1), are discarded
-    first; threshold 0 keeps everything. The result averages
-    |accuracy - confidence| over the C x R (class, range) grid, with empty
-    ranges counting zero.
-    """
-    p, y = _check_inputs(preds, labels)
-    return _adaptive_errors(p, y, num_ranges, (threshold,))[0]
-
-
 def _sce(p, y, num_bins: int) -> float:
-    if num_bins < 1:
-        raise ValueError("need at least one bin")
     n, c = p.shape
     total = 0.0
     for k in range(c):
@@ -201,32 +147,16 @@ def _sce(p, y, num_bins: int) -> float:
     return float(total / c)
 
 
-def sce(preds, labels, num_bins: int = DEFAULT_BINS) -> float:
-    """Static calibration error: the binned gap computed per class probability."""
-    return _sce(*_check_inputs(preds, labels), num_bins)
-
-
 def _brier(p, y) -> float:
     onehot = np.zeros_like(p)
     onehot[np.arange(p.shape[0]), y] = 1.0
     return float(((onehot - p) ** 2).mean())
 
 
-def brier(preds, labels) -> float:
-    """Mean squared gap between the one-hot truth and every class probability."""
-    return _brier(*_check_inputs(preds, labels))
-
-
 def _confusion(pred, y, c: int):
     counts = np.zeros((c, c), dtype=np.int64)
     np.add.at(counts, (y, pred), 1)
     return counts, np.log1p(counts.astype(np.float64))
-
-
-def confusion_matrix(preds, labels):
-    """(counts, ln(1 + counts)) with rows indexed by true label, columns by prediction."""
-    p, y = _check_inputs(preds, labels)
-    return _confusion(p.argmax(axis=1), y, p.shape[1])
 
 
 @dataclass(frozen=True)
@@ -242,8 +172,6 @@ class EvalBatchStats:
 
 
 def _density(conf, correct, batch_size: int) -> list[EvalBatchStats]:
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
     out = []
     for start in range(0, conf.shape[0], batch_size):
         chunk = slice(start, start + batch_size)
@@ -251,15 +179,21 @@ def _density(conf, correct, batch_size: int) -> list[EvalBatchStats]:
     return out
 
 
-def batch_density(preds, labels, batch_size: int) -> list[EvalBatchStats]:
-    """Joint accuracy/confidence points over sequential chunks of `batch_size`."""
-    p, y = _check_inputs(preds, labels)
-    conf, _, correct = _top(p, y)
-    return _density(conf, correct, batch_size)
-
-
 @dataclass(eq=False)
 class CalibrationReport:
+    """Every metric of one prediction matrix.
+
+    ece and mce are the count-weighted mean and the worst bin gap
+    |accuracy - confidence| of the winning scores. ace averages that gap
+    over the C x R (class, range) grid, empty ranges counting zero; tace
+    does the same after discarding probabilities below its threshold. sce
+    is the binned gap of each class probability, averaged over classes,
+    and brier the mean squared gap between the one-hot truth and every
+    class probability. reliability holds per-bin (lo, hi, count, accuracy,
+    confidence), zeros for an empty bin; confusion counts rows by true
+    label and columns by prediction, and confusion_log is ln(1 + counts).
+    """
+
     accuracy: float
     ece: float
     mce: float
@@ -288,8 +222,24 @@ def evaluate_predictions(preds, labels, num_bins: int = DEFAULT_BINS,
                          num_ranges: int = DEFAULT_BINS,
                          tace_threshold: float = DEFAULT_TACE_THRESHOLD,
                          density_batch: int = 100) -> CalibrationReport:
-    """Full metric suite over one prediction matrix, validated once."""
+    """Full metric suite over one prediction matrix, validated once.
+
+    Binned metrics use `num_bins` confidence bins, ACE and TACE use
+    `num_ranges` equal-count ranges per class, and TACE first discards
+    probabilities below `tace_threshold`, which must lie in [0, 1).
+    The density points average sequential chunks of `density_batch` rows.
+    """
     p, y = _check_inputs(preds, labels)
+    for unit, count in (("bin", num_bins), ("range", num_ranges)):
+        if count < 1:
+            raise ValueError(f"need at least one {unit}")
+        if count > MAX_BINS:
+            raise ValueError(f"need at most {MAX_BINS} {unit}s, got {count}")
+    # written so that NaN, which fails every comparison, fails the check
+    if not 0.0 <= tace_threshold < 1.0:
+        raise ValueError(f"threshold must lie in [0, 1), got {tace_threshold}")
+    if density_batch < 1:
+        raise ValueError("batch_size must be >= 1")
     conf, pred, correct = _top(p, y)
     bins = _bin_sums(conf, correct, num_bins)
     counts, counts_log = _confusion(pred, y, p.shape[1])

@@ -20,8 +20,7 @@ from .mixing import MIX_MODES, MixConfig
 from .model import LRSchedule, TrainConfig
 from .theory import check_prior
 
-__all__ = ["TRAIN_KEYS", "LOSS_PARAM_KEYS", "resolve_config", "resolve_train_config",
-           "build_training_run", "load_config"]
+__all__ = ["resolve_config", "resolve_train_config", "build_training_run", "load_config"]
 
 _DEFAULTS = {
     "classes": 10,
@@ -45,9 +44,6 @@ _DEFAULTS = {
     "alpha": 0.5,
     "t1_steps": 1800,
 }
-
-TRAIN_KEYS = frozenset(_DEFAULTS)
-LOSS_PARAM_KEYS = frozenset(_DEFAULTS["loss_params"])
 
 # Keys whose values may be lists; they are checked where they are used.
 _LIST_KEYS = frozenset({"hidden_dims", "target_prior"})

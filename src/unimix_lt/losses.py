@@ -22,10 +22,9 @@ gradient is w_y * (softmax(u) - e_y) / scale. The per-class temperature
 rescales logits rather than shifting them, so cdt alone breaks softmax
 shift invariance and simplex-tangent gradients.
 
-Natural log throughout. `batch_loss` and `batch_grad` take an (N, C)
-logit matrix and N labels; `loss_value` and `loss_grad` are their
-single-vector case. `cross_entropy`, `bayias_ce` and `bayias_ce_pairwise`
-evaluate one logit vector on their own, as an oracle for the batch path.
+Natural log throughout. `batch_loss` and `batch_grad` are the one
+evaluation path: they take an (N, C) logit matrix and N labels, and a
+single logit vector is the N = 1 case.
 """
 
 from __future__ import annotations
@@ -43,13 +42,6 @@ __all__ = [
     "softmax",
     "log_softmax",
     "bayias_margin",
-    "cross_entropy",
-    "bayias_ce",
-    "bayias_ce_pairwise",
-    "focal_loss",
-    "la_loss",
-    "loss_value",
-    "loss_grad",
     "batch_loss",
     "batch_grad",
 ]
@@ -85,39 +77,11 @@ def bayias_margin(train_prior: np.ndarray, target_prior: np.ndarray | None = Non
     return np.log(pi) - np.log(pi_target)
 
 
-def _nll(z: np.ndarray, y, margins: np.ndarray | None):
-    """-log softmax(z + margins)_y over the last axis, batched."""
-    u = np.asarray(z, dtype=np.float64)
-    if margins is not None:
-        u = u + margins
+def _nll(u: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """-log softmax(u)_y for each row of an (N, C) logit matrix."""
     m = u.max(axis=-1, keepdims=True)
     lse = (m + np.log(np.exp(u - m).sum(axis=-1, keepdims=True)))[..., 0]
-    if u.ndim == 1:
-        return float(lse - u[y])
-    return lse - np.take_along_axis(u, np.asarray(y)[:, None], axis=-1)[:, 0]
-
-
-def cross_entropy(z: np.ndarray, y: int) -> float:
-    """Standard softmax cross entropy (the zero-margin case)."""
-    return bayias_ce(z, y, np.zeros(np.asarray(z).shape[-1]))
-
-
-def bayias_ce(z: np.ndarray, y: int, margins: np.ndarray) -> float:
-    """Margin-compensated cross entropy: -log softmax(z + margins)_y."""
-    return _nll(z, y, np.asarray(margins, dtype=np.float64))
-
-
-def bayias_ce_pairwise(z: np.ndarray, y: int, margins: np.ndarray) -> float:
-    """Pairwise form log(1 + sum_{k != y} e^(dm_k + dz_k)) of the same loss.
-
-    Mathematically identical to `bayias_ce`; kept as an independent
-    evaluation path for cross-checking.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    m = np.asarray(margins, dtype=np.float64)
-    diffs = (z + m) - (z[y] + m[y])
-    others = np.delete(diffs, y)
-    return float(np.log1p(np.exp(others).sum()))
+    return lse - np.take_along_axis(u, y[:, None], axis=-1)[:, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,7 +157,7 @@ def batch_loss(spec: LossSpec, z: np.ndarray, y) -> np.ndarray:
     if spec.kind == "focal" and spec.gamma != 0.0:
         log_p = np.take_along_axis(log_softmax(z), y[:, None], axis=1)[:, 0]
         return -((1.0 - np.exp(log_p)) ** spec.gamma) * log_p
-    nll = _nll(_logits(spec, z, y), y, None)
+    nll = _nll(_logits(spec, z, y), y)
     return nll if spec.weights is None else spec.weights[y] * nll
 
 
@@ -222,23 +186,3 @@ def batch_grad(spec: LossSpec, z: np.ndarray, y) -> np.ndarray:
     if spec.scale is not None:
         g /= spec.scale
     return g
-
-
-def loss_value(spec: LossSpec, z: np.ndarray, y: int) -> float:
-    """Selected loss for a single logit vector."""
-    return float(batch_loss(spec, np.asarray(z)[None, :], [y])[0])
-
-
-def loss_grad(spec: LossSpec, z: np.ndarray, y: int) -> np.ndarray:
-    """Analytic gradient of the selected loss with respect to the logits."""
-    return batch_grad(spec, np.asarray(z)[None, :], [y])[0]
-
-
-def focal_loss(z: np.ndarray, y: int, gamma: float) -> float:
-    """Cross entropy weighted down for easy samples by (1 - p_y)^gamma."""
-    return loss_value(LossSpec(kind="focal", gamma=gamma), z, y)
-
-
-def la_loss(z: np.ndarray, y: int, prior: np.ndarray, tau: float) -> float:
-    """Cross entropy with margin tau*ln(pi_k) added to every logit."""
-    return loss_value(LossSpec(kind="la", la_tau=tau, prior=prior), z, y)

@@ -32,7 +32,6 @@ __all__ = [
     "TrainConfig",
     "init_params",
     "forward",
-    "backward",
     "sgd_step",
     "train_two_phase",
     "predict_proba",
@@ -109,16 +108,6 @@ def _backward_cached(params: MLPParams, acts, grad_logits):
             # relu mask: activation > 0 iff pre-activation > 0
             delta = (delta @ params.layers[l][0].T) * (acts[l] > 0.0)
     return grads[::-1]
-
-
-def backward(params: MLPParams, x: np.ndarray, grad_logits: np.ndarray):
-    """Parameter gradients for d loss / d logits via the chain rule."""
-    x = np.asarray(x, dtype=np.float64)
-    g = np.asarray(grad_logits, dtype=np.float64)
-    if x.ndim == 1:
-        x, g = x[None, :], g[None, :]
-    _, acts = _forward_cached(params, x)
-    return _backward_cached(params, acts, g)
 
 
 def sgd_step(params: MLPParams, grads, state, lr: float, momentum: float,

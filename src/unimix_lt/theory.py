@@ -39,7 +39,6 @@ __all__ = [
     "check_prior",
     "discrete_lt_prior",
     "continuous_lt_density",
-    "mixup_density",
     "factor_density",
     "unimix_density",
     "emit_density_curves",
@@ -131,16 +130,6 @@ def continuous_lt_density(y, spec: LTSpec):
     return out if out.ndim else float(out)
 
 
-def mixup_density(y, spec: LTSpec):
-    """Mixed-class density under plain beta mixing with two random draws.
-
-    With a symmetric mixing factor and both pair members drawn from the
-    LT prior, the mixed samples follow the original LT density exactly,
-    so this is `continuous_lt_density` evaluated on the same path.
-    """
-    return continuous_lt_density(y, spec)
-
-
 def _require_imbalanced(spec: LTSpec) -> float:
     lam = spec.lam
     if lam == 0.0:
@@ -213,7 +202,8 @@ class DensityCurve:
 
 _KIND_TO_DENSITY = {
     "original": continuous_lt_density,
-    "mixup": mixup_density,
+    # plain beta mixing with both members drawn from the LT prior leaves it unchanged
+    "mixup": continuous_lt_density,
     "unimix_factor": factor_density,
     "unimix_full": unimix_density,
 }

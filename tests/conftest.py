@@ -6,6 +6,7 @@ import pytest
 from unimix_lt.data import empirical_prior
 from unimix_lt.losses import bayias_margin, log_softmax, softmax
 from unimix_lt.mixing import sample_beta, unimix_factor
+from unimix_lt.model import _backward_cached, _forward_cached
 from unimix_lt.sampling import draw_batch, draw_classes, inverse_prior
 from unimix_lt.streams import derive_rng
 from unimix_lt.theory import check_prior
@@ -143,6 +144,35 @@ def if_chain_losses():
     The focal gradient keeps its old NaN where p_y rounds to 0 or 1.
     """
     return _if_chain_batch_loss, _if_chain_batch_grad
+
+
+def _bayias_ce_pairwise(z, y, margins):
+    """Pairwise form log(1 + sum_{k != y} e^(dm_k + dz_k)) of the margin loss
+    -log softmax(z + margins)_y, for one logit vector."""
+    z = np.asarray(z, dtype=np.float64)
+    m = np.asarray(margins, dtype=np.float64)
+    diffs = (z + m) - (z[y] + m[y])
+    others = np.delete(diffs, y)
+    return float(np.log1p(np.exp(others).sum()))
+
+
+@pytest.fixture
+def bayias_ce_pairwise():
+    """Oracle for `batch_loss` of a margin loss: (z, y, margins) -> loss."""
+    return _bayias_ce_pairwise
+
+
+def _backward(params, x, grad_logits):
+    """Parameter gradients of a batch for d loss / d logits: the cached
+    forward pass, then the backward pass, as the trainer runs them."""
+    _, acts = _forward_cached(params, x)
+    return _backward_cached(params, acts, grad_logits)
+
+
+@pytest.fixture
+def backward():
+    """(params, x, grad_logits) -> per-layer (weight, bias) gradients."""
+    return _backward
 
 
 def _inline_virtual_cloud(ds, scenario, num_points, seed):

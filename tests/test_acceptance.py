@@ -13,18 +13,14 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from unimix_lt.calibration import (adaptive_calibration_error, brier, ece,
-                                   evaluate_predictions, mce, sce)
+from unimix_lt.calibration import evaluate_predictions
 from unimix_lt.circles import run_circles
 from unimix_lt.cli import main
 from unimix_lt.config import build_training_run, resolve_train_config
 from unimix_lt.data import TwoCircleSpec, gen_lt_gaussians
-from unimix_lt.losses import (LossSpec, bayias_ce, bayias_ce_pairwise, cross_entropy,
-                              focal_loss, la_loss, loss_grad, loss_value)
+from unimix_lt.losses import LossSpec, batch_grad, batch_loss
 from unimix_lt.mixing import MixConfig, mc_xi_aug_histogram
-from unimix_lt.model import (backward, forward, init_params, predict_proba,
-                             train_two_phase)
-from unimix_lt.losses import batch_grad, batch_loss
+from unimix_lt.model import forward, init_params, predict_proba, train_two_phase
 from unimix_lt.streams import derive_rng
 from unimix_lt.theory import (LTSpec, continuous_lt_density, discrete_lt_prior,
                               factor_density, unimix_density)
@@ -91,25 +87,35 @@ def test_criterion_4_closed_form_sanity():
         assert np.all(np.diff(d) >= 0)
 
 
-def test_criterion_5_loss_identities():
+def test_criterion_5_loss_identities(bayias_ce_pairwise):
     with criterion(5, "margin-loss identities hold at 1e-12"):
+        ce = LossSpec(kind="ce")
         rng = np.random.default_rng(17)
         for _ in range(10_000):
             c = int(rng.integers(2, 8))
             z = rng.standard_normal(c) * 3
             m = rng.standard_normal(c)
             y = int(rng.integers(c))
-            assert bayias_ce(z, y, np.zeros(c)) == cross_entropy(z, y)
-            assert abs(bayias_ce(z, y, m) - bayias_ce_pairwise(z, y, m)) <= 1e-12
+            q = np.exp(m) / np.exp(m).sum()
+            # matching train and target priors give margins of exactly 0
+            zero = LossSpec(kind="bayias_ce", prior=q, target_prior=q)
+            assert batch_loss(zero, z, y)[0] == batch_loss(ce, z, y)[0]
+            # a prior proportional to e^m puts the margin m + const on the logits
+            margin = LossSpec(kind="bayias_ce", prior=q)
+            assert abs(batch_loss(margin, z, y)[0]
+                       - bayias_ce_pairwise(z, y, margin.margins)) <= 1e-12
         prior = np.array([0.6, 0.3, 0.1])
+        focal = LossSpec(kind="focal", gamma=0.0)
+        la = LossSpec(kind="la", la_tau=0.0, prior=prior)
         for _ in range(200):
             z = rng.standard_normal(3) * 2
             y = int(rng.integers(3))
-            assert focal_loss(z, y, 0.0) == cross_entropy(z, y)
-            assert la_loss(z, y, prior, 0.0) == cross_entropy(z, y)
+            expected = batch_loss(ce, z, y)[0]
+            assert batch_loss(focal, z, y)[0] == expected
+            assert batch_loss(la, z, y)[0] == expected
 
 
-def test_criterion_6_gradient_suite():
+def test_criterion_6_gradient_suite(backward):
     with criterion(6, "analytic gradients match central finite differences"):
         start = time.perf_counter()
         counts = np.array([500, 300, 180, 108, 65, 5])
@@ -130,13 +136,13 @@ def test_criterion_6_gradient_suite():
             for _ in range(10):
                 z = rng.standard_normal(6) * 2
                 y = int(rng.integers(6))
-                g = loss_grad(spec, z, y)
+                g = batch_grad(spec, z, y)[0]
                 num = np.empty(6)
                 for k in range(6):
                     zp, zm = z.copy(), z.copy()
                     zp[k] += h
                     zm[k] -= h
-                    num[k] = (loss_value(spec, zp, y) - loss_value(spec, zm, y)) / (2 * h)
+                    num[k] = (batch_loss(spec, zp, y)[0] - batch_loss(spec, zm, y)[0]) / (2 * h)
                 assert np.linalg.norm(num - g) / max(np.linalg.norm(g), 1e-12) <= 1e-5
 
         # full 2-16-3 network against central differences
@@ -168,25 +174,25 @@ def test_criterion_7_calibration_fixtures():
     with criterion(7, "calibration metrics reproduce hand fixtures"):
         conf8 = np.column_stack([np.full(10, 0.8), np.full(10, 0.2)])
         labels = np.array([0] * 6 + [1] * 4)
-        assert math.isclose(ece(conf8, labels, num_bins=1), 0.2, abs_tol=1e-12)
+        assert math.isclose(evaluate_predictions(conf8, labels, num_bins=1).ece, 0.2,
+                            abs_tol=1e-12)
 
         half = np.array([[0.5, 0.5]])
-        assert math.isclose(brier(half, np.array([0])), 0.25, abs_tol=1e-15)
+        assert math.isclose(evaluate_predictions(half, np.array([0])).brier, 0.25,
+                            abs_tol=1e-15)
 
         rng = np.random.default_rng(29)
         for _ in range(100):
             preds = rng.dirichlet(np.ones(5), size=100)
             y = rng.integers(0, 5, 100)
-            assert mce(preds, y) >= ece(preds, y)
+            report = evaluate_predictions(preds, y)
+            assert report.mce >= report.ece
 
         perfect = np.eye(4)[np.array([0, 2, 1, 3, 3, 0])]
         y = np.array([0, 2, 1, 3, 3, 0])
-        assert ece(perfect, y) == 0.0
-        assert mce(perfect, y) == 0.0
-        assert adaptive_calibration_error(perfect, y, 15, 0.0) == 0.0
-        assert adaptive_calibration_error(perfect, y, 15, 1e-3) == 0.0
-        assert sce(perfect, y) == 0.0
-        assert brier(perfect, y) == 0.0
+        report = evaluate_predictions(perfect, y, num_ranges=15, tace_threshold=1e-3)
+        for name in ("ece", "mce", "ace", "tace", "sce", "brier"):
+            assert getattr(report, name) == 0.0, name
 
 
 def _train_and_eval(overrides: dict, seed: int):

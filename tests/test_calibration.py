@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from unimix_lt import calibration
-from unimix_lt.calibration import (adaptive_calibration_error, batch_density, brier,
-                                   confusion_matrix, ece, evaluate_predictions, mce,
-                                   reliability_bins, sce)
+from unimix_lt.calibration import evaluate_predictions
 
 
 def two_class(confidences, labels):
@@ -23,17 +21,18 @@ def random_fixture(rng, n=200, c=5):
 def test_ece_single_bin_hand_value():
     # 10 samples at confidence 0.8, 6 correct: |0.6 - 0.8| = 0.2
     preds, labels = two_class([0.8] * 10, [0] * 6 + [1] * 4)
-    assert math.isclose(ece(preds, labels, num_bins=1), 0.2, abs_tol=1e-12)
+    assert math.isclose(evaluate_predictions(preds, labels, num_bins=1).ece, 0.2, abs_tol=1e-12)
 
 
 def test_ece_zero_for_perfectly_calibrated_bins():
     preds, labels = two_class([0.8] * 10, [0] * 8 + [1] * 2)
-    assert ece(preds, labels, num_bins=1) <= 1e-12
+    assert evaluate_predictions(preds, labels, num_bins=1).ece <= 1e-12
 
 
 def test_ece_equals_mce_with_all_mass_in_one_bin():
     preds, labels = two_class([0.8] * 10, [0] * 5 + [1] * 5)
-    assert ece(preds, labels, num_bins=1) == mce(preds, labels, num_bins=1)
+    report = evaluate_predictions(preds, labels, num_bins=1)
+    assert report.ece == report.mce
 
 
 def test_mce_two_bin_hand_fixture():
@@ -43,53 +42,65 @@ def test_mce_two_bin_hand_fixture():
         [0.8, 0.1, 0.05, 0.05], [0.8, 0.1, 0.05, 0.05],
     ])
     labels = np.array([0, 1, 0, 1])
-    assert math.isclose(mce(preds, labels, num_bins=2), 0.3, abs_tol=1e-12)
-    assert math.isclose(ece(preds, labels, num_bins=2), 0.2, abs_tol=1e-12)
+    report = evaluate_predictions(preds, labels, num_bins=2)
+    assert math.isclose(report.mce, 0.3, abs_tol=1e-12)
+    assert math.isclose(report.ece, 0.2, abs_tol=1e-12)
 
 
 def test_mce_dominates_ece_on_random_fixtures():
     rng = np.random.default_rng(0)
     for _ in range(100):
-        preds, labels = random_fixture(rng)
-        assert mce(preds, labels) >= ece(preds, labels)
+        report = evaluate_predictions(*random_fixture(rng))
+        assert report.mce >= report.ece
 
 
 def test_adaptive_hand_fixture():
     preds = np.array([[0.9, 0.1], [0.8, 0.2], [0.3, 0.7], [0.6, 0.4]])
     labels = np.array([0, 1, 1, 0])
     # one range per class: both classes give |0.5 - 0.65|, |0.5 - 0.35| = 0.15
-    assert math.isclose(adaptive_calibration_error(preds, labels, num_ranges=1),
+    assert math.isclose(evaluate_predictions(preds, labels, num_ranges=1).ace,
                         0.15, abs_tol=1e-12)
 
 
 def test_tace_threshold_discards_small_probabilities():
     preds, labels = two_class([0.9995, 0.9995], [0, 0])
-    ace = adaptive_calibration_error(preds, labels, num_ranges=1, threshold=0.0)
-    tace = adaptive_calibration_error(preds, labels, num_ranges=1, threshold=1e-3)
-    assert math.isclose(ace, 0.0005, abs_tol=1e-12)
-    assert math.isclose(tace, 0.00025, abs_tol=1e-12)
+    report = evaluate_predictions(preds, labels, num_ranges=1, tace_threshold=1e-3)
+    assert math.isclose(report.ace, 0.0005, abs_tol=1e-12)
+    assert math.isclose(report.tace, 0.00025, abs_tol=1e-12)
 
 
 @pytest.mark.parametrize("threshold", [-1.0, -1e-12, 1.0, 1.5, float("nan")])
 def test_adaptive_threshold_outside_unit_interval_is_error(threshold):
     preds, labels = two_class([0.9995, 0.25], [0, 1])
     with pytest.raises(ValueError, match=r"threshold must lie in \[0, 1\)"):
-        adaptive_calibration_error(preds, labels, num_ranges=1, threshold=threshold)
-    with pytest.raises(ValueError, match=r"threshold must lie in \[0, 1\)"):
-        evaluate_predictions(preds, labels, tace_threshold=threshold)
+        evaluate_predictions(preds, labels, num_ranges=1, tace_threshold=threshold)
 
 
 def test_adaptive_all_discarded_is_error():
     preds = np.full((6, 4), 0.25)
     labels = np.zeros(6, dtype=int)
-    with pytest.raises(ValueError):
-        adaptive_calibration_error(preds, labels, num_ranges=2, threshold=0.5)
+    with pytest.raises(ValueError, match="discarded every probability"):
+        evaluate_predictions(preds, labels, num_ranges=2, tace_threshold=0.5)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"num_bins": 0}, "need at least one bin"),
+    ({"num_bins": 100_001}, "need at most 100000 bins"),
+    ({"num_ranges": 0}, "need at least one range"),
+    ({"num_ranges": 10**11}, "need at most 100000 ranges"),
+    ({"density_batch": 0}, "batch_size must be >= 1"),
+])
+def test_sizes_are_checked_before_any_metric(kwargs, message):
+    preds, labels = two_class([0.9, 0.4], [0, 1])
+    with pytest.raises(ValueError, match=message):
+        evaluate_predictions(preds, labels, **kwargs)
+    assert evaluate_predictions(preds, labels, num_bins=100_000, num_ranges=100_000).ece >= 0
 
 
 def test_adaptive_remainder_distribution():
     # 5 survivors over 2 ranges: sizes 3 then 2
     preds, labels = two_class([0.6, 0.7, 0.8, 0.9, 0.95], [0, 0, 1, 0, 0])
-    val = adaptive_calibration_error(preds, labels, num_ranges=2)
+    val = evaluate_predictions(preds, labels, num_ranges=2).ace
     # class 0 sorted probs (0.05..0.4 side is class 1): hand evaluation
     c0 = (abs(2 / 3 - (0.6 + 0.7 + 0.8) / 3) + abs(1.0 - (0.9 + 0.95) / 2)) / 2 / 2
     c1 = (abs(1 / 3 - (0.05 + 0.1 + 0.2) / 3) + abs(0.0 - (0.3 + 0.4) / 2)) / 2 / 2
@@ -99,7 +110,7 @@ def test_adaptive_remainder_distribution():
 def test_sce_perfect_predictions():
     preds = np.eye(3)[np.array([0, 1, 2, 1])]
     labels = np.array([0, 1, 2, 1])
-    assert sce(preds, labels) == 0.0
+    assert evaluate_predictions(preds, labels).sce == 0.0
 
 
 def test_sce_matches_brute_force():
@@ -119,23 +130,25 @@ def test_sce_matches_brute_force():
                 acc = (labels[mask] == k).mean()
                 conf = preds[mask, k].mean()
                 total += mask.sum() / n * abs(acc - conf)
-    assert math.isclose(sce(preds, labels, num_bins=bins), total / c, abs_tol=1e-12)
-    assert 0.0 <= sce(preds, labels) <= 1.0
+    assert math.isclose(evaluate_predictions(preds, labels, num_bins=bins).sce, total / c,
+                        abs_tol=1e-12)
+    assert 0.0 <= evaluate_predictions(preds, labels).sce <= 1.0
 
 
 def test_brier_hand_values():
     preds, labels = two_class([0.5], [0])
-    assert math.isclose(brier(preds, labels), 0.25, abs_tol=1e-15)
+    assert math.isclose(evaluate_predictions(preds, labels).brier, 0.25, abs_tol=1e-15)
     preds, labels = two_class([0.0], [0])  # maximally wrong one-hot
-    assert math.isclose(brier(preds, labels), 1.0, abs_tol=1e-15)
+    assert math.isclose(evaluate_predictions(preds, labels).brier, 1.0, abs_tol=1e-15)
     perfect = np.eye(4)[np.array([0, 3, 2])]
-    assert brier(perfect, np.array([0, 3, 2])) == 0.0
+    assert evaluate_predictions(perfect, np.array([0, 3, 2])).brier == 0.0
 
 
 def test_confusion_matrix_fixture():
     preds = np.array([[0.9, 0.1], [0.2, 0.8], [0.7, 0.3]])
     labels = np.array([0, 1, 1])
-    counts, logc = confusion_matrix(preds, labels)
+    report = evaluate_predictions(preds, labels)
+    counts, logc = report.confusion, report.confusion_log
     np.testing.assert_array_equal(counts, [[1, 0], [1, 1]])
     np.testing.assert_allclose(logc, np.log1p(counts), atol=1e-15)
     assert counts.sum() == 3
@@ -144,15 +157,15 @@ def test_confusion_matrix_fixture():
 def test_confusion_matrix_all_correct_is_diagonal():
     preds = np.eye(4)[np.array([2, 0, 1, 3, 3])]
     labels = np.array([2, 0, 1, 3, 3])
-    counts, _ = confusion_matrix(preds, labels)
+    counts = evaluate_predictions(preds, labels).confusion
     assert np.all(counts == np.diag(np.diag(counts)))
 
 
 def test_batch_density_chunking():
     rng = np.random.default_rng(2)
     preds, labels = random_fixture(rng, n=25)
-    assert len(batch_density(preds, labels, 25)) == 1
-    assert len(batch_density(preds, labels, 10)) == 3  # ceil(25/10)
+    assert len(evaluate_predictions(preds, labels, density_batch=25).density) == 1
+    assert len(evaluate_predictions(preds, labels, density_batch=10).density) == 3  # ceil(25/10)
 
 
 def test_batch_density_calibrated_predictor_on_diagonal():
@@ -161,7 +174,7 @@ def test_batch_density_calibrated_predictor_on_diagonal():
     conf = rng.uniform(0.5, 1.0, n)
     labels = (rng.random(n) >= conf).astype(int)  # label 0 with prob conf
     preds = np.column_stack([conf, 1 - conf])
-    for stats in batch_density(preds, labels, m):
+    for stats in evaluate_predictions(preds, labels, density_batch=m).density:
         sigma = math.sqrt(np.mean(conf * (1 - conf)) / m)
         assert abs(stats.accuracy - stats.confidence) < 4 * sigma
 
@@ -170,16 +183,16 @@ def test_permutation_invariance():
     rng = np.random.default_rng(4)
     preds, labels = random_fixture(rng, n=300)
     perm = rng.permutation(len(labels))
-    for fn in (ece, mce, sce, brier,
-               lambda p, y: adaptive_calibration_error(p, y, 15, 0.0),
-               lambda p, y: adaptive_calibration_error(p, y, 15, 1e-3)):
-        assert abs(fn(preds, labels) - fn(preds[perm], labels[perm])) <= 1e-12
+    report = evaluate_predictions(preds, labels).scalars()
+    permuted = evaluate_predictions(preds[perm], labels[perm]).scalars()
+    for name in ("ece", "mce", "sce", "brier", "ace", "tace"):
+        assert abs(report[name] - permuted[name]) <= 1e-12, name
 
 
 def test_reliability_bins_structure():
     preds = np.eye(3)[np.array([0, 1, 2])]
     labels = np.array([0, 1, 2])
-    rows = reliability_bins(preds, labels, num_bins=15)
+    rows = evaluate_predictions(preds, labels, num_bins=15).reliability
     assert len(rows) == 15
     assert sum(r[2] for r in rows) == 3
     # confidence 1.0 lands in the final, closed bin
@@ -198,10 +211,8 @@ def test_evaluate_predictions_report():
 
 
 def test_empty_input_rejected():
-    with pytest.raises(ValueError):
-        ece(np.empty((0, 3)), np.empty(0, dtype=int))
-    with pytest.raises(ValueError):
-        brier(np.empty((0, 3)), np.empty(0, dtype=int))
+    with pytest.raises(ValueError, match="nonempty"):
+        evaluate_predictions(np.empty((0, 3)), np.empty(0, dtype=int))
 
 
 def test_non_finite_predictions_rejected():
@@ -209,9 +220,8 @@ def test_non_finite_predictions_rejected():
     for bad in (np.nan, np.inf, -np.inf):
         broken = preds.copy()
         broken[4, 1] = bad
-        for fn in (ece, sce, brier, adaptive_calibration_error, evaluate_predictions):
-            with pytest.raises(ValueError, match="finite"):
-                fn(broken, labels)
+        with pytest.raises(ValueError, match="finite"):
+            evaluate_predictions(broken, labels)
 
 
 def stable_sort_ace(preds, labels, num_ranges, threshold):
@@ -264,37 +274,94 @@ def test_adaptive_matches_stable_sort_oracle(seed):
     # 500 ranges outnumber the survivors of every class
     for preds, labels in tied_fixtures(seed):
         for num_ranges in (1, 7, 15, 500):
+            ace = stable_sort_ace(preds, labels, num_ranges, 0.0)
             for threshold in (0.0, 1e-3, 0.2, 0.5, 0.99, 1.0):
                 try:
                     expected = stable_sort_ace(preds, labels, num_ranges, threshold)
                 except ValueError:
                     with pytest.raises(ValueError):
-                        adaptive_calibration_error(preds, labels, num_ranges, threshold)
+                        evaluate_predictions(preds, labels, num_ranges=num_ranges,
+                                             tace_threshold=threshold)
                     continue
-                got = adaptive_calibration_error(preds, labels, num_ranges, threshold)
-                assert got == expected
+                report = evaluate_predictions(preds, labels, num_ranges=num_ranges,
+                                              tace_threshold=threshold)
+                assert report.tace == expected
+                assert report.ace == ace
+
+
+def binned_oracle(scores, hits, num_bins):
+    """Per-bin (lo, hi, count, hit sum, score sum) by explicit comparison with
+    the bin edges, [lo, hi) except the last bin, which also holds 1.0; each
+    sum adds the rows in order."""
+    rows = []
+    for b in range(num_bins):
+        lo, hi = b / num_bins, (b + 1) / num_bins
+        count, hit_sum, score_sum = 0, 0.0, 0.0
+        for score, hit in zip(scores, hits):
+            if lo <= score < hi or (b == num_bins - 1 and score == hi):
+                count += 1
+                hit_sum += hit
+                score_sum += score
+        rows.append((lo, hi, count, hit_sum, score_sum))
+    return rows
+
+
+def binned_error_oracle(rows, n):
+    """(count-weighted mean gap, largest gap) over the nonempty bins; the mean
+    is a numpy dot product, so it rounds as the report's does."""
+    weights = [count / n for _, _, count, _, _ in rows if count]
+    gaps = [abs(hit_sum - score_sum) / count for _, _, count, hit_sum, score_sum in rows if count]
+    return float(np.dot(weights, gaps)), max(gaps)
+
+
+def report_oracle(preds, labels, num_bins, density_batch):
+    """Everything in the report but ACE and TACE, one row or one bin at a time.
+
+    Only the final means are numpy reductions, so that `==` can hold."""
+    n, c = preds.shape
+    top = [int(np.argmax(row)) for row in preds]
+    conf = [float(preds[i, top[i]]) for i in range(n)]
+    correct = [float(top[i] == labels[i]) for i in range(n)]
+    rows = binned_oracle(conf, correct, num_bins)
+    ece, mce = binned_error_oracle(rows, n)
+    sce = sum(binned_error_oracle(binned_oracle(preds[:, k], labels == k, num_bins), n)[0]
+              for k in range(c)) / c
+    squared = np.empty((n, c))
+    for i, label in enumerate(labels):
+        for k in range(c):
+            squared[i, k] = (float(k == label) - preds[i, k]) ** 2
+    confusion = np.zeros((c, c), dtype=np.int64)
+    for label, guess in zip(labels, top):
+        confusion[label, guess] += 1
+    density = [(np.mean(correct[i:i + density_batch]), np.mean(conf[i:i + density_batch]))
+               for i in range(0, n, density_batch)]
+    return {
+        "scalars": {"accuracy": sum(correct) / n, "ece": ece, "mce": mce, "sce": sce,
+                    "brier": float(squared.mean())},
+        "reliability": [(lo, hi, count, hit_sum / count if count else 0.0,
+                         score_sum / count if count else 0.0)
+                        for lo, hi, count, hit_sum, score_sum in rows],
+        "confusion": confusion,
+        "density": density,
+    }
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_evaluate_predictions_matches_separate_metrics(seed):
     for preds, labels in tied_fixtures(seed):
+        expected = report_oracle(preds, labels, num_bins=10, density_batch=50)
         for num_ranges, threshold in ((15, 1e-3), (500, 0.3)):
             report = evaluate_predictions(preds, labels, num_bins=10, num_ranges=num_ranges,
                                           tace_threshold=threshold, density_batch=50)
             assert report.scalars() == {
-                "accuracy": float((preds.argmax(axis=1) == labels).mean()),
-                "ece": ece(preds, labels, 10),
-                "mce": mce(preds, labels, 10),
+                **expected["scalars"],
                 "ace": stable_sort_ace(preds, labels, num_ranges, 0.0),
                 "tace": stable_sort_ace(preds, labels, num_ranges, threshold),
-                "sce": sce(preds, labels, 10),
-                "brier": brier(preds, labels),
             }
-            assert report.reliability == reliability_bins(preds, labels, 10)
-            counts, counts_log = confusion_matrix(preds, labels)
-            assert np.array_equal(report.confusion, counts)
-            assert np.array_equal(report.confusion_log, counts_log)
-            assert report.density == batch_density(preds, labels, 50)
+            assert report.reliability == expected["reliability"]
+            assert np.array_equal(report.confusion, expected["confusion"])
+            assert np.array_equal(report.confusion_log, np.log1p(expected["confusion"]))
+            assert [(s.accuracy, s.confidence) for s in report.density] == expected["density"]
 
 
 def test_evaluate_predictions_validates_once(monkeypatch):

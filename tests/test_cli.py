@@ -282,6 +282,18 @@ def test_eval_rejects_tace_threshold_outside_unit_interval(tmp_path, capsys, thr
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("flag,unit", [("--bins", "bins"), ("--ranges", "ranges")])
+def test_eval_rejects_bin_or_range_count_above_the_cap(tmp_path, capsys, flag, unit):
+    model, data = eval_inputs(tmp_path)
+    out = tmp_path / "ev"
+    assert main(["eval", "--out", str(out), "--model", str(model), "--data", str(data),
+                 flag, "100000000000"]) == 1
+    err = capsys.readouterr().err
+    assert f"need at most 100000 {unit}, got 100000000000" in err
+    assert "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_eval_rejects_model_without_layers(tmp_path, capsys):
     model, data = eval_inputs(tmp_path)
     payload = json.loads(model.read_text())

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from unimix_lt.data import lt_class_counts
-from unimix_lt.losses import (LossSpec, batch_grad, batch_loss, bayias_ce, bayias_ce_pairwise,
-                              bayias_margin, cross_entropy, focal_loss, la_loss, loss_grad,
-                              loss_value, softmax)
+from unimix_lt.losses import LossSpec, batch_grad, batch_loss, bayias_margin, softmax
 
 COUNTS = np.array([500, 300, 180, 108, 65, 5])
 PRIOR = COUNTS / COUNTS.sum()
+CE = LossSpec(kind="ce")
 
 
 def all_specs():
@@ -54,33 +53,41 @@ def test_bayias_margin_rejects_zero_prior():
 
 
 def test_bayias_ce_zero_margin_is_cross_entropy():
+    spec = LossSpec(kind="bayias_ce", prior=PRIOR, target_prior=PRIOR)
+    np.testing.assert_array_equal(spec.margins, np.zeros(6))
     rng = np.random.default_rng(0)
     for _ in range(100):
         z = rng.standard_normal(6) * 3
         y = int(rng.integers(6))
-        assert bayias_ce(z, y, np.zeros(6)) == cross_entropy(z, y)
+        assert batch_loss(spec, z, y)[0] == batch_loss(CE, z, y)[0]
 
 
 def test_bayias_ce_hand_value():
-    m = np.array([math.log(1.6), math.log(0.4)])
-    assert math.isclose(bayias_ce(np.zeros(2), 0, m), 0.2231435513142097, abs_tol=1e-12)
+    # a balanced target turns the prior (0.8, 0.2) into margins (ln 1.6, ln 0.4)
+    spec = LossSpec(kind="bayias_ce", prior=np.array([0.8, 0.2]))
+    np.testing.assert_allclose(spec.margins, [math.log(1.6), math.log(0.4)], atol=1e-15)
+    assert math.isclose(batch_loss(spec, np.zeros(2), 0)[0], 0.2231435513142097, abs_tol=1e-12)
 
 
-def test_bayias_ce_pairwise_identity():
+def test_bayias_ce_pairwise_identity(bayias_ce_pairwise):
     rng = np.random.default_rng(1)
     for _ in range(10_000):
         c = int(rng.integers(2, 8))
         z = rng.standard_normal(c) * 3
         m = rng.standard_normal(c)
         y = int(rng.integers(c))
-        assert abs(bayias_ce(z, y, m) - bayias_ce_pairwise(z, y, m)) <= 1e-12
+        # a prior proportional to e^m puts the margin m + const on the logits
+        spec = LossSpec(kind="bayias_ce", prior=np.exp(m) / np.exp(m).sum())
+        assert abs(batch_loss(spec, z, y)[0] - bayias_ce_pairwise(z, y, spec.margins)) <= 1e-12
 
 
-def test_bayias_ce_pairwise_limits():
+def test_bayias_ce_pairwise_limits(bayias_ce_pairwise):
     z = np.zeros(5)
     assert math.isclose(bayias_ce_pairwise(z, 2, np.zeros(5)), math.log(5), rel_tol=1e-15)
+    assert math.isclose(batch_loss(CE, z, 2)[0], math.log(5), rel_tol=1e-15)
     dominant = np.array([50.0, 0.0, 0.0])
     assert bayias_ce_pairwise(dominant, 0, np.zeros(3)) < 1e-15
+    assert batch_loss(CE, dominant, 0)[0] < 1e-15
 
 
 def test_loss_grads_match_finite_differences():
@@ -90,20 +97,20 @@ def test_loss_grads_match_finite_differences():
         for _ in range(20):
             z = rng.standard_normal(6) * 2
             y = int(rng.integers(6))
-            g = loss_grad(spec, z, y)
+            g = batch_grad(spec, z, y)[0]
             num = np.empty(6)
             for k in range(6):
                 zp, zm = z.copy(), z.copy()
                 zp[k] += h
                 zm[k] -= h
-                num[k] = (loss_value(spec, zp, y) - loss_value(spec, zm, y)) / (2 * h)
+                num[k] = (batch_loss(spec, zp, y)[0] - batch_loss(spec, zm, y)[0]) / (2 * h)
             rel = np.linalg.norm(num - g) / max(np.linalg.norm(g), 1e-12)
             assert rel <= 1e-5, f"{name}: finite-difference mismatch {rel}"
 
 
 def test_bayias_grad_balanced_hand_value():
     spec = LossSpec(kind="bayias_ce", prior=np.array([0.5, 0.5]))
-    np.testing.assert_allclose(loss_grad(spec, np.zeros(2), 0), [-0.5, 0.5], atol=1e-15)
+    np.testing.assert_allclose(batch_grad(spec, np.zeros(2), 0)[0], [-0.5, 0.5], atol=1e-15)
 
 
 def test_grad_sums_to_zero_for_shift_invariant_losses():
@@ -114,9 +121,9 @@ def test_grad_sums_to_zero_for_shift_invariant_losses():
             continue  # per-class temperatures break simplex tangency
         for _ in range(20):
             z = rng.standard_normal(6)
-            g = loss_grad(spec, z, int(rng.integers(6)))
+            g = batch_grad(spec, z, int(rng.integers(6)))[0]
             assert abs(g.sum()) <= 1e-12, name
-    g = loss_grad(specs["cdt"], rng.standard_normal(6), 2)
+    g = batch_grad(specs["cdt"], rng.standard_normal(6), 2)[0]
     assert abs(g.sum()) > 1e-6
 
 
@@ -125,28 +132,29 @@ def test_shift_invariance_of_values():
     z = rng.standard_normal(6)
     y = 3
     for name, spec in all_specs().items():
-        shifted = loss_value(spec, z + 5.0, y)
+        shifted = batch_loss(spec, z + 5.0, y)[0]
         if name == "cdt":
-            assert abs(shifted - loss_value(spec, z, y)) > 1e-6
+            assert abs(shifted - batch_loss(spec, z, y)[0]) > 1e-6
         else:
-            assert abs(shifted - loss_value(spec, z, y)) <= 1e-10, name
+            assert abs(shifted - batch_loss(spec, z, y)[0]) <= 1e-10, name
 
 
 def test_focal_gamma_zero_is_ce():
+    spec = LossSpec(kind="focal", gamma=0.0)
     rng = np.random.default_rng(2)
     for _ in range(50):
         z = rng.standard_normal(4) * 2
         y = int(rng.integers(4))
-        assert focal_loss(z, y, 0.0) == cross_entropy(z, y)
+        assert batch_loss(spec, z, y)[0] == batch_loss(CE, z, y)[0]
 
 
 def test_la_tau_zero_is_ce():
+    spec = LossSpec(kind="la", la_tau=0.0, prior=np.array([0.6, 0.3, 0.1]))
     rng = np.random.default_rng(3)
-    prior = np.array([0.6, 0.3, 0.1])
     for _ in range(50):
         z = rng.standard_normal(3) * 2
         y = int(rng.integers(3))
-        assert la_loss(z, y, prior, 0.0) == cross_entropy(z, y)
+        assert batch_loss(spec, z, y)[0] == batch_loss(CE, z, y)[0]
 
 
 def test_cb_equal_counts_is_scaled_ce():
@@ -156,9 +164,9 @@ def test_cb_equal_counts_is_scaled_ce():
     spec = LossSpec(kind="cb", beta=beta, class_counts=counts)
     rng = np.random.default_rng(4)
     z = rng.standard_normal(4)
-    assert math.isclose(loss_value(spec, z, 1), w * cross_entropy(z, 1), rel_tol=1e-15)
-    g = loss_grad(spec, z, 1)
-    g_ce = loss_grad(LossSpec(kind="ce"), z, 1)
+    assert math.isclose(batch_loss(spec, z, 1)[0], w * batch_loss(CE, z, 1)[0], rel_tol=1e-15)
+    g = batch_grad(spec, z, 1)[0]
+    g_ce = batch_grad(CE, z, 1)[0]
     cos = g @ g_ce / (np.linalg.norm(g) * np.linalg.norm(g_ce))
     assert abs(cos - 1.0) <= 1e-10
 
@@ -171,10 +179,10 @@ def test_ldam_margin_hits_true_logit_only():
     u_true_only = z.copy()
     u_true_only[y] -= margins[y]
     expected = -np.log(softmax(u_true_only)[y])
-    assert math.isclose(loss_value(spec, z, y), expected, rel_tol=1e-14)
+    assert math.isclose(batch_loss(spec, z, y)[0], expected, rel_tol=1e-14)
     # the deliberately-wrong variant margins every logit and disagrees
     wrong = -np.log(softmax(z - margins)[y])
-    assert abs(wrong - loss_value(spec, z, y)) > 1e-3
+    assert abs(wrong - batch_loss(spec, z, y)[0]) > 1e-3
 
 
 def test_loss_spec_validation():
@@ -262,4 +270,4 @@ def test_focal_grad_finite_where_p_y_rounds_to_one_or_zero(gamma):
     assert np.isfinite(g).all()
     assert np.all(g[p_y == 1.0] == 0.0)  # the limit: no push on a certain sample
     # as p_y -> 0 the focal weight tends to 1: the plain cross-entropy gradient
-    np.testing.assert_array_equal(g_far, loss_grad(LossSpec(kind="ce"), z_far[0], 0)[None])
+    np.testing.assert_array_equal(g_far, batch_grad(CE, z_far, [0]))

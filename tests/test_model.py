@@ -7,7 +7,7 @@ from unimix_lt.data import empirical_prior, gen_lt_gaussians
 from unimix_lt.errors import InvariantViolation
 from unimix_lt.losses import LOSS_KINDS, LossSpec, batch_grad, batch_loss, softmax
 from unimix_lt.mixing import MIX_MODES, MixConfig, sample_beta, unimix_factor
-from unimix_lt.model import (LRSchedule, TrainConfig, _forward_cached, backward, forward,
+from unimix_lt.model import (LRSchedule, TrainConfig, _forward_cached, forward,
                              init_params, load_model, predict_proba, save_model, sgd_step,
                              train_two_phase)
 from unimix_lt.sampling import draw_batch, inverse_prior
@@ -59,7 +59,7 @@ def test_forward_batch_matches_single():
         np.testing.assert_allclose(batched[i], forward(params, x[i]), rtol=1e-12)
 
 
-def test_backward_full_network_finite_differences():
+def test_backward_full_network_finite_differences(backward):
     params = init_params([2, 16, 3], derive_rng(11, "init"))
     rng = np.random.default_rng(3)
     x = rng.standard_normal((8, 2))
@@ -91,7 +91,7 @@ def test_backward_full_network_finite_differences():
             assert rel <= 1e-4
 
 
-def test_backward_zero_and_linearity():
+def test_backward_zero_and_linearity(backward):
     params = init_params([3, 8, 4], 2)
     x = derive_rng(1, "t").standard_normal((6, 3))
     zeros = backward(params, x, np.zeros((6, 4)))
@@ -166,7 +166,7 @@ def test_train_losses_finite_and_phases_logged():
     assert [phase for _, phase, _, _ in log] == [1] * 30 + [2] * 10
 
 
-def test_train_degenerates_to_plain_mixup_ce():
+def test_train_degenerates_to_plain_mixup_ce(backward):
     """Plain-mixup config reproduces a hand-rolled mixup-CE loop bitwise.
 
     The trainer documents its stream usage: (seed, "init"), (seed,
@@ -219,7 +219,7 @@ def test_train_degenerates_to_plain_mixup_ce():
         np.testing.assert_array_equal(b, rb)
 
 
-def _reference_train(ds, cfg, draw):
+def _reference_train(ds, cfg, draw, backward):
     """The two-phase loop with the batch sampler `draw` and separate
     `batch_loss`/`batch_grad` calls per label, combined as
     xi * (label i) + (1 - xi) * (label j)."""
@@ -275,13 +275,13 @@ REFERENCE_RUNS = [
 
 @pytest.mark.parametrize("kind,mix", REFERENCE_RUNS,
                          ids=[f"{k}-{m.mode}-tau{m.tau:g}" for k, m in REFERENCE_RUNS])
-def test_train_matches_per_sample_sampler_reference(kind, mix, per_sample_draw_batch):
+def test_train_matches_per_sample_sampler_reference(kind, mix, per_sample_draw_batch, backward):
     """The class-sorted sampler keeps params and log bitwise, for every loss kind."""
     ds = gen_lt_gaussians(5, 20.0, 60, 4, seed=4)
     cfg = TrainConfig(t1_steps=12, t2_steps=16, batch_size=24, lr=LRSchedule.scaled(0.1, 16),
                       mix=mix, loss=_kind_spec(kind, ds), seed=5, hidden_dims=(8,))
     params, log = train_two_phase(ds, cfg)
-    ref, ref_log = _reference_train(ds, cfg, per_sample_draw_batch)
+    ref, ref_log = _reference_train(ds, cfg, per_sample_draw_batch, backward)
     assert log == ref_log
     for (w, b), (rw, rb) in zip(params.layers, ref.layers):
         assert np.array_equal(w, rw) and np.array_equal(b, rb)

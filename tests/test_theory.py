@@ -6,7 +6,7 @@ from scipy import integrate
 
 from unimix_lt.theory import (CURVE_KINDS, LTSpec, continuous_lt_density,
                               discrete_lt_prior, emit_density_curves, factor_density,
-                              lambda_from_rho, mixup_density, unimix_density)
+                              lambda_from_rho, unimix_density)
 
 SPEC = LTSpec(num_classes=100, rho=200.0, tau=-1.0)
 
@@ -74,8 +74,10 @@ def test_continuous_density_domain_and_balanced_limit():
 
 
 def test_mixup_density_identical_to_original():
-    y = np.linspace(1, 100, 1000)
-    np.testing.assert_array_equal(mixup_density(y, SPEC), continuous_lt_density(y, SPEC))
+    curves = {c.kind: c.density for c in emit_density_curves(SPEC, 1000)}
+    np.testing.assert_array_equal(curves["mixup"], curves["original"])
+    np.testing.assert_array_equal(curves["original"],
+                                  continuous_lt_density(np.linspace(1, 100, 1000), SPEC))
 
 
 def test_original_density_strictly_decreasing():
