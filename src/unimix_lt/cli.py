@@ -434,6 +434,9 @@ def main(argv=None) -> int:
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # e.g. a batch or data size too large to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 def entrypoint() -> None:

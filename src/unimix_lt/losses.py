@@ -81,7 +81,7 @@ def _nll(u: np.ndarray, y: np.ndarray) -> np.ndarray:
     """-log softmax(u)_y for each row of an (N, C) logit matrix."""
     m = u.max(axis=-1, keepdims=True)
     lse = (m + np.log(np.exp(u - m).sum(axis=-1, keepdims=True)))[..., 0]
-    return lse - np.take_along_axis(u, y[:, None], axis=-1)[:, 0]
+    return lse - u[np.arange(u.shape[0]), y]
 
 
 @dataclass(frozen=True, eq=False)

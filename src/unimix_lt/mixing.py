@@ -94,7 +94,7 @@ def unimix_factor(pi_i, pi_j, alpha: float, rng: np.random.Generator):
     """
     pi_i = np.asarray(pi_i, dtype=np.float64)
     pi_j = np.asarray(pi_j, dtype=np.float64)
-    if np.any(pi_i <= 0) or np.any(pi_j <= 0):
+    if (pi_i <= 0).any() or (pi_j <= 0).any():
         raise ValueError("pair priors must be strictly positive")
     c = pi_j / (pi_i + pi_j)
     return cyclic_shift(sample_beta(alpha, rng, size=None if c.ndim == 0 else c.shape), c)

@@ -15,7 +15,7 @@ mixing factors.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,9 +42,17 @@ __all__ = [
 
 @dataclass(eq=False)
 class MLPParams:
-    """Dense rectifier network: list of (weights, bias) per layer, logits last."""
+    """Dense rectifier network: (weights, bias) per layer, logits last.
+
+    Every weight and bias lives in one float64 vector `flat`: layer 0's
+    weights row by row, then its bias, then layer 1's, and so on. The
+    constructor copies the given layers into a new `flat`, and `layers`
+    holds (weights, bias) views into it, so an in-place update of either
+    is seen by both.
+    """
 
     layers: list[tuple[np.ndarray, np.ndarray]]
+    flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.layers:
@@ -54,10 +62,22 @@ class MLPParams:
                 raise ValueError(f"layer {l}: weight/bias shapes {w.shape}/{b.shape} disagree")
             if l > 0 and self.layers[l - 1][0].shape[1] != w.shape[0]:
                 raise ValueError(f"layer {l}: input width does not chain")
+        self.flat = np.concatenate([a.ravel() for layer in self.layers for a in layer],
+                                   dtype=np.float64)
+        views, at = [], 0
+        for w, b in self.layers:
+            views.append((self.flat[at:at + w.size].reshape(w.shape),
+                          self.flat[at + w.size:at + w.size + b.size]))
+            at += w.size + b.size
+        self.layers = views
 
     @property
     def layer_dims(self) -> list[int]:
         return [self.layers[0][0].shape[0]] + [w.shape[1] for w, _ in self.layers]
+
+    def zeros_like(self) -> MLPParams:
+        """A network of zeros with this layout, e.g. a gradient buffer."""
+        return MLPParams([(np.zeros_like(w), np.zeros_like(b)) for w, b in self.layers])
 
 
 def init_params(layer_dims, seed_or_rng) -> MLPParams:
@@ -75,11 +95,16 @@ def init_params(layer_dims, seed_or_rng) -> MLPParams:
 
 
 def _forward_cached(params: MLPParams, x: np.ndarray):
+    """Logits of a batch and the input of every layer, for `_backward_cached`."""
     acts = [x]
-    for w, b in params.layers[:-1]:
-        acts.append(np.maximum(acts[-1] @ w + b, 0.0))
-    w, b = params.layers[-1]
-    return acts[-1] @ w + b, acts
+    last = len(params.layers) - 1
+    for l, (w, b) in enumerate(params.layers):
+        h = acts[-1] @ w
+        h += b
+        if l == last:
+            return h, acts
+        np.maximum(h, 0.0, out=h)
+        acts.append(h)
 
 
 def forward(params: MLPParams, x: np.ndarray) -> np.ndarray:
@@ -99,30 +124,31 @@ def forward(params: MLPParams, x: np.ndarray) -> np.ndarray:
     return h[0] if x.ndim == 1 else h
 
 
-def _backward_cached(params: MLPParams, acts, grad_logits):
-    grads = []
+def _backward_cached(params: MLPParams, acts, grad_logits, grads: MLPParams) -> MLPParams:
+    """Parameter gradients for d loss / d logits, written into `grads`
+    (a buffer with the layout of `params`), which is returned."""
     delta = grad_logits
     for l in reversed(range(len(params.layers))):
-        grads.append((acts[l].T @ delta, delta.sum(axis=0)))
+        gw, gb = grads.layers[l]
+        np.matmul(acts[l].T, delta, out=gw)
+        delta.sum(axis=0, out=gb)
         if l > 0:
-            # relu mask: activation > 0 iff pre-activation > 0
-            delta = (delta @ params.layers[l][0].T) * (acts[l] > 0.0)
-    return grads[::-1]
+            delta = delta @ params.layers[l][0].T
+            delta *= acts[l] > 0.0  # relu mask: activation > 0 iff pre-activation > 0
+    return grads
 
 
-def sgd_step(params: MLPParams, grads, state, lr: float, momentum: float,
-             weight_decay: float):
-    """In-place momentum update: v <- mu*v + g + wd*p; p <- p - lr*v."""
-    if state is None:
-        state = [(np.zeros_like(w), np.zeros_like(b)) for w, b in params.layers]
-    for (w, b), (gw, gb), (vw, vb) in zip(params.layers, grads, state):
-        vw *= momentum
-        vw += gw + weight_decay * w
-        w -= lr * vw
-        vb *= momentum
-        vb += gb + weight_decay * b
-        b -= lr * vb
-    return state
+def sgd_step(params: MLPParams, grad: np.ndarray, velocity: np.ndarray, lr: float,
+             momentum: float, weight_decay: float) -> None:
+    """In-place momentum update of `params.flat` and `velocity`:
+    v <- mu*v + g + wd*p; p <- p - lr*v.
+
+    `grad` and `velocity` are flat vectors with the layout of `params.flat`;
+    the velocity starts at zero.
+    """
+    velocity *= momentum
+    velocity += grad + weight_decay * params.flat
+    params.flat -= lr * velocity
 
 
 @dataclass(frozen=True)
@@ -183,7 +209,7 @@ def train_two_phase(ds: Dataset, cfg: TrainConfig):
 
     Phase 1 (steps 0..T1): mixed batches from the random and pair
     samplers. Phase 2 (T1..T2): plain random batches. A non-finite batch
-    loss aborts the run.
+    loss, or a non-finite parameter after the last update, aborts the run.
     """
     if ds.num_samples == 0:
         raise ValueError("dataset is empty")
@@ -194,7 +220,8 @@ def train_two_phase(ds: Dataset, cfg: TrainConfig):
     rng_batch = derive_rng(cfg.seed, "sampler", 0)
     rng_pair = derive_rng(cfg.seed, "sampler", 1)
     rng_mix = derive_rng(cfg.seed, "mix")
-    state = None
+    grads = params.zeros_like()
+    velocity = np.zeros_like(params.flat)
     log: list[tuple[int, int, float, float]] = []
     n = cfg.batch_size
     for step in range(cfg.t2_steps):
@@ -202,24 +229,32 @@ def train_two_phase(ds: Dataset, cfg: TrainConfig):
         if step < cfg.t1_steps:
             x, y_i, y_j, xi = mix_batch(ds, prior, pair_prior, cfg.mix, n,
                                         rng_batch, rng_pair, rng_mix)
+            xj = 1.0 - xi
             logits, acts = _forward_cached(params, x)
             losses = xi * batch_loss(cfg.loss, logits, y_i) \
-                + (1.0 - xi) * batch_loss(cfg.loss, logits, y_j)
-            grad_logits = (xi[:, None] * batch_grad(cfg.loss, logits, y_i)
-                           + (1.0 - xi)[:, None] * batch_grad(cfg.loss, logits, y_j)) / n
+                + xj * batch_loss(cfg.loss, logits, y_j)
+            grad_logits = batch_grad(cfg.loss, logits, y_i)
+            grad_logits *= xi[:, None]
+            grad_j = batch_grad(cfg.loss, logits, y_j)
+            grad_j *= xj[:, None]
+            grad_logits += grad_j
             phase = 1
         else:
             x, y = draw_batch(ds, prior, n, rng_batch)
             logits, acts = _forward_cached(params, x)
             losses = batch_loss(cfg.loss, logits, y)
-            grad_logits = batch_grad(cfg.loss, logits, y) / n
+            grad_logits = batch_grad(cfg.loss, logits, y)
             phase = 2
+        grad_logits /= n
         loss_val = float(losses.mean())
         if not np.isfinite(loss_val):
             raise InvariantViolation(f"non-finite loss {loss_val} at step {step}")
-        grads = _backward_cached(params, acts, grad_logits)
-        state = sgd_step(params, grads, state, lr, cfg.momentum, cfg.weight_decay)
+        _backward_cached(params, acts, grad_logits, grads)
+        sgd_step(params, grads.flat, velocity, lr, cfg.momentum, cfg.weight_decay)
         log.append((step, phase, loss_val, lr))
+    # the loss check above comes before each update, so it never sees the last one
+    if not np.isfinite(params.flat).all():
+        raise InvariantViolation(f"non-finite parameters after {cfg.t2_steps} steps")
     return params, log
 
 

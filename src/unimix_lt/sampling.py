@@ -96,7 +96,7 @@ def draw_batch(ds: Dataset, prior: np.ndarray, batch_size: int,
     p = check_prior(prior)
     if p.shape[0] != ds.num_classes:
         raise ValueError("prior length does not match the dataset class count")
-    if np.any((p > 0) & (ds.class_counts == 0)):
+    if ((p > 0) & (ds.class_counts == 0)).any():
         bad = np.flatnonzero((p > 0) & (ds.class_counts == 0)).tolist()
         raise ValueError(f"prior puts mass on empty classes {bad}")
     if batch_size == 0:

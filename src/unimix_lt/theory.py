@@ -83,12 +83,15 @@ def check_prior(probs: np.ndarray, require_positive: bool = False) -> np.ndarray
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim != 1 or p.size < 2:
         raise ValueError("class prior must be a vector of at least 2 entries")
-    if np.any(p < 0) or not np.all(np.isfinite(p)):
+    lo, hi = p.min(), p.max()
+    # NaN fails the first comparison: min and max propagate it
+    if not (lo >= 0.0 and hi < math.inf):
         raise ValueError("class prior entries must be finite and nonnegative")
-    if require_positive and np.any(p <= 0):
+    if require_positive and lo <= 0.0:
         raise ValueError("class prior entries must be strictly positive")
-    if abs(p.sum() - 1.0) > PRIOR_SUM_TOL:
-        raise ValueError(f"class prior sums to {p.sum()!r}, expected 1 within {PRIOR_SUM_TOL}")
+    total = p.sum()
+    if abs(total - 1.0) > PRIOR_SUM_TOL:
+        raise ValueError(f"class prior sums to {total!r}, expected 1 within {PRIOR_SUM_TOL}")
     return p
 
 

@@ -164,15 +164,61 @@ def bayias_ce_pairwise():
 
 def _backward(params, x, grad_logits):
     """Parameter gradients of a batch for d loss / d logits: the cached
-    forward pass, then the backward pass, as the trainer runs them."""
+    forward pass, then the backward pass into a fresh buffer, as the
+    trainer runs them."""
     _, acts = _forward_cached(params, x)
-    return _backward_cached(params, acts, grad_logits)
+    return _backward_cached(params, acts, grad_logits, params.zeros_like()).layers
 
 
 @pytest.fixture
 def backward():
     """(params, x, grad_logits) -> per-layer (weight, bias) gradients."""
     return _backward
+
+
+def _allocating_forward_cached(params, x):
+    """`model._forward_cached` before its in-place bias add and rectifier."""
+    acts = [x]
+    for w, b in params.layers[:-1]:
+        acts.append(np.maximum(acts[-1] @ w + b, 0.0))
+    w, b = params.layers[-1]
+    return acts[-1] @ w + b, acts
+
+
+def _allocating_backward_cached(params, acts, grad_logits):
+    """`model._backward_cached` before its gradient buffer: a new
+    (weight, bias) pair per layer."""
+    grads = []
+    delta = grad_logits
+    for l in reversed(range(len(params.layers))):
+        grads.append((acts[l].T @ delta, delta.sum(axis=0)))
+        if l > 0:
+            delta = (delta @ params.layers[l][0].T) * (acts[l] > 0.0)
+    return grads[::-1]
+
+
+def _per_layer_sgd_step(params, grads, state, lr, momentum, weight_decay):
+    """`model.sgd_step` before the flat vectors: one update per weight and bias."""
+    if state is None:
+        state = [(np.zeros_like(w), np.zeros_like(b)) for w, b in params.layers]
+    for (w, b), (gw, gb), (vw, vb) in zip(params.layers, grads, state):
+        vw *= momentum
+        vw += gw + weight_decay * w
+        w -= lr * vw
+        vb *= momentum
+        vb += gb + weight_decay * b
+        b -= lr * vb
+    return state
+
+
+@pytest.fixture
+def per_layer_model():
+    """Oracle for one training step: (forward_cached, backward_cached, sgd_step)
+    with the allocating, per-layer arithmetic the flat buffers replaced.
+
+    Each works on any object whose `layers` lists (weight, bias) arrays.
+    """
+    return _allocating_forward_cached, _allocating_backward_cached, _per_layer_sgd_step
 
 
 def _inline_virtual_cloud(ds, scenario, num_points, seed):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import unimix_lt
+from unimix_lt import cli
 from unimix_lt.cli import main
 from unimix_lt.data import load_csv
 from unimix_lt.model import init_params, save_model
@@ -127,6 +128,32 @@ def test_train_rejects_bad_loss(tmp_path):
 def test_train_divergence_exits_two(tmp_path):
     cfg = write_cfg(tmp_path, {**TINY_TRAIN, "lr": 1e30, "t1_steps": 0, "t2_steps": 30})
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+def test_train_non_finite_final_update_exits_two_and_writes_nothing(tmp_path, capsys):
+    # the only step's loss is finite; its update overflows the parameters
+    cfg = write_cfg(tmp_path, {"classes": 3, "n_max": 20, "rho": 4, "t1_steps": 0,
+                               "t2_steps": 1, "batch_size": 8, "weight_decay": 1e300,
+                               "lr": 1e16})
+    out = tmp_path / "x"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "non-finite parameters" in err and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_memory_error_exits_one_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(cli, "train_two_phase", out_of_memory)
+    out = tmp_path / "x"
+    cfg = write_cfg(tmp_path, {**TINY_TRAIN, "batch_size": 1_000_000_000_000})
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate") and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_train_replay_is_bitwise(tmp_path):

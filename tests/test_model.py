@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from unimix_lt.data import empirical_prior, gen_lt_gaussians
 from unimix_lt.errors import InvariantViolation
 from unimix_lt.losses import LOSS_KINDS, LossSpec, batch_grad, batch_loss, softmax
 from unimix_lt.mixing import MIX_MODES, MixConfig, sample_beta, unimix_factor
-from unimix_lt.model import (LRSchedule, TrainConfig, _forward_cached, forward,
+from unimix_lt.model import (LRSchedule, MLPParams, TrainConfig, _forward_cached, forward,
                              init_params, load_model, predict_proba, save_model, sgd_step,
                              train_two_phase)
 from unimix_lt.sampling import draw_batch, inverse_prior
@@ -108,12 +109,12 @@ def test_backward_zero_and_linearity(backward):
 def test_sgd_step_plain_and_frozen():
     params = init_params([2, 3], 0)
     w0 = params.layers[0][0].copy()
-    grads = [(np.ones_like(params.layers[0][0]), np.ones_like(params.layers[0][1]))]
-    sgd_step(params, grads, None, lr=0.1, momentum=0.0, weight_decay=0.0)
+    grad = np.ones_like(params.flat)
+    sgd_step(params, grad, np.zeros_like(grad), lr=0.1, momentum=0.0, weight_decay=0.0)
     np.testing.assert_array_equal(params.layers[0][0], w0 - 0.1)
     params2 = init_params([2, 3], 0)
     w0 = params2.layers[0][0].copy()
-    sgd_step(params2, grads, None, lr=0.0, momentum=0.9, weight_decay=0.0)
+    sgd_step(params2, grad, np.zeros_like(grad), lr=0.0, momentum=0.9, weight_decay=0.0)
     np.testing.assert_array_equal(params2.layers[0][0], w0)
 
 
@@ -122,11 +123,36 @@ def test_sgd_two_steps_constant_gradient():
     mu = 0.7
     params = init_params([2, 2], 1)
     w0 = params.layers[0][0].copy()
-    g = np.full_like(w0, 0.5)
-    grads = [(g, np.zeros(2))]
-    state = sgd_step(params, grads, None, lr=0.01, momentum=mu, weight_decay=0.0)
-    sgd_step(params, grads, state, lr=0.01, momentum=mu, weight_decay=0.0)
-    np.testing.assert_allclose(w0 - params.layers[0][0], 0.01 * g * (2 + mu), atol=1e-15)
+    grads = params.zeros_like()
+    grads.layers[0][0][:] = 0.5
+    velocity = np.zeros_like(params.flat)
+    sgd_step(params, grads.flat, velocity, lr=0.01, momentum=mu, weight_decay=0.0)
+    sgd_step(params, grads.flat, velocity, lr=0.01, momentum=mu, weight_decay=0.0)
+    np.testing.assert_allclose(w0 - params.layers[0][0], 0.01 * 0.5 * (2 + mu), atol=1e-15)
+    np.testing.assert_array_equal(params.layers[0][1], np.zeros(2))
+
+
+def test_layers_are_views_into_one_flat_vector(tmp_path):
+    save_model(init_params([3, 4, 2], 1), tmp_path / "model.json")
+    for params in (init_params([3, 8, 4], 0), init_params([3, 8, 4], 0).zeros_like(),
+                   load_model(tmp_path / "model.json")):
+        assert params.flat.dtype == np.float64 and params.flat.ndim == 1
+        dims = params.layer_dims
+        assert params.flat.size == sum(a * b + b for a, b in zip(dims[:-1], dims[1:]))
+        for w, b in params.layers:
+            assert np.shares_memory(w, params.flat) and np.shares_memory(b, params.flat)
+        assert np.array_equal(np.concatenate([a.ravel() for layer in params.layers
+                                              for a in layer]), params.flat)
+
+
+def test_mlp_params_copies_its_input():
+    w, b = np.ones((2, 3)), np.arange(3)
+    params = MLPParams([(w, b)])
+    params.flat += 1.0
+    assert np.array_equal(w, np.ones((2, 3))) and np.array_equal(b, np.arange(3))
+    assert np.array_equal(params.layers[0][0], w + 1.0)
+    assert np.array_equal(params.layers[0][1], b + 1.0)
+    assert params.layers[0][1].dtype == np.float64
 
 
 def _basic_config(seed=0, **kw):
@@ -166,7 +192,7 @@ def test_train_losses_finite_and_phases_logged():
     assert [phase for _, phase, _, _ in log] == [1] * 30 + [2] * 10
 
 
-def test_train_degenerates_to_plain_mixup_ce(backward):
+def test_train_degenerates_to_plain_mixup_ce(per_layer_model):
     """Plain-mixup config reproduces a hand-rolled mixup-CE loop bitwise.
 
     The trainer documents its stream usage: (seed, "init"), (seed,
@@ -185,6 +211,7 @@ def test_train_degenerates_to_plain_mixup_ce(backward):
                       loss=spec, seed=seed, hidden_dims=(8,))
     params, log = train_two_phase(ds, cfg)
 
+    forward_cached, backward_cached, per_layer_sgd_step = per_layer_model
     prior = ds.class_counts / ds.num_samples
     ref = init_params([3, 8, 4], derive_rng(seed, "init"))
     rng_batch = derive_rng(seed, "sampler", 0)
@@ -199,18 +226,18 @@ def test_train_degenerates_to_plain_mixup_ce(backward):
             x_j, y_j = draw_batch(ds, prior, n, rng_pair)
             xi = sample_beta(1.0, rng_mix, size=n)
             x = xi[:, None] * x_i + (1.0 - xi)[:, None] * x_j
-            logits = forward(ref, x)
+            logits, acts = forward_cached(ref, x)
             losses = xi * batch_loss(spec, logits, y_i) \
                 + (1.0 - xi) * batch_loss(spec, logits, y_j)
             g = (xi[:, None] * batch_grad(spec, logits, y_i)
                  + (1.0 - xi)[:, None] * batch_grad(spec, logits, y_j)) / n
         else:
             x, y = draw_batch(ds, prior, n, rng_batch)
-            logits = forward(ref, x)
+            logits, acts = forward_cached(ref, x)
             losses = batch_loss(spec, logits, y)
             g = batch_grad(spec, logits, y) / n
-        state = sgd_step(ref, backward(ref, x, g), state, lr, cfg.momentum,
-                         cfg.weight_decay)
+        state = per_layer_sgd_step(ref, backward_cached(ref, acts, g), state, lr,
+                                   cfg.momentum, cfg.weight_decay)
         ref_log.append(float(losses.mean()))
 
     assert [loss for _, _, loss, _ in log] == ref_log
@@ -219,14 +246,17 @@ def test_train_degenerates_to_plain_mixup_ce(backward):
         np.testing.assert_array_equal(b, rb)
 
 
-def _reference_train(ds, cfg, draw, backward):
-    """The two-phase loop with the batch sampler `draw` and separate
+def _reference_train(ds, cfg, draw, per_layer_model):
+    """The two-phase loop with the batch sampler `draw`, separate
     `batch_loss`/`batch_grad` calls per label, combined as
-    xi * (label i) + (1 - xi) * (label j)."""
+    xi * (label i) + (1 - xi) * (label j), and the per-layer step
+    arithmetic on weights and biases that share no buffer."""
+    forward_cached, backward_cached, per_layer_sgd_step = per_layer_model
     prior = empirical_prior(ds)
     pair_prior = inverse_prior(prior, cfg.mix.pair_tau)
-    params = init_params([ds.dims, *cfg.hidden_dims, ds.num_classes],
-                         derive_rng(cfg.seed, "init"))
+    init = init_params([ds.dims, *cfg.hidden_dims, ds.num_classes],
+                       derive_rng(cfg.seed, "init"))
+    params = SimpleNamespace(layers=[(w.copy(), b.copy()) for w, b in init.layers])
     rng_batch = derive_rng(cfg.seed, "sampler", 0)
     rng_pair = derive_rng(cfg.seed, "sampler", 1)
     rng_mix = derive_rng(cfg.seed, "mix")
@@ -242,7 +272,7 @@ def _reference_train(ds, cfg, draw, backward):
             else:
                 xi = unimix_factor(prior[y_i], prior[y_j], cfg.mix.alpha, rng_mix)
             x = xi[:, None] * x_i + (1.0 - xi)[:, None] * x_j
-            logits = forward(params, x)
+            logits, acts = forward_cached(params, x)
             losses = xi * batch_loss(spec, logits, y_i) \
                 + (1.0 - xi) * batch_loss(spec, logits, y_j)
             g = (xi[:, None] * batch_grad(spec, logits, y_i)
@@ -250,12 +280,12 @@ def _reference_train(ds, cfg, draw, backward):
             phase = 1
         else:
             x, y = draw(ds, prior, n, rng_batch)
-            logits = forward(params, x)
+            logits, acts = forward_cached(params, x)
             losses = batch_loss(spec, logits, y)
             g = batch_grad(spec, logits, y) / n
             phase = 2
-        state = sgd_step(params, backward(params, x, g), state, lr, cfg.momentum,
-                         cfg.weight_decay)
+        state = per_layer_sgd_step(params, backward_cached(params, acts, g), state, lr,
+                                   cfg.momentum, cfg.weight_decay)
         log.append((step, phase, float(losses.mean()), lr))
     return params, log
 
@@ -275,13 +305,15 @@ REFERENCE_RUNS = [
 
 @pytest.mark.parametrize("kind,mix", REFERENCE_RUNS,
                          ids=[f"{k}-{m.mode}-tau{m.tau:g}" for k, m in REFERENCE_RUNS])
-def test_train_matches_per_sample_sampler_reference(kind, mix, per_sample_draw_batch, backward):
-    """The class-sorted sampler keeps params and log bitwise, for every loss kind."""
+def test_train_matches_per_sample_sampler_reference(kind, mix, per_sample_draw_batch,
+                                                    per_layer_model):
+    """The class-sorted sampler and the flat in-place training step keep params
+    and log bitwise, for every loss kind."""
     ds = gen_lt_gaussians(5, 20.0, 60, 4, seed=4)
     cfg = TrainConfig(t1_steps=12, t2_steps=16, batch_size=24, lr=LRSchedule.scaled(0.1, 16),
                       mix=mix, loss=_kind_spec(kind, ds), seed=5, hidden_dims=(8,))
     params, log = train_two_phase(ds, cfg)
-    ref, ref_log = _reference_train(ds, cfg, per_sample_draw_batch, backward)
+    ref, ref_log = _reference_train(ds, cfg, per_sample_draw_batch, per_layer_model)
     assert log == ref_log
     for (w, b), (rw, rb) in zip(params.layers, ref.layers):
         assert np.array_equal(w, rw) and np.array_equal(b, rb)
@@ -301,6 +333,15 @@ def test_train_raises_on_divergence():
     ds = gen_lt_gaussians(4, 10.0, 40, 3, seed=3)
     cfg = _basic_config(lr=LRSchedule(base=1e30), t1_steps=0, t2_steps=30)
     with pytest.raises(InvariantViolation):
+        train_two_phase(ds, cfg)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+def test_train_raises_on_non_finite_final_update():
+    """The loss check runs before each update; the parameters are checked after the last."""
+    ds = gen_lt_gaussians(3, 4.0, 20, 3, seed=0)
+    cfg = _basic_config(lr=LRSchedule(base=1e16), weight_decay=1e300, t1_steps=0, t2_steps=1)
+    with pytest.raises(InvariantViolation, match="non-finite parameters after 1 steps"):
         train_two_phase(ds, cfg)
 
 

@@ -1,12 +1,15 @@
 import math
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
-from unimix_lt.theory import (CURVE_KINDS, LTSpec, continuous_lt_density,
-                              discrete_lt_prior, emit_density_curves, factor_density,
-                              lambda_from_rho, unimix_density)
+from unimix_lt.theory import (CURVE_KINDS, PRIOR_SUM_TOL, LTSpec, check_prior,
+                              continuous_lt_density, discrete_lt_prior, emit_density_curves,
+                              factor_density, lambda_from_rho, unimix_density)
 
 SPEC = LTSpec(num_classes=100, rho=200.0, tau=-1.0)
 
@@ -169,3 +172,77 @@ def test_emit_density_curves_trapezoid_mass():
 def test_emit_density_curves_resolution_domain():
     with pytest.raises(ValueError):
         emit_density_curves(SPEC, 1)
+
+
+def _any_all_check_prior(probs, require_positive=False):
+    """`check_prior` with its elementwise `np.any`/`np.all` tests, before the reductions."""
+    p = np.asarray(probs, dtype=np.float64)
+    if p.ndim != 1 or p.size < 2:
+        raise ValueError("class prior must be a vector of at least 2 entries")
+    if np.any(p < 0) or not np.all(np.isfinite(p)):
+        raise ValueError("class prior entries must be finite and nonnegative")
+    if require_positive and np.any(p <= 0):
+        raise ValueError("class prior entries must be strictly positive")
+    if abs(p.sum() - 1.0) > PRIOR_SUM_TOL:
+        raise ValueError(f"class prior sums to {p.sum()!r}, expected 1 within {PRIOR_SUM_TOL}")
+    return p
+
+
+def _prior_outcome(check, probs, require_positive):
+    try:
+        p = check(probs, require_positive=require_positive)
+    except ValueError as exc:
+        return str(exc)
+    return p.dtype, p.shape, p.tobytes()
+
+
+_SUBNORMAL = 5e-324
+_PRIOR_CASES = {
+    "valid": [0.25, 0.75],
+    "nan": [0.5, math.nan],
+    "inf": [math.inf, 0.5],
+    "minus-inf": [0.5, -math.inf],
+    "inf-and-minus-inf": [math.inf, -math.inf],
+    "negative": [1.5, -0.5],
+    "negative-zero": [-0.0, 1.0],
+    "zero": [0.0, 1.0],
+    "subnormal": [_SUBNORMAL, 1.0],
+    "negative-subnormal": [-_SUBNORMAL, 1.0],
+    "bad-sum": [0.25, 0.25],
+    "overflowing-sum": [1.7e308, 1.7e308],
+    "0-d": 1.0,
+    "2-d": [[0.5, 0.5]],
+    "length-1": [1.0],
+    "empty": [],
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing sum
+@pytest.mark.parametrize("require_positive", [False, True])
+@pytest.mark.parametrize("probs", _PRIOR_CASES.values(), ids=_PRIOR_CASES.keys())
+def test_check_prior_matches_any_all_form(probs, require_positive):
+    got = _prior_outcome(check_prior, probs, require_positive)
+    assert got == _prior_outcome(_any_all_check_prior, probs, require_positive)
+
+
+_PRIOR_ENTRIES = st.one_of(
+    st.floats(-1.0, 2.0),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, _SUBNORMAL, -_SUBNORMAL,
+                     2.2250738585072014e-308, 1e-300, 1.0, 0.5]))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(probs=hnp.arrays(np.float64,
+                        st.one_of(st.just(()), hnp.array_shapes(min_dims=1, max_dims=2,
+                                                                 min_side=0, max_side=5)),
+                        elements=_PRIOR_ENTRIES),
+       normalise=st.booleans(), require_positive=st.booleans())
+def test_check_prior_fuzz_matches_any_all_form(probs, normalise, require_positive):
+    """Same outcome and message as the elementwise form; normalising first
+    lets most draws reach the positivity and sum checks."""
+    if normalise and probs.ndim == 1:
+        with np.errstate(all="ignore"):
+            probs = probs / probs.sum()
+    with np.errstate(all="ignore"):
+        got = _prior_outcome(check_prior, probs, require_positive)
+        assert got == _prior_outcome(_any_all_check_prior, probs, require_positive)
