@@ -134,17 +134,12 @@ def _adaptive_errors(p, y, num_ranges: int, thresholds) -> list[float]:
 
 
 def _sce(p, y, num_bins: int) -> float:
-    n, c = p.shape
+    """ECE of each class column against its 0/1 hits, averaged over classes."""
+    c = p.shape[1]
     total = 0.0
     for k in range(c):
-        idx = _bin_index(p[:, k], num_bins)
-        counts = np.bincount(idx, minlength=num_bins)
-        acc_sum = np.bincount(idx, weights=(y == k).astype(np.float64), minlength=num_bins)
-        conf_sum = np.bincount(idx, weights=p[:, k], minlength=num_bins)
-        nonempty = counts > 0
-        gaps = np.abs(acc_sum[nonempty] - conf_sum[nonempty]) / counts[nonempty]
-        total += (counts[nonempty] / n) @ gaps
-    return float(total / c)
+        total += _ece(_bin_sums(p[:, k], (y == k).astype(np.float64), num_bins))
+    return total / c
 
 
 def _brier(p, y) -> float:
@@ -239,7 +234,7 @@ def evaluate_predictions(preds, labels, num_bins: int = DEFAULT_BINS,
     if not 0.0 <= tace_threshold < 1.0:
         raise ValueError(f"threshold must lie in [0, 1), got {tace_threshold}")
     if density_batch < 1:
-        raise ValueError("batch_size must be >= 1")
+        raise ValueError(f"density_batch must be >= 1, got {density_batch}")
     conf, pred, correct = _top(p, y)
     bins = _bin_sums(conf, correct, num_bins)
     counts, counts_log = _confusion(pred, y, p.shape[1])

@@ -26,7 +26,7 @@ from .model import LRSchedule, TrainConfig, train_two_phase
 from .sampling import inverse_prior
 from .streams import derive_rng
 
-__all__ = ["SCENARIOS", "BoundaryResult", "run_circles", "virtual_cloud", "run_all_scenarios"]
+__all__ = ["SCENARIOS", "BoundaryResult", "scenario_data", "run_circles", "virtual_cloud"]
 
 SCENARIOS = ("balanced", "imbalanced", "mixup", "unimix")
 
@@ -89,11 +89,15 @@ def _boundary(params, center) -> tuple[np.ndarray, float, float, float]:
     return normal, bias, angle, offset
 
 
+def scenario_data(spec: TwoCircleSpec, scenario: str) -> Dataset:
+    """The scenario's training set: `spec`, with n_neg = n_pos if balanced."""
+    return gen_two_circles(replace(spec, n_neg=spec.n_pos) if scenario == "balanced" else spec)
+
+
 def run_circles(spec: TwoCircleSpec, scenario: str, steps: int = 400,
                 batch_size: int = 64, lr: float = 0.5) -> BoundaryResult:
     """Train one scenario and measure its boundary against the ideal one."""
-    data_spec = replace(spec, n_neg=spec.n_pos) if scenario == "balanced" else spec
-    ds = gen_two_circles(data_spec)
+    ds = scenario_data(spec, scenario)
     cfg = _scenario_config(scenario, spec.seed, steps, batch_size, lr)
     params, _ = train_two_phase(ds, cfg)
     normal, bias, angle, offset = _boundary(params, spec.center)
@@ -113,9 +117,3 @@ def virtual_cloud(ds: Dataset, scenario: str, num_points: int, seed: int) -> np.
                                     num_points, rng, rng, rng)
     labels = np.where(xi >= 0.5, y_i, y_j)
     return np.column_stack([mixed, labels.astype(np.float64)])
-
-
-def run_all_scenarios(spec: TwoCircleSpec, steps: int = 400, batch_size: int = 64,
-                      lr: float = 0.5) -> list[BoundaryResult]:
-    return [run_circles(spec, s, steps=steps, batch_size=batch_size, lr=lr)
-            for s in SCENARIOS]

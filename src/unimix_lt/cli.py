@@ -1,8 +1,10 @@
 """Command-line entry point and run-artifact persistence.
 
 Every run-directory command (gen-data, verify-dist, train, eval,
-circles-demo) takes one path: resolve its config (defaults < `--config` <
-flags, typed by `config.resolve_config`), claim `--out`, compute every
+circles-demo) is declared once, by its defaults table: each key is also a
+flag (`--` plus the key, `_` -> `-`) of the default's type. The command
+takes one path: resolve its config (defaults < `--config` < flags, typed
+by `config.resolve_config`), claim `--out`, compute every
 output, then commit: each artifact is written atomically (temp file +
 rename), and `config.resolved.json`, with every default made explicit, is
 written last. A command that fails before the commit leaves nothing in
@@ -17,14 +19,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import calibration
-from .circles import SCENARIOS, run_all_scenarios, virtual_cloud
+from .circles import SCENARIOS, run_circles, scenario_data, virtual_cloud
 from .config import build_training_run, load_config, resolve_config, resolve_train_config
 from .data import (TwoCircleSpec, gen_lt_gaussians, gen_two_circles, load_csv,
                    save_csv)
@@ -122,12 +123,14 @@ def _commit(args, resolved: dict, artifacts: dict) -> int:
 
 # ---------------------------------------------------------------- gen-data
 
+# The two-circle set and seed, shared by gen-data and circles-demo.
+_CIRCLE_DEFAULTS = {"x0": 2.0, "y0": 2.0, "radius": 1.5, "n_pos": 500, "n_neg": 10,
+                    "seed": 0}
+
 _GEN_DEFAULTS = {
     "kind": "gaussians",
     "classes": 10, "rho": 100.0, "n_max": 500, "dims": 16, "cluster_spread": 1.0,
-    "reverse": False,
-    "x0": 2.0, "y0": 2.0, "radius": 1.5, "n_pos": 500, "n_neg": 10,
-    "seed": 0,
+    "reverse": False, **_CIRCLE_DEFAULTS,
 }
 
 
@@ -179,7 +182,8 @@ def _closed_form_histogram(spec: LTSpec, mode: str) -> np.ndarray:
 def cmd_verify_dist(args) -> int:
     resolved = _open_run(args, partial(resolve_config, _VERIFY_DEFAULTS))
     if resolved["mode"] not in _MODE_ALIASES and resolved["mode"] not in MIX_MODES:
-        raise ConfigError(f"mode must be one of {sorted(_MODE_ALIASES)}")
+        raise ConfigError(f"mode must be one of {sorted(_MODE_ALIASES)} or {MIX_MODES}, "
+                          f"got {resolved['mode']!r}")
     mode = _MODE_ALIASES.get(resolved["mode"], resolved["mode"])
     classes, tau = resolved["classes"], resolved["tau"]
     resolved["resolution"] = resolved["resolution"] or classes
@@ -246,23 +250,20 @@ def cmd_eval(args) -> int:
 
 # ------------------------------------------------------------- circles-demo
 
-_CIRCLES_DEFAULTS = {
-    "x0": 2.0, "y0": 2.0, "radius": 1.5, "n_pos": 500, "n_neg": 10, "seed": 0,
-    "steps": 400, "batch_size": 64, "lr": 0.5, "cloud_points": 300,
-}
+_DEMO_DEFAULTS = {**_CIRCLE_DEFAULTS, "steps": 400, "batch_size": 64, "lr": 0.5,
+                  "cloud_points": 300}
 
 
 def cmd_circles_demo(args) -> int:
-    resolved = _open_run(args, partial(resolve_config, _CIRCLES_DEFAULTS))
+    resolved = _open_run(args, partial(resolve_config, _DEMO_DEFAULTS))
     spec = _circle_spec(resolved)
-    results = run_all_scenarios(spec, steps=resolved["steps"],
-                                batch_size=resolved["batch_size"], lr=resolved["lr"])
-    boundary_rows = [(r.scenario, r.weight[0], r.weight[1], r.bias, r.angle_error_deg,
-                      r.offset) for r in results]
-    point_rows = []
+    boundary_rows, point_rows = [], []
     for scenario in SCENARIOS:
-        data_spec = replace(spec, n_neg=spec.n_pos) if scenario == "balanced" else spec
-        ds = gen_two_circles(data_spec)
+        r = run_circles(spec, scenario, steps=resolved["steps"],
+                        batch_size=resolved["batch_size"], lr=resolved["lr"])
+        boundary_rows.append((scenario, r.weight[0], r.weight[1], r.bias, r.angle_error_deg,
+                              r.offset))
+        ds = scenario_data(spec, scenario)
         for (x, y), label in zip(ds.features, ds.labels):
             point_rows.append((scenario, x, y, int(label), 0))
         cloud = virtual_cloud(ds, scenario, resolved["cloud_points"], resolved["seed"])
@@ -334,79 +335,32 @@ def cmd_report(args) -> int:
 
 # ------------------------------------------------------------------ parsing
 
-def _add_common(sub, with_config=True, with_out=True):
-    if with_config:
-        sub.add_argument("--config", help="JSON config (e.g. a config.resolved.json)")
-    if with_out:
-        sub.add_argument("--out", required=True, help="run directory for outputs")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unimix-lt",
         description="Prior-aware mixing and prior-compensated margins on "
                     "long-tailed synthetic data.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("gen-data", help="synthesize a dataset CSV plus metadata")
-    _add_common(p)
-    p.add_argument("--kind", choices=["gaussians", "circles"])
-    p.add_argument("--classes", type=int)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--n-max", dest="n_max", type=int)
-    p.add_argument("--dims", type=int)
-    p.add_argument("--cluster-spread", dest="cluster_spread", type=float)
-    p.add_argument("--reverse", action="store_const", const=True, default=None,
-                   help="reverse the class counts (reversed-LT test sets)")
-    p.add_argument("--x0", type=float)
-    p.add_argument("--y0", type=float)
-    p.add_argument("--radius", type=float)
-    p.add_argument("--n-pos", dest="n_pos", type=int)
-    p.add_argument("--n-neg", dest="n_neg", type=int)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_gen_data)
-
-    p = subs.add_parser("verify-dist",
-                        help="emit density curves and a Monte Carlo histogram")
-    _add_common(p)
-    p.add_argument("--classes", type=int)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--mode", choices=sorted(_MODE_ALIASES))
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--resolution", type=int, help="curve grid points (default: classes)")
-    p.add_argument("--streams", type=int, help="Monte Carlo stream count")
-    p.set_defaults(func=cmd_verify_dist)
-
-    p = subs.add_parser("train", help="train on synthetic LT Gaussians per a JSON config")
-    _add_common(p)
-    p.set_defaults(func=cmd_train)
-
-    p = subs.add_parser("eval", help="evaluate a model on a dataset CSV")
-    _add_common(p)
-    p.add_argument("--model", help="model.json from a training run")
-    p.add_argument("--data", help="dataset CSV")
-    p.add_argument("--bins", type=int)
-    p.add_argument("--ranges", type=int)
-    p.add_argument("--tace-threshold", dest="tace_threshold", type=float)
-    p.add_argument("--density-batch", dest="density_batch", type=int)
-    p.set_defaults(func=cmd_eval)
-
-    p = subs.add_parser("circles-demo", help="run the decision-boundary study")
-    _add_common(p)
-    p.add_argument("--x0", type=float)
-    p.add_argument("--y0", type=float)
-    p.add_argument("--radius", type=float)
-    p.add_argument("--n-pos", dest="n_pos", type=int)
-    p.add_argument("--n-neg", dest="n_neg", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--cloud-points", dest="cloud_points", type=int)
-    p.set_defaults(func=cmd_circles_demo)
+    # each run command: its name, help line, handler and the defaults its flags come from
+    for name, help_line, func, defaults in (
+            ("gen-data", "synthesize a dataset CSV plus metadata", cmd_gen_data,
+             _GEN_DEFAULTS),
+            ("verify-dist", "emit density curves and a Monte Carlo histogram",
+             cmd_verify_dist, _VERIFY_DEFAULTS),
+            # train's keys come from --config alone
+            ("train", "train on synthetic LT Gaussians per a JSON config", cmd_train, {}),
+            ("eval", "evaluate a model on a dataset CSV", cmd_eval, _EVAL_DEFAULTS),
+            ("circles-demo", "run the decision-boundary study", cmd_circles_demo,
+             _DEMO_DEFAULTS)):
+        p = subs.add_parser(name, help=help_line)
+        p.add_argument("--config", help="JSON config (e.g. a config.resolved.json)")
+        p.add_argument("--out", required=True, help="run directory for outputs")
+        for key, default in defaults.items():
+            parse = ({"action": "store_const", "const": True} if isinstance(default, bool)
+                     else {"type": type(default)})
+            p.add_argument("--" + key.replace("_", "-"), **parse,
+                           help=f"default: {json.dumps(default)}")
+        p.set_defaults(func=func)
 
     p = subs.add_parser("report", help="summarize completed runs into one table")
     p.add_argument("--runs", required=True, help="directory containing run directories")

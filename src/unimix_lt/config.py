@@ -45,14 +45,16 @@ _DEFAULTS = {
     "t1_steps": 1800,
 }
 
-# Keys whose values may be lists; they are checked where they are used.
-_LIST_KEYS = frozenset({"hidden_dims", "target_prior"})
-
 _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
 
 
 def _typed(name: str, value, default):
-    """`value` if its JSON type is that of `default`; a float key also takes an integer."""
+    """`value` if its JSON type is that of `default`; a float key also takes an
+    integer, and a list key a list of items typed as the default's first."""
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        return [_typed(f"{name}[{i}]", v, default[0]) for i, v in enumerate(value)]
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if isinstance(default, float) and number:
         try:
@@ -73,8 +75,9 @@ def resolve_config(defaults: dict, *layers, where: str = "") -> dict:
     Every layer must be a JSON object whose keys are keys of `defaults`.
     A scalar must have its default's JSON type: a bool key takes only
     true or false, an int key only an integer, a float key an integer or
-    a float (stored as a finite float), a str key only a string. An object
-    default is resolved the same way, key by key.
+    a float (stored as a finite float), a str key only a string, a list
+    key a list of such items. An object default is resolved the same way,
+    key by key. `target_prior` is "balanced" or a list of numbers.
     """
     resolved = dict(defaults)
     for layer in layers:
@@ -84,10 +87,13 @@ def resolve_config(defaults: dict, *layers, where: str = "") -> dict:
         if unknown:
             raise ConfigError(f"unknown {where or 'config'} keys: {sorted(unknown)}")
         for key, value in layer.items():
-            if isinstance(defaults[key], dict):
+            default = defaults[key]
+            if key == "target_prior" and value != "balanced":
+                default = [1.0]  # a list of class probabilities
+            if isinstance(default, dict):
                 value = resolve_config(resolved[key], value, where=key)
-            elif key not in _LIST_KEYS:
-                value = _typed(f"{where}.{key}" if where else key, value, defaults[key])
+            else:
+                value = _typed(f"{where}.{key}" if where else key, value, default)
             resolved[key] = value
     return resolved
 
@@ -139,7 +145,7 @@ def build_training_run(cfg: dict):
             seed=cfg["seed"],
             momentum=cfg["momentum"],
             weight_decay=cfg["weight_decay"],
-            hidden_dims=tuple(int(h) for h in cfg["hidden_dims"]),
+            hidden_dims=tuple(cfg["hidden_dims"]),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None

@@ -43,10 +43,7 @@ def inverse_prior(prior: np.ndarray, tau: float) -> np.ndarray:
         raise ValueError("inverse sampling with negative tau needs strictly positive priors")
     if tau == 1.0:
         return p  # exactly the random sampler, no renormalization drift
-    if tau == 0.0:
-        weights = np.ones_like(p)
-    else:
-        weights = p**tau
+    weights = p**tau  # p**0.0 is 1.0 for every p, 0 included: tau = 0 is uniform
     return check_prior(weights / weights.sum())
 
 

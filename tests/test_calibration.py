@@ -88,7 +88,7 @@ def test_adaptive_all_discarded_is_error():
     ({"num_bins": 100_001}, "need at most 100000 bins"),
     ({"num_ranges": 0}, "need at least one range"),
     ({"num_ranges": 10**11}, "need at most 100000 ranges"),
-    ({"density_batch": 0}, "batch_size must be >= 1"),
+    ({"density_batch": 0}, "density_batch must be >= 1"),
 ])
 def test_sizes_are_checked_before_any_metric(kwargs, message):
     preds, labels = two_class([0.9, 0.4], [0, 1])

@@ -1,8 +1,11 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +13,8 @@ import pytest
 
 import unimix_lt
 from unimix_lt import cli
-from unimix_lt.cli import main
+from unimix_lt.cli import build_parser, main
+from unimix_lt.config import resolve_config
 from unimix_lt.data import load_csv
 from unimix_lt.model import init_params, save_model
 
@@ -45,6 +49,66 @@ def test_help_exits_zero():
     assert main(["--help"]) == 0
 
 
+# Every flag of each run command: (argv text, value it resolves to); None is a switch.
+RUN_FLAGS = {
+    "gen-data": (cli._GEN_DEFAULTS, {
+        "kind": ("circles", "circles"), "classes": ("7", 7), "rho": ("3", 3.0),
+        "n_max": ("9", 9), "dims": ("3", 3), "cluster_spread": ("0.5", 0.5),
+        "reverse": (None, True), "x0": ("1.5", 1.5), "y0": ("-1.5", -1.5),
+        "radius": ("0.75", 0.75), "n_pos": ("9", 9), "n_neg": ("4", 4), "seed": ("11", 11)}),
+    "verify-dist": (cli._VERIFY_DEFAULTS, {
+        "classes": ("7", 7), "rho": ("3", 3.0), "tau": ("0.5", 0.5), "alpha": ("1", 1.0),
+        "mode": ("factor", "factor"), "trials": ("9", 9), "seed": ("11", 11),
+        "resolution": ("5", 5), "streams": ("2", 2)}),
+    "train": ({}, {}),
+    "eval": (cli._EVAL_DEFAULTS, {
+        "model": ("m.json", "m.json"), "data": ("d.csv", "d.csv"), "bins": ("9", 9),
+        "ranges": ("8", 8), "tace_threshold": ("0.01", 0.01), "density_batch": ("33", 33)}),
+    "circles-demo": (cli._DEMO_DEFAULTS, {
+        "x0": ("1.5", 1.5), "y0": ("-1.5", -1.5), "radius": ("0.75", 0.75),
+        "n_pos": ("9", 9), "n_neg": ("4", 4), "seed": ("11", 11), "steps": ("9", 9),
+        "batch_size": ("8", 8), "lr": ("0.25", 0.25), "cloud_points": ("5", 5)}),
+}
+
+
+def _subparser(command):
+    subs = next(a for a in build_parser()._actions if a.dest == "command")
+    return subs.choices[command]
+
+
+@pytest.mark.parametrize("command", sorted(RUN_FLAGS))
+def test_run_command_flags_are_its_defaults_table(tmp_path, command):
+    defaults, flags = RUN_FLAGS[command]
+    assert list(defaults) == list(flags)
+    options = {o for a in _subparser(command)._actions for o in a.option_strings}
+    assert options == {"-h", "--help", "--config", "--out",
+                       *("--" + key.replace("_", "-") for key in flags)}
+    for key, (text, value) in flags.items():
+        argv = [command, "--out", str(tmp_path / "run"), "--" + key.replace("_", "-")]
+        args = build_parser().parse_args(argv + ([] if text is None else [text]))
+        resolved = cli._open_run(args, partial(resolve_config, defaults))
+        assert resolved == {**defaults, key: value}
+        assert type(resolved[key]) is type(defaults[key])
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", [*sorted(RUN_FLAGS), "report"])
+def test_every_command_help_exits_zero(capsys, command):
+    assert main([command, "--help"]) == 0
+    if command == "gen-data":
+        assert re.search(r"--n-max N_MAX\s+default: 500\n", capsys.readouterr().out)
+
+
+def test_readme_cli_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\n.*?```bash\n(.*?)```", readme, re.S).group(1)
+    lines = [line for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("unimix-lt ")]
+    commands = [build_parser().parse_args(shlex.split(line)[1:]).command  # exits if bad
+                for line in lines]
+    assert set(commands) == {*RUN_FLAGS, "report"}
+
+
 def test_gen_data_gaussians(tmp_path):
     out = tmp_path / "run"
     assert main(["gen-data", "--out", str(out), "--classes", "5", "--rho", "10",
@@ -64,7 +128,14 @@ def test_gen_data_circles(tmp_path):
     np.testing.assert_array_equal(ds.class_counts, [60, 6])
 
 
-def test_gen_data_rejects_bad_kind(tmp_path):
+def test_gen_data_rejects_bad_kind(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert main(["gen-data", "--out", str(out), "--kind", "spirals"]) == 1
+    assert "kind must be 'gaussians' or 'circles', got 'spirals'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_data_rejects_n_max_below_classes(tmp_path):
     assert main(["gen-data", "--out", str(tmp_path / "x"), "--kind", "gaussians",
                  "--n-max", "2", "--classes", "5"]) == 1
 
@@ -442,6 +513,25 @@ def test_non_finite_numbers_exit_one(tmp_path, capsys, argv, config_text):
     pytest.param(["verify-dist", "--trials", "1000"], None, "abc", id="verify-dist-threads"),
     pytest.param(["circles-demo", "--cloud-points", "-1", "--steps", "10"], None, None,
                  id="circles-demo-negative-cloud"),
+    pytest.param(["gen-data", "--kind", "bogus"], None, None, id="gen-data-kind-flag"),
+    pytest.param(["gen-data"], '{"kind": "bogus"}', None, id="gen-data-kind-config"),
+    pytest.param(["verify-dist", "--mode", "bogus"], None, None, id="verify-dist-mode-flag"),
+    pytest.param(["verify-dist"], '{"mode": "bogus"}', None, id="verify-dist-mode-config"),
+    pytest.param(["train"], _train_cfg_text("hidden_dims", '"64"'), None,
+                 id="train-hidden-dims-string"),
+    pytest.param(["train"], _train_cfg_text("hidden_dims", "[4.7]"), None,
+                 id="train-hidden-dims-float"),
+    pytest.param(["train"], _train_cfg_text("hidden_dims", "[true, 8]"), None,
+                 id="train-hidden-dims-bool"),
+    pytest.param(["train"], _train_cfg_text("hidden_dims", '["8"]'), None,
+                 id="train-hidden-dims-string-item"),
+    pytest.param(["train"], _train_cfg_text("hidden_dims", "[0]"), None,
+                 id="train-hidden-dims-zero"),
+    pytest.param(["train"], _train_cfg_text(
+        "loss_params", '{"target_prior": ["0.25", "0.25", "0.25", "0.25"]}'), None,
+                 id="train-target-prior-strings"),
+    pytest.param(["train"], _train_cfg_text("loss_params", '{"target_prior": "uniform"}'),
+                 None, id="train-target-prior-other-string"),
 ])
 def test_bad_input_exits_one_and_writes_nothing(tmp_path, capsys, monkeypatch, argv,
                                                 config_text, threads):

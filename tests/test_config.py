@@ -67,8 +67,11 @@ def test_scalars_take_their_defaults_json_type():
     assert (resolved["rho"], resolved["alpha"], resolved["loss_params"]["gamma"]) == (100, 1, 2)
     assert all(type(v) is float for v in (resolved["rho"], resolved["alpha"],
                                           resolved["loss_params"]["gamma"]))
-    assert resolve_train_config({"hidden_dims": [3], "loss_params": {
-        "target_prior": [0.5, 0.5]}})["hidden_dims"] == [3]
+    resolved = resolve_train_config({"hidden_dims": [3], "loss_params": {
+        "target_prior": [1, 0]}})
+    assert resolved["hidden_dims"] == [3]
+    assert [type(v) for v in resolved["loss_params"]["target_prior"]] == [float, float]
+    assert resolve_train_config(resolved) == resolved
     bad = [({"classes": 4.7}, "classes must be an integer"),
            ({"classes": True}, "classes must be an integer"),
            ({"t1_steps": 10.0}, "t1_steps must be an integer"),
@@ -78,7 +81,13 @@ def test_scalars_take_their_defaults_json_type():
            ({"rho": 10 ** 400}, "rho must be a finite number"),
            ({"mix_mode": 3}, "mix_mode must be a string"),
            ({"loss_params": {"gamma": "x"}}, "loss_params.gamma must be a number"),
-           ({"loss_params": [1]}, "loss_params must be a JSON object")]
+           ({"loss_params": [1]}, "loss_params must be a JSON object"),
+           ({"hidden_dims": "64"}, "hidden_dims must be a list"),
+           ({"hidden_dims": [8, True]}, r"hidden_dims\[1\] must be an integer"),
+           ({"loss_params": {"target_prior": ["0.5", "0.5"]}},
+            r"loss_params.target_prior\[0\] must be a number"),
+           ({"loss_params": {"target_prior": "uniform"}},
+            "loss_params.target_prior must be a list")]
     for raw, message in bad:
         with pytest.raises(ConfigError, match=message):
             resolve_train_config(raw)
