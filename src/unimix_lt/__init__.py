@@ -11,7 +11,7 @@ from .calibration import evaluate_predictions
 from .data import empirical_prior, gen_lt_gaussians
 from .losses import LossSpec
 from .mixing import MixConfig, mc_xi_aug_histogram
-from .model import LRSchedule, TrainConfig, predict_proba, train_two_phase
+from .model import TrainConfig, predict_proba, train_two_phase
 from .theory import LTSpec, discrete_lt_prior
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["EvalBatchStats", "CalibrationReport", "evaluate_predictions"]
+__all__ = ["CalibrationReport", "evaluate_predictions"]
 
 DEFAULT_BINS = 15
 DEFAULT_TACE_THRESHOLD = 1e-3
@@ -154,24 +154,10 @@ def _confusion(pred, y, c: int):
     return counts, np.log1p(counts.astype(np.float64))
 
 
-@dataclass(frozen=True)
-class EvalBatchStats:
-    """Accuracy and mean winning score of one evaluation chunk."""
-
-    accuracy: float
-    confidence: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.accuracy <= 1.0 and 0.0 <= self.confidence <= 1.0):
-            raise ValueError("accuracy and confidence must lie in [0, 1]")
-
-
-def _density(conf, correct, batch_size: int) -> list[EvalBatchStats]:
-    out = []
-    for start in range(0, conf.shape[0], batch_size):
-        chunk = slice(start, start + batch_size)
-        out.append(EvalBatchStats(float(correct[chunk].mean()), float(conf[chunk].mean())))
-    return out
+def _density(conf, correct, batch_size: int) -> list[tuple[float, float]]:
+    return [(float(conf[start:start + batch_size].mean()),
+             float(correct[start:start + batch_size].mean()))
+            for start in range(0, conf.shape[0], batch_size)]
 
 
 @dataclass(eq=False)
@@ -187,6 +173,7 @@ class CalibrationReport:
     class probability. reliability holds per-bin (lo, hi, count, accuracy,
     confidence), zeros for an empty bin; confusion counts rows by true
     label and columns by prediction, and confusion_log is ln(1 + counts).
+    density holds the (mean confidence, accuracy) of each chunk of rows.
     """
 
     accuracy: float
@@ -199,7 +186,7 @@ class CalibrationReport:
     reliability: list[tuple[float, float, int, float, float]]
     confusion: np.ndarray
     confusion_log: np.ndarray
-    density: list[EvalBatchStats]
+    density: list[tuple[float, float]]
 
     def scalars(self) -> dict[str, float]:
         return {
@@ -222,7 +209,8 @@ def evaluate_predictions(preds, labels, num_bins: int = DEFAULT_BINS,
     Binned metrics use `num_bins` confidence bins, ACE and TACE use
     `num_ranges` equal-count ranges per class, and TACE first discards
     probabilities below `tace_threshold`, which must lie in [0, 1).
-    The density points average sequential chunks of `density_batch` rows.
+    The density points average the winning score and the 0/1 correctness
+    over sequential chunks of `density_batch` rows.
     """
     p, y = _check_inputs(preds, labels)
     for unit, count in (("bin", num_bins), ("range", num_ranges)):

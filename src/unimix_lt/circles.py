@@ -8,8 +8,9 @@ reflections of each other through the origin, the ideal boundary passes
 through the origin with normal parallel to the positive-disk center
 (y = -x for the default center (2, 2)).
 
-Deviation from ideal is summarized as angle_error_deg + 10 * |offset at
-origin|; both raw components are reported alongside the single score.
+Deviation from ideal is summarized by `BoundaryResult.deviation`,
+angle_error_deg + 10 * |offset at origin|, which ranks scenarios;
+circles-demo's boundary.csv reports the two raw components, not the score.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from .data import Dataset, TwoCircleSpec, empirical_prior, gen_two_circles
 from .losses import LossSpec
 from .mixing import MixConfig, mix_batch
-from .model import LRSchedule, TrainConfig, train_two_phase
+from .model import TrainConfig, train_two_phase
 from .sampling import inverse_prior
 from .streams import derive_rng
 
@@ -68,7 +69,7 @@ def _scenario_config(scenario: str, seed: int, steps: int, batch_size: int,
         t1_steps=t1,
         t2_steps=steps,
         batch_size=batch_size,
-        lr=LRSchedule.scaled(lr, steps),
+        lr=lr,
         mix=mix,
         loss=LossSpec(kind="ce"),
         seed=seed,
@@ -94,10 +95,10 @@ def scenario_data(spec: TwoCircleSpec, scenario: str) -> Dataset:
     return gen_two_circles(replace(spec, n_neg=spec.n_pos) if scenario == "balanced" else spec)
 
 
-def run_circles(spec: TwoCircleSpec, scenario: str, steps: int = 400,
+def run_circles(spec: TwoCircleSpec, scenario: str, ds: Dataset, steps: int = 400,
                 batch_size: int = 64, lr: float = 0.5) -> BoundaryResult:
-    """Train one scenario and measure its boundary against the ideal one."""
-    ds = scenario_data(spec, scenario)
+    """Train one scenario on `ds`, its training set `scenario_data(spec, scenario)`,
+    and measure the boundary against the ideal one."""
     cfg = _scenario_config(scenario, spec.seed, steps, batch_size, lr)
     params, _ = train_two_phase(ds, cfg)
     normal, bias, angle, offset = _boundary(params, spec.center)

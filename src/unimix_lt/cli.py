@@ -39,10 +39,6 @@ __all__ = ["main", "entrypoint"]
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
@@ -175,7 +171,7 @@ def _closed_form_histogram(spec: LTSpec, mode: str) -> np.ndarray:
         return discrete_lt_prior(spec)
     grid = np.arange(1, spec.num_classes + 1, dtype=np.float64)
     fn = factor_density if mode == "unimix_factor_only" else unimix_density
-    values = np.asarray(fn(grid, spec))
+    values = fn(grid, spec)
     return values / values.sum()
 
 
@@ -189,12 +185,13 @@ def cmd_verify_dist(args) -> int:
     resolved["resolution"] = resolved["resolution"] or classes
     spec = LTSpec(num_classes=classes, rho=resolved["rho"], tau=tau)
 
+    # first, so a mode whose own closed form is undefined fails before the Monte Carlo
+    closed = _closed_form_histogram(spec, mode)
     curves = emit_density_curves(spec, resolved["resolution"])
     curve_rows = [(c.kind, y, d) for c in curves for y, d in zip(c.y, c.density)]
     config = MixConfig(alpha=resolved["alpha"], mode=mode, tau=tau)
     hist = mc_xi_aug_histogram(discrete_lt_prior(spec), config, resolved["trials"],
                                resolved["seed"], streams=resolved["streams"])
-    closed = _closed_form_histogram(spec, mode)
     hist_rows = [(k + 1, hist[k], closed[k]) for k in range(classes)]
     return _commit(args, resolved, {
         "curves.csv": (_write_csv, ["kind", "y", "density"], curve_rows),
@@ -245,7 +242,7 @@ def cmd_eval(args) -> int:
         "confusion_log.csv": (_write_csv, header,
                               [(k, *report.confusion_log[k]) for k in range(c)]),
         "density.csv": (_write_csv, ["batch", "conf", "acc"],
-                        [(i, s.confidence, s.accuracy) for i, s in enumerate(report.density)])})
+                        [(i, *point) for i, point in enumerate(report.density)])})
 
 
 # ------------------------------------------------------------- circles-demo
@@ -259,11 +256,11 @@ def cmd_circles_demo(args) -> int:
     spec = _circle_spec(resolved)
     boundary_rows, point_rows = [], []
     for scenario in SCENARIOS:
-        r = run_circles(spec, scenario, steps=resolved["steps"],
+        ds = scenario_data(spec, scenario)
+        r = run_circles(spec, scenario, ds, steps=resolved["steps"],
                         batch_size=resolved["batch_size"], lr=resolved["lr"])
         boundary_rows.append((scenario, r.weight[0], r.weight[1], r.bias, r.angle_error_deg,
                               r.offset))
-        ds = scenario_data(spec, scenario)
         for (x, y), label in zip(ds.features, ds.labels):
             point_rows.append((scenario, x, y, int(label), 0))
         cloud = virtual_cloud(ds, scenario, resolved["cloud_points"], resolved["seed"])

@@ -17,7 +17,7 @@ from .data import empirical_prior, gen_lt_gaussians
 from .errors import ConfigError
 from .losses import LOSS_KINDS, LossSpec
 from .mixing import MIX_MODES, MixConfig
-from .model import LRSchedule, TrainConfig
+from .model import TrainConfig
 from .theory import check_prior
 
 __all__ = ["resolve_config", "resolve_train_config", "build_training_run", "load_config"]
@@ -139,7 +139,7 @@ def build_training_run(cfg: dict):
             t1_steps=cfg["t1_steps"],
             t2_steps=cfg["t2_steps"],
             batch_size=cfg["batch_size"],
-            lr=LRSchedule.scaled(cfg["lr"], cfg["t2_steps"]),
+            lr=cfg["lr"],
             mix=MixConfig(alpha=cfg["alpha"], mode=cfg["mix_mode"], tau=cfg["tau"]),
             loss=_loss_spec(cfg, ds.class_counts, prior),
             seed=cfg["seed"],

@@ -46,8 +46,10 @@ _PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n\r\x0b\x0c"
 
 @dataclass(eq=False)
 class Dataset:
-    """Immutable labeled feature set: N x d features, integer labels in [0, C).
+    """Immutable labeled feature set: N x d features, non-negative integer labels.
 
+    The class count C is the largest label + 1, and `class_counts[k]` the
+    number of samples labeled k (zero for a label that never occurs).
     `class_order` lists the sample indices sorted by class (ascending within
     a class) and `class_starts[k]` is where class k begins in it, so class
     k's members are `class_order[class_starts[k]:class_starts[k] + n_k]`.
@@ -55,24 +57,20 @@ class Dataset:
 
     features: np.ndarray
     labels: np.ndarray
-    class_counts: np.ndarray
+    class_counts: np.ndarray = field(init=False)
     class_order: np.ndarray = field(init=False, repr=False)
     class_starts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        self.class_counts = np.asarray(self.class_counts, dtype=np.int64)
         if self.features.ndim != 2 or self.labels.ndim != 1:
             raise ValueError("features must be N x d and labels a vector")
         if self.features.shape[0] != self.labels.shape[0]:
             raise ValueError("features and labels disagree on sample count")
-        c = self.class_counts.shape[0]
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= c):
-            raise ValueError(f"labels must lie in [0, {c})")
-        hist = np.bincount(self.labels, minlength=c)
-        if not np.array_equal(hist, self.class_counts):
-            raise ValueError("class_counts does not match the label histogram")
+        if self.labels.size and self.labels.min() < 0:
+            raise ValueError("labels must be non-negative")
+        self.class_counts = np.bincount(self.labels)
         self.class_order = np.argsort(self.labels, kind="stable")
         self.class_starts = np.cumsum(self.class_counts) - self.class_counts
 
@@ -152,7 +150,7 @@ def gen_lt_gaussians(num_classes: int, rho: float, n_max: int, dims: int,
     for k in range(num_classes):
         feats.append(means[k] + cluster_spread * rng.standard_normal((counts[k], dims)))
         labels.append(np.full(counts[k], k, dtype=np.int64))
-    return Dataset(np.concatenate(feats), np.concatenate(labels), counts)
+    return Dataset(np.concatenate(feats), np.concatenate(labels))
 
 
 @dataclass(frozen=True)
@@ -189,7 +187,7 @@ def gen_two_circles(spec: TwoCircleSpec) -> Dataset:
     neg = _uniform_disk(rng, spec.n_neg, (-x0, -y0), spec.radius)
     features = np.concatenate([pos, neg])
     labels = np.concatenate([np.zeros(spec.n_pos, np.int64), np.ones(spec.n_neg, np.int64)])
-    return Dataset(features, labels, np.array([spec.n_pos, spec.n_neg]))
+    return Dataset(features, labels)
 
 
 def empirical_prior(ds: Dataset) -> np.ndarray:
@@ -240,7 +238,7 @@ def load_csv(path, max_classes: int | None = None) -> Dataset:
         features = np.ascontiguousarray(table["f"])
         labels = np.ascontiguousarray(table["y"])
         if np.isfinite(features).all() and (labels >= 0).all() and (labels < limit).all():
-            return _dataset(features, labels)
+            return Dataset(features, labels)
     return _load_lines(path, limit)
 
 
@@ -334,8 +332,4 @@ def _load_lines(path, limit: int = _MAX_LABEL + 1) -> Dataset:
     bad_rows = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if bad_rows.size:
         raise ValueError(f"{path}:{bad_rows[0] + 2}: features must be finite")
-    return _dataset(features, np.asarray(labels, dtype=np.int64))
-
-
-def _dataset(features: np.ndarray, labels: np.ndarray) -> Dataset:
-    return Dataset(features, labels, np.bincount(labels, minlength=labels.max() + 1))
+    return Dataset(features, labels)

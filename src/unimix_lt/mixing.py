@@ -9,7 +9,8 @@ the factor is xi* = frac(xi_beta + c). The shift moves the Beta density's
 mass to peak at c and its vicinity, which is exactly the piecewise form
 obtained by splitting the Beta density at c; the rarer class of the pair
 then tends to receive the dominant mixing weight. The cyclic shift is the
-unique sampling rule with that density.
+unique sampling rule with that density. The Beta draws, the shift and
+the factor all work on arrays, one entry per pair.
 
 `mix_batch` is the one pair-draw-and-mix step: it draws the first pair
 members by the prior and the second by the pair prior, picks each pair's
@@ -22,6 +23,8 @@ blocks of 2^16 pairs from three generators placed where the first
 members, the second members and the factors of the whole stream begin
 (0, trials and 2 * trials 64-bit outputs in), so memory stays flat in the
 trial count and the counts are those of whole-array draws, bit for bit.
+The streams run on one thread pool, a single stream included, and their
+counts add up in stream order, so the worker count never changes them.
 """
 
 from __future__ import annotations
@@ -73,31 +76,27 @@ class MixConfig:
         return self.tau if self.mode == "unimix_full" else 1.0
 
 
-def sample_beta(alpha: float, rng: np.random.Generator, size=None):
-    """Beta(alpha, alpha) draw(s); alpha = 1 is uniform on [0, 1]."""
+def sample_beta(alpha: float, rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
+    """An array of `size` Beta(alpha, alpha) draws; alpha = 1 is uniform on [0, 1]."""
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     return rng.beta(alpha, alpha, size=size)
 
 
-def cyclic_shift(xi, c):
+def cyclic_shift(xi: np.ndarray, c: np.ndarray) -> np.ndarray:
     """frac(xi + c) on [0, 1), implemented so c = 0 returns xi bit-for-bit."""
-    out = np.asarray(xi, dtype=np.float64) + np.asarray(c, dtype=np.float64)
-    out = np.where(out >= 1.0, out - 1.0, out)
-    return out if out.ndim else float(out)
+    out = xi + c
+    return np.where(out >= 1.0, out - 1.0, out)
 
 
-def unimix_factor(pi_i, pi_j, alpha: float, rng: np.random.Generator):
-    """Prior-aware mixing weight(s) for pair priors (pi_i, pi_j).
-
-    Accepts scalars or equal-length arrays; one Beta draw per pair.
-    """
-    pi_i = np.asarray(pi_i, dtype=np.float64)
-    pi_j = np.asarray(pi_j, dtype=np.float64)
+def unimix_factor(pi_i: np.ndarray, pi_j: np.ndarray, alpha: float,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Prior-aware mixing weights for equal-length arrays of pair priors
+    (pi_i, pi_j); one Beta draw per pair."""
     if (pi_i <= 0).any() or (pi_j <= 0).any():
         raise ValueError("pair priors must be strictly positive")
     c = pi_j / (pi_i + pi_j)
-    return cyclic_shift(sample_beta(alpha, rng, size=None if c.ndim == 0 else c.shape), c)
+    return cyclic_shift(sample_beta(alpha, rng, size=c.shape), c)
 
 
 def _factor(mix: MixConfig, prior: np.ndarray, y_i: np.ndarray, y_j: np.ndarray,
@@ -183,12 +182,8 @@ def mc_xi_aug_histogram(ds_prior: np.ndarray, config: MixConfig, trials: int,
     pair_prior = inverse_prior(prior, config.pair_tau)
     sizes = [trials // streams + (1 if k < trials % streams else 0) for k in range(streams)]
     jobs = [(size, derive_rng(seed, "mc", k)) for k, size in enumerate(sizes) if size > 0]
-    max_workers = _max_workers()
-    if len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=min(len(jobs), max_workers)) as pool:
-            parts = list(pool.map(
-                lambda job: _mc_chunk(prior, pair_prior, config, job[0], job[1]), jobs))
-    else:
-        parts = [_mc_chunk(prior, pair_prior, config, size, rng) for size, rng in jobs]
+    with ThreadPoolExecutor(max_workers=min(len(jobs), _max_workers())) as pool:
+        parts = list(pool.map(
+            lambda job: _mc_chunk(prior, pair_prior, config, job[0], job[1]), jobs))
     counts = np.sum(parts, axis=0)
     return check_prior(counts / trials)

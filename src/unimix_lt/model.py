@@ -28,7 +28,6 @@ from .streams import derive_rng
 
 __all__ = [
     "MLPParams",
-    "LRSchedule",
     "TrainConfig",
     "init_params",
     "forward",
@@ -108,20 +107,18 @@ def _forward_cached(params: MLPParams, x: np.ndarray):
 
 
 def forward(params: MLPParams, x: np.ndarray) -> np.ndarray:
-    """Logits for a single sample (d,) or a batch (N, d).
+    """Logits (N, C) of a batch (N, d).
 
     Keeps no activations: each layer's bias add and rectifier run in place
     and the previous activation is dropped once it is used.
     """
-    x = np.asarray(x, dtype=np.float64)
-    h = np.atleast_2d(x)
     last = len(params.layers) - 1
     for l, (w, b) in enumerate(params.layers):
-        h = h @ w
-        h += b
+        x = x @ w
+        x += b
         if l < last:
-            np.maximum(h, 0.0, out=h)
-    return h[0] if x.ndim == 1 else h
+            np.maximum(x, 0.0, out=x)
+    return x
 
 
 def _backward_cached(params: MLPParams, acts, grad_logits, grads: MLPParams) -> MLPParams:
@@ -151,41 +148,15 @@ def sgd_step(params: MLPParams, grad: np.ndarray, velocity: np.ndarray, lr: floa
     params.flat -= lr * velocity
 
 
-@dataclass(frozen=True)
-class LRSchedule:
-    """Linear warmup to the base rate, then multiplicative step decays."""
-
-    base: float
-    warmup_steps: int = 0
-    decay_steps: tuple[int, ...] = ()
-    decay_factor: float = 0.01
-
-    def at(self, step: int) -> float:
-        lr = self.base
-        if self.warmup_steps > 0 and step < self.warmup_steps:
-            lr *= (step + 1) / self.warmup_steps
-        for d in self.decay_steps:
-            if step >= d:
-                lr *= self.decay_factor
-        return lr
-
-    @staticmethod
-    def scaled(base: float, total_steps: int) -> "LRSchedule":
-        """Default shape: 2.5% warmup, x0.01 decays at 80% and 90% of the run."""
-        return LRSchedule(
-            base=base,
-            warmup_steps=int(round(0.025 * total_steps)),
-            decay_steps=(int(0.8 * total_steps), int(0.9 * total_steps)),
-            decay_factor=0.01,
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class TrainConfig:
+    """A two-phase run: mixed batches before step `t1_steps`, plain ones up to
+    `t2_steps`. `lr` is the base learning rate; `lr_at` gives each step's."""
+
     t1_steps: int
     t2_steps: int
     batch_size: int
-    lr: LRSchedule
+    lr: float
     mix: MixConfig
     loss: LossSpec
     seed: int
@@ -202,6 +173,18 @@ class TrainConfig:
             raise ValueError("momentum must be in [0, 1)")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be >= 0")
+
+    def lr_at(self, step: int) -> float:
+        """The base rate, warmed up linearly over the first 2.5% of `t2_steps`,
+        then multiplied by 0.01 from 80% and again from 90% of them."""
+        lr = self.lr
+        warmup = int(round(0.025 * self.t2_steps))
+        if step < warmup:
+            lr *= (step + 1) / warmup
+        for decay in (int(0.8 * self.t2_steps), int(0.9 * self.t2_steps)):
+            if step >= decay:
+                lr *= 0.01
+        return lr
 
 
 def train_two_phase(ds: Dataset, cfg: TrainConfig):
@@ -225,7 +208,7 @@ def train_two_phase(ds: Dataset, cfg: TrainConfig):
     log: list[tuple[int, int, float, float]] = []
     n = cfg.batch_size
     for step in range(cfg.t2_steps):
-        lr = cfg.lr.at(step)
+        lr = cfg.lr_at(step)
         if step < cfg.t1_steps:
             x, y_i, y_j, xi = mix_batch(ds, prior, pair_prior, cfg.mix, n,
                                         rng_batch, rng_pair, rng_mix)
@@ -259,7 +242,8 @@ def train_two_phase(ds: Dataset, cfg: TrainConfig):
 
 
 def predict_proba(params: MLPParams, x: np.ndarray) -> np.ndarray:
-    """Raw softmax probabilities; margins are never applied at inference.
+    """Raw softmax probabilities (N, C) of a batch (N, d); margins are never
+    applied at inference.
 
     The logits are normalised in place with the arithmetic of
     `losses.softmax`, so the result is the only N x C array.

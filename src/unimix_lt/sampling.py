@@ -96,8 +96,6 @@ def draw_batch(ds: Dataset, prior: np.ndarray, batch_size: int,
     if ((p > 0) & (ds.class_counts == 0)).any():
         bad = np.flatnonzero((p > 0) & (ds.class_counts == 0)).tolist()
         raise ValueError(f"prior puts mass on empty classes {bad}")
-    if batch_size == 0:
-        return np.empty((0, ds.dims)), np.empty(0, dtype=np.int64)
     classes = draw_classes(p, batch_size, rng)
     offsets = rng.random(batch_size)
     within = (offsets * ds.class_counts[classes]).astype(np.int64)

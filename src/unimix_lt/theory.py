@@ -19,9 +19,10 @@ weight >= 0.5), under three augmentation pipelines:
 
 The discrete prior is used for sampling and training; the continuous
 evaluators exist to validate the Monte Carlo pipeline and to emit curve
-data. The middle- and tail-majority forms are derived with a hard
-threshold approximation, so they are shape oracles for the empirical
-histograms, not exact targets.
+data. Each takes an array of class indices in [1, C] and returns the
+density at each of them. The middle- and tail-majority forms are
+derived with a hard threshold approximation, so they are shape oracles
+for the empirical histograms, not exact targets.
 """
 
 from __future__ import annotations
@@ -127,17 +128,17 @@ def continuous_lt_density(y, spec: LTSpec):
     y = _check_domain(y, spec)
     lam, c = spec.lam, spec.num_classes
     if lam == 0.0:
-        out = np.full_like(y, 1.0 / (c - 1))
-    else:
-        out = lam / (math.exp(-lam) - math.exp(-lam * c)) * np.exp(-lam * y)
-    return out if out.ndim else float(out)
+        return np.full_like(y, 1.0 / (c - 1))
+    return lam / (math.exp(-lam) - math.exp(-lam * c)) * np.exp(-lam * y)
 
 
-def _require_imbalanced(spec: LTSpec) -> float:
-    lam = spec.lam
-    if lam == 0.0:
-        raise ValueError("mixed-sample closed forms require rho > 1")
-    return lam
+def _undefined(kind: str, spec: LTSpec) -> str:
+    """Why the `kind` curve has no closed form at `spec`; empty when it has one."""
+    if kind in ("unimix_factor", "unimix_full") and spec.lam == 0.0:
+        return "mixed-sample closed forms require rho > 1"
+    if kind == "unimix_full" and spec.tau == 0.0:
+        return "closed-form mixed density is undefined at tau = 0"
+    return ""
 
 
 def factor_density(y, spec: LTSpec):
@@ -153,12 +154,12 @@ def factor_density(y, spec: LTSpec):
     interior maximum at y = ln(2)/lam + 1: the middle-majority shape.
     """
     y = _check_domain(y, spec)
-    lam = _require_imbalanced(spec)
-    c = spec.num_classes
+    if reason := _undefined("unimix_factor", spec):
+        raise ValueError(reason)
+    lam, c = spec.lam, spec.num_classes
     d = math.exp(-lam) - math.exp(-lam * c)
     raw = lam / d**2 * (np.exp(-lam * (y + 1.0)) - np.exp(-2.0 * lam * y))
-    out = 2.0 * raw
-    return out if out.ndim else float(out)
+    return 2.0 * raw
 
 
 def unimix_density(y, spec: LTSpec):
@@ -177,10 +178,9 @@ def unimix_density(y, spec: LTSpec):
     form is undefined there.
     """
     y = _check_domain(y, spec)
-    lam = _require_imbalanced(spec)
-    tau, c = spec.tau, spec.num_classes
-    if tau == 0.0:
-        raise ValueError("closed-form mixed density is undefined at tau = 0")
+    if reason := _undefined("unimix_full", spec):
+        raise ValueError(reason)
+    lam, tau, c = spec.lam, spec.tau, spec.num_classes
     numer = np.exp(-lam * y * (tau + 1.0)) - np.exp(-lam * (tau + y))
     # analytic integral of `numer` over [1, C]
     if tau == -1.0:
@@ -190,8 +190,7 @@ def unimix_density(y, spec: LTSpec):
             lam * (tau + 1.0)
         )
     term2 = math.exp(-lam * tau) * (math.exp(-lam) - math.exp(-lam * c)) / lam
-    out = numer / (term1 - term2)
-    return out if out.ndim else float(out)
+    return numer / (term1 - term2)
 
 
 @dataclass(frozen=True)
@@ -213,9 +212,10 @@ _KIND_TO_DENSITY = {
 
 
 def emit_density_curves(spec: LTSpec, resolution: int) -> list[DensityCurve]:
-    """All four density curves sampled on a uniform grid over [1, C]."""
+    """The curves of `CURVE_KINDS` defined at `spec` (the mixed-class ones need
+    rho > 1, inverse pairing also tau != 0), on a uniform grid over [1, C]."""
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
     grid = np.linspace(1.0, float(spec.num_classes), resolution)
-    return [DensityCurve(kind, grid, np.asarray(_KIND_TO_DENSITY[kind](grid, spec)))
-            for kind in CURVE_KINDS]
+    return [DensityCurve(kind, grid, _KIND_TO_DENSITY[kind](grid, spec))
+            for kind in CURVE_KINDS if not _undefined(kind, spec)]

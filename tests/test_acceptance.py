@@ -14,7 +14,7 @@ import pytest
 from scipy import integrate
 
 from unimix_lt.calibration import evaluate_predictions
-from unimix_lt.circles import run_circles
+from unimix_lt.circles import run_circles, scenario_data
 from unimix_lt.cli import main
 from unimix_lt.config import build_training_run, resolve_train_config
 from unimix_lt.data import TwoCircleSpec, gen_lt_gaussians
@@ -242,8 +242,9 @@ def test_criterion_9_boundary_study(tmp_path):
         imb, uni = [], []
         for seed in range(5):
             spec = TwoCircleSpec(seed=seed)
-            imb.append(run_circles(spec, "imbalanced").deviation)
-            uni.append(run_circles(spec, "unimix").deviation)
+            ds = scenario_data(spec, "imbalanced")  # unimix trains on the same set
+            imb.append(run_circles(spec, "imbalanced", ds).deviation)
+            uni.append(run_circles(spec, "unimix", ds).deviation)
         assert np.median(uni) < np.median(imb)
         out = tmp_path / "circles"
         assert main(["circles-demo", "--out", str(out), "--seed", "0"]) == 0

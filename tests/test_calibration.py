@@ -174,9 +174,9 @@ def test_batch_density_calibrated_predictor_on_diagonal():
     conf = rng.uniform(0.5, 1.0, n)
     labels = (rng.random(n) >= conf).astype(int)  # label 0 with prob conf
     preds = np.column_stack([conf, 1 - conf])
-    for stats in evaluate_predictions(preds, labels, density_batch=m).density:
+    for confidence, accuracy in evaluate_predictions(preds, labels, density_batch=m).density:
         sigma = math.sqrt(np.mean(conf * (1 - conf)) / m)
-        assert abs(stats.accuracy - stats.confidence) < 4 * sigma
+        assert abs(accuracy - confidence) < 4 * sigma
 
 
 def test_permutation_invariance():
@@ -333,7 +333,7 @@ def report_oracle(preds, labels, num_bins, density_batch):
     confusion = np.zeros((c, c), dtype=np.int64)
     for label, guess in zip(labels, top):
         confusion[label, guess] += 1
-    density = [(np.mean(correct[i:i + density_batch]), np.mean(conf[i:i + density_batch]))
+    density = [(np.mean(conf[i:i + density_batch]), np.mean(correct[i:i + density_batch]))
                for i in range(0, n, density_batch)]
     return {
         "scalars": {"accuracy": sum(correct) / n, "ece": ece, "mce": mce, "sce": sce,
@@ -361,7 +361,7 @@ def test_evaluate_predictions_matches_separate_metrics(seed):
             assert report.reliability == expected["reliability"]
             assert np.array_equal(report.confusion, expected["confusion"])
             assert np.array_equal(report.confusion_log, np.log1p(expected["confusion"]))
-            assert [(s.accuracy, s.confidence) for s in report.density] == expected["density"]
+            assert report.density == expected["density"]
 
 
 def test_evaluate_predictions_validates_once(monkeypatch):

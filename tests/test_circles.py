@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
-from unimix_lt.circles import BoundaryResult, run_circles, virtual_cloud
+from unimix_lt import circles, cli
+from unimix_lt.circles import BoundaryResult, run_circles, scenario_data, virtual_cloud
 from unimix_lt.data import TwoCircleSpec, gen_two_circles
+
+
+def _run(spec, scenario):
+    return run_circles(spec, scenario, scenario_data(spec, scenario))
 
 
 def test_boundary_result_validation():
@@ -13,13 +18,13 @@ def test_boundary_result_validation():
 
 
 def test_balanced_scenario_near_ideal_boundary():
-    r = run_circles(TwoCircleSpec(seed=0), "balanced")
+    r = _run(TwoCircleSpec(seed=0), "balanced")
     assert r.angle_error_deg < 10.0
 
 
 def test_imbalanced_scenario_worse_than_balanced():
-    bal = run_circles(TwoCircleSpec(seed=0), "balanced")
-    imb = run_circles(TwoCircleSpec(seed=0), "imbalanced")
+    bal = _run(TwoCircleSpec(seed=0), "balanced")
+    imb = _run(TwoCircleSpec(seed=0), "imbalanced")
     assert imb.deviation > bal.deviation
 
 
@@ -27,14 +32,28 @@ def test_unimix_beats_imbalanced_median_over_seeds():
     imb, uni = [], []
     for seed in range(5):
         spec = TwoCircleSpec(seed=seed)
-        imb.append(run_circles(spec, "imbalanced").deviation)
-        uni.append(run_circles(spec, "unimix").deviation)
+        ds = scenario_data(spec, "imbalanced")  # unimix trains on the same set
+        imb.append(run_circles(spec, "imbalanced", ds).deviation)
+        uni.append(run_circles(spec, "unimix", ds).deviation)
     assert np.median(uni) < np.median(imb)
 
 
 def test_unknown_scenario_rejected():
     with pytest.raises(ValueError):
-        run_circles(TwoCircleSpec(seed=0), "remix")
+        _run(TwoCircleSpec(seed=0), "remix")
+
+
+def test_circles_demo_builds_each_scenario_set_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(spec):
+        calls.append(spec)
+        return gen_two_circles(spec)
+
+    monkeypatch.setattr(circles, "gen_two_circles", counting)
+    assert cli.main(["circles-demo", "--steps", "5", "--cloud-points", "3",
+                     "--out", str(tmp_path / "demo")]) == 0
+    assert len(calls) == len(circles.SCENARIOS) == 4
 
 
 def test_virtual_cloud_shapes():

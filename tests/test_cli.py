@@ -17,6 +17,7 @@ from unimix_lt.cli import build_parser, main
 from unimix_lt.config import resolve_config
 from unimix_lt.data import load_csv
 from unimix_lt.model import init_params, save_model
+from unimix_lt.theory import CURVE_KINDS, LTSpec, discrete_lt_prior
 
 TINY_TRAIN = {
     "classes": 4, "rho": 10.0, "n_max": 40, "dims": 4,
@@ -157,6 +158,37 @@ def test_verify_dist_shapes(tmp_path):
 def test_verify_dist_rejects_tau_zero_full(tmp_path):
     assert main(["verify-dist", "--out", str(tmp_path / "x"), "--classes", "10",
                  "--rho", "10", "--tau", "0", "--trials", "100"]) == 1
+
+
+# The factor curve needs rho > 1; the full one also tau != 0. A run fails only
+# when its own mode's reference column is undefined.
+@pytest.mark.parametrize("mode,rho,tau,kinds", [
+    ("mixup", "10", "0", CURVE_KINDS[:3]),
+    ("factor", "10", "0", CURVE_KINDS[:3]),
+    ("full", "10", "0", None),
+    ("mixup", "1", "-1", CURVE_KINDS[:2]),
+    ("factor", "1", "-1", None),
+    ("full", "1", "-1", None),
+    ("mixup", "1", "0", CURVE_KINDS[:2]),
+    ("full", "10", "-1", CURVE_KINDS),
+])
+def test_verify_dist_writes_the_curves_defined_at_rho_and_tau(tmp_path, capsys, mode, rho,
+                                                              tau, kinds):
+    out = tmp_path / "vd"
+    rc = main(["verify-dist", "--out", str(out), "--classes", "10", "--rho", rho,
+               "--tau", tau, "--mode", mode, "--trials", "1000"])
+    if kinds is None:
+        assert rc == 1 and not out.exists()
+        err = capsys.readouterr().err
+        assert ("require rho > 1" if rho == "1" else "undefined at tau = 0") in err
+        return
+    assert rc == 0
+    rows = [line.split(",") for line in (out / "curves.csv").read_text().splitlines()[1:]]
+    assert tuple(kind for kind, _, _ in rows[::10]) == kinds
+    closed = [float(line.split(",")[2])
+              for line in (out / "histogram.csv").read_text().splitlines()[1:]]
+    if mode == "mixup":
+        assert closed == discrete_lt_prior(LTSpec(10, float(rho))).tolist()
 
 
 def test_train_then_eval_pipeline(tmp_path):

@@ -159,14 +159,22 @@ def test_load_csv_empty(tmp_path):
 
 
 def test_dataset_validation():
-    with pytest.raises(ValueError):
-        Dataset(np.zeros((3, 2)), np.array([0, 1, 5]), np.array([1, 1, 1]))
-    with pytest.raises(ValueError):
-        Dataset(np.zeros((3, 2)), np.array([0, 1, 1]), np.array([2, 1]))
+    with pytest.raises(ValueError, match="non-negative"):
+        Dataset(np.zeros((3, 2)), np.array([0, -1, 1]))
+    with pytest.raises(ValueError, match="sample count"):
+        Dataset(np.zeros((3, 2)), np.array([0, 1]))
+    with pytest.raises(ValueError, match="N x d"):
+        Dataset(np.zeros(3), np.array([0, 1, 1]))
+
+
+def test_dataset_counts_every_label_up_to_the_largest():
+    ds = Dataset(np.zeros((4, 2)), np.array([3, 0, 3, 1]))
+    assert ds.class_counts.tolist() == [1, 1, 0, 2] and ds.num_classes == 4
+    assert ds.class_counts.dtype == np.int64
 
 
 def test_empirical_prior_empty_class():
-    ds = Dataset(np.zeros((3, 2)), np.array([0, 0, 2]), np.array([2, 0, 1]))
+    ds = Dataset(np.zeros((3, 2)), np.array([0, 0, 2]))
     with pytest.raises(ValueError, match="no samples"):
         empirical_prior(ds)
 
@@ -280,7 +288,7 @@ def _special_datasets():
     yield gen_two_circles(TwoCircleSpec(n_pos=30, n_neg=5, seed=4))
     extremes = np.array([[-0.0, 5e-324], [1.797e308, -2.2250738585072014e-308],
                          [1e-05, 123456789.0], [0.1, -1e22]])
-    yield Dataset(extremes, np.array([0, 2, 2, 0]), np.array([2, 0, 2]))
+    yield Dataset(extremes, np.array([0, 2, 2, 0]))
 
 
 @pytest.mark.parametrize("ds", list(_special_datasets()), ids=["gaussians", "circles",
@@ -337,7 +345,7 @@ def test_save_load_round_trip_fuzz(tmp_path, csv_writer_save_csv, shape, data_):
                        st.sampled_from(_SPECIAL))
     features = data_.draw(hnp.arrays(np.float64, shape, elements=floats))
     labels = data_.draw(hnp.arrays(np.int64, shape[0], elements=st.integers(0, 3)))
-    ds = Dataset(features, labels, np.bincount(labels, minlength=labels.max() + 1))
+    ds = Dataset(features, labels)
     path = tmp_path / "data.csv"
     save_csv(ds, path)
     csv_writer_save_csv(ds, tmp_path / "oracle.csv")

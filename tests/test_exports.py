@@ -28,6 +28,13 @@ def test_readme_library_imports_resolve():
     assert [n for n in names if not hasattr(unimix_lt, n)] == []
 
 
+def test_readme_library_block_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    code = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    assert "'accuracy'" in capsys.readouterr().out
+
+
 def _defines(node, name: str) -> bool:
     """Whether a top-level statement is the def, class or assignment of `name`."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):

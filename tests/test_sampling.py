@@ -123,7 +123,7 @@ def test_draw_batch_inverse_prior_tail_frequency():
     # tail with probability 0.8
     features = np.zeros((100, 2))
     labels = np.array([0] * 80 + [1] * 20)
-    ds = Dataset(features, labels, np.array([80, 20]))
+    ds = Dataset(features, labels)
     prior = inverse_prior(np.array([0.8, 0.2]), -1.0)
     n = 100_000
     _, y = draw_batch(ds, prior, n, derive_rng(11, "t"))
@@ -148,7 +148,7 @@ def test_draw_batch_instance_marginal_uniform():
 
 
 def test_draw_batch_mass_on_empty_class():
-    ds = Dataset(np.zeros((3, 2)), np.array([0, 0, 2]), np.array([2, 0, 1]))
+    ds = Dataset(np.zeros((3, 2)), np.array([0, 0, 2]))
     with pytest.raises(ValueError, match="empty"):
         draw_batch(ds, np.array([0.5, 0.25, 0.25]), 4, derive_rng(0, "t"))
 
@@ -167,11 +167,11 @@ def _oracle_cases():
     rng = np.random.default_rng(20)
     labels = rng.integers(0, 5, 60)
     labels[:5] = np.arange(5)  # every class populated, labels interleaved
-    shuffled = Dataset(rng.standard_normal((60, 3)), labels, np.bincount(labels, minlength=5))
+    shuffled = Dataset(rng.standard_normal((60, 3)), labels)
     singletons = gen_lt_gaussians(8, 500.0, 40, 2, seed=3)  # tail classes hold one sample
     assert np.sum(singletons.class_counts == 1) >= 2
     gaps = np.array([0, 0, 2, 2, 2, 5, 5, 7, 2, 5])  # classes 1, 3, 4 and 6 are empty
-    holes = Dataset(rng.standard_normal((10, 2)), gaps, np.bincount(gaps, minlength=8))
+    holes = Dataset(rng.standard_normal((10, 2)), gaps)
     wide = gen_lt_gaussians(100, 50.0, 120, 4, seed=5)
 
     def empirical(ds):
@@ -209,7 +209,7 @@ def test_class_order_lists_each_class_in_index_order():
 
 
 def test_draw_batch_rejects_bad_priors():
-    ds = Dataset(np.zeros((3, 2)), np.array([0, 0, 2]), np.array([2, 0, 1]))
+    ds = Dataset(np.zeros((3, 2)), np.array([0, 0, 2]))
     with pytest.raises(ValueError, match="empty classes \\[1\\]"):
         draw_batch(ds, np.array([0.5, 0.25, 0.25]), 4, derive_rng(0, "t"))
     with pytest.raises(ValueError, match="class count"):

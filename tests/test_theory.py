@@ -161,6 +161,15 @@ def test_emit_density_curves_contract():
     np.testing.assert_array_equal(by_kind["original"].density, by_kind["mixup"].density)
 
 
+@pytest.mark.parametrize("rho,tau,kinds", [
+    (200.0, 0.0, CURVE_KINDS[:3]), (1.0, -1.0, CURVE_KINDS[:2]), (1.0, 0.0, CURVE_KINDS[:2])])
+def test_emit_density_curves_skips_undefined_closed_forms(rho, tau, kinds):
+    spec = LTSpec(100, rho, tau)
+    curves = emit_density_curves(spec, 50)
+    assert tuple(c.kind for c in curves) == kinds
+    np.testing.assert_array_equal(curves[0].density, continuous_lt_density(curves[0].y, spec))
+
+
 def test_emit_density_curves_trapezoid_mass():
     # original and mixup are exact densities; the grid must be fine enough
     curves = emit_density_curves(SPEC, 4001)
