@@ -25,8 +25,10 @@ import numpy as np
 
 __all__ = ["CalibrationReport", "evaluate_predictions"]
 
+# Defaults of `evaluate_predictions`, and through it of the `eval` command's flags.
 DEFAULT_BINS = 15
 DEFAULT_TACE_THRESHOLD = 1e-3
+DEFAULT_DENSITY_BATCH = 100
 # Upper bound on bins and on ranges; each one costs memory and time per class.
 MAX_BINS = 100_000
 
@@ -203,7 +205,7 @@ class CalibrationReport:
 def evaluate_predictions(preds, labels, num_bins: int = DEFAULT_BINS,
                          num_ranges: int = DEFAULT_BINS,
                          tace_threshold: float = DEFAULT_TACE_THRESHOLD,
-                         density_batch: int = 100) -> CalibrationReport:
+                         density_batch: int = DEFAULT_DENSITY_BATCH) -> CalibrationReport:
     """Full metric suite over one prediction matrix, validated once.
 
     Binned metrics use `num_bins` confidence bins, ACE and TACE use

@@ -95,8 +95,14 @@ def scenario_data(spec: TwoCircleSpec, scenario: str) -> Dataset:
     return gen_two_circles(replace(spec, n_neg=spec.n_pos) if scenario == "balanced" else spec)
 
 
-def run_circles(spec: TwoCircleSpec, scenario: str, ds: Dataset, steps: int = 400,
-                batch_size: int = 64, lr: float = 0.5) -> BoundaryResult:
+# Defaults of `run_circles`, and through it of the circles-demo command's flags.
+DEFAULT_STEPS = 400
+DEFAULT_BATCH_SIZE = 64
+DEFAULT_LR = 0.5
+
+
+def run_circles(spec: TwoCircleSpec, scenario: str, ds: Dataset, steps: int = DEFAULT_STEPS,
+                batch_size: int = DEFAULT_BATCH_SIZE, lr: float = DEFAULT_LR) -> BoundaryResult:
     """Train one scenario on `ds`, its training set `scenario_data(spec, scenario)`,
     and measure the boundary against the ideal one."""
     cfg = _scenario_config(scenario, spec.seed, steps, batch_size, lr)

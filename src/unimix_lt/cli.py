@@ -25,7 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import calibration
-from .circles import SCENARIOS, run_circles, scenario_data, virtual_cloud
+from .circles import (DEFAULT_BATCH_SIZE, DEFAULT_LR, DEFAULT_STEPS, SCENARIOS, run_circles,
+                      scenario_data, virtual_cloud)
 from .config import build_training_run, load_config, resolve_config, resolve_train_config
 from .data import (TwoCircleSpec, gen_lt_gaussians, gen_two_circles, load_csv,
                    save_csv)
@@ -214,8 +215,10 @@ def cmd_train(args) -> int:
 
 # --------------------------------------------------------------------- eval
 
-_EVAL_DEFAULTS = {"model": "", "data": "", "bins": 15, "ranges": 15,
-                  "tace_threshold": 1e-3, "density_batch": 100}
+_EVAL_DEFAULTS = {"model": "", "data": "", "bins": calibration.DEFAULT_BINS,
+                  "ranges": calibration.DEFAULT_BINS,
+                  "tace_threshold": calibration.DEFAULT_TACE_THRESHOLD,
+                  "density_batch": calibration.DEFAULT_DENSITY_BATCH}
 
 
 def cmd_eval(args) -> int:
@@ -247,8 +250,8 @@ def cmd_eval(args) -> int:
 
 # ------------------------------------------------------------- circles-demo
 
-_DEMO_DEFAULTS = {**_CIRCLE_DEFAULTS, "steps": 400, "batch_size": 64, "lr": 0.5,
-                  "cloud_points": 300}
+_DEMO_DEFAULTS = {**_CIRCLE_DEFAULTS, "steps": DEFAULT_STEPS, "batch_size": DEFAULT_BATCH_SIZE,
+                  "lr": DEFAULT_LR, "cloud_points": 300}
 
 
 def cmd_circles_demo(args) -> int:

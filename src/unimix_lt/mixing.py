@@ -23,6 +23,10 @@ blocks of 2^16 pairs from three generators placed where the first
 members, the second members and the factors of the whole stream begin
 (0, trials and 2 * trials 64-bit outputs in), so memory stays flat in the
 trial count and the counts are those of whole-array draws, bit for bit.
+The Beta draws keep that equivalence: alpha = 1/2 and alpha = 1 take
+exactly one uniform per draw (sin^2(pi U / 2) and U), and any other alpha
+takes `rng.beta`'s rejection draws, which are made one element after
+another.
 The streams run on one thread pool, a single stream included, and their
 counts add up in stream order, so the worker count never changes them.
 """
@@ -77,9 +81,21 @@ class MixConfig:
 
 
 def sample_beta(alpha: float, rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
-    """An array of `size` Beta(alpha, alpha) draws; alpha = 1 is uniform on [0, 1]."""
+    """An array of `size` Beta(alpha, alpha) draws.
+
+    Two cases take one uniform U = `rng.random` per draw, each an exact
+    transform: alpha = 1 is U itself, and alpha = 1/2 (the arcsine law) is
+    sin^2(pi U / 2). Every other alpha draws `rng.beta`.
+    """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
+    if alpha == 1.0:
+        return rng.random(size)
+    if alpha == 0.5:
+        u = rng.random(size)
+        u *= np.pi / 2
+        np.sin(u, out=u)
+        return np.square(u, out=u)
     return rng.beta(alpha, alpha, size=size)
 
 
@@ -135,9 +151,9 @@ def _mc_chunk(prior, pair_prior, config, trials, rng):
     The stream is read as if whole `trials`-long arrays were drawn from it
     in turn: first members, second members, then the factors. Each of the
     three generators starts where its array began (one 64-bit output per
-    uniform), and Beta draws are taken one element after another, so
-    blocks of `_MC_BLOCK` pairs draw the same values in the same order
-    while memory stays flat in `trials`.
+    uniform), and Beta draws are one uniform each or, through `rng.beta`,
+    taken one element after another, so blocks of `_MC_BLOCK` pairs draw
+    the same values in the same order while memory stays flat in `trials`.
     """
     rng_j = _advanced(rng, trials)
     rng_mix = _advanced(rng, 2 * trials)

@@ -9,8 +9,8 @@ from scipy import stats
 from unimix_lt import mixing
 from unimix_lt.cli import main
 from unimix_lt.data import Dataset, gen_lt_gaussians
-from unimix_lt.mixing import (MixConfig, cyclic_shift, mc_xi_aug_histogram, mix_batch,
-                              sample_beta, unimix_factor)
+from unimix_lt.mixing import (MIX_MODES, MixConfig, cyclic_shift, mc_xi_aug_histogram,
+                              mix_batch, sample_beta, unimix_factor)
 from unimix_lt.sampling import draw_batch, inverse_prior
 from unimix_lt.streams import derive_rng
 from unimix_lt.theory import LTSpec, discrete_lt_prior
@@ -30,6 +30,24 @@ def test_sample_beta_uniform_ks():
     stat = stats.kstest(draws, "uniform").statistic
     # critical KS value at significance 0.001 for n = 1e6
     assert stat < 1.949 / math.sqrt(1_000_000)
+
+
+def test_sample_beta_arcsine_ks():
+    draws = sample_beta(0.5, derive_rng(0, "beta"), size=1_000_000)
+    stat = stats.kstest(draws, stats.beta(0.5, 0.5).cdf).statistic
+    # critical KS value at significance 0.001 for n = 1e6
+    assert stat < 1.949 / math.sqrt(1_000_000)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_sample_beta_takes_one_uniform_per_draw(alpha):
+    # the blocked Monte Carlo relies on this: n draws leave the stream where
+    # n uniforms would, whatever block sizes the n draws are split into
+    for n in (0, 1, 1000):
+        rng, twin = derive_rng(9, "beta"), derive_rng(9, "beta")
+        sample_beta(alpha, rng, size=n)
+        twin.random(n)
+        assert rng.random() == twin.random()
 
 
 @pytest.mark.parametrize("alpha", [0.2, 0.5, 1.0])
@@ -101,17 +119,16 @@ def test_unimix_factor_rejects_bad_priors():
 
 
 class _FixedBeta:
-    """Stands in for a factor stream: every Beta draw returns `values`."""
+    """Stands in for a factor stream: every draw returns `values`, whichever
+    generator method (`beta` or `random`) the sampler calls."""
 
-    def __init__(self, values, rng=None):
+    def __init__(self, values):
         self.values = np.asarray(values, dtype=np.float64)
-        self.rng = rng
 
-    def beta(self, a, b, size=None):
+    def _draw(self, *args, **kwargs):
         return self.values.copy()
 
-    def random(self, size=None):
-        return self.rng.random(size)
+    beta = random = _draw
 
 
 # one sample per class: first members always class 0, second always class 1
@@ -188,6 +205,44 @@ def test_blocked_mc_counts_match_whole_arrays(mode, alpha, whole_array_mc_chunk,
             assert got.dtype == want.dtype == np.int64
             np.testing.assert_array_equal(got, want, err_msg=f"{trials} trials")
         np.testing.assert_array_equal(hist, sum(got for got, _ in chunks) / trials)
+
+
+def mixed_class_law(prior, pair_prior, alpha, mode):
+    """Exact distribution of the reinforced class of one mixed pair.
+
+    The first member i comes from `prior` and the second j from
+    `pair_prior`. With c = pi_j / (pi_i + pi_j), i wins with probability
+    P_ij = P(frac(beta + c) >= 0.5) = F(1-c) - F(0.5-c) + 1 - F(1.5-c) in
+    the factor modes (F the Beta(alpha, alpha) CDF clipped to [0, 1]),
+    and 1/2 in vanilla mode, where the weight is the symmetric draw itself.
+    """
+    c = prior[None, :] / (prior[:, None] + prior[None, :])
+    if mode == "vanilla_mixup":
+        p_first = np.full_like(c, 0.5)
+    else:
+        p_first = 1.0 - shifted_cdf(0.5, c, alpha)
+    return prior * (p_first @ pair_prior) + pair_prior * ((1.0 - p_first).T @ prior)
+
+
+LAW_TRIALS = 1_000_000
+
+
+@pytest.mark.parametrize("classes,rho", [(10, 10.0), (100, 200.0)])
+@pytest.mark.parametrize("alpha", [0.2, 0.5, 1.0])
+@pytest.mark.parametrize("mode", MIX_MODES)
+def test_mc_histogram_matches_the_exact_mixed_class_law(mode, alpha, classes, rho):
+    prior = discrete_lt_prior(LTSpec(classes, rho))
+    cfg = MixConfig(alpha=alpha, mode=mode, tau=-1.0)
+    law = mixed_class_law(prior, inverse_prior(prior, cfg.pair_tau), alpha, mode)
+    assert abs(law.sum() - 1.0) < 1e-12
+    hist = mc_xi_aug_histogram(prior, cfg, LAW_TRIALS, seed=7)
+    # each count is binomial, so hist_k - law_k is near N(0, sigma_k^2): the
+    # L1 distance has mean sqrt(2/pi) * sum(sigma_k), and the bound allows
+    # six of its standard deviations, counting the classes as independent
+    sigma = np.sqrt(law * (1.0 - law) / LAW_TRIALS)
+    bound = (math.sqrt(2.0 / math.pi) * sigma.sum()
+             + 6.0 * math.sqrt((1.0 - 2.0 / math.pi) * (sigma**2).sum()))
+    assert np.abs(hist - law).sum() < bound
 
 
 def test_mc_histogram_memory_is_flat_in_trials(monkeypatch):
