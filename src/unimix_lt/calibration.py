@@ -10,11 +10,10 @@ sort on original index).
 
 `evaluate_predictions` is the one public entry point. It validates the
 matrix and every size and threshold once, then runs private cores on the
-checked arrays: the row maxima are taken once, and each class column is
-sorted once for both ACE and TACE. That sort uses numpy's fast default
-kind and falls back to a stable sort for a column whose values tie, so
-the tie rule above holds on every build and the reported numbers do not
-depend on the sort kind.
+checked arrays: the row maxima are taken once, and SCE, ACE and TACE share
+one pass over class-major copies of blocks of columns. Each class is
+sorted once for ACE and TACE; a class whose values tie is ordered by a
+stable argsort instead, so the tie rule above holds on every build.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ DEFAULT_TACE_THRESHOLD = 1e-3
 DEFAULT_DENSITY_BATCH = 100
 # Upper bound on bins and on ranges; each one costs memory and time per class.
 MAX_BINS = 100_000
+CLASS_BLOCK = 16  # classes per block of the class-major pass behind SCE, ACE and TACE
 
 
 def _check_inputs(preds, labels):
@@ -61,13 +61,16 @@ def _bin_index(conf: np.ndarray, num_bins: int) -> np.ndarray:
     return np.minimum((conf * num_bins).astype(np.int64), num_bins - 1)
 
 
-def _bin_sums(conf, correct, num_bins):
-    """Per-bin (count, correct sum, confidence sum) of the winning scores."""
-    idx = _bin_index(conf, num_bins)
-    counts = np.bincount(idx, minlength=num_bins)
-    acc_sum = np.bincount(idx, weights=correct, minlength=num_bins)
-    conf_sum = np.bincount(idx, weights=conf, minlength=num_bins)
-    return counts, acc_sum, conf_sum
+def _bin_sums(scores, hits, num_bins):
+    """Per-bin (count, hit count, score sum) of each row of `scores`, where
+    `hits` holds the flat indices of the hits: three (rows, num_bins) arrays.
+    Each row's bins are offset by row, and bincount adds in input order, so
+    each row's sums equal those of that row alone."""
+    size = scores.shape[0] * num_bins
+    idx = (_bin_index(scores, num_bins) + np.arange(0, size, num_bins)[:, None]).ravel()
+    sums = (np.bincount(idx, minlength=size), np.bincount(idx[hits], minlength=size),
+            np.bincount(idx, weights=scores.ravel(), minlength=size))
+    return [s.reshape(-1, num_bins) for s in sums]
 
 
 def _nonempty_gaps(counts, acc_sum, conf_sum):
@@ -96,58 +99,69 @@ def _reliability(bins):
     return rows
 
 
-def _ranges(m: int, num_ranges: int):
-    base, extra = divmod(m, num_ranges)
-    sizes = [base + (1 if r < extra else 0) for r in range(num_ranges)]
-    stop = np.cumsum(sizes)
-    return zip(stop - sizes, stop)
+def _per_class_errors(p, y, num_bins: int, num_ranges: int, thresholds):
+    """(SCE, the adaptive error at each threshold) in one pass over blocks of classes.
 
-
-def _adaptive_errors(p, y, num_ranges: int, thresholds) -> list[float]:
-    """The adaptive error at each threshold, sorting each class column once.
-
-    A threshold keeps the suffix of the sorted column from its first value
-    >= threshold: the same probabilities, in the same order, as sorting the
+    A threshold keeps the suffix of a class's sorted values from the first
+    value >= threshold: the same values, in the same order, as sorting the
     survivors alone.
     """
-    c = p.shape[1]
-    survivors = [0] * len(thresholds)
-    gap_sums = [0.0] * len(thresholds)
-    for k in range(c):
-        col = np.ascontiguousarray(p[:, k])
-        order = np.argsort(col)
-        ranked = col[order]
-        if np.any(ranked[1:] == ranked[:-1]):
-            # the default kind may put equal values in any order; ties go by row
-            order = np.argsort(col, kind="stable")
-            ranked = col[order]
-        hits = (y[order] == k).astype(np.float64)
-        for t, threshold in enumerate(thresholds):
-            start = int(np.searchsorted(ranked, threshold, "left"))
-            survivors[t] += ranked.size - start
-            for lo, hi in _ranges(ranked.size - start, num_ranges):
-                if hi > lo:
-                    lo, hi = start + lo, start + hi
-                    gap_sums[t] += abs(hits[lo:hi].mean() - ranked[lo:hi].mean())
+    n, c = p.shape
+    by_label = np.argsort(y, kind="stable")
+    label_start = np.searchsorted(y, np.arange(c + 1), sorter=by_label)
+    sce, survivors, gap_sums = 0.0, [0] * len(thresholds), [0.0] * len(thresholds)
+    for k0 in range(0, c, CLASS_BLOCK):
+        block = np.ascontiguousarray(p[:, k0:k0 + CLASS_BLOCK].T)
+        hit_rows = by_label[label_start[k0]:label_start[k0 + block.shape[0]]]
+        bins = _bin_sums(block, (y[hit_rows] - k0) * n + hit_rows, num_bins)
+        ranked = np.sort(block, axis=1)
+        tied = (ranked[:, 1:] == ranked[:, :-1]).any(axis=1)
+        for j, col in enumerate(block):
+            k = k0 + j
+            sce += _ece([b[j] for b in bins])
+            if tied[j]:  # -0.0 ties 0.0 too; equal values go in row order
+                order = np.argsort(col, kind="stable")
+                values, ranks = col[order], np.flatnonzero(y[order] == k)
+            else:  # unique values: a labeled row's position is its searchsorted index
+                values = ranked[j]
+                rows = by_label[label_start[k]:label_start[k + 1]]
+                ranks = np.searchsorted(values, np.sort(col[rows]))
+            for t, threshold in enumerate(thresholds):
+                start = int(np.searchsorted(values, threshold, "left"))
+                survivors[t] += n - start
+                for gap in _range_gaps(values, ranks, start, num_ranges):
+                    gap_sums[t] += gap
     for threshold, kept in zip(thresholds, survivors):
         if kept == 0:
             raise ValueError(f"threshold {threshold} discarded every probability")
-    return [gap_sum / (c * num_ranges) for gap_sum in gap_sums]
+    return sce / c, [gap_sum / (c * num_ranges) for gap_sum in gap_sums]
 
 
-def _sce(p, y, num_bins: int) -> float:
-    """ECE of each class column against its 0/1 hits, averaged over classes."""
-    c = p.shape[1]
-    total = 0.0
-    for k in range(c):
-        total += _ece(_bin_sums(p[:, k], (y == k).astype(np.float64), num_bins))
-    return total / c
+def _range_gaps(values, ranks, start: int, num_ranges: int) -> list[float]:
+    """|hit rate - mean value| of each nonempty range of values[start:], hits
+    at the sorted positions `ranks`; equal to |hits[lo:hi].mean() -
+    values[lo:hi].mean()| bit for bit, as a count of hits is exact.
+    """
+    m = values.size - start
+    base, extra = divmod(m, num_ranges)
+    r = np.arange(min(m, num_ranges))
+    edges = np.append(start + r * base + np.minimum(r, extra), values.size)
+    sizes = np.diff(edges)
+    hits = np.diff(np.searchsorted(ranks, edges))
+    if base:
+        bounds = edges.tolist()
+        sums = np.array([values[lo:hi].sum() for lo, hi in zip(bounds[:-1], bounds[1:])])
+    else:
+        sums = values[start:]  # one value per range
+    return np.abs(hits / sizes - sums / sizes).tolist()
 
 
 def _brier(p, y) -> float:
-    onehot = np.zeros_like(p)
-    onehot[np.arange(p.shape[0]), y] = 1.0
-    return float(((onehot - p) ** 2).mean())
+    # p - 1 is exactly -(1 - p), so these squares equal (onehot - p) ** 2, in p's layout
+    gaps = np.copy(p)
+    gaps[np.arange(p.shape[0]), y] -= 1.0
+    np.square(gaps, out=gaps)
+    return float(gaps.mean())
 
 
 def _confusion(pred, y, c: int):
@@ -226,16 +240,16 @@ def evaluate_predictions(preds, labels, num_bins: int = DEFAULT_BINS,
     if density_batch < 1:
         raise ValueError(f"density_batch must be >= 1, got {density_batch}")
     conf, pred, correct = _top(p, y)
-    bins = _bin_sums(conf, correct, num_bins)
+    bins = [b[0] for b in _bin_sums(conf[None], np.flatnonzero(correct), num_bins)]
     counts, counts_log = _confusion(pred, y, p.shape[1])
-    ace, tace = _adaptive_errors(p, y, num_ranges, (0.0, tace_threshold))
+    sce, (ace, tace) = _per_class_errors(p, y, num_bins, num_ranges, (0.0, tace_threshold))
     return CalibrationReport(
         accuracy=float(correct.mean()),
         ece=_ece(bins),
         mce=_mce(bins),
         ace=ace,
         tace=tace,
-        sce=_sce(p, y, num_bins),
+        sce=sce,
         brier=_brier(p, y),
         reliability=_reliability(bins),
         confusion=counts,

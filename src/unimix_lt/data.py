@@ -36,7 +36,6 @@ __all__ = [
     "class_means",
 ]
 
-_MAX_LABEL = np.iinfo(np.int64).max
 # Printable ASCII and the whitespace Python's `float` and `int` strip: on
 # these bytes numpy's number parsers accept what Python's accept, with the
 # same values. numpy also takes \x1c-\x1f as whitespace and some non-ASCII
@@ -211,7 +210,7 @@ def save_csv(ds: Dataset, path) -> None:
         fh.write("\r\n".join([header, *rows, ""]))
 
 
-def load_csv(path, max_classes: int | None = None) -> Dataset:
+def load_csv(path, max_classes: int) -> Dataset:
     """Read a dataset in `save_csv`'s format; C is max label + 1.
 
     The header must be exactly `f0,...,f{d-1},label`. Each row holds d
@@ -219,9 +218,9 @@ def load_csv(path, max_classes: int | None = None) -> Dataset:
     and `int` accept (quoted fields too), with LF, CRLF or CR line ends.
     Blank rows, ragged rows, fields over the `csv` module's size limit,
     negative or out-of-range labels and non-finite features raise
-    ValueError naming the file and line. With `max_classes`, a label at or
-    above it is out of range, and is refused before any array sized by
-    the labels is built.
+    ValueError naming the file and line. A label at or above `max_classes`
+    is out of range, and is refused before any array sized by the labels
+    is built.
 
     A well-formed file is parsed in one vectorized `np.loadtxt` pass. Any
     file that pass cannot take whole is read again by the per-line parser,
@@ -230,16 +229,15 @@ def load_csv(path, max_classes: int | None = None) -> Dataset:
     a byte outside printable ASCII and tab/VT/FF/CR/LF, or a feature is
     non-finite, or a label out of range.
     """
-    limit = _MAX_LABEL + 1 if max_classes is None else max_classes
     with open(path, newline="") as fh:
         dims = _read_header(path, _records(path, csv.reader(fh)))
         table, lines = _parse_body(fh, dims)
     if table is not None and table.shape[0] == lines and _is_plain(path):
         features = np.ascontiguousarray(table["f"])
         labels = np.ascontiguousarray(table["y"])
-        if np.isfinite(features).all() and (labels >= 0).all() and (labels < limit).all():
+        if np.isfinite(features).all() and (labels >= 0).all() and (labels < max_classes).all():
             return Dataset(features, labels)
-    return _load_lines(path, limit)
+    return _load_lines(path, max_classes)
 
 
 def _records(path, reader):
@@ -304,7 +302,7 @@ def _is_plain(path) -> bool:
     return True
 
 
-def _load_lines(path, limit: int = _MAX_LABEL + 1) -> Dataset:
+def _load_lines(path, limit: int) -> Dataset:
     """The per-line parser: every input `load_csv` accepts, every error it raises.
 
     Labels must lie in [0, limit).

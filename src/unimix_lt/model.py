@@ -38,6 +38,8 @@ __all__ = [
     "load_model",
 ]
 
+PREDICT_BLOCK = 2048  # rows per block of `predict_proba`
+
 
 @dataclass(eq=False)
 class MLPParams:
@@ -245,14 +247,22 @@ def predict_proba(params: MLPParams, x: np.ndarray) -> np.ndarray:
     """Raw softmax probabilities (N, C) of a batch (N, d); margins are never
     applied at inference.
 
-    The logits are normalised in place with the arithmetic of
-    `losses.softmax`, so the result is the only N x C array.
+    Blocks of PREDICT_BLOCK rows go through `forward` and the arithmetic of
+    `losses.softmax` into the one (N, C) result. The last block takes the
+    remainder, since BLAS may round a product of a few rows differently
+    (OpenBLAS has a small-matrix kernel); with long blocks the result equals
+    the whole-batch computation bit for bit.
     """
-    z = forward(params, x)
-    z -= z.max(axis=-1, keepdims=True)
-    np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
-    return z
+    n = x.shape[0]
+    out = np.empty((n, params.layer_dims[-1]))
+    stops = [*range(PREDICT_BLOCK, n - PREDICT_BLOCK + 1, PREDICT_BLOCK), n]
+    for lo, hi in zip([0, *stops], stops):
+        z = forward(params, x[lo:hi])
+        probs = out[lo:hi]
+        np.subtract(z, z.max(axis=-1, keepdims=True), out=probs)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=-1, keepdims=True)
+    return out
 
 
 def save_model(params: MLPParams, path) -> None:

@@ -205,6 +205,7 @@ def test_evaluate_predictions_report():
     report = evaluate_predictions(preds, labels, density_batch=40)
     scalars = report.scalars()
     assert set(scalars) == {"accuracy", "ece", "mce", "ace", "tace", "sce", "brier"}
+    assert all(type(value) is float for value in scalars.values())
     assert 0.0 <= scalars["ece"] <= scalars["mce"] <= 1.0
     assert report.confusion.sum() == 120
     assert len(report.density) == 3
@@ -253,10 +254,14 @@ def stable_sort_ace(preds, labels, num_ranges, threshold):
     return gap_sum / (c * num_ranges)
 
 
-def tied_fixtures(seed):
-    """Prediction matrices from smooth to heavily tied, with labels."""
+def tied_fixtures(seed, c=6):
+    """Prediction matrices from smooth to heavily tied, with labels.
+
+    The last one has both -0.0 and 0.0 in column 0 and labels no row with
+    class c - 1.
+    """
     rng = np.random.default_rng(seed)
-    n, c = 240, 6
+    n = 240
     labels = rng.integers(0, c, n)
     smooth = rng.dirichlet(np.full(c, 0.3), size=n)
     # a few probability levels per row: integer weights 0..3, renormalised
@@ -265,19 +270,33 @@ def tied_fixtures(seed):
     quantised = weights / weights.sum(axis=1, keepdims=True)
     onehot = np.eye(c)[rng.integers(0, c, n)]
     mixed = np.where(rng.random((n, 1)) < 0.5, onehot, np.full((n, c), 1.0 / c))
-    return [(smooth, labels), (quantised, labels), (onehot, labels), (mixed, labels)]
+    signed_zeros = smooth.copy()
+    zero = rng.random(n) < 0.5
+    signed_zeros[zero, 1] += signed_zeros[zero, 0]
+    signed_zeros[zero, 0] = np.where(rng.random(zero.sum()) < 0.5, -0.0, 0.0)
+    return [(smooth, labels), (quantised, labels), (onehot, labels), (mixed, labels),
+            (signed_zeros, np.where(labels == c - 1, 0, labels))]
+
+
+# class counts below, at and across the class block of the blocked pass
+CLASS_COUNTS = [6, calibration.CLASS_BLOCK, calibration.CLASS_BLOCK + 1, 40]
+
+
+def fixtures_of_every_width(seed):
+    return [fixture for c in CLASS_COUNTS for fixture in tied_fixtures(seed, c)]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_adaptive_matches_stable_sort_oracle(seed):
     # thresholds keep every, some or (for some classes) none of the probabilities;
     # 500 ranges outnumber the survivors of every class
-    for preds, labels in tied_fixtures(seed):
+    for preds, labels in fixtures_of_every_width(seed):
         for num_ranges in (1, 7, 15, 500):
             ace = stable_sort_ace(preds, labels, num_ranges, 0.0)
             for threshold in (0.0, 1e-3, 0.2, 0.5, 0.99, 1.0):
                 try:
-                    expected = stable_sort_ace(preds, labels, num_ranges, threshold)
+                    expected = (ace if threshold == 0.0 else
+                                stable_sort_ace(preds, labels, num_ranges, threshold))
                 except ValueError:
                     with pytest.raises(ValueError):
                         evaluate_predictions(preds, labels, num_ranges=num_ranges,
@@ -287,6 +306,18 @@ def test_adaptive_matches_stable_sort_oracle(seed):
                                               tace_threshold=threshold)
                 assert report.tace == expected
                 assert report.ace == ace
+
+
+def test_adaptive_at_max_ranges_matches_oracle():
+    # every class keeps far fewer probabilities than ranges, so most ranges are empty
+    for preds, labels in tied_fixtures(3, 3):
+        preds, labels = preds[:20], labels[:20]
+        for threshold in (0.0, 0.3):
+            report = evaluate_predictions(preds, labels, num_ranges=calibration.MAX_BINS,
+                                          tace_threshold=threshold)
+            assert report.ace == stable_sort_ace(preds, labels, calibration.MAX_BINS, 0.0)
+            assert report.tace == stable_sort_ace(preds, labels, calibration.MAX_BINS,
+                                                  threshold)
 
 
 def binned_oracle(scores, hits, num_bins):
@@ -348,9 +379,11 @@ def report_oracle(preds, labels, num_bins, density_batch):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_evaluate_predictions_matches_separate_metrics(seed):
-    for preds, labels in tied_fixtures(seed):
+    for preds, labels in fixtures_of_every_width(seed):
         expected = report_oracle(preds, labels, num_bins=10, density_batch=50)
-        for num_ranges, threshold in ((15, 1e-3), (500, 0.3)):
+        # 0.3 at C = 6; lower for more classes, whose quantised rows hold nothing >= 0.3
+        c = preds.shape[1]
+        for num_ranges, threshold in ((15, 1e-3), (500, min(0.3, 1.8 / c))):
             report = evaluate_predictions(preds, labels, num_bins=10, num_ranges=num_ranges,
                                           tace_threshold=threshold, density_batch=50)
             assert report.scalars() == {

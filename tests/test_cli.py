@@ -114,7 +114,7 @@ def test_gen_data_gaussians(tmp_path):
     out = tmp_path / "run"
     assert main(["gen-data", "--out", str(out), "--classes", "5", "--rho", "10",
                  "--n-max", "50", "--dims", "3", "--seed", "1"]) == 0
-    ds = load_csv(out / "data.csv")
+    ds = load_csv(out / "data.csv", max_classes=5)
     assert ds.num_classes == 5 and ds.dims == 3
     meta = json.loads((out / "meta.json").read_text())
     assert meta["class_counts"] == ds.class_counts.tolist()
@@ -125,7 +125,7 @@ def test_gen_data_circles(tmp_path):
     out = tmp_path / "run"
     assert main(["gen-data", "--out", str(out), "--kind", "circles",
                  "--n-pos", "60", "--n-neg", "6", "--seed", "2"]) == 0
-    ds = load_csv(out / "data.csv")
+    ds = load_csv(out / "data.csv", max_classes=2)
     np.testing.assert_array_equal(ds.class_counts, [60, 6])
 
 

@@ -11,6 +11,9 @@ from unimix_lt.data import (Dataset, TwoCircleSpec, class_means, empirical_prior
                             gen_lt_gaussians, gen_two_circles, load_csv,
                             lt_class_counts, save_csv)
 
+# A label bound above every int64 label, so that only the int64 range bounds a label.
+EVERY_INT64 = 2**63
+
 
 def test_lt_counts_spec_values():
     counts = lt_class_counts(10, 100.0, 500)
@@ -107,7 +110,7 @@ def test_csv_round_trip(tmp_path):
     ds = gen_lt_gaussians(5, 10.0, 40, 3, seed=2)
     path = tmp_path / "data.csv"
     save_csv(ds, path)
-    back = load_csv(path)
+    back = load_csv(path, ds.num_classes)
     # repr-based serialization is exact for float64
     np.testing.assert_array_equal(back.features, ds.features)
     np.testing.assert_array_equal(back.labels, ds.labels)
@@ -116,7 +119,7 @@ def test_csv_round_trip(tmp_path):
 def test_load_csv_small_file(tmp_path):
     path = tmp_path / "tiny.csv"
     path.write_text("f0,f1,label\n0.5,1.5,0\n-1.0,2.0,1\n0.0,0.0,1\n")
-    ds = load_csv(path)
+    ds = load_csv(path, 2)
     assert ds.num_samples == 3
     assert ds.num_classes == 2
     np.testing.assert_array_equal(ds.class_counts, [1, 2])
@@ -126,21 +129,21 @@ def test_load_csv_missing_label_column(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("f0,f1\n1.0,2.0\n")
     with pytest.raises(ValueError, match="label"):
-        load_csv(path)
+        load_csv(path, EVERY_INT64)
 
 
 def test_load_csv_ragged_row_reports_line(tmp_path):
     path = tmp_path / "ragged.csv"
     path.write_text("f0,f1,label\n1.0,2.0,0\n1.0,0\n")
     with pytest.raises(ValueError, match=":3"):
-        load_csv(path)
+        load_csv(path, EVERY_INT64)
 
 
 def test_load_csv_negative_label(tmp_path):
     path = tmp_path / "neg.csv"
     path.write_text("f0,label\n1.0,-1\n")
     with pytest.raises(ValueError, match="negative label"):
-        load_csv(path)
+        load_csv(path, EVERY_INT64)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
@@ -148,14 +151,14 @@ def test_load_csv_non_finite_feature_reports_line(tmp_path, bad):
     path = tmp_path / "nonfinite.csv"
     path.write_text(f"f0,f1,label\n1.0,2.0,0\n1.0,2.0,1\n3.0,{bad},1\n")
     with pytest.raises(ValueError, match=r"nonfinite\.csv:4: features must be finite"):
-        load_csv(path)
+        load_csv(path, EVERY_INT64)
 
 
 def test_load_csv_empty(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
     with pytest.raises(ValueError):
-        load_csv(path)
+        load_csv(path, EVERY_INT64)
 
 
 def test_dataset_validation():
@@ -247,6 +250,14 @@ def _write(tmp_path, content):
     return path
 
 
+def _load(path):
+    return load_csv(path, EVERY_INT64)
+
+
+def _lines(path):
+    return data._load_lines(path, EVERY_INT64)
+
+
 def _outcome(fn, path):
     """(features bytes, shape, labels, class counts) or (error type, message)."""
     try:
@@ -260,8 +271,8 @@ def _outcome(fn, path):
 @pytest.mark.parametrize("content,error", CSV_CORPUS.values(), ids=CSV_CORPUS.keys())
 def test_load_csv_matches_per_line_parser(tmp_path, content, error):
     path = _write(tmp_path, content)
-    expected = _outcome(data._load_lines, path)
-    assert _outcome(load_csv, path) == expected
+    expected = _outcome(_lines, path)
+    assert _outcome(_load, path) == expected
     if error is None:
         assert isinstance(expected[0], bytes)
     else:
@@ -272,13 +283,13 @@ def test_load_csv_fast_path_reads_save_csv_output(tmp_path, monkeypatch):
     ds = gen_lt_gaussians(6, 10.0, 60, 4, seed=5)
     path = tmp_path / "data.csv"
     save_csv(ds, path)
-    expected = _outcome(data._load_lines, path)
+    expected = _outcome(_lines, path)
 
-    def refuse(path):
+    def refuse(path, limit):
         raise AssertionError("per-line parser called on a well-formed file")
 
     monkeypatch.setattr(data, "_load_lines", refuse)
-    back = load_csv(path)
+    back = load_csv(path, ds.num_classes)
     assert _outcome(lambda _: back, path) == expected
     assert back.features.flags.c_contiguous and back.labels.flags.c_contiguous
 
@@ -297,7 +308,7 @@ def test_save_csv_matches_csv_writer(tmp_path, csv_writer_save_csv, ds):
     csv_writer_save_csv(ds, tmp_path / "oracle.csv")
     save_csv(ds, tmp_path / "data.csv")
     assert (tmp_path / "data.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
-    back = load_csv(tmp_path / "data.csv")
+    back = load_csv(tmp_path / "data.csv", ds.num_classes)
     assert back.features.tobytes() == ds.features.tobytes()
     np.testing.assert_array_equal(back.labels, ds.labels)
 
@@ -333,8 +344,8 @@ _END = _often(st.sampled_from(["\n", "\r\n"]), st.sampled_from(["\r", ""]))
         lambda rows: (f"{H}\r\n" + "".join(r + end for r, end in rows)).encode())))
 def test_load_csv_fuzz_matches_per_line_parser(tmp_path, content):
     path = _write(tmp_path, content)
-    got = _outcome(load_csv, path)
-    assert got == _outcome(data._load_lines, path)
+    got = _outcome(_load, path)
+    assert got == _outcome(_lines, path)
     assert isinstance(got[0], bytes) or issubclass(got[0], ValueError)
 
 
@@ -350,7 +361,7 @@ def test_save_load_round_trip_fuzz(tmp_path, csv_writer_save_csv, shape, data_):
     save_csv(ds, path)
     csv_writer_save_csv(ds, tmp_path / "oracle.csv")
     assert path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
-    back = load_csv(path)
+    back = load_csv(path, 4)
     assert back.features.tobytes() == ds.features.tobytes()
     assert back.labels.tolist() == ds.labels.tolist()
-    assert _outcome(data._load_lines, path) == _outcome(lambda _: back, path)
+    assert _outcome(_lines, path) == _outcome(lambda _: back, path)

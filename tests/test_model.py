@@ -8,9 +8,9 @@ from unimix_lt.data import empirical_prior, gen_lt_gaussians
 from unimix_lt.errors import InvariantViolation
 from unimix_lt.losses import LOSS_KINDS, LossSpec, batch_grad, batch_loss, softmax
 from unimix_lt.mixing import MIX_MODES, MixConfig, sample_beta, unimix_factor
-from unimix_lt.model import (MLPParams, TrainConfig, _forward_cached, forward,
-                             init_params, load_model, predict_proba, save_model, sgd_step,
-                             train_two_phase)
+from unimix_lt.model import (PREDICT_BLOCK, MLPParams, TrainConfig, _forward_cached,
+                             forward, init_params, load_model, predict_proba, save_model,
+                             sgd_step, train_two_phase)
 from unimix_lt.sampling import draw_batch, inverse_prior
 from unimix_lt.streams import derive_rng
 
@@ -359,6 +359,10 @@ def test_predict_proba_is_softmax_of_forward_exactly():
     assert np.array_equal(logits, _forward_cached(params, x)[0])
     assert np.array_equal(predict_proba(params, x), softmax(logits))
     assert np.array_equal(predict_proba(params, x[3:4]), softmax(forward(params, x[3:4])))
+    # row blocks: one short of a block, one, one and a row, several and a remainder
+    for n in (PREDICT_BLOCK - 1, PREDICT_BLOCK, PREDICT_BLOCK + 1, 3 * PREDICT_BLOCK + 5):
+        x = derive_rng(10, "t", n).standard_normal((n, 16)) * 3.0
+        assert np.array_equal(predict_proba(params, x), softmax(forward(params, x))), n
 
 
 def test_model_save_load_round_trip(tmp_path):
