@@ -30,7 +30,8 @@ DEFAULT_TACE_THRESHOLD = 1e-3
 DEFAULT_DENSITY_BATCH = 100
 # Upper bound on bins and on ranges; each one costs memory and time per class.
 MAX_BINS = 100_000
-CLASS_BLOCK = 16  # classes per block of the class-major pass behind SCE, ACE and TACE
+CLASS_BLOCK = 16  # most classes per block of the class-major pass behind SCE, ACE and TACE
+BLOCK_BINS = 2**16  # most bins per block, which bound the block's three bin-sum arrays
 
 
 def _check_inputs(preds, labels):
@@ -110,8 +111,9 @@ def _per_class_errors(p, y, num_bins: int, num_ranges: int, thresholds):
     by_label = np.argsort(y, kind="stable")
     label_start = np.searchsorted(y, np.arange(c + 1), sorter=by_label)
     sce, survivors, gap_sums = 0.0, [0] * len(thresholds), [0.0] * len(thresholds)
-    for k0 in range(0, c, CLASS_BLOCK):
-        block = np.ascontiguousarray(p[:, k0:k0 + CLASS_BLOCK].T)
+    step = max(1, min(CLASS_BLOCK, BLOCK_BINS // num_bins))
+    for k0 in range(0, c, step):
+        block = np.ascontiguousarray(p[:, k0:k0 + step].T)
         hit_rows = by_label[label_start[k0]:label_start[k0 + block.shape[0]]]
         bins = _bin_sums(block, (y[hit_rows] - k0) * n + hit_rows, num_bins)
         ranked = np.sort(block, axis=1)
@@ -148,11 +150,8 @@ def _range_gaps(values, ranks, start: int, num_ranges: int) -> list[float]:
     edges = np.append(start + r * base + np.minimum(r, extra), values.size)
     sizes = np.diff(edges)
     hits = np.diff(np.searchsorted(ranks, edges))
-    if base:
-        bounds = edges.tolist()
-        sums = np.array([values[lo:hi].sum() for lo, hi in zip(bounds[:-1], bounds[1:])])
-    else:
-        sums = values[start:]  # one value per range
+    bounds = edges.tolist()
+    sums = np.array([values[lo:hi].sum() for lo, hi in zip(bounds[:-1], bounds[1:])])
     return np.abs(hits / sizes - sums / sizes).tolist()
 
 

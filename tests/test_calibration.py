@@ -397,6 +397,22 @@ def test_evaluate_predictions_matches_separate_metrics(seed):
             assert report.density == expected["density"]
 
 
+@pytest.mark.parametrize("block_bins", [10, 50, 100])
+def test_fewer_classes_per_block_when_bins_are_many(monkeypatch, block_bins):
+    # at 10 bins these budgets give blocks of 1, 5 and 10 of the 17 classes,
+    # as a large --bins does under the default budget
+    monkeypatch.setattr(calibration, "BLOCK_BINS", block_bins)
+    for preds, labels in tied_fixtures(0, calibration.CLASS_BLOCK + 1):
+        expected = report_oracle(preds, labels, num_bins=10, density_batch=50)["scalars"]
+        report = evaluate_predictions(preds, labels, num_bins=10, num_ranges=15,
+                                      tace_threshold=0.1, density_batch=50)
+        assert report.scalars() == {
+            **expected,
+            "ace": stable_sort_ace(preds, labels, 15, 0.0),
+            "tace": stable_sort_ace(preds, labels, 15, 0.1),
+        }
+
+
 def test_evaluate_predictions_validates_once(monkeypatch):
     calls = []
     check = calibration._check_inputs
