@@ -32,6 +32,8 @@ DEFAULT_DENSITY_BATCH = 100
 MAX_BINS = 100_000
 CLASS_BLOCK = 16  # most classes per block of the class-major pass behind SCE, ACE and TACE
 BLOCK_BINS = 2**16  # most bins per block, which bound the block's three bin-sum arrays
+# The scalar fields of a `CalibrationReport`: the keys of report.json, in summary.csv order.
+SCALARS = ("accuracy", "ece", "mce", "ace", "tace", "sce", "brier")
 
 
 def _check_inputs(preds, labels):
@@ -204,15 +206,7 @@ class CalibrationReport:
     density: list[tuple[float, float]]
 
     def scalars(self) -> dict[str, float]:
-        return {
-            "accuracy": self.accuracy,
-            "ece": self.ece,
-            "mce": self.mce,
-            "ace": self.ace,
-            "tace": self.tace,
-            "sce": self.sce,
-            "brier": self.brier,
-        }
+        return {name: getattr(self, name) for name in SCALARS}
 
 
 def evaluate_predictions(preds, labels, num_bins: int = DEFAULT_BINS,

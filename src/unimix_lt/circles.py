@@ -59,11 +59,15 @@ _SCENARIO_MIX = {
 }
 
 
-def _scenario_config(scenario: str, seed: int, steps: int, batch_size: int,
-                     lr: float) -> TrainConfig:
+def _scenario_mix(scenario: str) -> tuple[MixConfig, float]:
     if scenario not in _SCENARIO_MIX:
         raise ValueError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
-    mix, mixed_share = _SCENARIO_MIX[scenario]
+    return _SCENARIO_MIX[scenario]
+
+
+def _scenario_config(scenario: str, seed: int, steps: int, batch_size: int,
+                     lr: float) -> TrainConfig:
+    mix, mixed_share = _scenario_mix(scenario)
     t1 = int(round(mixed_share * steps))
     return TrainConfig(
         t1_steps=t1,
@@ -115,7 +119,7 @@ def virtual_cloud(ds: Dataset, scenario: str, num_points: int, seed: int) -> np.
     """Mixed virtual points (x, y, reinforced label) for scatter plots."""
     if num_points < 0:
         raise ValueError(f"num_points must be >= 0, got {num_points}")
-    mix, mixed_share = _SCENARIO_MIX.get(scenario, (None, 0.0))
+    mix, mixed_share = _scenario_mix(scenario)
     if not mixed_share:
         return np.empty((0, 3))
     prior = empirical_prior(ds)

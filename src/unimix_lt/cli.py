@@ -27,11 +27,12 @@ import numpy as np
 from . import calibration
 from .circles import (DEFAULT_BATCH_SIZE, DEFAULT_LR, DEFAULT_STEPS, SCENARIOS, run_circles,
                       scenario_data, virtual_cloud)
-from .config import build_training_run, load_config, resolve_config, resolve_train_config
+from .config import (DATA_DEFAULTS, build_training_run, load_config, resolve_config,
+                     resolve_train_config)
 from .data import (TwoCircleSpec, gen_lt_gaussians, gen_two_circles, load_csv,
                    save_csv)
 from .errors import ConfigError, InvariantViolation
-from .mixing import MIX_MODES, MixConfig, mc_xi_aug_histogram
+from .mixing import DEFAULT_STREAMS, MixConfig, mc_xi_aug_histogram
 from .model import load_model, predict_proba, save_model, train_two_phase
 from .theory import (LTSpec, discrete_lt_prior, emit_density_curves, factor_density,
                      unimix_density)
@@ -121,14 +122,11 @@ def _commit(args, resolved: dict, artifacts: dict) -> int:
 # ---------------------------------------------------------------- gen-data
 
 # The two-circle set and seed, shared by gen-data and circles-demo.
-_CIRCLE_DEFAULTS = {"x0": 2.0, "y0": 2.0, "radius": 1.5, "n_pos": 500, "n_neg": 10,
-                    "seed": 0}
+_CIRCLE_DEFAULTS = {"x0": TwoCircleSpec.center[0], "y0": TwoCircleSpec.center[1],
+                    "radius": TwoCircleSpec.radius, "n_pos": TwoCircleSpec.n_pos,
+                    "n_neg": TwoCircleSpec.n_neg, "seed": TwoCircleSpec.seed}
 
-_GEN_DEFAULTS = {
-    "kind": "gaussians",
-    "classes": 10, "rho": 100.0, "n_max": 500, "dims": 16, "cluster_spread": 1.0,
-    "reverse": False, **_CIRCLE_DEFAULTS,
-}
+_GEN_DEFAULTS = {"kind": "gaussians", **DATA_DEFAULTS, "reverse": False, **_CIRCLE_DEFAULTS}
 
 
 def _circle_spec(resolved: dict) -> TwoCircleSpec:
@@ -157,8 +155,8 @@ def cmd_gen_data(args) -> int:
 # -------------------------------------------------------------- verify-dist
 
 _VERIFY_DEFAULTS = {
-    "classes": 100, "rho": 200.0, "tau": -1.0, "alpha": 0.5,
-    "mode": "full", "trials": 1_000_000, "seed": 7, "resolution": 0, "streams": 4,
+    "classes": 100, "rho": 200.0, "tau": MixConfig.tau, "alpha": MixConfig.alpha,
+    "mode": "full", "trials": 1_000_000, "seed": 7, "resolution": 0, "streams": DEFAULT_STREAMS,
 }
 
 _MODE_ALIASES = {"mixup": "vanilla_mixup", "factor": "unimix_factor_only",
@@ -178,10 +176,9 @@ def _closed_form_histogram(spec: LTSpec, mode: str) -> np.ndarray:
 
 def cmd_verify_dist(args) -> int:
     resolved = _open_run(args, partial(resolve_config, _VERIFY_DEFAULTS))
-    if resolved["mode"] not in _MODE_ALIASES and resolved["mode"] not in MIX_MODES:
-        raise ConfigError(f"mode must be one of {sorted(_MODE_ALIASES)} or {MIX_MODES}, "
-                          f"got {resolved['mode']!r}")
-    mode = _MODE_ALIASES.get(resolved["mode"], resolved["mode"])
+    if resolved["mode"] not in _MODE_ALIASES:
+        raise ConfigError(f"mode must be one of {sorted(_MODE_ALIASES)}, got {resolved['mode']!r}")
+    mode = _MODE_ALIASES[resolved["mode"]]
     classes, tau = resolved["classes"], resolved["tau"]
     resolved["resolution"] = resolved["resolution"] or classes
     spec = LTSpec(num_classes=classes, rho=resolved["rho"], tau=tau)
@@ -278,9 +275,6 @@ def cmd_circles_demo(args) -> int:
 
 # ------------------------------------------------------------------- report
 
-_SUMMARY_FIELDS = ["accuracy", "ece", "mce", "ace", "tace", "sce", "brier"]
-
-
 def _training_metadata(run_dir: Path) -> tuple[str, str]:
     """Loss kind and mix mode for a run: from its own resolved config, or
     from the training run its eval config points at via the model path."""
@@ -321,13 +315,13 @@ def cmd_report(args) -> int:
             continue
         loss, mix_mode = _training_metadata(run_dir)
         rows.append({"run": run_dir.name, "loss": loss, "mix_mode": mix_mode,
-                     **{k: scalars.get(k) for k in _SUMMARY_FIELDS}})
+                     **{k: scalars.get(k) for k in calibration.SCALARS}})
     if not rows:
         raise ConfigError(f"{runs} contains no completed runs")
     out = Path(args.out) if args.out else runs
-    _write_csv(out / "summary.csv", ["run", "loss", "mix_mode", *_SUMMARY_FIELDS],
+    _write_csv(out / "summary.csv", ["run", "loss", "mix_mode", *calibration.SCALARS],
                [[r["run"], r["loss"], r["mix_mode"]]
-                + [("" if r[k] is None else r[k]) for k in _SUMMARY_FIELDS]
+                + [("" if r[k] is None else r[k]) for k in calibration.SCALARS]
                 for r in rows])
     _write_json(out / "summary.json", rows)
     return 0

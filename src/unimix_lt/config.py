@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .data import empirical_prior, gen_lt_gaussians
+from .data import DEFAULT_SPREAD, empirical_prior, gen_lt_gaussians
 from .errors import ConfigError
 from .losses import LOSS_KINDS, LossSpec
 from .mixing import MIX_MODES, MixConfig
@@ -22,26 +22,26 @@ from .theory import check_prior
 
 __all__ = ["resolve_config", "resolve_train_config", "build_training_run", "load_config"]
 
+# The long-tailed Gaussian set, shared by train and gen-data.
+DATA_DEFAULTS = {"classes": 10, "rho": 100.0, "n_max": 500, "dims": 16,
+                 "cluster_spread": DEFAULT_SPREAD}
+
 _DEFAULTS = {
-    "classes": 10,
-    "rho": 100.0,
-    "n_max": 500,
-    "dims": 16,
-    "cluster_spread": 1.0,
-    "tau": -1.0,
-    "mix_mode": "unimix_full",
+    **DATA_DEFAULTS,
+    "tau": MixConfig.tau,
+    "mix_mode": MixConfig.mode,
     "loss": "bayias_ce",
-    "loss_params": {"gamma": 1.0, "beta": 0.999, "ldam_c": 0.5, "la_tau": 1.0,
-                    "target_prior": "balanced"},
+    "loss_params": {"gamma": LossSpec.gamma, "beta": LossSpec.beta, "ldam_c": LossSpec.ldam_c,
+                    "la_tau": LossSpec.la_tau, "target_prior": "balanced"},
     "t2_steps": 2000,
     "batch_size": 128,
     "lr": 0.1,
-    "momentum": 0.9,
-    "weight_decay": 2e-4,
-    "hidden_dims": [64, 64],
+    "momentum": TrainConfig.momentum,
+    "weight_decay": TrainConfig.weight_decay,
+    "hidden_dims": list(TrainConfig.hidden_dims),
     "seed": 0,
     # alpha and t1_steps follow mix_mode and t2_steps unless given
-    "alpha": 0.5,
+    "alpha": MixConfig.alpha,
     "t1_steps": 1800,
 }
 
@@ -107,7 +107,7 @@ def resolve_train_config(*layers) -> dict:
         raise ConfigError(f"mix_mode must be one of {MIX_MODES}, got {cfg['mix_mode']!r}")
     given = {key for layer in layers for key in layer}
     if "alpha" not in given:  # beta mixing defaults to 1.0 only for the plain-mixup mode
-        cfg["alpha"] = 1.0 if cfg["mix_mode"] == "vanilla_mixup" else 0.5
+        cfg["alpha"] = 1.0 if cfg["mix_mode"] == "vanilla_mixup" else MixConfig.alpha
     if "t1_steps" not in given:
         cfg["t1_steps"] = round(0.9 * cfg["t2_steps"])
     return cfg

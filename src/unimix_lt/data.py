@@ -106,6 +106,9 @@ def lt_class_counts(num_classes: int, rho: float, n_max: int,
     return counts[::-1].copy() if reverse else counts
 
 
+DEFAULT_SPREAD = 1.0  # default cluster_spread of `gen_lt_gaussians` and of its commands
+
+
 def class_means(num_classes: int, dims: int, cluster_spread: float) -> np.ndarray:
     """Fixed deterministic layout of class means.
 
@@ -133,7 +136,7 @@ def class_means(num_classes: int, dims: int, cluster_spread: float) -> np.ndarra
 
 
 def gen_lt_gaussians(num_classes: int, rho: float, n_max: int, dims: int,
-                     cluster_spread: float = 1.0, seed: int = 0,
+                     cluster_spread: float = DEFAULT_SPREAD, seed: int = 0,
                      reverse: bool = False) -> Dataset:
     """Long-tailed isotropic Gaussian clusters.
 

@@ -50,10 +50,13 @@ LOSS_KINDS = ("ce", "bayias_ce", "focal", "cb", "cdt", "ldam", "la")
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    """Max-subtracted softmax over the last axis; rows sum to 1."""
+    """Max-subtracted softmax over the last axis; rows sum to 1. Works in place
+    on one new array, so `z` is left as it was."""
     z = np.asarray(z, dtype=np.float64)
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = z - z.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def log_softmax(z: np.ndarray) -> np.ndarray:

@@ -58,6 +58,7 @@ __all__ = [
 MIX_MODES = ("vanilla_mixup", "unimix_factor_only", "unimix_full")
 
 _MC_BLOCK = 1 << 16  # Monte Carlo pairs drawn per block of one stream
+DEFAULT_STREAMS = 4  # default Monte Carlo streams of `mc_xi_aug_histogram` and verify-dist
 
 
 @dataclass(frozen=True)
@@ -180,7 +181,7 @@ def _max_workers() -> int:
 
 
 def mc_xi_aug_histogram(ds_prior: np.ndarray, config: MixConfig, trials: int,
-                        seed: int, streams: int = 4) -> np.ndarray:
+                        seed: int, streams: int = DEFAULT_STREAMS) -> np.ndarray:
     """Empirical distribution of the reinforced class over `trials` mixed pairs.
 
     The first pair member is drawn from `ds_prior`; the second from

@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import Dataset, empirical_prior
 from .errors import InvariantViolation
-from .losses import LossSpec, batch_grad, batch_loss
+from .losses import LossSpec, batch_grad, batch_loss, softmax
 from .mixing import MixConfig, mix_batch
 from .sampling import draw_batch, inverse_prior
 from .streams import derive_rng
@@ -81,13 +81,11 @@ class MLPParams:
         return MLPParams([(np.zeros_like(w), np.zeros_like(b)) for w, b in self.layers])
 
 
-def init_params(layer_dims, seed_or_rng) -> MLPParams:
+def init_params(layer_dims, rng: np.random.Generator) -> MLPParams:
     """Fan-in-scaled Gaussian weights (variance 2/fan_in), zero biases."""
     dims = [int(d) for d in layer_dims]
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise ValueError(f"layer dims must be >= 1 with an input and output, got {dims}")
-    rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) \
-        else derive_rng(seed_or_rng, "init")
     layers = []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         w = rng.standard_normal((fan_in, fan_out)) * np.sqrt(2.0 / fan_in)
@@ -109,18 +107,9 @@ def _forward_cached(params: MLPParams, x: np.ndarray):
 
 
 def forward(params: MLPParams, x: np.ndarray) -> np.ndarray:
-    """Logits (N, C) of a batch (N, d).
-
-    Keeps no activations: each layer's bias add and rectifier run in place
-    and the previous activation is dropped once it is used.
-    """
-    last = len(params.layers) - 1
-    for l, (w, b) in enumerate(params.layers):
-        x = x @ w
-        x += b
-        if l < last:
-            np.maximum(x, 0.0, out=x)
-    return x
+    """Logits (N, C) of a batch (N, d): the trainer's forward pass, whose
+    hidden activations are dropped on return."""
+    return _forward_cached(params, x)[0]
 
 
 def _backward_cached(params: MLPParams, acts, grad_logits, grads: MLPParams) -> MLPParams:
@@ -247,22 +236,18 @@ def predict_proba(params: MLPParams, x: np.ndarray) -> np.ndarray:
     """Raw softmax probabilities (N, C) of a batch (N, d); margins are never
     applied at inference.
 
-    Blocks of PREDICT_BLOCK rows go through `forward` and the arithmetic of
-    `losses.softmax` into the one (N, C) result. The last block takes the
-    remainder, since BLAS may round a product of a few rows differently
-    (OpenBLAS has a small-matrix kernel). With blocks of at least
-    PREDICT_BLOCK rows the result equals the whole-batch computation bit for
-    bit on OpenBLAS 0.3.31 (x86-64), the only BLAS this was measured on.
+    Blocks of PREDICT_BLOCK rows go through `forward` and `losses.softmax`
+    into the one (N, C) result. The last block takes the remainder, since
+    BLAS may round a product of a few rows differently (OpenBLAS has a
+    small-matrix kernel). With blocks of at least PREDICT_BLOCK rows the
+    result equals the whole-batch computation bit for bit on OpenBLAS
+    0.3.31 (x86-64), the only BLAS this was measured on.
     """
     n = x.shape[0]
     out = np.empty((n, params.layer_dims[-1]))
     stops = [*range(PREDICT_BLOCK, n - PREDICT_BLOCK + 1, PREDICT_BLOCK), n]
     for lo, hi in zip([0, *stops], stops):
-        z = forward(params, x[lo:hi])
-        probs = out[lo:hi]
-        np.subtract(z, z.max(axis=-1, keepdims=True), out=probs)
-        np.exp(probs, out=probs)
-        probs /= probs.sum(axis=-1, keepdims=True)
+        out[lo:hi] = softmax(forward(params, x[lo:hi]))
     return out
 
 

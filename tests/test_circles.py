@@ -41,6 +41,9 @@ def test_unimix_beats_imbalanced_median_over_seeds():
 def test_unknown_scenario_rejected():
     with pytest.raises(ValueError):
         _run(TwoCircleSpec(seed=0), "remix")
+    ds = gen_two_circles(TwoCircleSpec(seed=0))
+    with pytest.raises(ValueError, match="scenario must be one of"):
+        virtual_cloud(ds, "remix", 300, 0)
 
 
 def test_circles_demo_builds_each_scenario_set_once(tmp_path, monkeypatch):
@@ -71,7 +74,7 @@ def test_virtual_cloud_shapes():
 def test_virtual_cloud_matches_inline_mixing(inline_virtual_cloud):
     for data_seed in (0, 1, 2):
         ds = gen_two_circles(TwoCircleSpec(seed=data_seed))
-        for scenario in ("balanced", "imbalanced", "mixup", "unimix", "remix"):
+        for scenario in ("balanced", "imbalanced", "mixup", "unimix"):
             for seed in range(4):
                 got = virtual_cloud(ds, scenario, 300, seed)
                 want = inline_virtual_cloud(ds, scenario, 300, seed)

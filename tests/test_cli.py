@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 
 import unimix_lt
-from unimix_lt import cli
+from unimix_lt import calibration, cli
 from unimix_lt.cli import build_parser, main
 from unimix_lt.config import resolve_config
 from unimix_lt.data import load_csv
+from unimix_lt.mixing import MIX_MODES
 from unimix_lt.model import init_params, save_model
+from unimix_lt.streams import derive_rng
 from unimix_lt.theory import CURVE_KINDS, LTSpec, discrete_lt_prior
 
 TINY_TRAIN = {
@@ -338,7 +340,7 @@ def test_eval_dimension_mismatch(tmp_path):
 def eval_inputs(tmp_path, feature="0.5"):
     """A 4-feature, 3-class model and a three-row CSV whose last row holds `feature`."""
     model = tmp_path / "model.json"
-    save_model(init_params([4, 8, 3], 0), model)
+    save_model(init_params([4, 8, 3], derive_rng(0, "init")), model)
     data = tmp_path / "data.csv"
     data.write_text("f0,f1,f2,f3,label\n0.1,0.2,0.3,0.4,0\n0.5,0.6,0.7,0.8,1\n"
                     f"0.9,1.0,{feature},1.2,2\n")
@@ -489,7 +491,7 @@ def test_report_aggregates_and_warns(tmp_path, capsys):
     assert "c_run: unreadable report.json" in err and "d_run: unreadable report.json" in err
     assert "e_run: unreadable config.resolved.json" in err and "Traceback" not in err
     lines = (out / "summary.csv").read_text().strip().splitlines()
-    assert lines[0].startswith("run,loss,mix_mode,accuracy")
+    assert lines[0].split(",") == ["run", "loss", "mix_mode", *calibration.SCALARS]
     assert [l.split(",")[0] for l in lines[1:]] == ["a_run", "b_run", "e_run"]
     rows = json.loads((out / "summary.json").read_text())
     assert rows[1]["accuracy"] == 0.75
@@ -549,6 +551,11 @@ def test_non_finite_numbers_exit_one(tmp_path, capsys, argv, config_text):
     pytest.param(["gen-data"], '{"kind": "bogus"}', None, id="gen-data-kind-config"),
     pytest.param(["verify-dist", "--mode", "bogus"], None, None, id="verify-dist-mode-flag"),
     pytest.param(["verify-dist"], '{"mode": "bogus"}', None, id="verify-dist-mode-config"),
+    # the mixing modes' long names are train's mix_mode values, not verify-dist modes
+    *(pytest.param(["verify-dist", "--mode", mode], None, None, id=f"verify-dist-flag-{mode}")
+      for mode in MIX_MODES),
+    *(pytest.param(["verify-dist"], json.dumps({"mode": mode}), None,
+                   id=f"verify-dist-config-{mode}") for mode in MIX_MODES),
     pytest.param(["train"], _train_cfg_text("hidden_dims", '"64"'), None,
                  id="train-hidden-dims-string"),
     pytest.param(["train"], _train_cfg_text("hidden_dims", "[4.7]"), None,

@@ -36,6 +36,15 @@ def test_softmax_basics():
     assert abs(softmax(np.array([0.1, 0.4, -2.0])).sum() - 1.0) <= 1e-12
 
 
+def test_softmax_leaves_its_argument_and_matches_the_allocating_form():
+    z = np.random.default_rng(0).standard_normal((7, 5)) * 30.0
+    before = z.copy()
+    p = softmax(z)
+    assert np.array_equal(z, before)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    assert np.array_equal(p, e / e.sum(axis=-1, keepdims=True))
+
+
 def test_bayias_margin_balanced_target():
     np.testing.assert_allclose(bayias_margin(np.full(10, 0.1)), np.zeros(10), atol=1e-12)
     m = bayias_margin(np.array([0.8, 0.2]))

@@ -16,8 +16,8 @@ from unimix_lt.streams import derive_rng
 
 
 def test_init_params_deterministic_and_shapes():
-    a = init_params([4, 8, 3], 7)
-    b = init_params([4, 8, 3], 7)
+    a = init_params([4, 8, 3], derive_rng(7, "init"))
+    b = init_params([4, 8, 3], derive_rng(7, "init"))
     for (wa, ba), (wb, bb) in zip(a.layers, b.layers):
         np.testing.assert_array_equal(wa, wb)
         np.testing.assert_array_equal(ba, bb)
@@ -26,7 +26,7 @@ def test_init_params_deterministic_and_shapes():
 
 
 def test_init_params_fan_in_variance():
-    params = init_params([100, 200, 10], 3)
+    params = init_params([100, 200, 10], derive_rng(3, "init"))
     w = params.layers[0][0]
     assert w.size >= 10_000
     var = w.var()
@@ -35,13 +35,13 @@ def test_init_params_fan_in_variance():
 
 def test_init_params_rejects_zero_width():
     with pytest.raises(ValueError):
-        init_params([4, 0, 3], 0)
+        init_params([4, 0, 3], derive_rng(0, "init"))
     with pytest.raises(ValueError):
-        init_params([4], 0)
+        init_params([4], derive_rng(0, "init"))
 
 
 def test_forward_linear_model_is_affine():
-    params = init_params([3, 2], 5)
+    params = init_params([3, 2], derive_rng(5, "init"))
     w, b = params.layers[0]
     x = np.array([[0.5, -1.0, 2.0]])
     np.testing.assert_array_equal(forward(params, x), x @ w + b)
@@ -50,7 +50,7 @@ def test_forward_linear_model_is_affine():
 
 
 def test_forward_batch_matches_single():
-    params = init_params([3, 8, 4], 1)
+    params = init_params([3, 8, 4], derive_rng(1, "init"))
     x = derive_rng(0, "t").standard_normal((5, 3))
     batched = forward(params, x)
     for i in range(5):
@@ -91,7 +91,7 @@ def test_backward_full_network_finite_differences(backward):
 
 
 def test_backward_zero_and_linearity(backward):
-    params = init_params([3, 8, 4], 2)
+    params = init_params([3, 8, 4], derive_rng(2, "init"))
     x = derive_rng(1, "t").standard_normal((6, 3))
     zeros = backward(params, x, np.zeros((6, 4)))
     assert all(np.all(gw == 0) and np.all(gb == 0) for gw, gb in zeros)
@@ -105,12 +105,12 @@ def test_backward_zero_and_linearity(backward):
 
 
 def test_sgd_step_plain_and_frozen():
-    params = init_params([2, 3], 0)
+    params = init_params([2, 3], derive_rng(0, "init"))
     w0 = params.layers[0][0].copy()
     grad = np.ones_like(params.flat)
     sgd_step(params, grad, np.zeros_like(grad), lr=0.1, momentum=0.0, weight_decay=0.0)
     np.testing.assert_array_equal(params.layers[0][0], w0 - 0.1)
-    params2 = init_params([2, 3], 0)
+    params2 = init_params([2, 3], derive_rng(0, "init"))
     w0 = params2.layers[0][0].copy()
     sgd_step(params2, grad, np.zeros_like(grad), lr=0.0, momentum=0.9, weight_decay=0.0)
     np.testing.assert_array_equal(params2.layers[0][0], w0)
@@ -119,7 +119,7 @@ def test_sgd_step_plain_and_frozen():
 def test_sgd_two_steps_constant_gradient():
     # v1 = g, v2 = (1+mu) g, total displacement lr*g*(2+mu)
     mu = 0.7
-    params = init_params([2, 2], 1)
+    params = init_params([2, 2], derive_rng(1, "init"))
     w0 = params.layers[0][0].copy()
     grads = params.zeros_like()
     grads.layers[0][0][:] = 0.5
@@ -131,9 +131,9 @@ def test_sgd_two_steps_constant_gradient():
 
 
 def test_layers_are_views_into_one_flat_vector(tmp_path):
-    save_model(init_params([3, 4, 2], 1), tmp_path / "model.json")
-    for params in (init_params([3, 8, 4], 0), init_params([3, 8, 4], 0).zeros_like(),
-                   load_model(tmp_path / "model.json")):
+    save_model(init_params([3, 4, 2], derive_rng(1, "init")), tmp_path / "model.json")
+    fresh = init_params([3, 8, 4], derive_rng(0, "init"))
+    for params in (fresh, fresh.zeros_like(), load_model(tmp_path / "model.json")):
         assert params.flat.dtype == np.float64 and params.flat.ndim == 1
         dims = params.layer_dims
         assert params.flat.size == sum(a * b + b for a, b in zip(dims[:-1], dims[1:]))
@@ -343,7 +343,7 @@ def test_train_raises_on_non_finite_final_update():
 
 
 def test_predict_proba_contract():
-    params = init_params([3, 8, 4], 4)
+    params = init_params([3, 8, 4], derive_rng(4, "init"))
     x = derive_rng(5, "t").standard_normal((6, 3))
     probs = predict_proba(params, x)
     np.testing.assert_allclose(probs.sum(axis=1), np.ones(6), atol=1e-12)
@@ -353,7 +353,7 @@ def test_predict_proba_contract():
 
 def test_predict_proba_is_softmax_of_forward_exactly():
     """The in-place inference path equals the allocating one bit for bit."""
-    params = init_params([16, 64, 64, 100], 8)
+    params = init_params([16, 64, 64, 100], derive_rng(8, "init"))
     x = derive_rng(9, "t").standard_normal((500, 16)) * 3.0
     logits = forward(params, x)
     assert np.array_equal(logits, _forward_cached(params, x)[0])
@@ -366,7 +366,7 @@ def test_predict_proba_is_softmax_of_forward_exactly():
 
 
 def test_model_save_load_round_trip(tmp_path):
-    params = init_params([3, 8, 4], 6)
+    params = init_params([3, 8, 4], derive_rng(6, "init"))
     path = tmp_path / "model.json"
     save_model(params, path)
     back = load_model(path)
@@ -378,7 +378,7 @@ def test_model_save_load_round_trip(tmp_path):
 
 def saved_payload(tmp_path):
     path = tmp_path / "model.json"
-    save_model(init_params([3, 4, 2], 1), path)
+    save_model(init_params([3, 4, 2], derive_rng(1, "init")), path)
     return json.loads(path.read_text())
 
 
