@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import Dataset, TwoCircleSpec, empirical_prior, gen_two_circles
 from .losses import LossSpec
-from .mixing import MixConfig, mix_batch
+from .mixing import MixConfig, mix_batch, reinforced_class
 from .model import TrainConfig, train_two_phase
 from .sampling import inverse_prior
 from .streams import derive_rng
@@ -126,5 +126,5 @@ def virtual_cloud(ds: Dataset, scenario: str, num_points: int, seed: int) -> np.
     rng = derive_rng(seed, "cloud")
     mixed, y_i, y_j, xi = mix_batch(ds, prior, inverse_prior(prior, mix.pair_tau), mix,
                                     num_points, rng, rng, rng)
-    labels = np.where(xi >= 0.5, y_i, y_j)
+    labels = reinforced_class(y_i, y_j, xi)
     return np.column_stack([mixed, labels.astype(np.float64)])

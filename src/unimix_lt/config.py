@@ -26,7 +26,7 @@ __all__ = ["resolve_config", "resolve_train_config", "build_training_run", "load
 DATA_DEFAULTS = {"classes": 10, "rho": 100.0, "n_max": 500, "dims": 16,
                  "cluster_spread": DEFAULT_SPREAD}
 
-_DEFAULTS = {
+_BASE_DEFAULTS = {
     **DATA_DEFAULTS,
     "tau": MixConfig.tau,
     "mix_mode": MixConfig.mode,
@@ -40,10 +40,18 @@ _DEFAULTS = {
     "weight_decay": TrainConfig.weight_decay,
     "hidden_dims": list(TrainConfig.hidden_dims),
     "seed": 0,
-    # alpha and t1_steps follow mix_mode and t2_steps unless given
-    "alpha": MixConfig.alpha,
-    "t1_steps": 1800,
 }
+
+
+def _following_defaults(cfg: dict) -> dict:
+    """The defaults of alpha and t1_steps, which follow mix_mode and t2_steps:
+    beta mixing takes 1.0 only in the plain-mixup mode, and phase 1 lasts
+    90% of the run."""
+    return {"alpha": 1.0 if cfg["mix_mode"] == "vanilla_mixup" else MixConfig.alpha,
+            "t1_steps": round(0.9 * cfg["t2_steps"])}
+
+
+_DEFAULTS = {**_BASE_DEFAULTS, **_following_defaults(_BASE_DEFAULTS)}
 
 _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
 
@@ -106,10 +114,8 @@ def resolve_train_config(*layers) -> dict:
     if cfg["mix_mode"] not in MIX_MODES:
         raise ConfigError(f"mix_mode must be one of {MIX_MODES}, got {cfg['mix_mode']!r}")
     given = {key for layer in layers for key in layer}
-    if "alpha" not in given:  # beta mixing defaults to 1.0 only for the plain-mixup mode
-        cfg["alpha"] = 1.0 if cfg["mix_mode"] == "vanilla_mixup" else MixConfig.alpha
-    if "t1_steps" not in given:
-        cfg["t1_steps"] = round(0.9 * cfg["t2_steps"])
+    cfg.update({key: value for key, value in _following_defaults(cfg).items()
+                if key not in given})
     return cfg
 
 

@@ -15,11 +15,13 @@ the factor all work on arrays, one entry per pair.
 `mix_batch` is the one pair-draw-and-mix step: it draws the first pair
 members by the prior and the second by the pair prior, picks each pair's
 factor (a plain Beta draw in vanilla mode, the prior-aware factor
-otherwise) and combines the features. A mixed sample reinforces the class
-whose weight is >= 0.5 (ties go to the first pair member).
+otherwise, shifted in place) and combines the features. A mixed sample
+reinforces the class whose weight is >= 0.5 (ties go to the first pair
+member), which `reinforced_class` picks without a branch.
 `mc_xi_aug_histogram` tallies that class over many random pairs to
-validate the closed forms in `theory`. Each of its streams is drawn in
-blocks of 2^16 pairs from three generators placed where the first
+validate the closed forms in `theory`. It validates the prior once, where
+it enters; each stream then builds its two class tables once and draws
+in blocks of 2^16 pairs from three generators placed where the first
 members, the second members and the factors of the whole stream begin
 (0, trials and 2 * trials 64-bit outputs in), so memory stays flat in the
 trial count and the counts are those of whole-array draws, bit for bit.
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .sampling import draw_batch, draw_classes, inverse_prior
+from .sampling import class_table, draw_batch, draw_classes, inverse_prior
 from .streams import derive_rng
 from .theory import check_prior
 
@@ -49,9 +51,8 @@ __all__ = [
     "MixConfig",
     "MIX_MODES",
     "sample_beta",
-    "cyclic_shift",
-    "unimix_factor",
     "mix_batch",
+    "reinforced_class",
     "mc_xi_aug_histogram",
 ]
 
@@ -100,28 +101,25 @@ def sample_beta(alpha: float, rng: np.random.Generator, size: int | tuple[int, .
     return rng.beta(alpha, alpha, size=size)
 
 
-def cyclic_shift(xi: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """frac(xi + c) on [0, 1), implemented so c = 0 returns xi bit-for-bit."""
-    out = xi + c
-    return np.where(out >= 1.0, out - 1.0, out)
-
-
-def unimix_factor(pi_i: np.ndarray, pi_j: np.ndarray, alpha: float,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Prior-aware mixing weights for equal-length arrays of pair priors
-    (pi_i, pi_j); one Beta draw per pair."""
-    if (pi_i <= 0).any() or (pi_j <= 0).any():
-        raise ValueError("pair priors must be strictly positive")
-    c = pi_j / (pi_i + pi_j)
-    return cyclic_shift(sample_beta(alpha, rng, size=c.shape), c)
-
-
 def _factor(mix: MixConfig, prior: np.ndarray, y_i: np.ndarray, y_j: np.ndarray,
             rng: np.random.Generator) -> np.ndarray:
-    """Mixing weight of each pair: Beta(alpha, alpha) in vanilla mode, else prior-aware."""
+    """Mixing weight of each pair: Beta(alpha, alpha) in vanilla mode, else prior-aware.
+
+    The prior-aware weight frac(xi_beta + c), c = pi_j / (pi_i + pi_j), is
+    computed in place. The callers take `prior` from `empirical_prior` or
+    validate it strictly positive, so c is finite. xi_beta + c < 2, and
+    subtracting the 0.0 of a false `>= 1.0` leaves a value bit for bit.
+    """
+    xi = sample_beta(mix.alpha, rng, size=y_i.shape[0])
     if mix.mode == "vanilla_mixup":
-        return sample_beta(mix.alpha, rng, size=y_i.shape[0])
-    return unimix_factor(prior[y_i], prior[y_j], mix.alpha, rng)
+        return xi
+    c = prior.take(y_j)
+    total = prior.take(y_i)
+    total += c
+    c /= total
+    xi += c
+    xi -= xi >= 1.0
+    return xi
 
 
 def mix_batch(ds: Dataset, prior: np.ndarray, pair_prior: np.ndarray, mix: MixConfig,
@@ -129,7 +127,8 @@ def mix_batch(ds: Dataset, prior: np.ndarray, pair_prior: np.ndarray, mix: MixCo
               rng_mix: np.random.Generator):
     """`n` mixed samples: returns (x, y_i, y_j, xi) with x = xi*x_i + (1-xi)*x_j.
 
-    The streams are drawn in order: first members (rng_i), second members
+    In the factor modes `prior` must be strictly positive, as `empirical_prior`
+    returns it. The streams are drawn in order: first members (rng_i), second members
     (rng_j), then the factors (rng_mix); one stream may serve all three.
     """
     x_i, y_i = draw_batch(ds, prior, n, rng_i)
@@ -137,6 +136,16 @@ def mix_batch(ds: Dataset, prior: np.ndarray, pair_prior: np.ndarray, mix: MixCo
     xi = _factor(mix, prior, y_i, y_j, rng_mix)
     x = xi[:, None] * x_i + (1.0 - xi)[:, None] * x_j
     return x, y_i, y_j, xi
+
+
+def reinforced_class(y_i: np.ndarray, y_j: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """The class each mixed pair reinforces, y_i where xi >= 0.5 (ties
+    included) else y_j, as y_j + [xi >= 0.5] * (y_i - y_j): branch-free,
+    written over y_i."""
+    y_i -= y_j
+    y_i *= xi >= 0.5
+    y_i += y_j
+    return y_i
 
 
 def _advanced(rng: np.random.Generator, draws: int) -> np.random.Generator:
@@ -155,16 +164,20 @@ def _mc_chunk(prior, pair_prior, config, trials, rng):
     uniform), and Beta draws are one uniform each or, through `rng.beta`,
     taken one element after another, so blocks of `_MC_BLOCK` pairs draw
     the same values in the same order while memory stays flat in `trials`.
+    The two class tables are built before the first block and belong to
+    this stream alone; the blocks only draw, weigh and count.
     """
     rng_j = _advanced(rng, trials)
     rng_mix = _advanced(rng, 2 * trials)
+    table_i = class_table(prior, trials)
+    table_j = class_table(pair_prior, trials)
     counts = np.zeros(prior.shape[0], dtype=np.int64)
     for start in range(0, trials, _MC_BLOCK):
         n = min(_MC_BLOCK, trials - start)
-        y_i = draw_classes(prior, n, rng)
-        y_j = draw_classes(pair_prior, n, rng_j)
+        y_i = draw_classes(table_i, n, rng)
+        y_j = draw_classes(table_j, n, rng_j)
         xi = _factor(config, prior, y_i, y_j, rng_mix)
-        counts += np.bincount(np.where(xi >= 0.5, y_i, y_j), minlength=counts.shape[0])
+        counts += np.bincount(reinforced_class(y_i, y_j, xi), minlength=counts.shape[0])
     return counts
 
 

@@ -10,25 +10,31 @@ tau < 1 favors the tail.
 uniform offset per sample, and picks the instances from the dataset's
 class-sorted index in one vectorized gather.
 
-`draw_classes` inverts the prior's CDF at one uniform per draw. Bulk draws
-(the Monte Carlo histogram's) look the class up in a guide table, the
-"indexed search" of Chen & Asau (1974): the bucket floor(u * 4096) gives
-the first candidate class and a few branchless halving steps finish, with
-exactly the classes `np.searchsorted` returns. Small batches, such as the
-trainer's, keep `np.searchsorted`, which costs less than building a table.
+`draw_classes` inverts the prior's CDF at one uniform per draw, through
+the lookup `class_table` builds: it validates the prior once and holds
+its cumulative edges, so a caller drawing many times from one prior, as
+each Monte Carlo stream does, builds it once. A table built for bulk
+draws also holds a guide table, the "indexed search" of Chen & Asau
+(1974): the bucket floor(u * 4096) gives the first candidate class and a
+few branchless halving steps finish, with exactly the classes
+`np.searchsorted` returns. A table for a small batch, such as a trainer
+step's, leaves the guide table out and keeps `np.searchsorted`, which
+costs less there than building the guide table.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
 from .data import Dataset
 from .theory import check_prior
 
-__all__ = ["inverse_prior", "draw_classes", "draw_batch"]
+__all__ = ["inverse_prior", "class_table", "draw_classes", "draw_batch"]
 
-# Guide-table buckets; a power of two, so u * _GUIDE_SIZE is exact. Below it
-# building the table costs more than it saves.
+# Guide-table buckets; a power of two, so u * _GUIDE_SIZE is exact. For fewer
+# draws building the guide table costs more than it saves.
 _GUIDE_SIZE = 4096
 
 
@@ -47,24 +53,47 @@ def inverse_prior(prior: np.ndarray, tau: float) -> np.ndarray:
     return check_prior(weights / weights.sum())
 
 
-def draw_classes(prior: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized categorical draw of `size` class indices.
+class ClassTable(NamedTuple):
+    """A prior's cumulative `edges` and, for bulk draws, the guide table of
+    `_guided_search`: each bucket's first candidate class `lo`, the halving
+    `steps` of the widest bucket, and the edges `padded` by 2^steps infinities."""
+
+    edges: np.ndarray
+    lo: np.ndarray | None = None
+    steps: int = 0
+    padded: np.ndarray | None = None
+
+
+def class_table(prior: np.ndarray, size: int) -> ClassTable:
+    """Validate `prior` and build the lookup for `size` class draws from it,
+    in one `draw_classes` call or several; from `_GUIDE_SIZE` draws up it
+    includes the guide table."""
+    edges = np.cumsum(check_prior(prior))
+    edges[-1] = 1.0  # guard against cumsum rounding at the top edge
+    if size < _GUIDE_SIZE:
+        return ClassTable(edges)
+    lo = np.searchsorted(edges, np.arange(_GUIDE_SIZE) / _GUIDE_SIZE, side="right")
+    width = np.diff(lo, append=edges.size - 1)  # no class above C - 1 since u < 1
+    steps = int(width.max()).bit_length()
+    padded = np.concatenate([edges, np.full(1 << steps, np.inf)])
+    return ClassTable(edges, lo, steps, padded)
+
+
+def draw_classes(table: ClassTable, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Vectorized categorical draw of `size` class indices from a `class_table`.
 
     One uniform u per draw; the class is the number of cumulative edges
-    <= u, as `np.searchsorted(edges, u, side="right")` counts it. From
-    `_GUIDE_SIZE` draws up, `_guided_search` gives the same classes faster.
+    <= u, as `np.searchsorted(edges, u, side="right")` counts it. A table
+    with a guide table gives the same classes faster through `_guided_search`.
     """
-    p = check_prior(prior)
-    edges = np.cumsum(p)
-    edges[-1] = 1.0  # guard against cumsum rounding at the top edge
     u = rng.random(size)
-    if size < _GUIDE_SIZE:
-        return np.searchsorted(edges, u, side="right").astype(np.int64, copy=False)
-    return _guided_search(edges, u)
+    if table.lo is None:
+        return np.searchsorted(table.edges, u, side="right").astype(np.int64, copy=False)
+    return _guided_search(table, u)
 
 
-def _guided_search(edges: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """`np.searchsorted(edges, u, side="right")` for u in [0, 1), by a guide table.
+def _guided_search(table: ClassTable, u: np.ndarray) -> np.ndarray:
+    """`np.searchsorted(table.edges, u, side="right")` for u in [0, 1), by the guide table.
 
     With M = `_GUIDE_SIZE`, u lies in bucket k = floor(u * M), that is in
     [k/M, (k+1)/M), and its class in [lo[k], lo[k+1]] with
@@ -74,13 +103,9 @@ def _guided_search(edges: np.ndarray, u: np.ndarray) -> np.ndarray:
     decrease, and the last is 1 > u: "edge <= u" holds on a prefix of them,
     which makes both searches count the same edges.
     """
-    lo = np.searchsorted(edges, np.arange(_GUIDE_SIZE) / _GUIDE_SIZE, side="right")
-    width = np.diff(lo, append=edges.size - 1)  # no class above C - 1 since u < 1
-    steps = int(width.max()).bit_length()
-    padded = np.concatenate([edges, np.full(1 << steps, np.inf)])
-    pos = lo[(u * _GUIDE_SIZE).astype(np.intp)]
-    for k in reversed(range(steps)):
-        pos += (1 << k) * (padded[(1 << k) - 1:][pos] <= u)
+    pos = table.lo.take((u * _GUIDE_SIZE).astype(np.intp))
+    for k in reversed(range(table.steps)):
+        pos += (table.padded[(1 << k) - 1:].take(pos) <= u) << k
     return pos.astype(np.int64, copy=False)
 
 
@@ -96,7 +121,7 @@ def draw_batch(ds: Dataset, prior: np.ndarray, batch_size: int,
     if ((p > 0) & (ds.class_counts == 0)).any():
         bad = np.flatnonzero((p > 0) & (ds.class_counts == 0)).tolist()
         raise ValueError(f"prior puts mass on empty classes {bad}")
-    classes = draw_classes(p, batch_size, rng)
+    classes = draw_classes(class_table(p, batch_size), batch_size, rng)
     offsets = rng.random(batch_size)
     within = (offsets * ds.class_counts[classes]).astype(np.int64)
     picks = ds.class_order[ds.class_starts[classes] + within]

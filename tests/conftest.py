@@ -5,9 +5,9 @@ import pytest
 
 from unimix_lt.data import empirical_prior
 from unimix_lt.losses import bayias_margin, log_softmax, softmax
-from unimix_lt.mixing import sample_beta, unimix_factor
+from unimix_lt.mixing import sample_beta
 from unimix_lt.model import _backward_cached, _forward_cached
-from unimix_lt.sampling import draw_batch, draw_classes, inverse_prior
+from unimix_lt.sampling import class_table, draw_batch, draw_classes, inverse_prior
 from unimix_lt.streams import derive_rng
 from unimix_lt.theory import check_prior
 
@@ -17,7 +17,7 @@ def _per_sample_draw_batch(ds, prior, batch_size, rng):
     p = check_prior(prior)
     if batch_size == 0:
         return np.empty((0, ds.dims)), np.empty(0, dtype=np.int64)
-    classes = draw_classes(p, batch_size, rng)
+    classes = draw_classes(class_table(p, batch_size), batch_size, rng)
     picks = np.empty(batch_size, dtype=np.int64)
     offsets = rng.random(batch_size)
     for i, k in enumerate(classes):
@@ -30,6 +30,33 @@ def _per_sample_draw_batch(ds, prior, batch_size, rng):
 def per_sample_draw_batch():
     """Oracle for `sampling.draw_batch`: same signature, same stream use."""
     return _per_sample_draw_batch
+
+
+def _cyclic_shift(xi, c):
+    """frac(xi + c) on [0, 1) as `np.where` picks it; c = 0 returns xi bit for bit."""
+    out = xi + c
+    return np.where(out >= 1.0, out - 1.0, out)
+
+
+def _unimix_factor(pi_i, pi_j, alpha, rng):
+    """Prior-aware mixing weights of pairs with priors (pi_i, pi_j), one Beta
+    draw per pair: `mixing._factor` before it worked in place."""
+    if (pi_i <= 0).any() or (pi_j <= 0).any():
+        raise ValueError("pair priors must be strictly positive")
+    c = pi_j / (pi_i + pi_j)
+    return _cyclic_shift(sample_beta(alpha, rng, size=c.shape), c)
+
+
+@pytest.fixture
+def cyclic_shift():
+    """Oracle for the in-place shift of `mixing._factor`."""
+    return _cyclic_shift
+
+
+@pytest.fixture
+def unimix_factor():
+    """Oracle for the prior-aware weights of `mixing._factor`: same stream use."""
+    return _unimix_factor
 
 
 def _whole_array_mc_chunk(prior, pair_prior, config, trials, rng):
@@ -48,7 +75,7 @@ def _whole_array_mc_chunk(prior, pair_prior, config, trials, rng):
     if config.mode == "vanilla_mixup":
         xi = sample_beta(config.alpha, rng, size=trials)
     else:
-        xi = unimix_factor(prior[y_i], prior[y_j], config.alpha, rng)
+        xi = _unimix_factor(prior[y_i], prior[y_j], config.alpha, rng)
     return np.bincount(np.where(xi >= 0.5, y_i, y_j), minlength=prior.shape[0])
 
 
@@ -236,7 +263,7 @@ def _inline_virtual_cloud(ds, scenario, num_points, seed):
     if scenario == "mixup":
         xi = sample_beta(alpha, rng, size=num_points)
     else:
-        xi = unimix_factor(prior[y_i], prior[y_j], alpha, rng)
+        xi = _unimix_factor(prior[y_i], prior[y_j], alpha, rng)
     mixed = xi[:, None] * x_i + (1.0 - xi)[:, None] * x_j
     labels = np.where(xi >= 0.5, y_i, y_j)
     return np.column_stack([mixed, labels.astype(np.float64)])

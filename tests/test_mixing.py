@@ -9,8 +9,8 @@ from scipy import stats
 from unimix_lt import mixing
 from unimix_lt.cli import main
 from unimix_lt.data import Dataset, gen_lt_gaussians
-from unimix_lt.mixing import (MIX_MODES, MixConfig, cyclic_shift, mc_xi_aug_histogram,
-                              mix_batch, sample_beta, unimix_factor)
+from unimix_lt.mixing import (MIX_MODES, MixConfig, mc_xi_aug_histogram, mix_batch,
+                              reinforced_class, sample_beta)
 from unimix_lt.sampling import draw_batch, inverse_prior
 from unimix_lt.streams import derive_rng
 from unimix_lt.theory import LTSpec, discrete_lt_prior
@@ -65,20 +65,63 @@ def test_sample_beta_deterministic_and_domain():
         sample_beta(0.0, derive_rng(0, "beta"), size=8)
 
 
+def prior_aware(pi_i, pi_j, alpha, rng, n):
+    """`n` prior-aware weights of pairs with priors (pi_i, pi_j), drawn by
+    `mixing._factor` as the trainer and the Monte Carlo draw them."""
+    return mixing._factor(MixConfig(alpha=alpha, mode="unimix_factor_only"),
+                          np.array([pi_i, pi_j]), np.zeros(n, dtype=np.int64),
+                          np.ones(n, dtype=np.int64), rng)
+
+
 def test_cyclic_shift_zero_is_bitwise_identity():
     draws = sample_beta(0.5, derive_rng(3, "beta"), size=100_000)
-    np.testing.assert_array_equal(cyclic_shift(draws, np.zeros_like(draws)), draws)
+    xi = prior_aware(1.0, 0.0, 0.5, derive_rng(3, "beta"), 100_000)  # c = 0
+    np.testing.assert_array_equal(xi.view(np.uint64), draws.view(np.uint64))
 
 
 def test_cyclic_shift_range():
-    draws = sample_beta(1.0, derive_rng(4, "beta"), size=100_000)
-    out = cyclic_shift(draws, np.full_like(draws, 0.73))
-    assert np.all((out >= 0.0) & (out < 1.0))
+    xi = prior_aware(0.27, 0.73, 1.0, derive_rng(4, "beta"), 100_000)
+    assert np.all((xi >= 0.0) & (xi < 1.0))
+
+
+# (xi, pi_i, pi_j): xi + c exactly 1.0, c = 0, xi = 0, xi = 1 - 2^-53, the
+# tie xi* = 0.5 and its neighbours, and c next to 1
+FUSED_EDGES = [
+    (0.75, 0.75, 0.25), (0.5, 0.5, 0.5), (0.25, 0.25, 0.75),
+    (0.0, 1.0, 0.0), (0.5, 1.0, 0.0), (1 - 2**-53, 1.0, 0.0),
+    (0.0, 0.75, 0.25), (0.0, 1.0, 1.0), (0.0, 1e-300, 1.0),
+    (1 - 2**-53, 0.75, 0.25), (1 - 2**-53, 0.5, 0.5), (1 - 2**-53, 1e-300, 1.0),
+    (0.25, 0.75, 0.25), (np.nextafter(0.25, 0.0), 0.75, 0.25),
+    (np.nextafter(0.25, 1.0), 0.75, 0.25), (np.nextafter(0.5, 0.0), 1.0, 0.0),
+]
+
+
+def test_in_place_factor_and_tally_match_the_where_forms(cyclic_shift):
+    """The in-place shift of `_factor` and `reinforced_class` against
+    frac(xi + c) and the reinforced class as `np.where` picks them."""
+    rng = np.random.default_rng(3)
+    edge_xi, edge_i, edge_j = (np.array(col) for col in zip(*FUSED_EDGES))
+    draws = np.concatenate([edge_xi, rng.random(5000)])
+    pi_i = np.concatenate([edge_i, rng.random(5000) + 1e-3])
+    pi_j = np.concatenate([edge_j, rng.random(5000) + 1e-3])
+    n = draws.shape[0]
+    # pair k draws classes (2k, 2k + 1), whose priors are pi_i[k] and pi_j[k]
+    prior = np.column_stack([pi_i, pi_j]).ravel()
+    y_i, y_j = 2 * np.arange(n), 2 * np.arange(n) + 1
+    xi = mixing._factor(MixConfig(alpha=1.0, mode="unimix_factor_only"), prior, y_i, y_j,
+                        _FixedBeta(draws))
+    want = cyclic_shift(draws, pi_j / (pi_i + pi_j))
+    np.testing.assert_array_equal(xi.view(np.uint64), want.view(np.uint64))
+    assert xi[0] == 0.0 and xi[1] == 0.0  # xi + c = 1.0 wraps to 0
+    np.testing.assert_array_equal(xi[3:6], edge_xi[3:6])  # c = 0 keeps xi
+    reinforced = np.where(xi >= 0.5, y_i, y_j)
+    np.testing.assert_array_equal(reinforced_class(y_i.copy(), y_j, xi), reinforced)
+    assert reinforced_class(y_i.copy(), y_j, np.full(n, 0.5)).tolist() == y_i.tolist()
 
 
 def test_unimix_factor_symmetric_priors():
     n = 1_000_000
-    xi = unimix_factor(np.full(n, 0.3), np.full(n, 0.3), 0.5, derive_rng(5, "mix"))
+    xi = prior_aware(0.3, 0.3, 0.5, derive_rng(5, "mix"), n)
     # c = 0.5 keeps the shifted density symmetric around 0.5
     assert abs((xi >= 0.5).mean() - 0.5) < 3 * math.sqrt(0.25 / n)
 
@@ -87,14 +130,14 @@ def test_unimix_factor_uniform_case_half_mass():
     # pi = (0.2, 0.8) gives c = 0.8; with a uniform base draw the mass
     # above 0.5 is P(beta < 0.2) + P(beta >= 0.7) = 0.5 exactly
     n = 1_000_000
-    xi = unimix_factor(np.full(n, 0.2), np.full(n, 0.8), 1.0, derive_rng(6, "mix"))
+    xi = prior_aware(0.2, 0.8, 1.0, derive_rng(6, "mix"), n)
     assert abs((xi >= 0.5).mean() - 0.5) < 3 * math.sqrt(0.25 / n)
 
 
 def test_unimix_factor_arcsine_oracle():
     n = 1_000_000
     c = 0.8
-    xi = unimix_factor(np.full(n, 0.2), np.full(n, 0.8), 0.5, derive_rng(7, "mix"))
+    xi = prior_aware(0.2, 0.8, 0.5, derive_rng(7, "mix"), n)
     expected = float(1.0 - shifted_cdf(0.5, c, 0.5))  # P(xi* >= 0.5)
     p_hat = (xi >= 0.5).mean()
     sigma = math.sqrt(expected * (1 - expected) / n)
@@ -106,16 +149,21 @@ def test_unimix_factor_full_cdf_ks(alpha, c):
     n = 1_000_000
     pi_j = c
     pi_i = 1.0 - c
-    xi = unimix_factor(np.full(n, pi_i), np.full(n, pi_j), alpha, derive_rng(8, "mix"))
+    xi = prior_aware(pi_i, pi_j, alpha, derive_rng(8, "mix"), n)
     stat = stats.kstest(xi, lambda t: shifted_cdf(t, c, alpha)).statistic
     assert stat < 0.005
 
 
 def test_unimix_factor_rejects_bad_priors():
-    with pytest.raises(ValueError, match="strictly positive"):
-        unimix_factor(np.array([0.5, 0.0]), np.array([0.5, 0.5]), 0.5, derive_rng(0, "mix"))
-    with pytest.raises(ValueError, match="strictly positive"):
-        unimix_factor(np.array([0.5]), np.array([-0.5]), 0.5, derive_rng(0, "mix"))
+    """The factor modes take their prior validated strictly positive where it
+    enters (here, or in `empirical_prior` for the trainer and the circles
+    study), so no pair's c = pi_j / (pi_i + pi_j) is ever 0 / 0."""
+    for mode in ("unimix_factor_only", "unimix_full"):
+        cfg = MixConfig(mode=mode)
+        with pytest.raises(ValueError, match="strictly positive"):
+            mc_xi_aug_histogram(np.array([0.5, 0.5, 0.0]), cfg, 1000, seed=0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            mc_xi_aug_histogram(np.array([0.75, 0.5, -0.25]), cfg, 1000, seed=0)
 
 
 class _FixedBeta:
@@ -147,7 +195,7 @@ def test_mix_batch_endpoints_and_midpoint():
 
 
 @pytest.mark.parametrize("mode", ["vanilla_mixup", "unimix_factor_only", "unimix_full"])
-def test_mix_batch_stream_order(mode):
+def test_mix_batch_stream_order(mode, unimix_factor):
     ds = gen_lt_gaussians(5, 20.0, 50, 3, seed=2)
     prior = ds.class_counts / ds.num_samples
     mix = MixConfig(alpha=0.5, mode=mode, tau=-1.0)
@@ -318,15 +366,19 @@ def test_mix_config_validation():
     assert MixConfig(mode="unimix_full", tau=-2.0).pair_tau == -2.0
 
 
-@pytest.mark.parametrize("value", ["0", "1"])
+@pytest.mark.parametrize("value", ["0", "1", "2"])
 def test_thread_cap_values_keep_the_histogram(value, monkeypatch):
-    prior = discrete_lt_prior(LTSpec(10, 50.0))
     cfg = MixConfig(alpha=0.5, mode="unimix_full", tau=-1.0)
-    monkeypatch.delenv("UNIMIX_LT_THREADS", raising=False)
-    want = mc_xi_aug_histogram(prior, cfg, 20_000, seed=3, streams=4)
-    monkeypatch.setenv("UNIMIX_LT_THREADS", value)
-    np.testing.assert_array_equal(mc_xi_aug_histogram(prior, cfg, 20_000, seed=3, streams=4),
-                                  want)
+    # one block per stream, and the verify-dist problem with two blocks in each
+    # of 4 streams, so each worker draws several blocks from its own tables
+    for prior, trials in ((discrete_lt_prior(LTSpec(10, 50.0)), 20_000),
+                          (discrete_lt_prior(LTSpec(100, 200.0, -1.0)),
+                           4 * (mixing._MC_BLOCK + 1000))):
+        monkeypatch.delenv("UNIMIX_LT_THREADS", raising=False)
+        want = mc_xi_aug_histogram(prior, cfg, trials, seed=3, streams=4)
+        monkeypatch.setenv("UNIMIX_LT_THREADS", value)
+        got = mc_xi_aug_histogram(prior, cfg, trials, seed=3, streams=4)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("value", ["-1", "abc"])

@@ -7,7 +7,7 @@ import pytest
 from unimix_lt.data import empirical_prior, gen_lt_gaussians
 from unimix_lt.errors import InvariantViolation
 from unimix_lt.losses import LOSS_KINDS, LossSpec, batch_grad, batch_loss, softmax
-from unimix_lt.mixing import MIX_MODES, MixConfig, sample_beta, unimix_factor
+from unimix_lt.mixing import MIX_MODES, MixConfig, sample_beta
 from unimix_lt.model import (PREDICT_BLOCK, MLPParams, TrainConfig, _forward_cached,
                              forward, init_params, load_model, predict_proba, save_model,
                              sgd_step, train_two_phase)
@@ -243,7 +243,7 @@ def test_train_degenerates_to_plain_mixup_ce(per_layer_model):
         np.testing.assert_array_equal(b, rb)
 
 
-def _reference_train(ds, cfg, draw, per_layer_model):
+def _reference_train(ds, cfg, draw, per_layer_model, unimix_factor):
     """The two-phase loop with the batch sampler `draw`, separate
     `batch_loss`/`batch_grad` calls per label, combined as
     xi * (label i) + (1 - xi) * (label j), and the per-layer step
@@ -303,14 +303,15 @@ REFERENCE_RUNS = [
 @pytest.mark.parametrize("kind,mix", REFERENCE_RUNS,
                          ids=[f"{k}-{m.mode}-tau{m.tau:g}" for k, m in REFERENCE_RUNS])
 def test_train_matches_per_sample_sampler_reference(kind, mix, per_sample_draw_batch,
-                                                    per_layer_model):
+                                                    per_layer_model, unimix_factor):
     """The class-sorted sampler and the flat in-place training step keep params
     and log bitwise, for every loss kind."""
     ds = gen_lt_gaussians(5, 20.0, 60, 4, seed=4)
     cfg = TrainConfig(t1_steps=12, t2_steps=16, batch_size=24, lr=0.1,
                       mix=mix, loss=_kind_spec(kind, ds), seed=5, hidden_dims=(8,))
     params, log = train_two_phase(ds, cfg)
-    ref, ref_log = _reference_train(ds, cfg, per_sample_draw_batch, per_layer_model)
+    ref, ref_log = _reference_train(ds, cfg, per_sample_draw_batch, per_layer_model,
+                                    unimix_factor)
     assert log == ref_log
     for (w, b), (rw, rb) in zip(params.layers, ref.layers):
         assert np.array_equal(w, rw) and np.array_equal(b, rb)

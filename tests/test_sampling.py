@@ -3,7 +3,7 @@ import pytest
 
 from unimix_lt import sampling
 from unimix_lt.data import Dataset, gen_lt_gaussians
-from unimix_lt.sampling import draw_batch, draw_classes, inverse_prior
+from unimix_lt.sampling import class_table, draw_batch, draw_classes, inverse_prior
 from unimix_lt.streams import derive_rng
 from unimix_lt.theory import LTSpec, discrete_lt_prior
 
@@ -40,22 +40,30 @@ def test_inverse_prior_zero_entry_negative_tau():
 
 def test_draw_class_degenerate_prior():
     rng = derive_rng(0, "t")
-    assert all(draw_classes(np.array([1.0, 0.0]), 1, rng)[0] == 0 for _ in range(100))
+    table = class_table(np.array([1.0, 0.0]), 1)
+    assert all(draw_classes(table, 1, rng)[0] == 0 for _ in range(100))
 
 
 def test_draw_class_uniform_frequencies():
     rng = derive_rng(1, "t")
     c, n = 10, 1_000_000
-    draws = draw_classes(np.full(c, 0.1), n, rng)
+    draws = draw_classes(class_table(np.full(c, 0.1), n), n, rng)
     freq = np.bincount(draws, minlength=c) / n
     sigma = np.sqrt(0.1 * 0.9 / n)
     assert np.all(np.abs(freq - 0.1) < 3 * sigma + 1e-12)
 
 
 def test_draw_class_deterministic():
-    a = draw_classes(np.array([0.3, 0.7]), 50, derive_rng(3, "t"))
-    b = draw_classes(np.array([0.3, 0.7]), 50, derive_rng(3, "t"))
+    table = class_table(np.array([0.3, 0.7]), 50)
+    a = draw_classes(table, 50, derive_rng(3, "t"))
+    b = draw_classes(table, 50, derive_rng(3, "t"))
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("prior", [[0.5, np.nan], [1.5, -0.5], [0.5, 0.4], [1.0]])
+def test_class_table_validates_the_prior(prior):
+    with pytest.raises(ValueError, match="class prior"):
+        class_table(np.array(prior), 1)
 
 
 GUIDE = sampling._GUIDE_SIZE
@@ -96,7 +104,7 @@ def test_guided_search_matches_searchsorted(name):
                         grid, np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf),
                         [0.0, np.nextafter(1.0, 0.0)]])
     u = u[(u >= 0.0) & (u < 1.0)]
-    got = sampling._guided_search(edges, u)
+    got = sampling._guided_search(class_table(LOOKUP_PRIORS[name], GUIDE), u)
     assert got.dtype == np.int64
     np.testing.assert_array_equal(got, np.searchsorted(edges, u, side="right"))
 
@@ -105,7 +113,7 @@ def test_guided_search_matches_searchsorted(name):
 def test_draw_classes_equals_searchsorted_on_the_same_draws(size):
     for name, prior in LOOKUP_PRIORS.items():
         rng, ref = derive_rng(9, "t"), derive_rng(9, "t")
-        got = draw_classes(prior, size, rng)
+        got = draw_classes(class_table(prior, size), size, rng)
         want = np.searchsorted(_edges(prior), ref.random(size), side="right")
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, want, err_msg=name)
