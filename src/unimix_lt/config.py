@@ -53,6 +53,7 @@ def _following_defaults(cfg: dict) -> dict:
 
 _DEFAULTS = {**_BASE_DEFAULTS, **_following_defaults(_BASE_DEFAULTS)}
 
+_LOSS_NAMES = (*LOSS_KINDS, "la")  # la (logit adjustment): bayias_ce toward a balanced target
 _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
 
 
@@ -109,8 +110,10 @@ def resolve_config(defaults: dict, *layers, where: str = "") -> dict:
 def resolve_train_config(*layers) -> dict:
     """Resolve a train config from `layers` over its defaults; idempotent on its output."""
     cfg = resolve_config(_DEFAULTS, *layers)
-    if cfg["loss"] not in LOSS_KINDS:
-        raise ConfigError(f"loss must be one of {LOSS_KINDS}, got {cfg['loss']!r}")
+    if cfg["loss"] not in _LOSS_NAMES:
+        raise ConfigError(f"loss must be one of {_LOSS_NAMES}, got {cfg['loss']!r}")
+    if cfg["loss"] == "la" and cfg["loss_params"]["target_prior"] != "balanced":
+        raise ConfigError("la targets a balanced prior; give another target_prior to bayias_ce")
     if cfg["mix_mode"] not in MIX_MODES:
         raise ConfigError(f"mix_mode must be one of {MIX_MODES}, got {cfg['mix_mode']!r}")
     given = {key for layer in layers for key in layer}
@@ -125,8 +128,8 @@ def _loss_spec(cfg: dict, class_counts: np.ndarray, prior: np.ndarray) -> LossSp
     target = params.pop("target_prior")
     target_prior = (None if target == "balanced"
                     else check_prior(np.asarray(target, dtype=np.float64), require_positive=True))
-    return LossSpec(kind=cfg["loss"], class_counts=class_counts, prior=prior,
-                    target_prior=target_prior, **params)
+    return LossSpec(kind="bayias_ce" if cfg["loss"] == "la" else cfg["loss"],
+                    class_counts=class_counts, prior=prior, target_prior=target_prior, **params)
 
 
 def build_training_run(cfg: dict):

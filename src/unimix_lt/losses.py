@@ -2,25 +2,25 @@
 
 The central loss adds a per-class margin to the logits before the softmax
 to compensate the mismatch between the training label prior pi and the
-target (test-time) prior pi':
+target (test-time) prior pi', scaled by tau (`la_tau`, default 1):
 
-    margin_y = ln(pi_y) - ln(pi'_y),
+    margin_y = tau * (ln(pi_y) - ln(pi'_y)),
 
-which for a balanced target reduces to ln(pi_y) + ln(C) and vanishes when
-train and target priors agree. The margin is a training-time device only;
-inference uses the raw logits.
+which vanishes when the priors agree or tau = 0. Toward a balanced target
+it is logit adjustment, tau * ln(pi_y) up to a constant the softmax ignores.
+The margin is a training-time device only; inference uses the raw logits.
 
 The comparison zoo covers the usual suspects: focal reweighting,
-effective-number (class-balanced) weights, per-class logit temperatures,
-a true-class-only margin scaled by n^(-1/4), and the prior-scaled margin
-on every logit. A `LossSpec` validates its kind's parameters and fixes
-them once per run as a margin on every logit (bayias_ce, la), a margin on
-the true logit only (ldam), a per-class temperature `scale` (cdt) or
-per-class `weights` (cb). Every kind but focal then shares one path: the
-loss is w_y * -log softmax(u)_y of the transformed logits u, and its
-gradient is w_y * (softmax(u) - e_y) / scale. The per-class temperature
-rescales logits rather than shifting them, so cdt alone breaks softmax
-shift invariance and simplex-tangent gradients.
+effective-number (class-balanced) weights, per-class logit temperatures
+and a true-class-only margin scaled by n^(-1/4). A `LossSpec` validates
+its kind's parameters and fixes them once per run as a margin on every
+logit (bayias_ce), a margin on the true logit only (ldam), a per-class
+temperature `scale` (cdt) or per-class `weights` (cb). Each kind's loss
+is w_y * -log softmax(u)_y of the transformed logits u, focal's times
+(1 - p_y)^gamma; each kind but focal has the gradient
+w_y * (softmax(u) - e_y) / scale. The per-class temperature rescales
+logits rather than shifting them, so cdt alone breaks softmax shift
+invariance and simplex-tangent gradients.
 
 Natural log throughout. `batch_loss` and `batch_grad` are the one
 evaluation path: they take an (N, C) logit matrix and N labels, and a
@@ -40,13 +40,12 @@ __all__ = [
     "LossSpec",
     "LOSS_KINDS",
     "softmax",
-    "log_softmax",
     "bayias_margin",
     "batch_loss",
     "batch_grad",
 ]
 
-LOSS_KINDS = ("ce", "bayias_ce", "focal", "cb", "cdt", "ldam", "la")
+LOSS_KINDS = ("ce", "bayias_ce", "focal", "cb", "cdt", "ldam")
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -57,12 +56,6 @@ def softmax(z: np.ndarray) -> np.ndarray:
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
-
-
-def log_softmax(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    shifted = z - z.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def bayias_margin(train_prior: np.ndarray, target_prior: np.ndarray | None = None) -> np.ndarray:
@@ -91,8 +84,8 @@ def _nll(u: np.ndarray, y: np.ndarray) -> np.ndarray:
 class LossSpec:
     """Tagged loss selection with its per-kind parameters.
 
-    `class_counts` feeds cb/cdt/ldam, `prior` feeds the margin losses;
-    `target_prior` (margin loss only) defaults to a balanced target.
+    `class_counts` feeds cb/cdt/ldam; `prior`, `target_prior` (balanced
+    when None) and `la_tau` feed the bayias_ce margin.
     Construction fixes the kind's logit transform in `margins`,
     `true_margins`, `scale` and `weights`, each None where the kind has none.
     """
@@ -109,7 +102,7 @@ class LossSpec:
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"loss kind must be one of {LOSS_KINDS}, got {self.kind!r}")
-        if self.kind in ("bayias_ce", "la") and self.prior is None:
+        if self.kind == "bayias_ce" and self.prior is None:
             raise ValueError(f"{self.kind} loss needs the training prior")
         if self.kind in ("cb", "cdt", "ldam"):
             if self.class_counts is None:
@@ -118,9 +111,7 @@ class LossSpec:
         # fail fast on bad parameters; each kind's logit transform is fixed once per run
         margins = true_margins = scale = weights = None
         if self.kind == "bayias_ce":
-            margins = bayias_margin(self.prior, self.target_prior)
-        elif self.kind == "la":
-            margins = self.la_tau * np.log(check_prior(self.prior, require_positive=True))
+            margins = self.la_tau * bayias_margin(self.prior, self.target_prior)
         elif self.kind == "focal" and not self.gamma >= 0:
             raise ValueError(f"focal gamma must be >= 0, got {self.gamma}")
         elif self.kind == "cb":
@@ -157,10 +148,9 @@ def batch_loss(spec: LossSpec, z: np.ndarray, y) -> np.ndarray:
     """Per-sample loss values for an (N, C) logit matrix and (N,) labels."""
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
-    if spec.kind == "focal" and spec.gamma != 0.0:
-        log_p = np.take_along_axis(log_softmax(z), y[:, None], axis=1)[:, 0]
-        return -((1.0 - np.exp(log_p)) ** spec.gamma) * log_p
     nll = _nll(_logits(spec, z, y), y)
+    if spec.kind == "focal":
+        nll *= (1.0 - np.exp(-nll)) ** spec.gamma  # exactly 1.0 at gamma = 0
     return nll if spec.weights is None else spec.weights[y] * nll
 
 

@@ -277,12 +277,16 @@ def load_model(path) -> MLPParams:
     for l, (fan_in, fan_out, rec) in enumerate(zip(dims[:-1], dims[1:], records)):
         if not isinstance(rec, dict) or not {"w", "b"} <= rec.keys():
             raise ValueError(f"{path}: layer {l} needs 'w' and 'b'")
-        w = np.asarray(rec["w"], dtype=np.float64)
-        b = np.asarray(rec["b"], dtype=np.float64)
-        if w.size != fan_in * fan_out or b.shape != (fan_out,):
+        w, b = rec["w"], rec["b"]
+        if not (isinstance(w, list) and isinstance(b, list) and len(w) == fan_in * fan_out
+                and len(b) == fan_out and all(type(v) in (int, float) for v in w + b)):
             raise ValueError(f"{path}: layer {l} needs {fan_in * fan_out} weights "
-                             f"and {fan_out} biases")
-        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+                             f"and {fan_out} biases, each a JSON number")
+        try:
+            wb = np.array(w + b, dtype=np.float64)
+        except OverflowError:  # an integer literal beyond the float range
+            wb = np.array([np.inf])
+        if not np.isfinite(wb).all():
             raise ValueError(f"{path}: layer {l} has non-finite parameters")
-        layers.append((w.reshape(fan_in, fan_out), b))
+        layers.append((wb[:-fan_out].reshape(fan_in, fan_out), wb[-fan_out:]))
     return MLPParams(layers)

@@ -68,8 +68,9 @@ def class_table(prior: np.ndarray, size: int) -> ClassTable:
     """Validate `prior` and build the lookup for `size` class draws from it,
     in one `draw_classes` call or several; from `_GUIDE_SIZE` draws up it
     includes the guide table."""
-    edges = np.cumsum(check_prior(prior))
-    edges[-1] = 1.0  # guard against cumsum rounding at the top edge
+    p = check_prior(prior)
+    edges = np.cumsum(p)
+    edges[np.flatnonzero(p)[-1]:] = 1.0  # cumsum rounding must not reach a zero-mass tail
     if size < _GUIDE_SIZE:
         return ClassTable(edges)
     lo = np.searchsorted(edges, np.arange(_GUIDE_SIZE) / _GUIDE_SIZE, side="right")
@@ -98,10 +99,10 @@ def _guided_search(table: ClassTable, u: np.ndarray) -> np.ndarray:
     With M = `_GUIDE_SIZE`, u lies in bucket k = floor(u * M), that is in
     [k/M, (k+1)/M), and its class in [lo[k], lo[k+1]] with
     lo[k] = #{edges <= k/M}. A branchless binary search of bit_length(W)
-    halving steps from lo[k], W the widest bucket, ends on the class. All
-    edges but the last are a cumsum of non-negative terms, so they never
-    decrease, and the last is 1 > u: "edge <= u" holds on a prefix of them,
-    which makes both searches count the same edges.
+    halving steps from lo[k], W the widest bucket, ends on the class. The
+    edges below the last positive class are a cumsum of non-negative terms,
+    so they never decrease, and the rest are 1 > u: "edge <= u" holds on a
+    prefix of them, which makes both searches count the same edges.
     """
     pos = table.lo.take((u * _GUIDE_SIZE).astype(np.intp))
     for k in reversed(range(table.steps)):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from unimix_lt.data import empirical_prior
-from unimix_lt.losses import bayias_margin, log_softmax, softmax
+from unimix_lt.losses import bayias_margin, softmax
 from unimix_lt.mixing import sample_beta
 from unimix_lt.model import _backward_cached, _forward_cached
 from unimix_lt.sampling import class_table, draw_batch, draw_classes, inverse_prior
@@ -91,12 +91,8 @@ def _nll(u, y):
     return lse - np.take_along_axis(u, np.asarray(y)[:, None], axis=-1)[:, 0]
 
 
-def _chain_margins(spec):
-    if spec.kind == "bayias_ce":
-        return bayias_margin(spec.prior, spec.target_prior)
-    if spec.kind == "la":
-        return spec.la_tau * np.log(check_prior(spec.prior, require_positive=True))
-    return None
+def _chain_margin(spec):
+    return spec.la_tau * bayias_margin(spec.prior, spec.target_prior)
 
 
 def _chain_counts(spec):
@@ -109,13 +105,13 @@ def _if_chain_batch_loss(spec, z, y):
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
     if spec.kind == "ce":
         return _nll(z, y)
-    if spec.kind in ("bayias_ce", "la"):
-        return _nll(z + _chain_margins(spec), y)
+    if spec.kind == "bayias_ce":
+        return _nll(z + _chain_margin(spec), y)
     if spec.kind == "focal":
+        nll = _nll(z, y)
         if spec.gamma == 0.0:
-            return _nll(z, y)
-        log_p = np.take_along_axis(log_softmax(z), y[:, None], axis=1)[:, 0]
-        return -((1.0 - np.exp(log_p)) ** spec.gamma) * log_p
+            return nll
+        return (1.0 - np.exp(-nll)) ** spec.gamma * nll
     if spec.kind == "cb":
         w = (1.0 - spec.beta) / (1.0 - spec.beta**_chain_counts(spec))
         return w[y] * _nll(z, y)
@@ -138,8 +134,8 @@ def _if_chain_batch_grad(spec, z, y):
     onehot[rows, y] = 1.0
     if spec.kind == "ce":
         return softmax(z) - onehot
-    if spec.kind in ("bayias_ce", "la"):
-        return softmax(z + _chain_margins(spec)) - onehot
+    if spec.kind == "bayias_ce":
+        return softmax(z + _chain_margin(spec)) - onehot
     if spec.kind == "focal":
         if spec.gamma == 0.0:
             return softmax(z) - onehot

@@ -106,13 +106,14 @@ def test_criterion_5_loss_identities(bayias_ce_pairwise):
                        - bayias_ce_pairwise(z, y, margin.margins)) <= 1e-12
         prior = np.array([0.6, 0.3, 0.1])
         focal = LossSpec(kind="focal", gamma=0.0)
-        la = LossSpec(kind="la", la_tau=0.0, prior=prior)
+        # la_tau = 0 scales the margin to exactly 0
+        untempered = LossSpec(kind="bayias_ce", la_tau=0.0, prior=prior)
         for _ in range(200):
             z = rng.standard_normal(3) * 2
             y = int(rng.integers(3))
             expected = batch_loss(ce, z, y)[0]
             assert batch_loss(focal, z, y)[0] == expected
-            assert batch_loss(la, z, y)[0] == expected
+            assert batch_loss(untempered, z, y)[0] == expected
 
 
 def test_criterion_6_gradient_suite(backward):
@@ -128,7 +129,7 @@ def test_criterion_6_gradient_suite(backward):
             LossSpec(kind="cb", beta=0.999, class_counts=counts),
             LossSpec(kind="cdt", gamma=0.3, class_counts=counts),
             LossSpec(kind="ldam", ldam_c=0.5, class_counts=counts),
-            LossSpec(kind="la", la_tau=1.0, prior=prior),
+            LossSpec(kind="bayias_ce", la_tau=0.5, prior=prior, target_prior=prior[::-1].copy()),
         ]
         rng = np.random.default_rng(23)
         h = 1e-5

@@ -4,18 +4,22 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import unimix_lt
 from unimix_lt import calibration, cli
 from unimix_lt.cli import build_parser, main
 from unimix_lt.config import resolve_config
 from unimix_lt.data import load_csv
+from unimix_lt.losses import LOSS_KINDS
 from unimix_lt.mixing import MIX_MODES
 from unimix_lt.model import init_params, save_model
 from unimix_lt.streams import derive_rng
@@ -229,6 +233,26 @@ def test_train_rejects_bad_loss(tmp_path):
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
 
 
+def test_la_config_trains_as_its_bayias_ce_spelling(tmp_path):
+    """An "la" config trains as bayias_ce toward a balanced target, to the same
+    bytes, and is recorded and reported under the name it gave."""
+    runs = tmp_path / "runs"
+    for loss in ("la", "bayias_ce"):
+        cfg = write_cfg(tmp_path, {**TINY_TRAIN, "loss": loss, "loss_params": {"la_tau": 0.5}})
+        assert main(["train", "--config", cfg, "--out", str(runs / loss)]) == 0
+    la, twin = read_bytes(runs / "la"), read_bytes(runs / "bayias_ce")
+    assert (la["model.json"], la["train_log.csv"]) == (twin["model.json"], twin["train_log.csv"])
+    assert json.loads(la["config.resolved.json"])["loss"] == "la"
+    data = tmp_path / "data"
+    assert main(["gen-data", "--out", str(data), "--classes", "4", "--n-max", "20",
+                 "--dims", "4"]) == 0
+    evals = tmp_path / "evals"
+    assert main(["eval", "--out", str(evals / "la"), "--model", str(runs / "la" / "model.json"),
+                 "--data", str(data / "data.csv")]) == 0
+    assert main(["report", "--runs", str(evals)]) == 0
+    assert json.loads((evals / "summary.json").read_text())[0]["loss"] == "la"
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
 def test_train_divergence_exits_two(tmp_path):
     cfg = write_cfg(tmp_path, {**TINY_TRAIN, "lr": 1e30, "t1_steps": 0, "t2_steps": 30})
@@ -426,6 +450,24 @@ def test_eval_rejects_bin_or_range_count_above_the_cap(tmp_path, capsys, flag, u
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("weights", [
+    pytest.param('["1.5", "0", "0", "1"]', id="strings"),
+    pytest.param("[true, false, false, true]", id="bools"),
+    pytest.param("[[1.5, 0], [0, 1]]", id="nested"),
+    pytest.param("[1.5, 0, 0, 1" + "0" * 400 + "]", id="int-overflow"),
+])
+def test_eval_rejects_weights_that_are_not_finite_json_numbers(tmp_path, capsys, weights):
+    model = tmp_path / "model.json"
+    model.write_text('{"layer_dims": [2, 2], "layers": [{"w": %s, "b": [0, 0]}]}' % weights)
+    data = tmp_path / "data.csv"
+    data.write_text("f0,f1,label\n0.1,0.2,0\n0.3,0.4,1\n")
+    assert run_eval(tmp_path, model, data) == 1
+    err = capsys.readouterr().err
+    assert "model.json: layer 0" in err and "Traceback" not in err
+    out = tmp_path / "ev"
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_eval_rejects_model_without_layers(tmp_path, capsys):
     model, data = eval_inputs(tmp_path)
     payload = json.loads(model.read_text())
@@ -571,6 +613,9 @@ def test_non_finite_numbers_exit_one(tmp_path, capsys, argv, config_text):
                  id="train-target-prior-strings"),
     pytest.param(["train"], _train_cfg_text("loss_params", '{"target_prior": "uniform"}'),
                  None, id="train-target-prior-other-string"),
+    # la is the balanced-target spelling of bayias_ce; another target is refused
+    pytest.param(["train"], json.dumps({**TINY_TRAIN, "loss": "la", "loss_params": {
+        "target_prior": [0.1, 0.2, 0.3, 0.4]}}), None, id="train-la-target"),
 ])
 def test_bad_input_exits_one_and_writes_nothing(tmp_path, capsys, monkeypatch, argv,
                                                 config_text, threads):
@@ -584,3 +629,55 @@ def test_bad_input_exits_one_and_writes_nothing(tmp_path, capsys, monkeypatch, a
     assert main([*argv, "--out", str(out)]) == 1
     assert "Traceback" not in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+# ------------------------------------------------ train config: fuzzing
+
+_WRONG = st.sampled_from([None, True, "x", [], {}, [1, "a"]])
+
+
+def _mostly(valid, *bad):
+    """A draw from `valid` about 19 times as often as a bad one: a wrongly
+    typed value or a value from `bad`."""
+    return st.sampled_from([valid] * 19 + [st.one_of(_WRONG, *bad)]).flatmap(lambda s: s)
+
+
+def _floats(lo, hi, *bad):
+    return _mostly(st.floats(lo, hi), st.sampled_from(bad or [-1.0]))
+
+
+# every size the run builds is small
+_TARGETS = st.one_of(
+    st.sampled_from(["balanced", "uniform", [0.25] * 4, [0.1, 0.2, 0.3, 0.4]]),
+    st.lists(st.one_of(st.floats(-0.5, 1.0), _WRONG), max_size=5))
+_LOSS_PARAMS = st.fixed_dictionaries({}, optional={
+    "gamma": _floats(0.0, 3.0), "beta": _floats(0.0, 0.999, 1.0), "ldam_c": _floats(0.01, 2.0),
+    "la_tau": _floats(-2.0, 2.0), "target_prior": _TARGETS})
+_TRAIN_CONFIG = st.fixed_dictionaries(
+    {"classes": _mostly(st.integers(2, 4), st.integers(-1, 1)),
+     "n_max": _mostly(st.integers(4, 40), st.integers(-1, 3)),
+     "dims": _mostly(st.integers(2, 4), st.integers(-1, 1)),
+     "t2_steps": _mostly(st.integers(0, 3), st.just(-1)),
+     "batch_size": _mostly(st.integers(1, 8), st.integers(-1, 0)),
+     "hidden_dims": _mostly(st.lists(st.integers(1, 4), max_size=2), st.just([0]))},
+    optional={"rho": _floats(1.0, 50.0, 0.5), "cluster_spread": _floats(0.1, 2.0, 0.0),
+              "tau": _floats(-2.0, 1.0), "alpha": _floats(0.01, 1.0, 0.0, 1.5),
+              "mix_mode": _mostly(st.sampled_from(["unimix_full", "unimix_factor_only",
+                                                   "vanilla_mixup"]), st.just("cutmix")),
+              "loss": _mostly(st.sampled_from([*LOSS_KINDS, "la"]), st.just("hinge")),
+              "loss_params": _mostly(_LOSS_PARAMS), "t1_steps": _mostly(st.integers(0, 3)),
+              "lr": _floats(0.0, 1.0), "momentum": _floats(0.0, 0.99, 1.0),
+              "weight_decay": _floats(0.0, 0.1), "seed": _mostly(st.integers(0, 5))})
+
+
+@settings(max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=_TRAIN_CONFIG)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # a drawn lr may diverge
+def test_train_config_fuzz_fails_closed(tmp_path, capsys, cfg):
+    run = Path(tempfile.mkdtemp(dir=tmp_path))
+    code = main(["train", "--config", write_cfg(run, cfg), "--out", str(run / "out")])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
+    if code != 0:
+        assert not (run / "out").exists() or not any((run / "out").iterdir())

@@ -22,7 +22,8 @@ def all_specs():
         "cb": LossSpec(kind="cb", beta=0.999, class_counts=COUNTS),
         "cdt": LossSpec(kind="cdt", gamma=0.3, class_counts=COUNTS),
         "ldam": LossSpec(kind="ldam", ldam_c=0.5, class_counts=COUNTS),
-        "la": LossSpec(kind="la", la_tau=1.0, prior=PRIOR),
+        # the tempered margin a "loss": "la" config (logit adjustment) runs
+        "la": LossSpec(kind="bayias_ce", la_tau=0.5, prior=PRIOR),
     }
 
 
@@ -157,8 +158,20 @@ def test_focal_gamma_zero_is_ce():
         assert batch_loss(spec, z, y)[0] == batch_loss(CE, z, y)[0]
 
 
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+def test_focal_loss_is_the_textbook_form(gamma):
+    """-(1 - p_y)^gamma * log p_y, with p the softmax of the logits."""
+    rng = np.random.default_rng(5)
+    z = rng.standard_normal((64, 6)) * 3
+    y = rng.integers(0, 6, 64)
+    p_y = softmax(z)[np.arange(64), y]
+    want = -((1.0 - p_y) ** gamma) * np.log(p_y)
+    np.testing.assert_allclose(batch_loss(LossSpec(kind="focal", gamma=gamma), z, y), want,
+                               rtol=1e-12)
+
+
 def test_la_tau_zero_is_ce():
-    spec = LossSpec(kind="la", la_tau=0.0, prior=np.array([0.6, 0.3, 0.1]))
+    spec = LossSpec(kind="bayias_ce", la_tau=0.0, prior=np.array([0.6, 0.3, 0.1]))
     rng = np.random.default_rng(3)
     for _ in range(50):
         z = rng.standard_normal(3) * 2
@@ -216,7 +229,9 @@ def test_loss_spec_validation():
 def test_loss_spec_fixes_each_kind_transform_once():
     specs = all_specs()
     np.testing.assert_array_equal(specs["bayias_ce"].margins, bayias_margin(PRIOR))
-    np.testing.assert_array_equal(specs["la"].margins, np.log(PRIOR))
+    np.testing.assert_array_equal(specs["la"].margins, 0.5 * bayias_margin(PRIOR))
+    # logit adjustment's margin tau * ln(pi), up to a constant the softmax ignores
+    assert np.ptp(specs["la"].margins - 0.5 * np.log(PRIOR)) <= 1e-15
     np.testing.assert_array_equal(specs["ldam"].true_margins, 0.5 / COUNTS**0.25)
     np.testing.assert_array_equal(specs["cdt"].scale, (500 / COUNTS) ** 0.3)
     np.testing.assert_array_equal(specs["cb"].weights, (1 - 0.999) / (1 - 0.999**COUNTS))
@@ -239,8 +254,8 @@ def _oracle_specs(c):
         LossSpec(kind="cdt", gamma=0.3, class_counts=counts),
         LossSpec(kind="cdt", gamma=0.0, class_counts=counts),
         LossSpec(kind="ldam", ldam_c=0.5, class_counts=counts),
-        LossSpec(kind="la", la_tau=1.0, prior=prior),
-        LossSpec(kind="la", la_tau=0.0, prior=prior),
+        LossSpec(kind="bayias_ce", la_tau=0.5, prior=prior, target_prior=target / target.sum()),
+        LossSpec(kind="bayias_ce", la_tau=0.0, prior=prior),
     ]
 
 

@@ -288,8 +288,10 @@ def _reference_train(ds, cfg, draw, per_layer_model, unimix_factor):
 
 
 def _kind_spec(kind, ds):
+    """A spec of loss `kind`; "la" is the tempered bayias_ce margin an "la" config runs."""
     prior = ds.class_counts / ds.num_samples
-    return LossSpec(kind=kind, gamma=2.0, class_counts=ds.class_counts, prior=prior)
+    params = {"kind": "bayias_ce", "la_tau": 0.5} if kind == "la" else {"kind": kind}
+    return LossSpec(gamma=2.0, class_counts=ds.class_counts, prior=prior, **params)
 
 
 REFERENCE_RUNS = [
@@ -297,6 +299,7 @@ REFERENCE_RUNS = [
     ("bayias_ce", MixConfig(alpha=0.5, mode="unimix_full", tau=0.0)),
     *((kind, MixConfig(alpha=0.5, mode=MIX_MODES[i % len(MIX_MODES)], tau=-1.0))
       for i, kind in enumerate(LOSS_KINDS)),
+    ("la", MixConfig(alpha=0.5, mode="vanilla_mixup", tau=-1.0)),
 ]
 
 

@@ -92,7 +92,7 @@ LOOKUP_PRIORS = _lookup_priors()
 
 def _edges(prior):
     edges = np.cumsum(prior)
-    edges[-1] = 1.0
+    edges[np.flatnonzero(prior)[-1]:] = 1.0
     return edges
 
 
@@ -107,6 +107,23 @@ def test_guided_search_matches_searchsorted(name):
     got = sampling._guided_search(class_table(LOOKUP_PRIORS[name], GUIDE), u)
     assert got.dtype == np.int64
     np.testing.assert_array_equal(got, np.searchsorted(edges, u, side="right"))
+
+
+class _TopUniform:
+    """A stand-in generator whose every uniform is the largest `Generator.random` returns."""
+
+    def random(self, size):
+        return np.full(size, np.nextafter(1.0, 0.0))
+
+
+@pytest.mark.parametrize("size", [1, GUIDE])
+def test_zero_mass_tail_classes_are_never_drawn(size):
+    # ten tenths sum to 1 - 2^-53, the largest uniform; the classes after
+    # them carry no mass and must stay out of reach on either table
+    prior = np.array([0.1] * 10 + [0.0, 0.0])
+    table = class_table(prior, size)
+    assert (table.lo is None) == (size < GUIDE)
+    assert (draw_classes(table, size, _TopUniform()) == 9).all()
 
 
 @pytest.mark.parametrize("size", [GUIDE - 1, GUIDE, GUIDE + 1, 3 * GUIDE])
