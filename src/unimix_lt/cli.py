@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -34,8 +35,7 @@ from .data import (TwoCircleSpec, gen_lt_gaussians, gen_two_circles, load_csv,
 from .errors import ConfigError, InvariantViolation
 from .mixing import DEFAULT_STREAMS, MixConfig, mc_xi_aug_histogram
 from .model import load_model, predict_proba, save_model, train_two_phase
-from .theory import (LTSpec, discrete_lt_prior, emit_density_curves, factor_density,
-                     unimix_density)
+from .theory import LTSpec, discrete_lt_prior, emit_density_curves, unimix_density
 
 __all__ = ["main", "entrypoint"]
 
@@ -163,15 +163,19 @@ _MODE_ALIASES = {"mixup": "vanilla_mixup", "factor": "unimix_factor_only",
                  "full": "unimix_full"}
 
 
-def _closed_form_histogram(spec: LTSpec, mode: str) -> np.ndarray:
-    """Per-class closed-form mass: the continuous density sampled at the
-    integer class indices and renormalized over the grid."""
-    if mode == "vanilla_mixup":
+def _closed_form_histogram(spec: LTSpec, config: MixConfig) -> np.ndarray:
+    """Per-class closed-form mass of the reinforced class: the discrete prior
+    under plain mixup, else the mixed-class density at the sampler's own pair
+    exponent, sampled at the integer class indices and renormalized over them."""
+    if config.mode == "vanilla_mixup":
         return discrete_lt_prior(spec)
     grid = np.arange(1, spec.num_classes + 1, dtype=np.float64)
-    fn = factor_density if mode == "unimix_factor_only" else unimix_density
-    values = fn(grid, spec)
-    return values / values.sum()
+    law = replace(spec, tau=config.pair_tau)
+    values = unimix_density(grid, law)
+    total = values.sum()
+    if not total > 0.0:
+        raise ValueError(f"unimix_density has no float64 mass on the class indices at {law}")
+    return values / total
 
 
 def cmd_verify_dist(args) -> int:
@@ -182,12 +186,12 @@ def cmd_verify_dist(args) -> int:
     classes, tau = resolved["classes"], resolved["tau"]
     resolved["resolution"] = resolved["resolution"] or classes
     spec = LTSpec(num_classes=classes, rho=resolved["rho"], tau=tau)
+    config = MixConfig(alpha=resolved["alpha"], mode=mode, tau=tau)
 
     # first, so a mode whose own closed form is undefined fails before the Monte Carlo
-    closed = _closed_form_histogram(spec, mode)
+    closed = _closed_form_histogram(spec, config)
     curves = emit_density_curves(spec, resolved["resolution"])
     curve_rows = [(c.kind, y, d) for c in curves for y, d in zip(c.y, c.density)]
-    config = MixConfig(alpha=resolved["alpha"], mode=mode, tau=tau)
     hist = mc_xi_aug_histogram(discrete_lt_prior(spec), config, resolved["trials"],
                                resolved["seed"], streams=resolved["streams"])
     hist_rows = [(k + 1, hist[k], closed[k]) for k in range(classes)]

@@ -7,28 +7,33 @@ continuous class index y in [1, C]:
     p(y) = lam / (exp(-lam) - exp(-lam*C)) * exp(-lam*y),
     lam  = ln(rho) / (C - 1).
 
-On top of this model, three closed-form densities describe which class a
-mixed virtual sample ends up reinforcing (the class that receives mixing
-weight >= 0.5), under three augmentation pipelines:
+On top of this model, one closed form describes which class a mixed
+virtual sample ends up reinforcing (the class that receives mixing weight
+>= 0.5): the prior-aware mixing factor with a pair partner drawn
+proportionally to the prior raised to tau (`unimix_density`). The paper's
+three augmentation pipelines give its curves:
 
 * plain beta mixing with two random draws -- identical to p(y) itself;
-* prior-aware mixing factor with two random draws -- a middle-majority
-  curve that vanishes at the head and peaks strictly inside (1, C);
-* prior-aware factor plus inverse pair sampling with exponent tau -- a
-  tail-majority curve, monotone nondecreasing for tau = -1.
+* prior-aware factor with random pairing -- the tau = 1 case, a
+  middle-majority curve that vanishes at the head and peaks strictly
+  inside (1, C);
+* prior-aware factor plus inverse pair sampling -- a tail-majority curve,
+  monotone nondecreasing for tau = -1.
 
 The discrete prior is used for sampling and training; the continuous
 evaluators exist to validate the Monte Carlo pipeline and to emit curve
-data. Each takes an array of class indices in [1, C] and returns the
-density at each of them. The middle- and tail-majority forms are
-derived with a hard threshold approximation, so they are shape oracles
-for the empirical histograms, not exact targets.
+data. Each takes class indices in [1, C] and returns the density at each,
+or raises ValueError where the form is undefined: the mixed-class one at
+rho = 1, either one where float64 cannot represent it. The mixed-class
+form rests on a hard threshold approximation: a shape oracle for the
+empirical histograms, not an exact target.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,7 +45,6 @@ __all__ = [
     "check_prior",
     "discrete_lt_prior",
     "continuous_lt_density",
-    "factor_density",
     "unimix_density",
     "emit_density_curves",
 ]
@@ -112,85 +116,75 @@ def discrete_lt_prior(spec: LTSpec) -> np.ndarray:
     return check_prior(probs, require_positive=True)
 
 
-def _check_domain(y: np.ndarray, spec: LTSpec) -> np.ndarray:
-    y = np.asarray(y, dtype=np.float64)
-    if np.any(y < 1.0) or np.any(y > spec.num_classes):
-        raise ValueError(f"class index must lie in [1, {spec.num_classes}]")
-    return y
+def _closed_form(density):
+    """`density(y, spec)` for y in [1, C], in float64 without warnings; a
+    result that is not finite and nonnegative (an overflow, inf, NaN or a
+    negative value) makes the form undefined at `spec`, a ValueError."""
+
+    @functools.wraps(density)
+    def evaluate(y, spec: LTSpec):
+        y = np.asarray(y, dtype=np.float64)
+        if np.any(y < 1.0) or np.any(y > spec.num_classes):
+            raise ValueError(f"class index must lie in [1, {spec.num_classes}]")
+        try:
+            with np.errstate(all="ignore"):
+                values = density(y, spec)
+        except OverflowError:  # math.exp beyond the float64 range
+            values = math.inf
+        if not (np.min(values) >= 0.0 and np.max(values) < math.inf):
+            raise ValueError(f"{density.__name__} is not a finite, nonnegative float64 at {spec}")
+        return values
+
+    return evaluate
 
 
+@_closed_form
 def continuous_lt_density(y, spec: LTSpec):
     """Continuous LT density lam/(e^-lam - e^-lam*C) * e^(-lam*y) on [1, C].
 
     Integrates to 1 over [1, C]; density(1)/density(C) = rho. The balanced
     limit (lam = 0) is the uniform density 1/(C-1).
     """
-    y = _check_domain(y, spec)
     lam, c = spec.lam, spec.num_classes
     if lam == 0.0:
         return np.full_like(y, 1.0 / (c - 1))
     return lam / (math.exp(-lam) - math.exp(-lam * c)) * np.exp(-lam * y)
 
 
-def _undefined(kind: str, spec: LTSpec) -> str:
-    """Why the `kind` curve has no closed form at `spec`; empty when it has one."""
-    if kind in ("unimix_factor", "unimix_full") and spec.lam == 0.0:
-        return "mixed-sample closed forms require rho > 1"
-    if kind == "unimix_full" and spec.tau == 0.0:
-        return "closed-form mixed density is undefined at tau = 0"
-    return ""
-
-
-def factor_density(y, spec: LTSpec):
-    """Mixed-class density with the prior-aware factor and random pairing.
-
-    Unit-normalized form of
-
-        lam / (e^-lam - e^-lam*C)^2 * (e^(-lam*(y+1)) - e^(-2*lam*y)),
-
-    which integrates to exactly 1/2 over [1, C] (the raw expression counts
-    only one of the two symmetric pair orderings), so the normalized
-    density is twice the raw value. It vanishes at y = 1 and has a single
-    interior maximum at y = ln(2)/lam + 1: the middle-majority shape.
-    """
-    y = _check_domain(y, spec)
-    if reason := _undefined("unimix_factor", spec):
-        raise ValueError(reason)
-    lam, c = spec.lam, spec.num_classes
-    d = math.exp(-lam) - math.exp(-lam * c)
-    raw = lam / d**2 * (np.exp(-lam * (y + 1.0)) - np.exp(-2.0 * lam * y))
-    return 2.0 * raw
-
-
+@_closed_form
 def unimix_density(y, spec: LTSpec):
-    """Mixed-class density with the prior-aware factor and inverse pairing.
+    """Mixed-class density with the prior-aware factor and pairing by prior^tau.
 
     Unit-normalized form of
 
         lam / ((e^-lam - e^-lam*C) * (e^(-lam*tau*C) - e^(-lam*tau)))
             * (e^(-lam*y*(tau+1)) - e^(-lam*(tau+y))),
 
-    where the pair partner is drawn with probability proportional to the
-    prior raised to tau. For tau = -1 this reduces (after normalization)
-    to (1 - e^(-lam*(y-1))) / Z: zero at the head and monotone
-    nondecreasing toward the tail. tau = 0 makes the expression singular
-    and is rejected; the tau = 0 sampler itself is fine, only this closed
-    form is undefined there.
+    zero at the head for every tau. Random pairing, tau = 1, is the
+    factor-only curve: middle-majority, peaking at y = ln(2)/lam + 1.
+    tau = -1 reduces to (1 - e^(-lam*(y-1))) / Z: monotone nondecreasing
+    toward the tail. tau = 0 is a removable 0/0 with the limit
+    (y-1) e^(-lam*(y-1)) / Z, Z = (1 - e^(-lam*M) (1 + lam*M)) / lam^2, M = C-1.
     """
-    y = _check_domain(y, spec)
-    if reason := _undefined("unimix_full", spec):
-        raise ValueError(reason)
+    if spec.lam == 0.0:
+        raise ValueError("mixed-sample closed forms require rho > 1")
     lam, tau, c = spec.lam, spec.tau, spec.num_classes
-    numer = np.exp(-lam * y * (tau + 1.0)) - np.exp(-lam * (tau + y))
-    # analytic integral of `numer` over [1, C]
-    if tau == -1.0:
-        term1 = float(c - 1)
+    if tau == 0.0:
+        m = lam * (c - 1)
+        numer = (y - 1.0) * np.exp(-lam * (y - 1.0))
+        norm = (1.0 - math.exp(-m) * (1.0 + m)) / lam**2
     else:
-        term1 = (math.exp(-lam * (tau + 1.0)) - math.exp(-lam * c * (tau + 1.0))) / (
-            lam * (tau + 1.0)
-        )
-    term2 = math.exp(-lam * tau) * (math.exp(-lam) - math.exp(-lam * c)) / lam
-    return numer / (term1 - term2)
+        numer = np.exp(-lam * y * (tau + 1.0)) - np.exp(-lam * (tau + y))
+        # analytic integral of `numer` over [1, C]
+        if tau == -1.0:
+            term1 = float(c - 1)
+        else:
+            term1 = (math.exp(-lam * (tau + 1.0)) - math.exp(-lam * c * (tau + 1.0))) / (
+                lam * (tau + 1.0)
+            )
+        term2 = math.exp(-lam * tau) * (math.exp(-lam) - math.exp(-lam * c)) / lam
+        norm = term1 - term2
+    return numer / norm + 0.0  # for tau > 0 the head is 0 / negative: 0.0, not -0.0
 
 
 @dataclass(frozen=True)
@@ -202,20 +196,19 @@ class DensityCurve:
     density: np.ndarray
 
 
-_KIND_TO_DENSITY = {
-    "original": continuous_lt_density,
-    # plain beta mixing with both members drawn from the LT prior leaves it unchanged
-    "mixup": continuous_lt_density,
-    "unimix_factor": factor_density,
-    "unimix_full": unimix_density,
-}
-
-
 def emit_density_curves(spec: LTSpec, resolution: int) -> list[DensityCurve]:
-    """The curves of `CURVE_KINDS` defined at `spec` (the mixed-class ones need
-    rho > 1, inverse pairing also tau != 0), on a uniform grid over [1, C]."""
+    """The curves of `CURVE_KINDS` whose closed form has a value at `spec`
+    (the mixed-class ones need rho > 1), on a uniform grid over [1, C]."""
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
     grid = np.linspace(1.0, float(spec.num_classes), resolution)
-    return [DensityCurve(kind, grid, _KIND_TO_DENSITY[kind](grid, spec))
-            for kind in CURVE_KINDS if not _undefined(kind, spec)]
+    # plain beta mixing leaves the LT prior unchanged; random pairing is tau = 1
+    laws = [(continuous_lt_density, spec)] * 2 + [(unimix_density, replace(spec, tau=1.0)),
+                                                  (unimix_density, spec)]
+    curves = []
+    for kind, (density, at) in zip(CURVE_KINDS, laws):
+        try:
+            curves.append(DensityCurve(kind, grid, density(grid, at)))
+        except ValueError:  # undefined at `at`
+            pass
+    return curves

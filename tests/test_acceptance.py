@@ -8,6 +8,7 @@ import json
 import math
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,8 +23,7 @@ from unimix_lt.losses import LossSpec, batch_grad, batch_loss
 from unimix_lt.mixing import MixConfig, mc_xi_aug_histogram
 from unimix_lt.model import forward, init_params, predict_proba, train_two_phase
 from unimix_lt.streams import derive_rng
-from unimix_lt.theory import (LTSpec, continuous_lt_density, discrete_lt_prior,
-                              factor_density, unimix_density)
+from unimix_lt.theory import LTSpec, continuous_lt_density, discrete_lt_prior, unimix_density
 
 
 @contextmanager
@@ -79,8 +79,10 @@ def test_criterion_3_factor_only_middle_majority():
 def test_criterion_4_closed_form_sanity():
     with criterion(4, "closed-form densities integrate to 1; tail form is monotone"):
         spec = LTSpec(100, 200.0, -1.0)
-        for fn in (continuous_lt_density, factor_density, unimix_density):
-            val, _ = integrate.quad(lambda y: fn(y, spec), 1, 100)
+        # the factor-only curve is the mixed-class density with random pairing, tau = 1
+        for fn, at in ((continuous_lt_density, spec), (unimix_density, replace(spec, tau=1.0)),
+                       (unimix_density, spec)):
+            val, _ = integrate.quad(lambda y: fn(y, at), 1, 100)
             assert abs(val - 1.0) <= 1e-6
         grid = np.linspace(1, 100, 1000)
         d = np.asarray(unimix_density(grid, spec))

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import shlex
@@ -161,17 +162,33 @@ def test_verify_dist_shapes(tmp_path):
     assert abs(emp.sum() - 1.0) < 1e-9
 
 
-def test_verify_dist_rejects_tau_zero_full(tmp_path):
-    assert main(["verify-dist", "--out", str(tmp_path / "x"), "--classes", "10",
-                 "--rho", "10", "--tau", "0", "--trials", "100"]) == 1
+def _closed_form_column(out):
+    return np.array([float(line.split(",")[2])
+                     for line in (out / "histogram.csv").read_text().splitlines()[1:]])
 
 
-# The factor curve needs rho > 1; the full one also tau != 0. A run fails only
-# when its own mode's reference column is undefined.
+def test_verify_dist_full_mode_runs_at_tau_zero(tmp_path):
+    """tau = 0, the pair exponent configs/unimix_bayias.json ships, is the
+    limit of the closed form: its column sums to 1 and meets the column at
+    tau = +-1e-6 to within O(tau)."""
+    columns = {}
+    for tau in ("0", "1e-6", "-1e-6"):
+        out = tmp_path / tau
+        assert main(["verify-dist", "--out", str(out), "--classes", "10", "--rho", "10",
+                     f"--tau={tau}", "--trials", "100"]) == 0
+        columns[tau] = _closed_form_column(out)
+    at_zero = columns["0"]
+    assert at_zero[0] == 0.0 and abs(at_zero.sum() - 1.0) <= 1e-12
+    for tau in ("1e-6", "-1e-6"):
+        assert np.max(np.abs(columns[tau] - at_zero)) <= 1e-5 * at_zero.max()
+
+
+# The mixed-class curves need rho > 1. A run fails only when its own mode's
+# reference column is undefined.
 @pytest.mark.parametrize("mode,rho,tau,kinds", [
-    ("mixup", "10", "0", CURVE_KINDS[:3]),
-    ("factor", "10", "0", CURVE_KINDS[:3]),
-    ("full", "10", "0", None),
+    ("mixup", "10", "0", CURVE_KINDS),
+    ("factor", "10", "0", CURVE_KINDS),
+    ("full", "10", "0", CURVE_KINDS),
     ("mixup", "1", "-1", CURVE_KINDS[:2]),
     ("factor", "1", "-1", None),
     ("full", "1", "-1", None),
@@ -185,16 +202,89 @@ def test_verify_dist_writes_the_curves_defined_at_rho_and_tau(tmp_path, capsys, 
                "--tau", tau, "--mode", mode, "--trials", "1000"])
     if kinds is None:
         assert rc == 1 and not out.exists()
-        err = capsys.readouterr().err
-        assert ("require rho > 1" if rho == "1" else "undefined at tau = 0") in err
+        assert "require rho > 1" in capsys.readouterr().err
         return
     assert rc == 0
     rows = [line.split(",") for line in (out / "curves.csv").read_text().splitlines()[1:]]
     assert tuple(kind for kind, _, _ in rows[::10]) == kinds
-    closed = [float(line.split(",")[2])
-              for line in (out / "histogram.csv").read_text().splitlines()[1:]]
     if mode == "mixup":
-        assert closed == discrete_lt_prior(LTSpec(10, float(rho))).tolist()
+        prior = discrete_lt_prior(LTSpec(10, float(rho)))
+        assert _closed_form_column(out).tolist() == prior.tolist()
+
+
+def _csv_numbers(out):
+    """Every number verify-dist wrote to its two CSVs, as text."""
+    fields = []
+    for name, first in (("curves.csv", 1), ("histogram.csv", 0)):
+        for line in (out / name).read_text().splitlines()[1:]:
+            fields += line.split(",")[first:]
+    return fields
+
+
+def assert_finite_and_unsigned(out):
+    numbers = _csv_numbers(out)
+    assert all(math.isfinite(float(x)) for x in numbers)
+    assert "-0.0" not in numbers
+
+
+# Closed forms that float64 cannot represent: each of these flag sets raised
+# a traceback or wrote NaN/inf. A curve that cannot be represented is left
+# out; when it is the mode's own reference, the run exits 1 and writes nothing.
+@pytest.mark.parametrize("flags,kinds", [
+    pytest.param("--classes 10 --rho 100 --mode full --tau -200", None, id="full-tau-200"),
+    pytest.param("--classes 2 --rho 1e14 --tau -25 --mode mixup", CURVE_KINDS[:3],
+                 id="mixup-rho-1e14-tau-25"),
+    pytest.param("--classes 2 --rho 1e200", CURVE_KINDS[:2] + CURVE_KINDS[3:],
+                 id="full-rho-1e200"),
+    pytest.param("--classes 2 --rho 1e100 --mode full --tau 5", None, id="full-rho-1e100-tau-5"),
+    pytest.param("--classes 2 --rho 1e160 --mode mixup", CURVE_KINDS, id="mixup-rho-1e160"),
+    # finite, but zero at both class indices: nothing to renormalize
+    pytest.param("--classes 2 --rho 1e22 --mode full --tau 13", None, id="full-rho-1e22-tau-13"),
+])
+def test_verify_dist_closed_forms_fail_closed(tmp_path, capsys, flags, kinds):
+    out = tmp_path / "vd"
+    rc = main(["verify-dist", "--out", str(out), "--trials", "1000", *flags.split()])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if kinds is None:
+        assert rc == 1 and not out.exists()
+        assert re.search("unimix_density (is not a finite, nonnegative|has no) float64", err)
+        return
+    assert rc == 0
+    assert_finite_and_unsigned(out)
+    rows = (out / "curves.csv").read_text().splitlines()[1:]
+    assert tuple(row.split(",")[0] for row in rows[::2]) == kinds  # 2 points a curve at C = 2
+
+
+@pytest.mark.parametrize("mode", ["mixup", "factor", "full"])
+@pytest.mark.parametrize("tau", ["-1", "0.5", "1"])
+def test_verify_dist_writes_no_negative_zero(tmp_path, mode, tau):
+    # for tau > 0 the mixed-class density's head is 0 / negative
+    out = tmp_path / "vd"
+    assert main(["verify-dist", "--out", str(out), "--classes", "10", "--rho", "100",
+                 "--tau", tau, "--mode", mode, "--trials", "1000"]) == 0
+    assert "-0.0" not in _csv_numbers(out)
+
+
+def test_verify_dist_factor_mode_is_full_mode_at_tau_one(tmp_path):
+    """Random pairing is the tau = 1 pair sampler: the two modes write the
+    same Monte Carlo and the same closed-form column."""
+    for name, flags in (("factor", ["--mode", "factor"]),
+                        ("full", ["--mode", "full", "--tau", "1"])):
+        assert main(["verify-dist", "--out", str(tmp_path / name), "--classes", "20",
+                     "--rho", "50", "--trials", "20000", *flags]) == 0
+    assert ((tmp_path / "factor" / "histogram.csv").read_bytes()
+            == (tmp_path / "full" / "histogram.csv").read_bytes())
+
+
+def test_factor_only_trains_as_full_mode_at_tau_one(tmp_path):
+    runs = tmp_path / "runs"
+    for mode, tau in (("unimix_factor_only", -1.0), ("unimix_full", 1.0)):
+        cfg = write_cfg(tmp_path, {**TINY_TRAIN, "mix_mode": mode, "tau": tau}, f"{mode}.json")
+        assert main(["train", "--config", cfg, "--out", str(runs / mode)]) == 0
+    factor, full = read_bytes(runs / "unimix_factor_only"), read_bytes(runs / "unimix_full")
+    assert (factor["model.json"], factor["train_log.csv"]) == (full["model.json"],
+                                                                full["train_log.csv"])
 
 
 def test_train_then_eval_pipeline(tmp_path):
@@ -681,3 +771,35 @@ def test_train_config_fuzz_fails_closed(tmp_path, capsys, cfg):
     assert "Traceback" not in capsys.readouterr().err
     if code != 0:
         assert not (run / "out").exists() or not any((run / "out").iterdir())
+
+
+# ------------------------------------------------ verify-dist flags: fuzzing
+
+# every draw is a valid flag value for its type; sizes stay small
+_VERIFY_FLAGS = st.fixed_dictionaries({
+    "classes": st.integers(2, 30),
+    # rho both uniform over the float range and log-uniform over it
+    "rho": st.one_of(st.floats(1.0, 1.7e308), st.floats(0.0, 709.0).map(math.exp)),
+    "tau": st.floats(-400.0, 400.0),
+    "alpha": st.floats(0.0, 1.0, exclude_min=True),
+    "mode": st.sampled_from(["mixup", "factor", "full"]),
+    "trials": st.integers(1, 2_000),
+    "seed": st.integers(0, 2**64 - 1),
+    "resolution": st.integers(0, 50),
+    "streams": st.integers(1, 4),
+})
+
+
+@settings(max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(flags=_VERIFY_FLAGS)
+def test_verify_dist_flag_fuzz_fails_closed(tmp_path, capsys, flags):
+    assert flags.keys() == cli._VERIFY_DEFAULTS.keys()
+    out = Path(tempfile.mkdtemp(dir=tmp_path)) / "out"
+    code = main(["verify-dist", "--out", str(out), *(f"--{k}={v}" for k, v in flags.items())])
+    assert code in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
+    if code:
+        assert not out.exists() or not any(out.iterdir())
+    else:
+        assert_finite_and_unsigned(out)

@@ -293,6 +293,17 @@ def test_mc_histogram_matches_the_exact_mixed_class_law(mode, alpha, classes, rh
     assert np.abs(hist - law).sum() < bound
 
 
+@pytest.mark.parametrize("alpha", [0.2, 0.5, 1.0])
+def test_factor_only_histogram_is_full_mode_at_tau_one(alpha):
+    # random pairing is the tau = 1 pair sampler, bit for bit
+    prior = discrete_lt_prior(LTSpec(20, 50.0))
+    factor = mc_xi_aug_histogram(prior, MixConfig(alpha=alpha, mode="unimix_factor_only",
+                                                  tau=-1.0), 50_000, seed=5)
+    full = mc_xi_aug_histogram(prior, MixConfig(alpha=alpha, mode="unimix_full", tau=1.0),
+                               50_000, seed=5)
+    assert factor.tobytes() == full.tobytes()
+
+
 def test_mc_histogram_memory_is_flat_in_trials(monkeypatch):
     # whole 1e6-long arrays peak near 74 MB; blocks of 2^16 pairs need a few
     monkeypatch.setenv("UNIMIX_LT_THREADS", "1")

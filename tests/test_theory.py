@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -9,9 +10,14 @@ from scipy import integrate
 
 from unimix_lt.theory import (CURVE_KINDS, PRIOR_SUM_TOL, LTSpec, check_prior,
                               continuous_lt_density, discrete_lt_prior, emit_density_curves,
-                              factor_density, lambda_from_rho, unimix_density)
+                              lambda_from_rho, unimix_density)
 
 SPEC = LTSpec(num_classes=100, rho=200.0, tau=-1.0)
+
+
+def factor_density(y, spec):
+    """The factor-only curve: the mixed-class density with random pairing, tau = 1."""
+    return unimix_density(y, replace(spec, tau=1.0))
 
 
 def test_lambda_from_rho_values():
@@ -138,9 +144,27 @@ def test_unimix_density_normalized(tau):
     assert abs(val - 1.0) <= 1e-6
 
 
-def test_unimix_density_tau_zero_rejected():
-    with pytest.raises(ValueError):
-        unimix_density(5.0, LTSpec(100, 200.0, 0.0))
+def test_unimix_density_tau_zero_is_the_limit():
+    """tau = 0 is a removable 0/0: its branch integrates to 1, peaks where
+    (y-1) e^(-lam(y-1)) does, at y = 1 + 1/lam, and the general form meets it
+    as tau -> 0 from either side, to within O(tau)."""
+    spec = LTSpec(100, 200.0, 0.0)
+    val, _ = integrate.quad(lambda y: unimix_density(y, spec), 1, 100)
+    assert abs(val - 1.0) <= 1e-6
+    y = np.linspace(1, 100, 100001)
+    at_zero = unimix_density(y, spec)
+    assert at_zero[0] == 0.0
+    assert abs(y[at_zero.argmax()] - (1 + 1 / spec.lam)) < 0.01
+    for tau in (1e-6, -1e-6):
+        near = unimix_density(y, replace(spec, tau=tau))
+        assert np.max(np.abs(near - at_zero)) <= 1e-5 * at_zero.max()
+
+
+@pytest.mark.parametrize("tau", [-1.0, 0.0, 0.5, 1.0, 2.0])
+def test_unimix_density_head_is_positive_zero(tau):
+    # for tau > 0 the head is 0 / negative, which without care is -0.0
+    head = unimix_density(1.0, LTSpec(100, 200.0, tau))
+    assert head == 0.0 and math.copysign(1.0, head) == 1.0
 
 
 def test_closed_forms_require_imbalance():
@@ -162,12 +186,34 @@ def test_emit_density_curves_contract():
 
 
 @pytest.mark.parametrize("rho,tau,kinds", [
-    (200.0, 0.0, CURVE_KINDS[:3]), (1.0, -1.0, CURVE_KINDS[:2]), (1.0, 0.0, CURVE_KINDS[:2])])
+    (200.0, 0.0, CURVE_KINDS), (1.0, -1.0, CURVE_KINDS[:2]), (1.0, 0.0, CURVE_KINDS[:2])])
 def test_emit_density_curves_skips_undefined_closed_forms(rho, tau, kinds):
     spec = LTSpec(100, rho, tau)
     curves = emit_density_curves(spec, 50)
     assert tuple(c.kind for c in curves) == kinds
     np.testing.assert_array_equal(curves[0].density, continuous_lt_density(curves[0].y, spec))
+
+
+# (C, rho, tau) where float64 cannot represent some closed forms on the class
+# grid, and the kinds still emitted there
+@pytest.mark.parametrize("spec,kinds", [
+    (LTSpec(10, 100.0, -200.0), CURVE_KINDS[:3]),  # e^(-lam C (tau + 1)) overflows
+    (LTSpec(2, 1e14, -25.0), CURVE_KINDS[:3]),
+    (LTSpec(2, 1e200, -1.0), CURVE_KINDS[:2] + CURVE_KINDS[3:]),  # tau = 1 gives 0/0
+    (LTSpec(2, 1e100, 5.0), CURVE_KINDS[:3]),
+    (LTSpec(2, 1.7e308, -1.0), CURVE_KINDS[3:]),  # lam / e^-lam overflows too
+])
+def test_closed_forms_float64_cannot_represent_are_undefined(spec, kinds):
+    grid = np.arange(1.0, spec.num_classes + 1)
+    curves = emit_density_curves(spec, spec.num_classes)
+    assert tuple(c.kind for c in curves) == kinds
+    for c in curves:
+        assert np.all(np.isfinite(c.density)) and np.all(c.density >= 0)
+    for kind, fn in (("original", continuous_lt_density), ("unimix_factor", factor_density),
+                     ("unimix_full", unimix_density)):
+        if kind not in kinds:
+            with pytest.raises(ValueError, match="not a finite, nonnegative float64"):
+                fn(grid, spec)
 
 
 def test_emit_density_curves_trapezoid_mass():
