@@ -152,7 +152,7 @@ def gen_lt_gaussians(num_classes: int, rho: float, n_max: int, dims: int,
     for k in range(num_classes):
         feats.append(means[k] + cluster_spread * rng.standard_normal((counts[k], dims)))
         labels.append(np.full(counts[k], k, dtype=np.int64))
-    return Dataset(np.concatenate(feats), np.concatenate(labels))
+    return _generated(np.concatenate(feats), np.concatenate(labels))
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,7 @@ class TwoCircleSpec:
         x0, y0 = self.center
         if self.radius <= 0:
             raise ValueError("radius must be positive")
-        if x0 * x0 + y0 * y0 <= self.radius**2:
+        if math.hypot(x0, y0) <= self.radius:  # squares of huge floats would overflow
             raise ValueError("circles overlap: need x0^2 + y0^2 > r^2")
         if self.n_pos < 1 or self.n_neg < 1:
             raise ValueError("both circles need at least one sample")
@@ -189,6 +189,14 @@ def gen_two_circles(spec: TwoCircleSpec) -> Dataset:
     neg = _uniform_disk(rng, spec.n_neg, (-x0, -y0), spec.radius)
     features = np.concatenate([pos, neg])
     labels = np.concatenate([np.zeros(spec.n_pos, np.int64), np.ones(spec.n_neg, np.int64)])
+    return _generated(features, labels)
+
+
+def _generated(features: np.ndarray, labels: np.ndarray) -> Dataset:
+    """The generated `Dataset`; features that overflowed to inf or NaN are a ValueError."""
+    if not np.isfinite(features).all():
+        raise ValueError("generated features are not finite; use a smaller spread, "
+                         "centre or radius")
     return Dataset(features, labels)
 
 

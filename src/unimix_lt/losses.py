@@ -17,10 +17,11 @@ its kind's parameters and fixes them once per run as a margin on every
 logit (bayias_ce), a margin on the true logit only (ldam), a per-class
 temperature `scale` (cdt) or per-class `weights` (cb). Each kind's loss
 is w_y * -log softmax(u)_y of the transformed logits u, focal's times
-(1 - p_y)^gamma; each kind but focal has the gradient
-w_y * (softmax(u) - e_y) / scale. The per-class temperature rescales
-logits rather than shifting them, so cdt alone breaks softmax shift
-invariance and simplex-tangent gradients.
+(1 - p_y)^gamma. Every kind has the one gradient
+w * (softmax(u) - e_y) / scale: w is w_y, or for focal the per-row weight
+(1 - p_y)^gamma - gamma * (1 - p_y)^(gamma - 1) * p_y * ln(p_y). The
+per-class temperature rescales logits rather than shifting them, so cdt
+alone breaks softmax shift invariance and simplex-tangent gradients.
 
 Natural log throughout. `batch_loss` and `batch_grad` are the one
 evaluation path: they take an (N, C) logit matrix and N labels, and a
@@ -159,23 +160,20 @@ def batch_grad(spec: LossSpec, z: np.ndarray, y) -> np.ndarray:
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
     rows = np.arange(z.shape[0])
-    if spec.kind == "focal" and spec.gamma != 0.0:
-        p = softmax(z)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_p = np.log(p[rows, y])
-            p_y = np.exp(log_p)
-            coef = spec.gamma * (1.0 - p_y) ** (spec.gamma - 1.0) * p_y * log_p \
-                - (1.0 - p_y) ** spec.gamma
-        # where p_y rounds to 1 or 0 the formula meets 0 * inf; use its limits there
-        coef[p_y == 1.0] = 0.0
-        coef[p_y == 0.0] = -1.0
-        onehot = np.zeros_like(p)
-        onehot[rows, y] = 1.0
-        return coef[:, None] * (onehot - p)
     g = softmax(_logits(spec, z, y))
+    w = None if spec.weights is None else spec.weights[y]
+    if spec.kind == "focal" and spec.gamma != 0.0:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_p = np.log(g[rows, y])
+            p_y = np.exp(log_p)
+            w = (1.0 - p_y) ** spec.gamma \
+                - spec.gamma * (1.0 - p_y) ** (spec.gamma - 1.0) * p_y * log_p
+        # where p_y rounds to 1 or 0 the formula meets 0 * inf; use its limits there
+        w[p_y == 1.0] = 0.0
+        w[p_y == 0.0] = 1.0
     g[rows, y] -= 1.0
-    if spec.weights is not None:
-        g *= spec.weights[y][:, None]
+    if w is not None:
+        g *= w[:, None]
     if spec.scale is not None:
         g /= spec.scale
     return g

@@ -20,22 +20,18 @@ reinforces the class whose weight is >= 0.5 (ties go to the first pair
 member), which `reinforced_class` picks without a branch.
 `mc_xi_aug_histogram` tallies that class over many random pairs to
 validate the closed forms in `theory`. It validates the prior once, where
-it enters; each stream then builds its two class tables once and draws
-in blocks of 2^16 pairs from three generators placed where the first
-members, the second members and the factors of the whole stream begin
-(0, trials and 2 * trials 64-bit outputs in), so memory stays flat in the
-trial count and the counts are those of whole-array draws, bit for bit.
-The Beta draws keep that equivalence: alpha = 1/2 and alpha = 1 take
-exactly one uniform per draw (sin^2(pi U / 2) and U), and any other alpha
-takes `rng.beta`'s rejection draws, which are made one element after
-another.
+it enters. Each stream builds its own two class tables once and has three
+named generators, one each for the first members, the second members and
+the factors. It draws in blocks of 2^16 pairs, so memory stays flat in the
+trial count. Each generator serves one kind of draw, in order, so the
+blocks draw the values whole arrays would, bit for bit, whatever a draw
+consumes.
 The streams run on one thread pool, a single stream included, and their
 counts add up in stream order, so the worker count never changes them.
 """
 
 from __future__ import annotations
 
-import copy
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -148,33 +144,22 @@ def reinforced_class(y_i: np.ndarray, y_j: np.ndarray, xi: np.ndarray) -> np.nda
     return y_i
 
 
-def _advanced(rng: np.random.Generator, draws: int) -> np.random.Generator:
-    """A copy of `rng` placed `draws` 64-bit outputs further along its stream."""
-    bit_generator = copy.deepcopy(rng.bit_generator)
-    bit_generator.advance(draws)
-    return np.random.Generator(bit_generator)
-
-
-def _mc_chunk(prior, pair_prior, config, trials, rng):
+def _mc_chunk(prior, pair_prior, config, trials, rngs):
     """Reinforced-class counts of `trials` pairs drawn from one stream.
 
-    The stream is read as if whole `trials`-long arrays were drawn from it
-    in turn: first members, second members, then the factors. Each of the
-    three generators starts where its array began (one 64-bit output per
-    uniform), and Beta draws are one uniform each or, through `rng.beta`,
-    taken one element after another, so blocks of `_MC_BLOCK` pairs draw
-    the same values in the same order while memory stays flat in `trials`.
-    The two class tables are built before the first block and belong to
-    this stream alone; the blocks only draw, weigh and count.
+    `rngs` are the stream's three generators, for the first members, the
+    second members and the factors. Blocks of `_MC_BLOCK` pairs draw the
+    values whole `trials`-long arrays would, while memory stays flat in
+    `trials`. The two class tables are built before the first block and
+    belong to this stream alone; the blocks only draw, weigh and count.
     """
-    rng_j = _advanced(rng, trials)
-    rng_mix = _advanced(rng, 2 * trials)
+    rng_i, rng_j, rng_mix = rngs
     table_i = class_table(prior, trials)
     table_j = class_table(pair_prior, trials)
     counts = np.zeros(prior.shape[0], dtype=np.int64)
     for start in range(0, trials, _MC_BLOCK):
         n = min(_MC_BLOCK, trials - start)
-        y_i = draw_classes(table_i, n, rng)
+        y_i = draw_classes(table_i, n, rng_i)
         y_j = draw_classes(table_j, n, rng_j)
         xi = _factor(config, prior, y_i, y_j, rng_mix)
         counts += np.bincount(reinforced_class(y_i, y_j, xi), minlength=counts.shape[0])
@@ -211,7 +196,8 @@ def mc_xi_aug_histogram(ds_prior: np.ndarray, config: MixConfig, trials: int,
     prior = check_prior(ds_prior, require_positive=True)
     pair_prior = inverse_prior(prior, config.pair_tau)
     sizes = [trials // streams + (1 if k < trials % streams else 0) for k in range(streams)]
-    jobs = [(size, derive_rng(seed, "mc", k)) for k, size in enumerate(sizes) if size > 0]
+    jobs = [(size, [derive_rng(seed, "mc", k, part) for part in ("i", "j", "mix")])
+            for k, size in enumerate(sizes) if size > 0]
     with ThreadPoolExecutor(max_workers=min(len(jobs), _max_workers())) as pool:
         parts = list(pool.map(
             lambda job: _mc_chunk(prior, pair_prior, config, job[0], job[1]), jobs))

@@ -42,14 +42,17 @@ def inverse_prior(prior: np.ndarray, tau: float) -> np.ndarray:
     """Reweighted prior pi_i^tau / sum_j pi_j^tau.
 
     tau = 1 returns the prior unchanged, tau = 0 the uniform distribution,
-    and negative tau inverts head and tail.
+    and negative tau inverts head and tail. The prior is first divided by the
+    entry that becomes the largest weight (its minimum for tau < 0, else its
+    maximum), so that weight is 1 and no power overflows at large |tau|.
     """
     p = check_prior(prior)
     if tau < 0 and np.any(p == 0):
         raise ValueError("inverse sampling with negative tau needs strictly positive priors")
     if tau == 1.0:
         return p  # exactly the random sampler, no renormalization drift
-    weights = p**tau  # p**0.0 is 1.0 for every p, 0 included: tau = 0 is uniform
+    # x**0.0 is 1.0 for every x, 0 included: tau = 0 is uniform
+    weights = (p / (p.min() if tau < 0 else p.max())) ** tau
     return check_prior(weights / weights.sum())
 
 

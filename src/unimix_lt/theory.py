@@ -105,15 +105,10 @@ def discrete_lt_prior(spec: LTSpec) -> np.ndarray:
 
     Head/tail ratio pi_1/pi_C equals rho; the balanced case is uniform.
     """
-    lam = spec.lam
-    if lam == 0.0:
-        probs = np.full(spec.num_classes, 1.0 / spec.num_classes)
-    else:
-        idx = np.arange(1, spec.num_classes + 1, dtype=np.float64)
-        # subtract the head exponent before exponentiating to avoid underflow
-        weights = np.exp(-lam * (idx - 1.0))
-        probs = weights / weights.sum()
-    return check_prior(probs, require_positive=True)
+    idx = np.arange(1, spec.num_classes + 1, dtype=np.float64)
+    # subtract the head exponent before exponentiating to avoid underflow
+    weights = np.exp(-spec.lam * (idx - 1.0))
+    return check_prior(weights / weights.sum(), require_positive=True)
 
 
 def _closed_form(density):

@@ -59,23 +59,26 @@ def unimix_factor():
     return _unimix_factor
 
 
-def _whole_array_mc_chunk(prior, pair_prior, config, trials, rng):
-    """`mixing._mc_chunk` before blocking: whole `trials`-long arrays, one stream.
+def _whole_array_mc_chunk(prior, pair_prior, config, trials, rngs):
+    """`mixing._mc_chunk` before blocking: whole `trials`-long arrays, one
+    generator each for the first members, the second members and the factors.
 
     Classes come from `np.searchsorted` on the cumulative edges, as
     `draw_classes` drew them before its guide table.
     """
-    def classes(p):
+    rng_i, rng_j, rng_mix = rngs
+
+    def classes(p, rng):
         edges = np.cumsum(p)
         edges[-1] = 1.0
         return np.searchsorted(edges, rng.random(trials), side="right")
 
-    y_i = classes(prior)
-    y_j = classes(pair_prior)
+    y_i = classes(prior, rng_i)
+    y_j = classes(pair_prior, rng_j)
     if config.mode == "vanilla_mixup":
-        xi = sample_beta(config.alpha, rng, size=trials)
+        xi = sample_beta(config.alpha, rng_mix, size=trials)
     else:
-        xi = _unimix_factor(prior[y_i], prior[y_j], config.alpha, rng)
+        xi = _unimix_factor(prior[y_i], prior[y_j], config.alpha, rng_mix)
     return np.bincount(np.where(xi >= 0.5, y_i, y_j), minlength=prior.shape[0])
 
 

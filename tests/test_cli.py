@@ -256,6 +256,16 @@ def test_verify_dist_closed_forms_fail_closed(tmp_path, capsys, flags, kinds):
     assert tuple(row.split(",")[0] for row in rows[::2]) == kinds  # 2 points a curve at C = 2
 
 
+@pytest.mark.filterwarnings("error")
+def test_verify_dist_large_negative_tau_runs_without_overflow(tmp_path, capsys):
+    # the pair prior's tail entry to the power -49 used to overflow
+    out = tmp_path / "vd"
+    assert main(["verify-dist", "--out", str(out), "--classes", "30", "--rho", "1e6",
+                 "--mode", "full", "--tau=-49", "--trials", "1000"]) == 0
+    assert capsys.readouterr().err == ""
+    assert_finite_and_unsigned(out)
+
+
 @pytest.mark.parametrize("mode", ["mixup", "factor", "full"])
 @pytest.mark.parametrize("tau", ["-1", "0.5", "1"])
 def test_verify_dist_writes_no_negative_zero(tmp_path, mode, tau):
@@ -600,6 +610,21 @@ def test_circles_demo_outputs(tmp_path):
     assert len(virtual) == 2 * 40  # mixup and unimix clouds
 
 
+def test_huge_circles_generate_finite_data_and_fail_closed_in_training(tmp_path, capsys):
+    # squaring 1e200 overflows a Python float; the disks themselves are representable
+    flags = ["--x0", "1e200", "--y0", "1e200", "--radius", "1e200"]
+    data = tmp_path / "data"
+    assert main(["gen-data", "--out", str(data), "--kind", "circles", *flags]) == 0
+    features = load_csv(data / "data.csv", max_classes=2).features
+    assert np.isfinite(features).all() and np.abs(features).max() > 1e199
+    demo = tmp_path / "demo"
+    with np.errstate(all="ignore"):
+        assert main(["circles-demo", "--out", str(demo), *flags, "--steps", "5"]) == 2
+    err = capsys.readouterr().err
+    assert "non-finite loss" in err and "Traceback" not in err
+    assert not demo.exists() or not any(demo.iterdir())
+
+
 def test_report_aggregates_and_warns(tmp_path, capsys):
     runs = tmp_path / "runs"
     for name, acc in (("a_run", 0.5), ("b_run", 0.75)):
@@ -653,6 +678,13 @@ def _train_cfg_text(key, literal):
     pytest.param(["train"], _train_cfg_text("lr", "1e309"), id="train-overflow"),
     pytest.param(["train"], _train_cfg_text("rho", "1" + "0" * 400), id="train-int-overflow"),
     pytest.param(["gen-data"], '{"rho": 1' + "0" * 400 + "}", id="gen-data-int-overflow"),
+    # a finite spread whose features overflow
+    pytest.param(["gen-data", "--classes", "3", "--n-max", "3", "--dims", "2",
+                  "--cluster-spread", "1e308"], None, id="gen-data-feature-overflow",
+                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+    pytest.param(["train"], _train_cfg_text("cluster_spread", "1e308"),
+                 id="train-feature-overflow",
+                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
 ])
 def test_non_finite_numbers_exit_one(tmp_path, capsys, argv, config_text):
     out = tmp_path / "run"
@@ -803,3 +835,130 @@ def test_verify_dist_flag_fuzz_fails_closed(tmp_path, capsys, flags):
         assert not out.exists() or not any(out.iterdir())
     else:
         assert_finite_and_unsigned(out)
+
+
+# ------------------------------------ gen-data, circles-demo, eval: fuzzing
+
+# floats over the whole finite range, uniform and log-uniform in magnitude
+_MAGNITUDE = st.floats(-745.0, 709.0).map(math.exp)
+_ANY_FLOAT = st.one_of(st.floats(allow_nan=False, allow_infinity=False), _MAGNITUDE,
+                       _MAGNITUDE.map(lambda x: -x))
+_SCALE = st.sampled_from([_MAGNITUDE] * 3 + [_ANY_FLOAT]).flatmap(lambda s: s)  # mostly > 0
+
+
+def _ints(lo, hi):
+    """Mostly in [lo, hi]; sometimes -1, 0 or lo - 1."""
+    return st.sampled_from([st.integers(lo, hi)] * 9 + [st.sampled_from([-1, 0, lo - 1])]
+                           ).flatmap(lambda strategy: strategy)
+
+
+_CIRCLE_FLAGS = {"x0": _ANY_FLOAT, "y0": _ANY_FLOAT, "radius": _SCALE,
+                 "n_pos": _ints(1, 200), "n_neg": _ints(1, 200),
+                 "seed": st.integers(0, 2**64 - 1)}
+_GEN_FLAGS = st.fixed_dictionaries({
+    "kind": st.sampled_from(["gaussians", "circles"]),
+    "classes": _ints(2, 30),
+    "rho": st.one_of(st.floats(1.0, 1e3), _SCALE),
+    "n_max": _ints(30, 500),
+    "dims": _ints(2, 16),
+    "cluster_spread": _SCALE,
+    "reverse": st.booleans(),
+    **_CIRCLE_FLAGS,
+})
+_DEMO_FLAGS = st.fixed_dictionaries({
+    **_CIRCLE_FLAGS,
+    "steps": _ints(1, 20),
+    "batch_size": _ints(1, 64),
+    "lr": st.one_of(st.floats(0.0, 1.0), _ANY_FLOAT),
+    "cloud_points": _ints(0, 50),
+})
+_FUZZ_CLI = settings(max_examples=50, deadline=None, database=None,
+                     suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _argv(flags):
+    """`--key=value` for each drawn flag; a switch is given only when True."""
+    return [f"--{k.replace('_', '-')}" if v is True else f"--{k.replace('_', '-')}={v}"
+            for k, v in flags.items() if v is not False]
+
+
+def _run_fails_closed(tmp_path, capsys, command, flags):
+    """Run `command` with `flags` into a fresh `--out`: exit 0, 1 or 2, no
+    traceback, and nothing in `--out` after a failure. Returns (code, out)."""
+    out = Path(tempfile.mkdtemp(dir=tmp_path)) / "out"
+    with np.errstate(all="ignore"):  # a drawn lr or weight may diverge
+        code = main([command, "--out", str(out), *_argv(flags)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
+    if code:
+        assert not out.exists() or not any(out.iterdir())
+    return code, out
+
+
+@_FUZZ_CLI
+@given(flags=_GEN_FLAGS)
+def test_gen_data_flag_fuzz_fails_closed(tmp_path, capsys, flags):
+    assert flags.keys() == cli._GEN_DEFAULTS.keys()
+    code, out = _run_fails_closed(tmp_path, capsys, "gen-data", flags)
+    if code == 0:
+        ds = load_csv(out / "data.csv", max_classes=30)  # refuses non-finite features
+        assert np.isfinite(ds.features).all()
+
+
+@_FUZZ_CLI
+@given(flags=_DEMO_FLAGS)
+def test_circles_demo_flag_fuzz_fails_closed(tmp_path, capsys, flags):
+    assert flags.keys() == cli._DEMO_DEFAULTS.keys()
+    _run_fails_closed(tmp_path, capsys, "circles-demo", flags)
+
+
+# ways to spoil a layer's weight list in model.json
+_CORRUPT = {"short": lambda w: w[:-1], "long": lambda w: [*w, 0.5],
+            "string": lambda w: ["0.5", *w[1:]], "null": lambda w: [None, *w[1:]],
+            "nested": lambda w: [w[:1], *w[1:]], "huge-int": lambda w: [10**400, *w[1:]],
+            "1e308": lambda w: [1e308] * len(w)}
+
+
+@st.composite
+def _model_and_data(draw):
+    """(model.json text, data.csv text): mostly a well-formed pair, sometimes a
+    corrupted layer, wrong layer widths or features, or labels out of range."""
+    dims = [draw(st.integers(1, 4)), *draw(st.lists(st.integers(1, 4), max_size=1)),
+            draw(st.integers(2, 4))]
+    layers = []
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        w = draw(st.lists(st.floats(-2.0, 2.0), min_size=fan_in * fan_out,
+                          max_size=fan_in * fan_out))
+        corrupt = draw(st.sampled_from([None] * 12 + sorted(_CORRUPT)))
+        layers.append({"w": _CORRUPT[corrupt](w) if corrupt else w, "b": [0.0] * fan_out})
+    widths = draw(st.sampled_from([dims] * 12 + [[*dims, 2], dims[:1], [0, *dims[1:]]]))
+    model = json.dumps(draw(st.sampled_from([{"layer_dims": widths, "layers": layers}] * 12
+                                            + [[widths], {"layers": layers}])))
+    width = draw(st.sampled_from([dims[0]] * 9 + [dims[0] + 1]))
+    rows = draw(st.lists(st.tuples(st.lists(_ANY_FLOAT, min_size=width, max_size=width),
+                                   st.integers(0, dims[-1] - 1)), min_size=1, max_size=20))
+    bad_label = draw(st.sampled_from([None] * 9 + [-1, dims[-1]]))
+    if bad_label is not None:
+        rows[0] = (rows[0][0], bad_label)
+    lines = [",".join([*(f"f{i}" for i in range(width)), "label"])]
+    lines += [",".join([*map(repr, x), str(y)]) for x, y in rows]
+    return model, "\n".join(lines) + "\n"
+
+
+_EVAL_FLAGS = st.fixed_dictionaries({
+    "bins": _ints(1, 1_000),
+    "ranges": _ints(1, 1_000),
+    "tace_threshold": st.one_of(st.floats(0.0, 1.0), _ANY_FLOAT),
+    "density_batch": _ints(1, 1_000),
+})
+
+
+@_FUZZ_CLI
+@given(files=_model_and_data(), flags=_EVAL_FLAGS)
+def test_eval_fuzz_fails_closed(tmp_path, capsys, files, flags):
+    run = Path(tempfile.mkdtemp(dir=tmp_path))
+    for name, text in zip(("model.json", "data.csv"), files):
+        (run / name).write_text(text)
+    flags = {"model": str(run / "model.json"), "data": str(run / "data.csv"), **flags}
+    assert flags.keys() == cli._EVAL_DEFAULTS.keys()
+    _run_fails_closed(run, capsys, "eval", flags)

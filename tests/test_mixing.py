@@ -220,7 +220,7 @@ def test_reinforced_class_threshold(monkeypatch):
     monkeypatch.setattr(mixing, "sample_beta",
                         lambda alpha, rng, size=None: np.array([0.7, 0.5, 0.49]))
     counts = mixing._mc_chunk(np.array([1.0, 0.0]), np.array([0.0, 1.0]), VANILLA, 3,
-                              derive_rng(0, "t"))
+                              [derive_rng(0, "t", k) for k in range(3)])
     np.testing.assert_array_equal(counts, [2, 1])
 
 
@@ -237,9 +237,9 @@ def test_blocked_mc_counts_match_whole_arrays(mode, alpha, whole_array_mc_chunk,
     blocked = mixing._mc_chunk
     chunks = []
 
-    def checked(prior, pair_prior, config, trials, rng):
-        start = np.random.Generator(copy.deepcopy(rng.bit_generator))
-        got = blocked(prior, pair_prior, config, trials, rng)
+    def checked(prior, pair_prior, config, trials, rngs):
+        start = [np.random.Generator(copy.deepcopy(rng.bit_generator)) for rng in rngs]
+        got = blocked(prior, pair_prior, config, trials, rngs)
         chunks.append((got, whole_array_mc_chunk(prior, pair_prior, config, trials, start)))
         return got
 

@@ -33,6 +33,16 @@ def test_inverse_prior_round_trip(tau):
         assert abs(inverse_prior(p, tau).sum() - 1.0) <= 1e-12
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tau", [-400.0, 400.0])
+def test_inverse_prior_large_tau_is_finite(tau):
+    # the extreme entry's weight is 1 before the power, so nothing overflows
+    for prior in (discrete_lt_prior(LTSpec(30, 1e6)), np.array([0.5, 0.3, 0.2])):
+        q = inverse_prior(prior, tau)
+        assert np.isfinite(q).all() and abs(q.sum() - 1.0) <= 1e-12
+        assert q.argmax() == (prior.argmin() if tau < 0 else prior.argmax())
+
+
 def test_inverse_prior_zero_entry_negative_tau():
     with pytest.raises(ValueError):
         inverse_prior(np.array([1.0, 0.0]), -1.0)

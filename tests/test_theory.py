@@ -50,8 +50,10 @@ def test_discrete_prior_two_class():
 
 
 def test_discrete_prior_balanced():
-    p = discrete_lt_prior(LTSpec(10, 1.0))
-    np.testing.assert_allclose(p, np.full(10, 0.1), atol=1e-15)
+    # exp(-0 * x) is 1 and the sum is exactly C, so the general path is 1/C bit for bit
+    for classes in (2, 3, 10, 12_345):
+        p = discrete_lt_prior(LTSpec(classes, 1.0))
+        assert p.tobytes() == np.full(classes, 1.0 / classes).tobytes()
 
 
 def test_discrete_prior_head_tail_ratio():
