@@ -32,7 +32,7 @@ from .config import (DATA_DEFAULTS, build_training_run, load_config, resolve_con
                      resolve_train_config)
 from .data import (TwoCircleSpec, gen_lt_gaussians, gen_two_circles, load_csv,
                    save_csv)
-from .errors import ConfigError, InvariantViolation
+from .errors import InvariantViolation
 from .mixing import DEFAULT_STREAMS, MixConfig, mc_xi_aug_histogram
 from .model import load_model, predict_proba, save_model, train_two_phase
 from .theory import LTSpec, discrete_lt_prior, emit_density_curves, unimix_density
@@ -66,15 +66,6 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     _atomic_write(path, lambda tmp: tmp.write_text(text))
 
 
-def _read_object(path: Path) -> dict:
-    """The JSON object in `path`; ValueError if the file holds anything else."""
-    with open(path) as fh:
-        obj = json.load(fh)
-    if not isinstance(obj, dict):
-        raise ValueError("not a JSON object")
-    return obj
-
-
 def _claim_run_dir(out_dir: Path, command: str) -> None:
     """One command per run directory; replays of the same command are fine.
 
@@ -85,11 +76,11 @@ def _claim_run_dir(out_dir: Path, command: str) -> None:
     if not cfg.is_file():
         return
     try:
-        previous = _read_object(cfg).get("command")
+        previous = load_config(cfg).get("command")
     except (ValueError, OSError) as exc:
-        raise ConfigError(f"{cfg} is unreadable ({exc}); use a fresh --out") from None
+        raise ValueError(f"{cfg} is unreadable ({exc}); use a fresh --out") from None
     if previous is not None and previous != command:
-        raise ConfigError(f"{out_dir} already holds a '{previous}' run; use a fresh --out")
+        raise ValueError(f"{out_dir} already holds a '{previous}' run; use a fresh --out")
 
 
 def _open_run(args, resolve) -> dict:
@@ -99,6 +90,7 @@ def _open_run(args, resolve) -> dict:
     object < the flags given on the command line.
     """
     config = load_config(args.config) if args.config else {}
+    config.pop("command", None)  # what a run directory's config.resolved.json records
     flags = {k: v for k, v in vars(args).items()
              if v is not None and k not in ("command", "func", "config", "out")}
     resolved = resolve(config, flags)
@@ -145,7 +137,7 @@ def cmd_gen_data(args) -> int:
     elif resolved["kind"] == "circles":
         ds = gen_two_circles(_circle_spec(resolved))
     else:
-        raise ConfigError(f"kind must be 'gaussians' or 'circles', got {resolved['kind']!r}")
+        raise ValueError(f"kind must be 'gaussians' or 'circles', got {resolved['kind']!r}")
     meta = {**resolved, "num_samples": ds.num_samples,
             "class_counts": ds.class_counts.tolist()}
     return _commit(args, resolved, {"data.csv": (_atomic_write, partial(save_csv, ds)),
@@ -181,7 +173,7 @@ def _closed_form_histogram(spec: LTSpec, config: MixConfig) -> np.ndarray:
 def cmd_verify_dist(args) -> int:
     resolved = _open_run(args, partial(resolve_config, _VERIFY_DEFAULTS))
     if resolved["mode"] not in _MODE_ALIASES:
-        raise ConfigError(f"mode must be one of {sorted(_MODE_ALIASES)}, got {resolved['mode']!r}")
+        raise ValueError(f"mode must be one of {sorted(_MODE_ALIASES)}, got {resolved['mode']!r}")
     mode = _MODE_ALIASES[resolved["mode"]]
     classes, tau = resolved["classes"], resolved["tau"]
     resolved["resolution"] = resolved["resolution"] or classes
@@ -205,7 +197,7 @@ def cmd_verify_dist(args) -> int:
 
 def cmd_train(args) -> int:
     if not args.config:
-        raise ConfigError("train requires --config")
+        raise ValueError("train requires --config")
     resolved = _open_run(args, resolve_train_config)
     ds, cfg = build_training_run(resolved)
     params, log = train_two_phase(ds, cfg)
@@ -225,13 +217,15 @@ _EVAL_DEFAULTS = {"model": "", "data": "", "bins": calibration.DEFAULT_BINS,
 def cmd_eval(args) -> int:
     resolved = _open_run(args, partial(resolve_config, _EVAL_DEFAULTS))
     if not resolved["model"] or not resolved["data"]:
-        raise ConfigError("eval requires --model and --data")
+        raise ValueError("eval requires --model and --data")
     params = load_model(resolved["model"])
     ds = load_csv(resolved["data"], max_classes=params.layer_dims[-1])
     if ds.dims != params.layer_dims[0]:
-        raise ConfigError(f"data has {ds.dims} features but the model expects "
-                          f"{params.layer_dims[0]}")
+        raise ValueError(f"data has {ds.dims} features but the model expects "
+                         f"{params.layer_dims[0]}")
     preds = predict_proba(params, ds.features)
+    if not np.isfinite(preds[:, 0]).all():  # a non-finite logit makes its whole row NaN
+        raise ValueError(f"{resolved['model']} gives non-finite outputs on {resolved['data']}")
     report = calibration.evaluate_predictions(
         preds, ds.labels, num_bins=resolved["bins"], num_ranges=resolved["ranges"],
         tace_threshold=resolved["tace_threshold"], density_batch=resolved["density_batch"])
@@ -287,7 +281,7 @@ def _training_metadata(run_dir: Path) -> tuple[str, str]:
         if not cfg_path.is_file():
             return "", ""
         try:
-            cfg = _read_object(cfg_path)
+            cfg = load_config(cfg_path)
         except (ValueError, OSError) as exc:
             print(f"warning: {run_dir.name}: unreadable config.resolved.json ({exc})",
                   file=sys.stderr)
@@ -304,7 +298,7 @@ def _training_metadata(run_dir: Path) -> tuple[str, str]:
 def cmd_report(args) -> int:
     runs = Path(args.runs)
     if not runs.is_dir():
-        raise ConfigError(f"{runs} is not a directory")
+        raise ValueError(f"{runs} is not a directory")
     rows = []
     for run_dir in sorted(p for p in runs.iterdir() if p.is_dir()):
         report_path = run_dir / "report.json"
@@ -312,7 +306,7 @@ def cmd_report(args) -> int:
             print(f"warning: {run_dir.name}: no report.json, skipped", file=sys.stderr)
             continue
         try:
-            scalars = _read_object(report_path)
+            scalars = load_config(report_path)
         except (ValueError, OSError) as exc:
             print(f"warning: {run_dir.name}: unreadable report.json ({exc}), skipped",
                   file=sys.stderr)
@@ -321,7 +315,7 @@ def cmd_report(args) -> int:
         rows.append({"run": run_dir.name, "loss": loss, "mix_mode": mix_mode,
                      **{k: scalars.get(k) for k in calibration.SCALARS}})
     if not rows:
-        raise ConfigError(f"{runs} contains no completed runs")
+        raise ValueError(f"{runs} contains no completed runs")
     out = Path(args.out) if args.out else runs
     _write_csv(out / "summary.csv", ["run", "loss", "mix_mode", *calibration.SCALARS],
                [[r["run"], r["loss"], r["mix_mode"]]
@@ -379,11 +373,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if not exc.code else 1
     try:
-        return args.func(args)
+        # each boundary's own check reports a fault; numpy's warnings would only precede it
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # e.g. a batch or data size too large to allocate

@@ -14,7 +14,6 @@ import math
 import numpy as np
 
 from .data import DEFAULT_SPREAD, empirical_prior, gen_lt_gaussians
-from .errors import ConfigError
 from .losses import LOSS_KINDS, LossSpec
 from .mixing import MIX_MODES, MixConfig
 from .model import TrainConfig
@@ -62,7 +61,7 @@ def _typed(name: str, value, default):
     integer, and a list key a list of items typed as the default's first."""
     if isinstance(default, list):
         if not isinstance(value, list):
-            raise ConfigError(f"{name} must be a list, got {value!r}")
+            raise ValueError(f"{name} must be a list, got {value!r}")
         return [_typed(f"{name}[{i}]", v, default[0]) for i, v in enumerate(value)]
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if isinstance(default, float) and number:
@@ -71,10 +70,10 @@ def _typed(name: str, value, default):
         except OverflowError:
             value = math.inf
         if not math.isfinite(value):
-            raise ConfigError(f"{name} must be a finite number")
+            raise ValueError(f"{name} must be a finite number")
         return value
     if type(value) is not type(default):
-        raise ConfigError(f"{name} must be {_TYPE_NAMES[type(default)]}, got {value!r}")
+        raise ValueError(f"{name} must be {_TYPE_NAMES[type(default)]}, got {value!r}")
     return value
 
 
@@ -91,10 +90,10 @@ def resolve_config(defaults: dict, *layers, where: str = "") -> dict:
     resolved = dict(defaults)
     for layer in layers:
         if not isinstance(layer, dict):
-            raise ConfigError(f"{where or 'config'} must be a JSON object")
+            raise ValueError(f"{where or 'config'} must be a JSON object")
         unknown = set(layer) - set(defaults)
         if unknown:
-            raise ConfigError(f"unknown {where or 'config'} keys: {sorted(unknown)}")
+            raise ValueError(f"unknown {where or 'config'} keys: {sorted(unknown)}")
         for key, value in layer.items():
             default = defaults[key]
             if key == "target_prior" and value != "balanced":
@@ -111,11 +110,11 @@ def resolve_train_config(*layers) -> dict:
     """Resolve a train config from `layers` over its defaults; idempotent on its output."""
     cfg = resolve_config(_DEFAULTS, *layers)
     if cfg["loss"] not in _LOSS_NAMES:
-        raise ConfigError(f"loss must be one of {_LOSS_NAMES}, got {cfg['loss']!r}")
+        raise ValueError(f"loss must be one of {_LOSS_NAMES}, got {cfg['loss']!r}")
     if cfg["loss"] == "la" and cfg["loss_params"]["target_prior"] != "balanced":
-        raise ConfigError("la targets a balanced prior; give another target_prior to bayias_ce")
+        raise ValueError("la targets a balanced prior; give another target_prior to bayias_ce")
     if cfg["mix_mode"] not in MIX_MODES:
-        raise ConfigError(f"mix_mode must be one of {MIX_MODES}, got {cfg['mix_mode']!r}")
+        raise ValueError(f"mix_mode must be one of {MIX_MODES}, got {cfg['mix_mode']!r}")
     given = {key for layer in layers for key in layer}
     cfg.update({key: value for key, value in _following_defaults(cfg).items()
                 if key not in given})
@@ -134,50 +133,46 @@ def _loss_spec(cfg: dict, class_counts: np.ndarray, prior: np.ndarray) -> LossSp
 
 def build_training_run(cfg: dict):
     """Materialize (dataset, TrainConfig) from a resolved config dict."""
-    try:
-        ds = gen_lt_gaussians(
-            num_classes=cfg["classes"],
-            rho=cfg["rho"],
-            n_max=cfg["n_max"],
-            dims=cfg["dims"],
-            cluster_spread=cfg["cluster_spread"],
-            seed=cfg["seed"],
-        )
-        prior = empirical_prior(ds)
-        train_cfg = TrainConfig(
-            t1_steps=cfg["t1_steps"],
-            t2_steps=cfg["t2_steps"],
-            batch_size=cfg["batch_size"],
-            lr=cfg["lr"],
-            mix=MixConfig(alpha=cfg["alpha"], mode=cfg["mix_mode"], tau=cfg["tau"]),
-            loss=_loss_spec(cfg, ds.class_counts, prior),
-            seed=cfg["seed"],
-            momentum=cfg["momentum"],
-            weight_decay=cfg["weight_decay"],
-            hidden_dims=tuple(cfg["hidden_dims"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
+    ds = gen_lt_gaussians(
+        num_classes=cfg["classes"],
+        rho=cfg["rho"],
+        n_max=cfg["n_max"],
+        dims=cfg["dims"],
+        cluster_spread=cfg["cluster_spread"],
+        seed=cfg["seed"],
+    )
+    prior = empirical_prior(ds)
+    train_cfg = TrainConfig(
+        t1_steps=cfg["t1_steps"],
+        t2_steps=cfg["t2_steps"],
+        batch_size=cfg["batch_size"],
+        lr=cfg["lr"],
+        mix=MixConfig(alpha=cfg["alpha"], mode=cfg["mix_mode"], tau=cfg["tau"]),
+        loss=_loss_spec(cfg, ds.class_counts, prior),
+        seed=cfg["seed"],
+        momentum=cfg["momentum"],
+        weight_decay=cfg["weight_decay"],
+        hidden_dims=tuple(cfg["hidden_dims"]),
+    )
     return ds, train_cfg
 
 
 def load_config(path) -> dict:
-    """Parse a JSON config object and drop the "command" key a run directory records.
-
-    NaN, Infinity and float literals that overflow a float are refused.
+    """The JSON object in `path`: the one reader of every JSON file the CLI
+    reads except model.json. A file holding anything but one object, NaN,
+    Infinity or a float literal that overflows a float is refused.
     """
     def finite(text: str) -> float:
         value = float(text)
         if not math.isfinite(value):
-            raise ConfigError(f"{path}: numbers must be finite, got {text}")
+            raise ValueError(f"{path}: numbers must be finite, got {text}")
         return value
 
     try:
         with open(path) as fh:
             cfg = json.load(fh, parse_float=finite, parse_constant=finite)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deeply
+        raise ValueError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(cfg, dict):
-        raise ConfigError(f"{path}: a config must be a JSON object")
-    cfg.pop("command", None)
+        raise ValueError(f"{path}: must hold one JSON object")
     return cfg

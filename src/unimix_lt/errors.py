@@ -1,8 +1,9 @@
-"""Shared exception types."""
+"""The package's own exception type.
 
-
-class ConfigError(ValueError):
-    """Bad configuration or CLI input (exit code 1)."""
+The CLI maps each fault to its exit code by exception type alone:
+`ValueError` and `OSError` (bad input or I/O) exit 1, and
+`InvariantViolation` (a run that went wrong mid-way) exits 2.
+"""
 
 
 class InvariantViolation(RuntimeError):

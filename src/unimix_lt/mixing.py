@@ -83,10 +83,9 @@ def sample_beta(alpha: float, rng: np.random.Generator, size: int | tuple[int, .
 
     Two cases take one uniform U = `rng.random` per draw, each an exact
     transform: alpha = 1 is U itself, and alpha = 1/2 (the arcsine law) is
-    sin^2(pi U / 2). Every other alpha draws `rng.beta`.
+    sin^2(pi U / 2). Every other alpha draws `rng.beta`, which refuses
+    alpha <= 0.
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
     if alpha == 1.0:
         return rng.random(size)
     if alpha == 0.5:
@@ -195,9 +194,10 @@ def mc_xi_aug_histogram(ds_prior: np.ndarray, config: MixConfig, trials: int,
         raise ValueError("streams must be >= 1")
     prior = check_prior(ds_prior, require_positive=True)
     pair_prior = inverse_prior(prior, config.pair_tau)
-    sizes = [trials // streams + (1 if k < trials % streams else 0) for k in range(streams)]
-    jobs = [(size, [derive_rng(seed, "mc", k, part) for part in ("i", "j", "mix")])
-            for k, size in enumerate(sizes) if size > 0]
+    # only the first min(streams, trials) streams draw; the first trials % streams draw one more
+    jobs = [(trials // streams + (k < trials % streams),
+             [derive_rng(seed, "mc", k, part) for part in ("i", "j", "mix")])
+            for k in range(min(streams, trials))]
     with ThreadPoolExecutor(max_workers=min(len(jobs), _max_workers())) as pool:
         parts = list(pool.map(
             lambda job: _mc_chunk(prior, pair_prior, config, job[0], job[1]), jobs))

@@ -183,7 +183,7 @@ def train_two_phase(ds: Dataset, cfg: TrainConfig):
 
     Phase 1 (steps 0..T1): mixed batches from the random and pair
     samplers. Phase 2 (T1..T2): plain random batches. A non-finite batch
-    loss, or a non-finite parameter after the last update, aborts the run.
+    loss, or a non-finite parameter after any update, aborts the run.
     """
     if ds.num_samples == 0:
         raise ValueError("dataset is empty")
@@ -225,10 +225,9 @@ def train_two_phase(ds: Dataset, cfg: TrainConfig):
             raise InvariantViolation(f"non-finite loss {loss_val} at step {step}")
         _backward_cached(params, acts, grad_logits, grads)
         sgd_step(params, grads.flat, velocity, lr, cfg.momentum, cfg.weight_decay)
+        if not np.isfinite(params.flat).all():
+            raise InvariantViolation(f"non-finite parameters after {step + 1} steps")
         log.append((step, phase, loss_val, lr))
-    # the loss check above comes before each update, so it never sees the last one
-    if not np.isfinite(params.flat).all():
-        raise InvariantViolation(f"non-finite parameters after {cfg.t2_steps} steps")
     return params, log
 
 
@@ -263,8 +262,11 @@ def save_model(params: MLPParams, path) -> None:
 
 def load_model(path) -> MLPParams:
     """Read a model written by `save_model`; a malformed file raises ValueError."""
-    with open(path) as fh:
-        payload = json.load(fh)
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
     if not isinstance(payload, dict) or not {"layer_dims", "layers"} <= payload.keys():
         raise ValueError(f"{path}: a model needs 'layer_dims' and 'layers'")
     dims, records = payload["layer_dims"], payload["layers"]

@@ -89,11 +89,17 @@ def test_adaptive_all_discarded_is_error():
     ({"num_ranges": 0}, "need at least one range"),
     ({"num_ranges": 10**11}, "need at most 100000 ranges"),
     ({"density_batch": 0}, "density_batch must be >= 1"),
+    # malformed predictions or labels, in place of the well-formed pair
+    ({"labels": np.array([0])}, "labels must be a vector matching the prediction rows"),
+    ({"labels": np.array([[0], [1]])}, "labels must be a vector matching the prediction rows"),
+    ({"preds": np.array([[0.9, 0.2], [0.4, 0.6]])}, "prediction rows must sum to 1"),
+    ({"labels": np.array([0, 2])}, "labels out of range"),
+    ({"labels": np.array([-1, 1])}, "labels out of range"),
 ])
 def test_sizes_are_checked_before_any_metric(kwargs, message):
     preds, labels = two_class([0.9, 0.4], [0, 1])
     with pytest.raises(ValueError, match=message):
-        evaluate_predictions(preds, labels, **kwargs)
+        evaluate_predictions(**{"preds": preds, "labels": labels, **kwargs})
     assert evaluate_predictions(preds, labels, num_bins=100_000, num_ranges=100_000).ece >= 0
 
 

@@ -22,7 +22,7 @@ from unimix_lt.config import resolve_config
 from unimix_lt.data import load_csv
 from unimix_lt.losses import LOSS_KINDS
 from unimix_lt.mixing import MIX_MODES
-from unimix_lt.model import init_params, save_model
+from unimix_lt.model import init_params, save_model, sgd_step
 from unimix_lt.streams import derive_rng
 from unimix_lt.theory import CURVE_KINDS, LTSpec, discrete_lt_prior
 
@@ -353,13 +353,11 @@ def test_la_config_trains_as_its_bayias_ce_spelling(tmp_path):
     assert json.loads((evals / "summary.json").read_text())[0]["loss"] == "la"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
 def test_train_divergence_exits_two(tmp_path):
     cfg = write_cfg(tmp_path, {**TINY_TRAIN, "lr": 1e30, "t1_steps": 0, "t2_steps": 30})
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
 def test_train_non_finite_final_update_exits_two_and_writes_nothing(tmp_path, capsys):
     # the only step's loss is finite; its update overflows the parameters
     cfg = write_cfg(tmp_path, {"classes": 3, "n_max": 20, "rho": 4, "t1_steps": 0,
@@ -370,6 +368,51 @@ def test_train_non_finite_final_update_exits_two_and_writes_nothing(tmp_path, ca
     err = capsys.readouterr().err
     assert "non-finite parameters" in err and "Traceback" not in err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_parameters_turning_non_finite_mid_run_exit_two_at_that_step(tmp_path, capsys,
+                                                                     monkeypatch):
+    # the update at step 2 of 10 writes inf; the run stops there, not at a later check
+    updates = []
+
+    def faulty_step(params, *args):
+        sgd_step(params, *args)
+        updates.append(1)
+        if len(updates) == 3:
+            params.flat[0] = np.inf
+
+    monkeypatch.setattr("unimix_lt.model.sgd_step", faulty_step)
+    cfg = write_cfg(tmp_path, {**TINY_TRAIN, "t1_steps": 5, "t2_steps": 10})
+    out = tmp_path / "x"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "invariant violation: non-finite parameters after 3 steps\n"
+    assert len(updates) == 3
+    assert not out.exists() or not any(out.iterdir())
+
+
+# a model whose finite weights overflow its forward pass on the row 10,10
+_OVERFLOWING_MODEL = {"layer_dims": [2, 2], "layers": [{"w": [1e308] * 4, "b": [0, 0]}]}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv,files,code,message", [
+    pytest.param(["eval", "--model", "{tmp}/model.json", "--data", "{tmp}/data.csv"],
+                 {"model.json": json.dumps(_OVERFLOWING_MODEL),
+                  "data.csv": "f0,f1,label\n10,10,0\n"},
+                 1, "model.json gives non-finite outputs", id="eval-overflow"),
+    pytest.param(["train", "--config", "{tmp}/cfg.json"],
+                 {"cfg.json": json.dumps({**TINY_TRAIN, "lr": 1e30})}, 2,
+                 "invariant violation: non-finite", id="train-lr-1e30"),
+])
+def test_overflow_prints_one_line_and_no_warning(tmp_path, capsys, argv, files, code, message):
+    # warnings are errors here, so one that reached the user would end in a traceback
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    out = tmp_path / "run"
+    assert main([*(arg.format(tmp=tmp_path) for arg in argv), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+    assert not out.exists()
 
 
 def test_memory_error_exits_one_and_writes_nothing(tmp_path, capsys, monkeypatch):
@@ -618,8 +661,7 @@ def test_huge_circles_generate_finite_data_and_fail_closed_in_training(tmp_path,
     features = load_csv(data / "data.csv", max_classes=2).features
     assert np.isfinite(features).all() and np.abs(features).max() > 1e199
     demo = tmp_path / "demo"
-    with np.errstate(all="ignore"):
-        assert main(["circles-demo", "--out", str(demo), *flags, "--steps", "5"]) == 2
+    assert main(["circles-demo", "--out", str(demo), *flags, "--steps", "5"]) == 2
     err = capsys.readouterr().err
     assert "non-finite loss" in err and "Traceback" not in err
     assert not demo.exists() or not any(demo.iterdir())
@@ -635,7 +677,9 @@ def test_report_aggregates_and_warns(tmp_path, capsys):
         (d / "report.json").write_text(json.dumps(scalars))
         (d / "config.resolved.json").write_text(
             json.dumps({"loss": "ce", "mix_mode": "unimix_full"}))
-    for name, text in (("c_run", "{not json"), ("d_run", "[0.5]")):
+    # a NaN would reach summary.json as a bare NaN, which is not JSON
+    for name, text in (("c_run", "{not json"), ("d_run", "[0.5]"),
+                       ("f_run", '{"accuracy": NaN}')):
         (runs / name).mkdir()
         (runs / name / "report.json").write_text(text)
     # a run whose config is no object keeps its metrics, without loss or mix mode
@@ -645,12 +689,12 @@ def test_report_aggregates_and_warns(tmp_path, capsys):
     out = tmp_path / "summary"
     assert main(["report", "--runs", str(runs), "--out", str(out)]) == 0
     err = capsys.readouterr().err
-    assert "c_run: unreadable report.json" in err and "d_run: unreadable report.json" in err
+    assert all(f"{name}: unreadable report.json" in err for name in ("c_run", "d_run", "f_run"))
     assert "e_run: unreadable config.resolved.json" in err and "Traceback" not in err
     lines = (out / "summary.csv").read_text().strip().splitlines()
     assert lines[0].split(",") == ["run", "loss", "mix_mode", *calibration.SCALARS]
     assert [l.split(",")[0] for l in lines[1:]] == ["a_run", "b_run", "e_run"]
-    rows = json.loads((out / "summary.json").read_text())
+    rows = json.loads((out / "summary.json").read_text(), parse_constant=pytest.fail)
     assert rows[1]["accuracy"] == 0.75
     assert (rows[2]["loss"], rows[2]["mix_mode"], rows[2]["accuracy"]) == ("", "", 0.25)
 
@@ -680,12 +724,13 @@ def _train_cfg_text(key, literal):
     pytest.param(["gen-data"], '{"rho": 1' + "0" * 400 + "}", id="gen-data-int-overflow"),
     # a finite spread whose features overflow
     pytest.param(["gen-data", "--classes", "3", "--n-max", "3", "--dims", "2",
-                  "--cluster-spread", "1e308"], None, id="gen-data-feature-overflow",
-                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+                  "--cluster-spread", "1e308"], None, id="gen-data-feature-overflow"),
+    pytest.param(["gen-data", "--classes", "4", "--n-max", "4", "--dims", "4",
+                  "--cluster-spread", "1e308"], None, id="gen-data-feature-overflow-4"),
     pytest.param(["train"], _train_cfg_text("cluster_spread", "1e308"),
-                 id="train-feature-overflow",
-                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+                 id="train-feature-overflow"),
 ])
+@pytest.mark.filterwarnings("error")  # a warning that reached the user would raise here
 def test_non_finite_numbers_exit_one(tmp_path, capsys, argv, config_text):
     out = tmp_path / "run"
     if config_text is not None:
@@ -694,7 +739,7 @@ def test_non_finite_numbers_exit_one(tmp_path, capsys, argv, config_text):
         argv = [*argv, "--config", str(cfg)]
     assert main([*argv, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "finite" in err and "Traceback" not in err
+    assert "finite" in err and err.count("\n") == 1
     assert not out.exists() or not any(out.iterdir())
 
 
@@ -738,11 +783,36 @@ def test_non_finite_numbers_exit_one(tmp_path, capsys, argv, config_text):
     # la is the balanced-target spelling of bayias_ce; another target is refused
     pytest.param(["train"], json.dumps({**TINY_TRAIN, "loss": "la", "loss_params": {
         "target_prior": [0.1, 0.2, 0.3, 0.4]}}), None, id="train-la-target"),
+    pytest.param(["train"], _train_cfg_text("loss_params", '{"target_prior": [0.5, 0.5]}'),
+                 None, id="train-target-prior-length"),
+    pytest.param(["gen-data"], '{"rho": 10', None, id="gen-data-invalid-json"),
+    pytest.param(["gen-data", "--classes", "1"], None, None, id="gen-data-one-class"),
+    pytest.param(["gen-data", "--dims", "1"], None, None, id="gen-data-one-dim"),
+    *(pytest.param(["gen-data", f"--cluster-spread={spread}"], None, None,
+                   id=f"gen-data-spread-{spread}") for spread in ("0", "-1")),
+    pytest.param(["eval", "--data", "data.csv"], None, None, id="eval-without-model"),
+    # a dict of files under tmp_path in place of a --config text; {tmp} is tmp_path
+    pytest.param(["report", "--runs", "{tmp}/runs.json"], {"runs.json": "{}"}, None,
+                 id="report-runs-file"),
+    pytest.param(["report", "--runs", "{tmp}/runs"], {"runs/a/meta.json": "{}"}, None,
+                 id="report-run-without-report"),
+    pytest.param(["report", "--runs", "{tmp}/runs"],
+                 {"runs/a/report.json": '{"accuracy": NaN}'}, None, id="report-nan"),
+    # JSON nested beyond the parser's recursion limit
+    pytest.param(["gen-data"], "[" * 100_000 + "]" * 100_000, None, id="gen-data-deep-json"),
+    pytest.param(["eval", "--model", "{tmp}/model.json", "--data", "{tmp}/data.csv"],
+                 {"model.json": "[" * 100_000 + "]" * 100_000,
+                  "data.csv": "f0,f1,label\n0.1,0.2,0\n"}, None, id="eval-deep-model-json"),
 ])
 def test_bad_input_exits_one_and_writes_nothing(tmp_path, capsys, monkeypatch, argv,
                                                 config_text, threads):
     out = tmp_path / "run"
-    if config_text is not None:
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    if isinstance(config_text, dict):
+        for name, text in config_text.items():
+            (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / name).write_text(text)
+    elif config_text is not None:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(config_text)
         argv = [*argv, "--config", str(cfg)]
@@ -795,7 +865,7 @@ _TRAIN_CONFIG = st.fixed_dictionaries(
 @settings(max_examples=100, deadline=None, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(cfg=_TRAIN_CONFIG)
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # a drawn lr may diverge
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a diverging lr warns nobody
 def test_train_config_fuzz_fails_closed(tmp_path, capsys, cfg):
     run = Path(tempfile.mkdtemp(dir=tmp_path))
     code = main(["train", "--config", write_cfg(run, cfg), "--out", str(run / "out")])
@@ -824,16 +894,13 @@ _VERIFY_FLAGS = st.fixed_dictionaries({
 
 @settings(max_examples=100, deadline=None, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(flags=_VERIFY_FLAGS)
-def test_verify_dist_flag_fuzz_fails_closed(tmp_path, capsys, flags):
+@given(flags=_VERIFY_FLAGS, via_config=st.booleans())
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_verify_dist_flag_fuzz_fails_closed(tmp_path, capsys, flags, via_config):
     assert flags.keys() == cli._VERIFY_DEFAULTS.keys()
-    out = Path(tempfile.mkdtemp(dir=tmp_path)) / "out"
-    code = main(["verify-dist", "--out", str(out), *(f"--{k}={v}" for k, v in flags.items())])
+    code, out = _run_fails_closed(tmp_path, capsys, "verify-dist", flags, via_config)
     assert code in (0, 1)
-    assert "Traceback" not in capsys.readouterr().err
-    if code:
-        assert not out.exists() or not any(out.iterdir())
-    else:
+    if code == 0:
         assert_finite_and_unsigned(out)
 
 
@@ -882,12 +949,14 @@ def _argv(flags):
             for k, v in flags.items() if v is not False]
 
 
-def _run_fails_closed(tmp_path, capsys, command, flags):
-    """Run `command` with `flags` into a fresh `--out`: exit 0, 1 or 2, no
-    traceback, and nothing in `--out` after a failure. Returns (code, out)."""
-    out = Path(tempfile.mkdtemp(dir=tmp_path)) / "out"
-    with np.errstate(all="ignore"):  # a drawn lr or weight may diverge
-        code = main([command, "--out", str(out), *_argv(flags)])
+def _run_fails_closed(tmp_path, capsys, command, flags, via_config):
+    """Run `command` with `flags` into a fresh `--out`, given as flags or, if
+    `via_config`, as a `--config` file: exit 0, 1 or 2, no traceback, and
+    nothing in `--out` after a failure. Returns (code, out)."""
+    run = Path(tempfile.mkdtemp(dir=tmp_path))
+    out = run / "out"
+    given = ["--config", write_cfg(run, flags)] if via_config else _argv(flags)
+    code = main([command, "--out", str(out), *given])
     assert code in (0, 1, 2)
     assert "Traceback" not in capsys.readouterr().err
     if code:
@@ -896,20 +965,22 @@ def _run_fails_closed(tmp_path, capsys, command, flags):
 
 
 @_FUZZ_CLI
-@given(flags=_GEN_FLAGS)
-def test_gen_data_flag_fuzz_fails_closed(tmp_path, capsys, flags):
+@given(flags=_GEN_FLAGS, via_config=st.booleans())
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gen_data_flag_fuzz_fails_closed(tmp_path, capsys, flags, via_config):
     assert flags.keys() == cli._GEN_DEFAULTS.keys()
-    code, out = _run_fails_closed(tmp_path, capsys, "gen-data", flags)
+    code, out = _run_fails_closed(tmp_path, capsys, "gen-data", flags, via_config)
     if code == 0:
         ds = load_csv(out / "data.csv", max_classes=30)  # refuses non-finite features
         assert np.isfinite(ds.features).all()
 
 
 @_FUZZ_CLI
-@given(flags=_DEMO_FLAGS)
-def test_circles_demo_flag_fuzz_fails_closed(tmp_path, capsys, flags):
+@given(flags=_DEMO_FLAGS, via_config=st.booleans())
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_circles_demo_flag_fuzz_fails_closed(tmp_path, capsys, flags, via_config):
     assert flags.keys() == cli._DEMO_DEFAULTS.keys()
-    _run_fails_closed(tmp_path, capsys, "circles-demo", flags)
+    _run_fails_closed(tmp_path, capsys, "circles-demo", flags, via_config)
 
 
 # ways to spoil a layer's weight list in model.json
@@ -954,11 +1025,12 @@ _EVAL_FLAGS = st.fixed_dictionaries({
 
 
 @_FUZZ_CLI
-@given(files=_model_and_data(), flags=_EVAL_FLAGS)
-def test_eval_fuzz_fails_closed(tmp_path, capsys, files, flags):
+@given(files=_model_and_data(), flags=_EVAL_FLAGS, via_config=st.booleans())
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_eval_fuzz_fails_closed(tmp_path, capsys, files, flags, via_config):
     run = Path(tempfile.mkdtemp(dir=tmp_path))
     for name, text in zip(("model.json", "data.csv"), files):
         (run / name).write_text(text)
     flags = {"model": str(run / "model.json"), "data": str(run / "data.csv"), **flags}
     assert flags.keys() == cli._EVAL_DEFAULTS.keys()
-    _run_fails_closed(run, capsys, "eval", flags)
+    _run_fails_closed(run, capsys, "eval", flags, via_config)

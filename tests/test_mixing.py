@@ -318,6 +318,22 @@ def test_mc_histogram_memory_is_flat_in_trials(monkeypatch):
     assert peak <= 16 * 2**20
 
 
+def test_mc_histogram_plans_only_the_streams_that_draw(monkeypatch):
+    # 10 trials over 10^6 streams: a plan over every stream would take
+    # 8 bytes per stream, 8 MB here, before anything is drawn
+    monkeypatch.setenv("UNIMIX_LT_THREADS", "2")
+    prior = discrete_lt_prior(LTSpec(100, 200.0, -1.0))
+    cfg = MixConfig(alpha=0.5, mode="unimix_full", tau=-1.0)
+    tracemalloc.start()
+    try:
+        hist = mc_xi_aug_histogram(prior, cfg, 10, seed=7, streams=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+    assert np.round(hist * 10).sum() == 10
+
+
 def test_mc_histogram_mixup_matches_prior():
     spec = LTSpec(10, 100.0)
     prior = discrete_lt_prior(spec)
@@ -377,8 +393,8 @@ def test_mix_config_validation():
     assert MixConfig(mode="unimix_full", tau=-2.0).pair_tau == -2.0
 
 
-@pytest.mark.parametrize("value", ["0", "1", "2"])
-def test_thread_cap_values_keep_the_histogram(value, monkeypatch):
+@pytest.mark.parametrize("value", ["0", "1", "2", "", " 2 ", "3"])
+def test_thread_cap_values_keep_the_histogram(value, monkeypatch, tmp_path):
     cfg = MixConfig(alpha=0.5, mode="unimix_full", tau=-1.0)
     # one block per stream, and the verify-dist problem with two blocks in each
     # of 4 streams, so each worker draws several blocks from its own tables
@@ -390,9 +406,16 @@ def test_thread_cap_values_keep_the_histogram(value, monkeypatch):
         monkeypatch.setenv("UNIMIX_LT_THREADS", value)
         got = mc_xi_aug_histogram(prior, cfg, trials, seed=3, streams=4)
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    # and through the CLI, against a run with the variable unset
+    argv = ["verify-dist", "--classes", "10", "--trials", "20000", "--streams", "4"]
+    assert main([*argv, "--out", str(tmp_path / "set")]) == 0
+    monkeypatch.delenv("UNIMIX_LT_THREADS")
+    assert main([*argv, "--out", str(tmp_path / "unset")]) == 0
+    assert ((tmp_path / "set" / "histogram.csv").read_bytes()
+            == (tmp_path / "unset" / "histogram.csv").read_bytes())
 
 
-@pytest.mark.parametrize("value", ["-1", "abc"])
+@pytest.mark.parametrize("value", ["-1", "abc", "1.5"])
 def test_thread_cap_rejects_bad_values(value, monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("UNIMIX_LT_THREADS", value)
     prior = discrete_lt_prior(LTSpec(10, 50.0))

@@ -339,7 +339,7 @@ def test_train_raises_on_divergence():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
 def test_train_raises_on_non_finite_final_update():
-    """The loss check runs before each update; the parameters are checked after the last."""
+    """The loss check runs before each update; the parameters are checked after each one."""
     ds = gen_lt_gaussians(3, 4.0, 20, 3, seed=0)
     cfg = _basic_config(lr=1e16, weight_decay=1e300, t1_steps=0, t2_steps=1)
     with pytest.raises(InvariantViolation, match="non-finite parameters after 1 steps"):
