@@ -26,6 +26,11 @@ the factors. It draws in blocks of 2^16 pairs, so memory stays flat in the
 trial count. Each generator serves one kind of draw, in order, so the
 blocks draw the values whole arrays would, bit for bit, whatever a draw
 consumes.
+A call with enough draws per class pair at alpha = 1/2 first builds one
+table, shared by its streams, of the least raw draw at which each pair's
+weight reaches 1/2, 1 and 3/2 (at most 24 C^2 bytes); its blocks then
+decide each pair with three lookups and compares, with no sine and no
+factor, and count the same classes.
 The streams run on one thread pool, a single stream included, and their
 counts add up in stream order, so the worker count never changes them.
 """
@@ -55,6 +60,14 @@ __all__ = [
 MIX_MODES = ("vanilla_mixup", "unimix_factor_only", "unimix_full")
 
 _MC_BLOCK = 1 << 16  # Monte Carlo pairs drawn per block of one stream
+# A call builds the `_thresholds` table at alpha = 1/2 from _TABLE_PAIR_DRAWS draws
+# per class pair plus _TABLE_FIXED_DRAWS. Measured break-even of the whole call
+# (full mode, rho = 200, 4 streams on 2 threads, 2-core x86-64 VM, numpy 2.4.6):
+# about 1.5e5 trials at C = 10, 2.4e5-4.8e5 at C = 20, 5e5 at C = 50, 1.8e6 at
+# C = 100 and 8e6 at C = 200.
+_TABLE_PAIR_DRAWS = 200
+_TABLE_FIXED_DRAWS = 200_000
+MAX_STREAMS = 1024  # Monte Carlo streams of one call; each holds three generators
 DEFAULT_STREAMS = 4  # default Monte Carlo streams of `mc_xi_aug_histogram` and verify-dist
 
 
@@ -78,6 +91,28 @@ class MixConfig:
         return self.tau if self.mode == "unimix_full" else 1.0
 
 
+def _beta_draw(alpha: float, rng: np.random.Generator,
+               size: int | tuple[int, ...]) -> np.ndarray:
+    """The raw draws behind `sample_beta`: one uniform `rng.random` per draw
+    at alpha in {1/2, 1}, else `rng.beta`."""
+    if alpha in (0.5, 1.0):
+        return rng.random(size)
+    return rng.beta(alpha, alpha, size=size)
+
+
+def _beta_transform(alpha: float, v: np.ndarray) -> np.ndarray:
+    """Raw draws `v` of `_beta_draw` as Beta(alpha, alpha) draws, in place.
+
+    alpha = 1/2 (the arcsine law) maps a uniform v to sin^2(pi v / 2);
+    every other alpha keeps v. Both maps are non-decreasing in v.
+    """
+    if alpha == 0.5:
+        v *= np.pi / 2
+        np.sin(v, out=v)
+        np.square(v, out=v)
+    return v
+
+
 def sample_beta(alpha: float, rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
     """An array of `size` Beta(alpha, alpha) draws.
 
@@ -86,14 +121,7 @@ def sample_beta(alpha: float, rng: np.random.Generator, size: int | tuple[int, .
     sin^2(pi U / 2). Every other alpha draws `rng.beta`, which refuses
     alpha <= 0.
     """
-    if alpha == 1.0:
-        return rng.random(size)
-    if alpha == 0.5:
-        u = rng.random(size)
-        u *= np.pi / 2
-        np.sin(u, out=u)
-        return np.square(u, out=u)
-    return rng.beta(alpha, alpha, size=size)
+    return _beta_transform(alpha, _beta_draw(alpha, rng, size))
 
 
 def _factor(mix: MixConfig, prior: np.ndarray, y_i: np.ndarray, y_j: np.ndarray,
@@ -135,15 +163,107 @@ def mix_batch(ds: Dataset, prior: np.ndarray, pair_prior: np.ndarray, mix: MixCo
 
 def reinforced_class(y_i: np.ndarray, y_j: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """The class each mixed pair reinforces, y_i where xi >= 0.5 (ties
-    included) else y_j, as y_j + [xi >= 0.5] * (y_i - y_j): branch-free,
-    written over y_i."""
+    included) else y_j, written over y_i."""
+    return _pick_first(y_i, y_j, xi >= 0.5)
+
+
+def _pick_first(y_i: np.ndarray, y_j: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """y_i where `first` holds else y_j, as y_j + first * (y_i - y_j):
+    branch-free, written over y_i."""
     y_i -= y_j
-    y_i *= xi >= 0.5
+    y_i *= first
     y_i += y_j
     return y_i
 
 
-def _mc_chunk(prior, pair_prior, config, trials, rngs):
+_ONE_BITS = int(np.float64(1.0).view(np.int64))  # the bit pattern of 1.0
+_BRACKET = 1 << 4  # float steps either side of its inverse-map guess that bracket a threshold
+
+
+def _reached(alpha: float, c: np.ndarray, level: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """Whether fl(T(v) + c) >= level for the draws v of bit patterns `bits`,
+    T as `_beta_transform` applies it; patterns below 0.0 never reach a
+    level and patterns above 1.0 always do."""
+    v = np.maximum(bits, 0)
+    np.minimum(v, _ONE_BITS, out=v)
+    t = _beta_transform(alpha, v.view(np.float64))
+    t += c
+    reached = t >= level
+    reached &= bits >= 0
+    reached |= bits > _ONE_BITS
+    return reached
+
+
+def _least_reaching(alpha, c, level, lo, hi):
+    """Bisect each entry's bit patterns between `lo`, which does not reach its
+    level, and `hi`, which does, down to the least pattern that does."""
+    for _ in range(int((hi - lo).max(initial=0)).bit_length()):
+        mid = lo + (hi - lo) // 2
+        up = _reached(alpha, c, level, mid)
+        np.copyto(hi, mid, where=up)
+        np.copyto(lo, mid, where=~up)
+    return hi
+
+
+def _thresholds(config: MixConfig, prior: np.ndarray) -> np.ndarray:
+    """Per pair, the least raw draw at which its mixing weight reaches each level.
+
+    Entry [l, i, j] is the least float v in [0, 1] with
+    fl(T(v) + c_ij) >= level l, T the `_beta_transform`, or nextafter(1, 2),
+    which no draw reaches. The factor modes take c_ij as `_factor` computes
+    it and the levels 1/2, 1 and 3/2; vanilla mode takes c = 0 and the
+    level 1/2 alone. t = fl(T(v) + c) never decreases in v, and for t in
+    [1, 2] fl(t - 1) is exact (Sterbenz), so the shifted weight
+    frac(T(v) + c) is >= 1/2 exactly when v reaches an odd number of the
+    pair's levels. For alpha != 1/2 this holds because rounding is
+    monotone; at alpha = 1/2 it also needs numpy's float64 sin to be
+    non-decreasing on [0, pi/2].
+
+    Each entry is first bracketed by `_BRACKET` float steps either side of
+    the inverse map, (2/pi) asin(sqrt(level - c)) at alpha = 1/2 and
+    level - c otherwise; the few entries whose bracket fails its end checks
+    (where T is flat near v = 1) are bisected over all of [0, 1].
+    """
+    classes = prior.shape[0]
+    if config.mode == "vanilla_mixup":
+        levels, c = [0.5], np.zeros((classes, classes))
+    else:
+        levels, c = [0.5, 1.0, 1.5], prior[None, :] / (prior[:, None] + prior[None, :])
+    level = np.broadcast_to(np.reshape(levels, (-1, 1, 1)), (len(levels), classes, classes))
+    c = np.broadcast_to(c, level.shape)
+    guess = np.clip(level - c, 0.0, 1.0)
+    if config.alpha == 0.5:
+        guess = np.arcsin(np.sqrt(guess)) * (2 / np.pi)
+    bits = guess.view(np.int64)
+    lo, hi = bits - _BRACKET, bits + _BRACKET
+    held = ~_reached(config.alpha, c, level, lo) & _reached(config.alpha, c, level, hi)
+    lo[~held], hi[~held] = -1, _ONE_BITS + 1
+    for part in (held, ~held):
+        hi[part] = _least_reaching(config.alpha, c[part], level[part], lo[part], hi[part])
+    return hi.view(np.float64)
+
+
+def _table_pays_off(config: MixConfig, prior: np.ndarray, trials: int) -> bool:
+    """Whether `_thresholds` saves a call more than it costs to build: only
+    alpha = 1/2 has a transform to skip (at other alphas the per-draw block
+    measured as fast), and only from enough draws per pair."""
+    return (config.alpha == 0.5
+            and trials >= _TABLE_PAIR_DRAWS * prior.shape[0] ** 2 + _TABLE_FIXED_DRAWS)
+
+
+def _table_wins(thresholds: np.ndarray, y_i: np.ndarray, y_j: np.ndarray,
+                v: np.ndarray) -> np.ndarray:
+    """Whether each pair's first member wins, given its raw factor draw `v`:
+    whether v reaches an odd number of the pair's `_thresholds` levels."""
+    pair = y_i * thresholds.shape[-1]  # the flat index of [i, j], which `take` reads
+    pair += y_j
+    wins = v >= thresholds[0].take(pair)
+    for level in thresholds[1:]:
+        wins ^= v >= level.take(pair)
+    return wins
+
+
+def _mc_chunk(prior, pair_prior, config, trials, rngs, thresholds=None):
     """Reinforced-class counts of `trials` pairs drawn from one stream.
 
     `rngs` are the stream's three generators, for the first members, the
@@ -151,6 +271,9 @@ def _mc_chunk(prior, pair_prior, config, trials, rngs):
     values whole `trials`-long arrays would, while memory stays flat in
     `trials`. The two class tables are built before the first block and
     belong to this stream alone; the blocks only draw, weigh and count.
+    Given the `_thresholds` table, a block decides each pair by comparing
+    its raw draw with the pair's levels, and skips the Beta transform and
+    the factor; the counts are the same.
     """
     rng_i, rng_j, rng_mix = rngs
     table_i = class_table(prior, trials)
@@ -160,8 +283,15 @@ def _mc_chunk(prior, pair_prior, config, trials, rngs):
         n = min(_MC_BLOCK, trials - start)
         y_i = draw_classes(table_i, n, rng_i)
         y_j = draw_classes(table_j, n, rng_j)
-        xi = _factor(config, prior, y_i, y_j, rng_mix)
-        counts += np.bincount(reinforced_class(y_i, y_j, xi), minlength=counts.shape[0])
+        if thresholds is None:
+            y = reinforced_class(y_i, y_j, _factor(config, prior, y_i, y_j, rng_mix))
+        else:
+            # bound until the next block replaces it: released within the block,
+            # it let glibc trim and refault the thread's heap each block (about
+            # 60,000 minor faults per 1e7-pair call instead of 4,000-12,000)
+            wins = _table_wins(thresholds, y_i, y_j, _beta_draw(config.alpha, rng_mix, n))
+            y = _pick_first(y_i, y_j, wins)
+        counts += np.bincount(y, minlength=counts.shape[0])
     return counts
 
 
@@ -185,21 +315,22 @@ def mc_xi_aug_histogram(ds_prior: np.ndarray, config: MixConfig, trials: int,
     `ds_prior` reweighted by the config's pair exponent (plain prior
     except in full mode). Trials are split over independent seeded
     streams whose partial histograms merge in stream order, so the result
-    depends only on (seed, streams). UNIMIX_LT_THREADS caps the worker
-    threads used to evaluate the streams.
+    depends only on (seed, streams), with 1 <= streams <= `MAX_STREAMS`.
+    UNIMIX_LT_THREADS caps the worker threads used to evaluate the streams.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if streams < 1:
-        raise ValueError("streams must be >= 1")
+    if not 1 <= streams <= MAX_STREAMS:
+        raise ValueError(f"streams must lie in [1, {MAX_STREAMS}], got {streams}")
     prior = check_prior(ds_prior, require_positive=True)
     pair_prior = inverse_prior(prior, config.pair_tau)
+    thresholds = _thresholds(config, prior) if _table_pays_off(config, prior, trials) else None
     # only the first min(streams, trials) streams draw; the first trials % streams draw one more
     jobs = [(trials // streams + (k < trials % streams),
              [derive_rng(seed, "mc", k, part) for part in ("i", "j", "mix")])
             for k in range(min(streams, trials))]
     with ThreadPoolExecutor(max_workers=min(len(jobs), _max_workers())) as pool:
         parts = list(pool.map(
-            lambda job: _mc_chunk(prior, pair_prior, config, job[0], job[1]), jobs))
+            lambda job: _mc_chunk(prior, pair_prior, config, *job, thresholds), jobs))
     counts = np.sum(parts, axis=0)
     return check_prior(counts / trials)

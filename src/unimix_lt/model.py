@@ -6,10 +6,12 @@ inverse) pair sampler, then from T1 to T2 it trains on plain random
 batches with the configured loss alone. Prior margins inside the loss are
 fixed once before the first step, and inference never applies them.
 
-Runs are single-threaded and fully deterministic: all randomness comes
-from fixed streams (seed, "init"), (seed, "sampler", 0) for the random
-batch, (seed, "sampler", 1) for the pair batch, and (seed, "mix") for the
-mixing factors.
+The trainer itself runs on one thread, but numpy's BLAS may run its
+matrix products on several (OpenBLAS's default is one per core), which at
+these sizes spends CPU time without saving wall time. Runs are fully
+deterministic: all randomness comes from fixed streams (seed, "init"),
+(seed, "sampler", 0) for the random batch, (seed, "sampler", 1) for the
+pair batch, and (seed, "mix") for the mixing factors.
 """
 
 from __future__ import annotations

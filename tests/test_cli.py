@@ -753,6 +753,8 @@ def test_non_finite_numbers_exit_one(tmp_path, capsys, argv, config_text):
     pytest.param(["gen-data"], '{"reverse": "no"}', None, id="gen-data-string-bool"),
     pytest.param(["verify-dist", "--trials", "0"], None, None, id="verify-dist-trials-0"),
     pytest.param(["verify-dist", "--streams", "0"], None, None, id="verify-dist-streams-0"),
+    pytest.param(["verify-dist", "--streams", "1025", "--trials", "10"], None, None,
+                 id="verify-dist-streams-1025"),
     pytest.param(["verify-dist", "--trials", "1000"], None, "abc", id="verify-dist-threads"),
     pytest.param(["circles-demo", "--cloud-points", "-1", "--steps", "10"], None, None,
                  id="circles-demo-negative-cloud"),

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import tracemalloc
 
@@ -224,35 +225,70 @@ def test_reinforced_class_threshold(monkeypatch):
     np.testing.assert_array_equal(counts, [2, 1])
 
 
-# around one block of pairs, and a prime count spanning many blocks
+# around one block of pairs, and a prime count spanning many blocks; at C = 20
+# and alpha = 1/2, 1,000,003 trials take the threshold table by size (from
+# 200 * 20^2 + 200,000 = 280,000 trials) and the smaller counts the per-draw factor
 MC_TRIALS = [1, 7, 65_535, 65_536, 65_537, 200_000, 1_000_003]
 
 
-@pytest.mark.parametrize("alpha", [0.2, 0.5, 1.0])
+@pytest.mark.parametrize("alpha", [0.2, 0.5, 0.7, 1.0])
 @pytest.mark.parametrize("mode", ["vanilla_mixup", "unimix_factor_only", "unimix_full"])
 def test_blocked_mc_counts_match_whole_arrays(mode, alpha, whole_array_mc_chunk,
                                               monkeypatch):
-    prior = discrete_lt_prior(LTSpec(20, 100.0))
     cfg = MixConfig(alpha=alpha, mode=mode, tau=-1.0)
-    blocked = mixing._mc_chunk
+    blocked, pays_off = mixing._mc_chunk, mixing._table_pays_off
     chunks = []
 
-    def checked(prior, pair_prior, config, trials, rngs):
+    def checked(prior, pair_prior, config, trials, rngs, thresholds=None):
         start = [np.random.Generator(copy.deepcopy(rng.bit_generator)) for rng in rngs]
-        got = blocked(prior, pair_prior, config, trials, rngs)
-        chunks.append((got, whole_array_mc_chunk(prior, pair_prior, config, trials, start)))
+        got = blocked(prior, pair_prior, config, trials, rngs, thresholds)
+        chunks.append((got, whole_array_mc_chunk(prior, pair_prior, config, trials, start),
+                       thresholds is not None))
         return got
 
     monkeypatch.setattr(mixing, "_mc_chunk", checked)
-    for n, trials in enumerate(MC_TRIALS):
-        streams = 1 + n % 4
-        chunks.clear()
-        hist = mc_xi_aug_histogram(prior, cfg, trials, seed=5, streams=streams)
-        assert len(chunks) == min(trials, streams)
-        for got, want in chunks:
-            assert got.dtype == want.dtype == np.int64
-            np.testing.assert_array_equal(got, want, err_msg=f"{trials} trials")
-        np.testing.assert_array_equal(hist, sum(got for got, _ in chunks) / trials)
+    monkeypatch.setattr(mixing, "_table_pays_off", lambda *args: forced or pays_off(*args))
+    # at rho = 1e6 many thresholds lie where sin^2 is flat, near v = 1
+    for rho, forced in itertools.product([100.0, 1e6], [False, True]):
+        prior = discrete_lt_prior(LTSpec(20, rho))
+        for n, trials in enumerate(MC_TRIALS):
+            streams = 1 + n % 4
+            chunks.clear()
+            hist = mc_xi_aug_histogram(prior, cfg, trials, seed=5, streams=streams)
+            assert len(chunks) == min(trials, streams)
+            by_size = alpha == 0.5 and trials == 1_000_003
+            assert {used for *_, used in chunks} == {forced or by_size}
+            for got, want, _ in chunks:
+                assert got.dtype == want.dtype == np.int64
+                np.testing.assert_array_equal(got, want, err_msg=f"{rho=}, {trials} trials")
+            np.testing.assert_array_equal(hist, sum(got for got, *_ in chunks) / trials)
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.5, 1.0])
+@pytest.mark.parametrize("mode", MIX_MODES)
+@pytest.mark.parametrize("classes,rho", [(20, 100.0), (20, 1e6), (100, 200.0)])
+def test_thresholds_are_the_least_draws_reaching_each_level(mode, alpha, classes, rho):
+    # entry t of level L: T(prev float of t) + c < L <= T(t) + c, with v = 1.0 a
+    # candidate draw; nextafter(1, 2) marks a level that no v in [0, 1] reaches
+    prior = discrete_lt_prior(LTSpec(classes, rho))
+    cfg = MixConfig(alpha=alpha, mode=mode)
+    table = mixing._thresholds(cfg, prior)
+    if mode == "vanilla_mixup":
+        levels, c = [0.5], np.zeros((classes, classes))
+    else:
+        levels, c = [0.5, 1.0, 1.5], prior[None, :] / (prior[:, None] + prior[None, :])
+
+    def shifted(v):
+        return mixing._beta_transform(alpha, np.array(v)) + c
+
+    assert table.shape == (len(levels), classes, classes)
+    for level, t in zip(levels, table):
+        never = t == np.nextafter(1.0, 2.0)
+        assert (t[~never] >= 0.0).all() and (t[~never] <= 1.0).all()
+        assert (shifted(np.ones_like(t))[never] < level).all()
+        assert (shifted(np.where(never, 1.0, t))[~never] >= level).all()
+        below = np.nextafter(t, -1.0)
+        assert (shifted(np.maximum(below, 0.0))[(t > 0.0) & ~never] < level).all()
 
 
 def mixed_class_law(prior, pair_prior, alpha, mode):
@@ -319,19 +355,26 @@ def test_mc_histogram_memory_is_flat_in_trials(monkeypatch):
 
 
 def test_mc_histogram_plans_only_the_streams_that_draw(monkeypatch):
-    # 10 trials over 10^6 streams: a plan over every stream would take
-    # 8 bytes per stream, 8 MB here, before anything is drawn
+    # 10 trials over the most streams a call takes: three generators for each
+    # of 1,024 streams would take about 4 MB before anything is drawn
     monkeypatch.setenv("UNIMIX_LT_THREADS", "2")
     prior = discrete_lt_prior(LTSpec(100, 200.0, -1.0))
     cfg = MixConfig(alpha=0.5, mode="unimix_full", tau=-1.0)
     tracemalloc.start()
     try:
-        hist = mc_xi_aug_histogram(prior, cfg, 10, seed=7, streams=10**6)
+        hist = mc_xi_aug_histogram(prior, cfg, 10, seed=7, streams=mixing.MAX_STREAMS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * 2**20
+    assert peak <= 2 * 2**20
     assert np.round(hist * 10).sum() == 10
+
+
+@pytest.mark.parametrize("streams", [0, mixing.MAX_STREAMS + 1, 10**6])
+def test_mc_histogram_streams_domain(streams):
+    prior = discrete_lt_prior(LTSpec(5, 10.0))
+    with pytest.raises(ValueError, match="streams"):
+        mc_xi_aug_histogram(prior, MixConfig(), 10, seed=0, streams=streams)
 
 
 def test_mc_histogram_mixup_matches_prior():
