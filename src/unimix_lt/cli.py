@@ -19,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -35,7 +34,7 @@ from .data import (TwoCircleSpec, gen_lt_gaussians, gen_two_circles, load_csv,
 from .errors import InvariantViolation
 from .mixing import DEFAULT_STREAMS, MixConfig, mc_xi_aug_histogram
 from .model import load_model, predict_proba, save_model, train_two_phase
-from .theory import LTSpec, discrete_lt_prior, emit_density_curves, unimix_density
+from .theory import LTSpec, discrete_lt_prior, emit_density_curves
 
 __all__ = ["main", "entrypoint"]
 
@@ -155,21 +154,6 @@ _MODE_ALIASES = {"mixup": "vanilla_mixup", "factor": "unimix_factor_only",
                  "full": "unimix_full"}
 
 
-def _closed_form_histogram(spec: LTSpec, config: MixConfig) -> np.ndarray:
-    """Per-class closed-form mass of the reinforced class: the discrete prior
-    under plain mixup, else the mixed-class density at the sampler's own pair
-    exponent, sampled at the integer class indices and renormalized over them."""
-    if config.mode == "vanilla_mixup":
-        return discrete_lt_prior(spec)
-    grid = np.arange(1, spec.num_classes + 1, dtype=np.float64)
-    law = replace(spec, tau=config.pair_tau)
-    values = unimix_density(grid, law)
-    total = values.sum()
-    if not total > 0.0:
-        raise ValueError(f"unimix_density has no float64 mass on the class indices at {law}")
-    return values / total
-
-
 def cmd_verify_dist(args) -> int:
     resolved = _open_run(args, partial(resolve_config, _VERIFY_DEFAULTS))
     if resolved["mode"] not in _MODE_ALIASES:
@@ -180,17 +164,14 @@ def cmd_verify_dist(args) -> int:
     spec = LTSpec(num_classes=classes, rho=resolved["rho"], tau=tau)
     config = MixConfig(alpha=resolved["alpha"], mode=mode, tau=tau)
 
-    # first, so a mode whose own closed form is undefined fails before the Monte Carlo
-    closed = _closed_form_histogram(spec, config)
     curves = emit_density_curves(spec, resolved["resolution"])
     curve_rows = [(c.kind, y, d) for c in curves for y, d in zip(c.y, c.density)]
     hist = mc_xi_aug_histogram(discrete_lt_prior(spec), config, resolved["trials"],
                                resolved["seed"], streams=resolved["streams"])
-    hist_rows = [(k + 1, hist[k], closed[k]) for k in range(classes)]
     return _commit(args, resolved, {
         "curves.csv": (_write_csv, ["kind", "y", "density"], curve_rows),
-        "histogram.csv": (_write_csv, ["class", "empirical_prob", "closed_form_prob"],
-                          hist_rows)})
+        "histogram.csv": (_write_csv, ["class", "empirical_prob"],
+                          [(k + 1, hist[k]) for k in range(classes)])})
 
 
 # -------------------------------------------------------------------- train
@@ -283,8 +264,8 @@ def _training_metadata(run_dir: Path) -> tuple[str, str]:
         try:
             cfg = load_config(cfg_path)
         except (ValueError, OSError) as exc:
-            print(f"warning: {run_dir.name}: unreadable config.resolved.json ({exc})",
-                  file=sys.stderr)
+            print(f"warning: {run_dir.name}: unreadable config.resolved.json in "
+                  f"{cfg_path.parent} ({exc})", file=sys.stderr)
             return "", ""
         if "loss" in cfg:
             return cfg.get("loss", ""), cfg.get("mix_mode", "")

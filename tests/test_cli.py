@@ -156,60 +156,65 @@ def test_verify_dist_shapes(tmp_path):
     assert curve_lines[0] == "kind,y,density"
     assert len(curve_lines) == 1 + 4 * 100  # four closed-form curves on the class grid
     hist_lines = (out / "histogram.csv").read_text().strip().splitlines()
-    assert hist_lines[0] == "class,empirical_prob,closed_form_prob"
+    assert hist_lines[0] == "class,empirical_prob"
     assert len(hist_lines) == 1 + 100
     emp = np.array([float(l.split(",")[1]) for l in hist_lines[1:]])
     assert abs(emp.sum() - 1.0) < 1e-9
 
 
-def _closed_form_column(out):
-    return np.array([float(line.split(",")[2])
-                     for line in (out / "histogram.csv").read_text().splitlines()[1:]])
+def _curve(out, kind):
+    """curves.csv's `kind` curve, renormalized over its grid: at the default
+    resolution, the closed-form mass of each class."""
+    rows = [line.split(",") for line in (out / "curves.csv").read_text().splitlines()[1:]]
+    density = np.array([float(d) for k, _, d in rows if k == kind])
+    return density / density.sum()
 
 
 def test_verify_dist_full_mode_runs_at_tau_zero(tmp_path):
     """tau = 0, the pair exponent configs/unimix_bayias.json ships, is the
-    limit of the closed form: its column sums to 1 and meets the column at
-    tau = +-1e-6 to within O(tau)."""
+    limit of the closed form: its curve meets the curves at tau = +-1e-6 to
+    within O(tau)."""
     columns = {}
     for tau in ("0", "1e-6", "-1e-6"):
         out = tmp_path / tau
         assert main(["verify-dist", "--out", str(out), "--classes", "10", "--rho", "10",
                      f"--tau={tau}", "--trials", "100"]) == 0
-        columns[tau] = _closed_form_column(out)
+        columns[tau] = _curve(out, "unimix_full")
     at_zero = columns["0"]
     assert at_zero[0] == 0.0 and abs(at_zero.sum() - 1.0) <= 1e-12
     for tau in ("1e-6", "-1e-6"):
         assert np.max(np.abs(columns[tau] - at_zero)) <= 1e-5 * at_zero.max()
 
 
-# The mixed-class curves need rho > 1. A run fails only when its own mode's
-# reference column is undefined.
+# The mixed-class curves need rho > 1; a run in any mode leaves them out there,
+# and its Monte Carlo histogram is still written.
 @pytest.mark.parametrize("mode,rho,tau,kinds", [
     ("mixup", "10", "0", CURVE_KINDS),
     ("factor", "10", "0", CURVE_KINDS),
     ("full", "10", "0", CURVE_KINDS),
     ("mixup", "1", "-1", CURVE_KINDS[:2]),
-    ("factor", "1", "-1", None),
-    ("full", "1", "-1", None),
+    ("factor", "1", "-1", CURVE_KINDS[:2]),
+    ("full", "1", "-1", CURVE_KINDS[:2]),
     ("mixup", "1", "0", CURVE_KINDS[:2]),
     ("full", "10", "-1", CURVE_KINDS),
+    ("factor", "1.000000001", "-1", CURVE_KINDS[:2]),
 ])
-def test_verify_dist_writes_the_curves_defined_at_rho_and_tau(tmp_path, capsys, mode, rho,
-                                                              tau, kinds):
+@pytest.mark.filterwarnings("error")
+def test_verify_dist_writes_the_curves_defined_at_rho_and_tau(tmp_path, capsys, mode, rho, tau,
+                                                              kinds):
     out = tmp_path / "vd"
-    rc = main(["verify-dist", "--out", str(out), "--classes", "10", "--rho", rho,
-               "--tau", tau, "--mode", mode, "--trials", "1000"])
-    if kinds is None:
-        assert rc == 1 and not out.exists()
-        assert "require rho > 1" in capsys.readouterr().err
-        return
-    assert rc == 0
+    assert main(["verify-dist", "--out", str(out), "--classes", "10", "--rho", rho,
+                 "--tau", tau, "--mode", mode, "--trials", "1000"]) == 0
+    assert capsys.readouterr().err == ""
     rows = [line.split(",") for line in (out / "curves.csv").read_text().splitlines()[1:]]
     assert tuple(kind for kind, _, _ in rows[::10]) == kinds
-    if mode == "mixup":
+    hist = [line.split(",") for line in (out / "histogram.csv").read_text().splitlines()]
+    assert hist[0] == ["class", "empirical_prob"] and {len(row) for row in hist} == {2}
+    assert abs(sum(float(prob) for _, prob in hist[1:]) - 1.0) < 1e-9
+    assert_finite_and_unsigned(out)
+    if mode == "mixup":  # plain mixing leaves the prior unchanged
         prior = discrete_lt_prior(LTSpec(10, float(rho)))
-        assert _closed_form_column(out).tolist() == prior.tolist()
+        assert np.max(np.abs(_curve(out, "original") - prior)) <= 1e-15
 
 
 def _csv_numbers(out):
@@ -229,31 +234,29 @@ def assert_finite_and_unsigned(out):
 
 # Closed forms that float64 cannot represent: each of these flag sets raised
 # a traceback or wrote NaN/inf. A curve that cannot be represented is left
-# out; when it is the mode's own reference, the run exits 1 and writes nothing.
+# out, and the Monte Carlo runs in every mode.
 @pytest.mark.parametrize("flags,kinds", [
-    pytest.param("--classes 10 --rho 100 --mode full --tau -200", None, id="full-tau-200"),
+    pytest.param("--classes 10 --rho 100 --mode full --tau -200", CURVE_KINDS[:3],
+                 id="full-tau-200"),
     pytest.param("--classes 2 --rho 1e14 --tau -25 --mode mixup", CURVE_KINDS[:3],
                  id="mixup-rho-1e14-tau-25"),
     pytest.param("--classes 2 --rho 1e200", CURVE_KINDS[:2] + CURVE_KINDS[3:],
                  id="full-rho-1e200"),
-    pytest.param("--classes 2 --rho 1e100 --mode full --tau 5", None, id="full-rho-1e100-tau-5"),
+    pytest.param("--classes 2 --rho 1e100 --mode full --tau 5", CURVE_KINDS[:3],
+                 id="full-rho-1e100-tau-5"),
     pytest.param("--classes 2 --rho 1e160 --mode mixup", CURVE_KINDS, id="mixup-rho-1e160"),
-    # finite, but zero at both class indices: nothing to renormalize
-    pytest.param("--classes 2 --rho 1e22 --mode full --tau 13", None, id="full-rho-1e22-tau-13"),
+    # finite, though zero at both class indices
+    pytest.param("--classes 2 --rho 1e22 --mode full --tau 13", CURVE_KINDS,
+                 id="full-rho-1e22-tau-13"),
 ])
 def test_verify_dist_closed_forms_fail_closed(tmp_path, capsys, flags, kinds):
     out = tmp_path / "vd"
     rc = main(["verify-dist", "--out", str(out), "--trials", "1000", *flags.split()])
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    if kinds is None:
-        assert rc == 1 and not out.exists()
-        assert re.search("unimix_density (is not a finite, nonnegative|has no) float64", err)
-        return
+    assert "Traceback" not in capsys.readouterr().err
     assert rc == 0
     assert_finite_and_unsigned(out)
     rows = (out / "curves.csv").read_text().splitlines()[1:]
-    assert tuple(row.split(",")[0] for row in rows[::2]) == kinds  # 2 points a curve at C = 2
+    assert tuple(dict.fromkeys(row.split(",")[0] for row in rows)) == kinds
 
 
 @pytest.mark.filterwarnings("error")
@@ -278,7 +281,7 @@ def test_verify_dist_writes_no_negative_zero(tmp_path, mode, tau):
 
 def test_verify_dist_factor_mode_is_full_mode_at_tau_one(tmp_path):
     """Random pairing is the tau = 1 pair sampler: the two modes write the
-    same Monte Carlo and the same closed-form column."""
+    same Monte Carlo."""
     for name, flags in (("factor", ["--mode", "factor"]),
                         ("full", ["--mode", "full", "--tau", "1"])):
         assert main(["verify-dist", "--out", str(tmp_path / name), "--classes", "20",
@@ -699,6 +702,37 @@ def test_report_aggregates_and_warns(tmp_path, capsys):
     assert (rows[2]["loss"], rows[2]["mix_mode"], rows[2]["accuracy"]) == ("", "", 0.25)
 
 
+def test_report_follows_one_model_path_to_the_training_config(tmp_path, capsys):
+    """An eval run's loss and mix mode come from the training run its model
+    path names; any other chain leaves both cells empty."""
+    runs, train = tmp_path / "runs", tmp_path / "train"
+    train.mkdir()
+    (train / "config.resolved.json").write_text(
+        json.dumps({"loss": "ce", "mix_mode": "unimix_full"}))
+    (tmp_path / "broken").mkdir()
+    (tmp_path / "broken" / "config.resolved.json").write_text("[1]")
+    evals = {"a_eval": {"model": str(train / "model.json")},
+             "b_no_config": None,
+             "c_no_model": {"bins": 15},
+             # the model's run dir holds another eval config, not a training one
+             "d_eval_of_eval": {"model": str(runs / "a_eval" / "model.json")},
+             "e_broken_training": {"model": str(tmp_path / "broken" / "model.json")}}
+    for name, cfg in evals.items():
+        (runs / name).mkdir(parents=True)
+        (runs / name / "report.json").write_text(json.dumps({"accuracy": 0.5}))
+        if cfg is not None:
+            (runs / name / "config.resolved.json").write_text(json.dumps(cfg))
+    assert main(["report", "--runs", str(runs), "--out", str(tmp_path / "summary")]) == 0
+    err = capsys.readouterr().err
+    assert (f"e_broken_training: unreadable config.resolved.json in {tmp_path / 'broken'} "
+            in err)
+    assert err.count("warning") == 1 and "Traceback" not in err
+    rows = json.loads((tmp_path / "summary" / "summary.json").read_text())
+    assert {r["run"]: (r["loss"], r["mix_mode"]) for r in rows} == {
+        "a_eval": ("ce", "unimix_full"), "b_no_config": ("", ""), "c_no_model": ("", ""),
+        "d_eval_of_eval": ("", ""), "e_broken_training": ("", "")}
+
+
 def test_report_empty_dir_fails(tmp_path):
     runs = tmp_path / "runs"
     runs.mkdir()
@@ -787,6 +821,8 @@ def test_non_finite_numbers_exit_one(tmp_path, capsys, argv, config_text):
         "target_prior": [0.1, 0.2, 0.3, 0.4]}}), None, id="train-la-target"),
     pytest.param(["train"], _train_cfg_text("loss_params", '{"target_prior": [0.5, 0.5]}'),
                  None, id="train-target-prior-length"),
+    pytest.param(["train"], _train_cfg_text("weight_decay", "-1"), None,
+                 id="train-negative-weight-decay"),
     pytest.param(["gen-data"], '{"rho": 10', None, id="gen-data-invalid-json"),
     pytest.param(["gen-data", "--classes", "1"], None, None, id="gen-data-one-class"),
     pytest.param(["gen-data", "--dims", "1"], None, None, id="gen-data-one-dim"),
