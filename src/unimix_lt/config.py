@@ -171,7 +171,8 @@ def load_config(path) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh, parse_float=finite, parse_constant=finite)
-    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deeply
+    # RecursionError: nested too deeply; UnicodeDecodeError: bytes that are not text
+    except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: must hold one JSON object")

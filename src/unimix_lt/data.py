@@ -252,11 +252,13 @@ def load_csv(path, max_classes: int) -> Dataset:
 
 
 def _records(path, reader):
-    """The rows of a `csv.reader`; its errors become ValueErrors naming file and line."""
+    """The rows of a `csv.reader`; its errors become ValueErrors naming the file."""
     try:
         yield from reader
     except csv.Error as exc:
         raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:  # decoded ahead in blocks: no line number
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _read_header(path, rows) -> int:

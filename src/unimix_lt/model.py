@@ -267,8 +267,8 @@ def load_model(path) -> MLPParams:
     try:
         with open(path) as fh:
             payload = json.load(fh)
-    except RecursionError:
-        raise ValueError(f"{path}: JSON nested too deeply") from None
+    except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(payload, dict) or not {"layer_dims", "layers"} <= payload.keys():
         raise ValueError(f"{path}: a model needs 'layer_dims' and 'layers'")
     dims, records = payload["layer_dims"], payload["layers"]

@@ -113,19 +113,16 @@ def discrete_lt_prior(spec: LTSpec) -> np.ndarray:
 
 def _closed_form(density):
     """`density(y, spec)` for y in [1, C], in float64 without warnings; a
-    result that is not finite and nonnegative (an overflow, inf, NaN or a
-    negative value) makes the form undefined at `spec`, a ValueError."""
+    result that is not finite and nonnegative (inf, NaN or a negative value)
+    makes the form undefined at `spec`, a ValueError."""
 
     @functools.wraps(density)
     def evaluate(y, spec: LTSpec):
         y = np.asarray(y, dtype=np.float64)
         if np.any(y < 1.0) or np.any(y > spec.num_classes):
             raise ValueError(f"class index must lie in [1, {spec.num_classes}]")
-        try:
-            with np.errstate(all="ignore"):
-                values = density(y, spec)
-        except OverflowError:  # math.exp beyond the float64 range
-            values = math.inf
+        with np.errstate(all="ignore"):
+            values = density(y, spec)
         if not (np.min(values) >= 0.0 and np.max(values) < math.inf):
             raise ValueError(f"{density.__name__} is not a finite, nonnegative float64 at {spec}")
         return values
@@ -133,17 +130,21 @@ def _closed_form(density):
     return evaluate
 
 
+def _mass(x, m):
+    """Integral of e^(-x*s) over s in [0, m]: m at x = 0, else -expm1(-x*m)/x,
+    which is inf, not an OverflowError, for large negative x."""
+    return -np.expm1(-x * m) / x if x else float(m)
+
+
 @_closed_form
 def continuous_lt_density(y, spec: LTSpec):
     """Continuous LT density lam/(e^-lam - e^-lam*C) * e^(-lam*y) on [1, C].
 
     Integrates to 1 over [1, C]; density(1)/density(C) = rho. The balanced
-    limit (lam = 0) is the uniform density 1/(C-1).
+    limit (lam = 0) is the uniform density 1/(C-1). Evaluated in the
+    head-shifted s = y - 1 as e^(-lam*s) / mass(lam), so no exponent is positive.
     """
-    lam, c = spec.lam, spec.num_classes
-    if lam == 0.0:
-        return np.full_like(y, 1.0 / (c - 1))
-    return lam / (math.exp(-lam) - math.exp(-lam * c)) * np.exp(-lam * y)
+    return np.exp(-spec.lam * (y - 1.0)) / _mass(spec.lam, spec.num_classes - 1)
 
 
 @_closed_form
@@ -155,31 +156,24 @@ def unimix_density(y, spec: LTSpec):
         lam / ((e^-lam - e^-lam*C) * (e^(-lam*tau*C) - e^(-lam*tau)))
             * (e^(-lam*y*(tau+1)) - e^(-lam*(tau+y))),
 
-    zero at the head for every tau. Random pairing, tau = 1, is the
-    factor-only curve: middle-majority, peaking at y = ln(2)/lam + 1.
-    tau = -1 reduces to (1 - e^(-lam*(y-1))) / Z: monotone nondecreasing
-    toward the tail. tau = 0 is a removable 0/0 with the limit
-    (y-1) e^(-lam*(y-1)) / Z, Z = (1 - e^(-lam*M) (1 + lam*M)) / lam^2, M = C-1.
+    zero at the head for every tau. In s = y - 1 and M = C - 1 it is
+    e^(-lam*s) expm1(-lam*tau*s) / (mass(lam*(tau+1)) - mass(lam)), with
+    mass(x) the integral of e^(-x*s) over [0, M]. Random pairing, tau = 1, is
+    the factor-only curve: middle-majority, peaking at y = ln(2)/lam + 1.
+    tau = -1 reduces to (1 - e^(-lam*s)) / Z: monotone nondecreasing toward
+    the tail. tau = 0 is a removable 0/0 with the limit s e^(-lam*s) / Z,
+    Z = (1 - e^(-lam*M) (1 + lam*M)) / lam^2.
     """
     if spec.lam == 0.0:
         raise ValueError("mixed-sample closed forms require rho > 1")
-    lam, tau, c = spec.lam, spec.tau, spec.num_classes
+    lam, tau, m = spec.lam, spec.tau, spec.num_classes - 1
+    s = y - 1.0
     if tau == 0.0:
-        m = lam * (c - 1)
-        numer = (y - 1.0) * np.exp(-lam * (y - 1.0))
-        norm = (1.0 - math.exp(-m) * (1.0 + m)) / lam**2
-    else:
-        numer = np.exp(-lam * y * (tau + 1.0)) - np.exp(-lam * (tau + y))
-        # analytic integral of `numer` over [1, C]
-        if tau == -1.0:
-            term1 = float(c - 1)
-        else:
-            term1 = (math.exp(-lam * (tau + 1.0)) - math.exp(-lam * c * (tau + 1.0))) / (
-                lam * (tau + 1.0)
-            )
-        term2 = math.exp(-lam * tau) * (math.exp(-lam) - math.exp(-lam * c)) / lam
-        norm = term1 - term2
-    return numer / norm + 0.0  # for tau > 0 the head is 0 / negative: 0.0, not -0.0
+        return s * np.exp(-lam * s) / ((1.0 - math.exp(-lam * m) * (1.0 + lam * m)) / lam**2)
+    norm = _mass(lam * (tau + 1.0), m) - _mass(lam, m)
+    if norm == math.inf:  # every value would read 0: leave the form undefined instead
+        norm = math.nan
+    return np.exp(-lam * s) * np.expm1(-lam * tau * s) / norm
 
 
 @dataclass(frozen=True)

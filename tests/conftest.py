@@ -1,4 +1,5 @@
 import csv
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -287,3 +288,33 @@ def _csv_writer_save_csv(ds, path):
 def csv_writer_save_csv():
     """Byte-equality oracle for `data.save_csv`: same signature, same file."""
     return _csv_writer_save_csv
+
+
+def _closed_form_law(kind, y, spec):
+    """Curve `kind` of `theory.CURVE_KINDS` at class indices `y` for `spec`
+    (rho > 1, and tau != 0 for the full curve), from the paper's unshifted
+    exponentials in 50-digit decimal arithmetic, so it shares no float64 step
+    with the head-shifted forms of `theory`."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        c = spec.num_classes
+        lam = Decimal(spec.rho).ln() / (c - 1)
+        tau = Decimal(1.0 if kind == "unimix_factor" else spec.tau)  # random pairing: 1
+
+        def e(x):
+            return (-x).exp()
+
+        if kind in ("original", "mixup"):
+            scale, law = lam / (e(lam) - e(lam * c)), lambda t: e(lam * t)
+        else:  # one over the law's integral over [1, C], term by term
+            first = c - 1 if tau == -1 else (e(lam * (tau + 1)) - e(lam * c * (tau + 1))) / (
+                lam * (tau + 1))
+            scale = 1 / (first - e(lam * tau) * (e(lam) - e(lam * c)) / lam)
+            law = lambda t: e(lam * t * (tau + 1)) - e(lam * (tau + t))
+        return np.array([float(scale * law(Decimal(t))) for t in np.atleast_1d(y).tolist()])
+
+
+@pytest.fixture
+def closed_form_law():
+    """Oracle for the curves of `theory.emit_density_curves`: (kind, y, spec) -> density."""
+    return _closed_form_law

@@ -197,11 +197,11 @@ def test_verify_dist_full_mode_runs_at_tau_zero(tmp_path):
     ("full", "1", "-1", CURVE_KINDS[:2]),
     ("mixup", "1", "0", CURVE_KINDS[:2]),
     ("full", "10", "-1", CURVE_KINDS),
-    ("factor", "1.000000001", "-1", CURVE_KINDS[:2]),
+    ("factor", "1.000000001", "-1", CURVE_KINDS),
 ])
 @pytest.mark.filterwarnings("error")
 def test_verify_dist_writes_the_curves_defined_at_rho_and_tau(tmp_path, capsys, mode, rho, tau,
-                                                              kinds):
+                                                              kinds, closed_form_law):
     out = tmp_path / "vd"
     assert main(["verify-dist", "--out", str(out), "--classes", "10", "--rho", rho,
                  "--tau", tau, "--mode", mode, "--trials", "1000"]) == 0
@@ -215,6 +215,8 @@ def test_verify_dist_writes_the_curves_defined_at_rho_and_tau(tmp_path, capsys, 
     if mode == "mixup":  # plain mixing leaves the prior unchanged
         prior = discrete_lt_prior(LTSpec(10, float(rho)))
         assert np.max(np.abs(_curve(out, "original") - prior)) <= 1e-15
+    if float(rho) > 1 and tau != "0":  # 1e-8: near rho = 1 the normalizer cancels
+        assert_curves_follow_law(out, closed_form_law, rtol=1e-8)
 
 
 def _csv_numbers(out):
@@ -224,6 +226,16 @@ def _csv_numbers(out):
         for line in (out / name).read_text().splitlines()[1:]:
             fields += line.split(",")[first:]
     return fields
+
+
+def assert_curves_follow_law(out, closed_form_law, rtol):
+    """Every curve in curves.csv, as written, against its law at the run's (C, rho, tau)."""
+    resolved = json.loads((out / "config.resolved.json").read_text())
+    spec = LTSpec(resolved["classes"], resolved["rho"], resolved["tau"])
+    rows = [line.split(",") for line in (out / "curves.csv").read_text().splitlines()[1:]]
+    for kind in dict.fromkeys(k for k, _, _ in rows):
+        y, density = np.array([(float(t), float(d)) for k, t, d in rows if k == kind]).T
+        np.testing.assert_allclose(density, closed_form_law(kind, y, spec), rtol=rtol, atol=0)
 
 
 def assert_finite_and_unsigned(out):
@@ -240,16 +252,15 @@ def assert_finite_and_unsigned(out):
                  id="full-tau-200"),
     pytest.param("--classes 2 --rho 1e14 --tau -25 --mode mixup", CURVE_KINDS[:3],
                  id="mixup-rho-1e14-tau-25"),
-    pytest.param("--classes 2 --rho 1e200", CURVE_KINDS[:2] + CURVE_KINDS[3:],
-                 id="full-rho-1e200"),
-    pytest.param("--classes 2 --rho 1e100 --mode full --tau 5", CURVE_KINDS[:3],
+    pytest.param("--classes 2 --rho 1e200", CURVE_KINDS, id="full-rho-1e200"),
+    pytest.param("--classes 2 --rho 1e100 --mode full --tau 5", CURVE_KINDS,
                  id="full-rho-1e100-tau-5"),
     pytest.param("--classes 2 --rho 1e160 --mode mixup", CURVE_KINDS, id="mixup-rho-1e160"),
-    # finite, though zero at both class indices
+    # the law at y = 2 is 5.45e-21, which the unshifted form underflowed to 0
     pytest.param("--classes 2 --rho 1e22 --mode full --tau 13", CURVE_KINDS,
                  id="full-rho-1e22-tau-13"),
 ])
-def test_verify_dist_closed_forms_fail_closed(tmp_path, capsys, flags, kinds):
+def test_verify_dist_closed_forms_fail_closed(tmp_path, capsys, flags, kinds, closed_form_law):
     out = tmp_path / "vd"
     rc = main(["verify-dist", "--out", str(out), "--trials", "1000", *flags.split()])
     assert "Traceback" not in capsys.readouterr().err
@@ -257,6 +268,9 @@ def test_verify_dist_closed_forms_fail_closed(tmp_path, capsys, flags, kinds):
     assert_finite_and_unsigned(out)
     rows = (out / "curves.csv").read_text().splitlines()[1:]
     assert tuple(dict.fromkeys(row.split(",")[0] for row in rows)) == kinds
+    assert_curves_follow_law(out, closed_form_law, rtol=1e-12)
+    if "--tau 13" in flags:
+        assert rows[-1] == "unimix_full,2.0,5.4553554510935695e-21"
 
 
 @pytest.mark.filterwarnings("error")
@@ -540,6 +554,27 @@ def test_eval_rejects_label_above_int64(tmp_path, capsys):
     assert "Traceback" not in err
     out = tmp_path / "ev"
     assert not out.exists() or not any(out.iterdir())
+
+
+# bytes that do not decode, in each file train and eval read, and a truncated
+# model.json: one line that names the file
+@pytest.mark.parametrize("name,content", [
+    ("cfg.json", b'{"classes": 4, "rho": \xff10}'),
+    ("model.json", b'{"layer_dims": [4, 3]\xff}'),
+    ("data.csv", b"f0,f1,f2,f3,label\n0.1,0.2,0.3,0.4,0\n0.5,\xff0.6,0.7,0.8,1\n"),
+    ("model.json", b'{"layer_dims": [4, 8, 3], '),
+], ids=["config-0xff", "model-0xff", "data-0xff", "model-truncated"])
+def test_unreadable_input_file_is_named(tmp_path, capsys, name, content):
+    model, data = eval_inputs(tmp_path)
+    path = tmp_path / name
+    path.write_bytes(content)
+    if name == "cfg.json":
+        rc = main(["train", "--config", str(path), "--out", str(tmp_path / "run")])
+    else:
+        rc = run_eval(tmp_path, model, data)
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and str(path) in err[0]
 
 
 @pytest.mark.parametrize("label", ["3", "1000000000"])

@@ -197,25 +197,54 @@ def test_emit_density_curves_skips_undefined_closed_forms(rho, tau, kinds):
 
 
 # (C, rho, tau) where float64 cannot represent some closed forms on the class
-# grid, and the kinds still emitted there
+# grid, and the kinds still emitted there; every emitted curve is its law
 @pytest.mark.parametrize("spec,kinds", [
-    (LTSpec(10, 100.0, -200.0), CURVE_KINDS[:3]),  # e^(-lam C (tau + 1)) overflows
+    (LTSpec(10, 100.0, -200.0), CURVE_KINDS[:3]),  # expm1(-lam tau s) overflows
     (LTSpec(2, 1e14, -25.0), CURVE_KINDS[:3]),
-    (LTSpec(2, 1e200, -1.0), CURVE_KINDS[:2] + CURVE_KINDS[3:]),  # tau = 1 gives 0/0
-    (LTSpec(2, 1e100, 5.0), CURVE_KINDS[:3]),
-    (LTSpec(2, 1.7e308, -1.0), CURVE_KINDS[3:]),  # lam / e^-lam overflows too
+    (LTSpec(2, 1e200, -1.0), CURVE_KINDS),
+    (LTSpec(2, 1e100, 5.0), CURVE_KINDS),
+    (LTSpec(2, 1.7e308, -1.0), CURVE_KINDS),
+    (LTSpec(7081, math.exp(708), -2.0), CURVE_KINDS[:3]),  # so does its normalizer
+    (LTSpec(7081, 2.0, -1022.0), CURVE_KINDS[:3]),  # only the normalizer overflows
 ])
-def test_closed_forms_float64_cannot_represent_are_undefined(spec, kinds):
+def test_closed_forms_float64_cannot_represent_are_undefined(spec, kinds, closed_form_law):
     grid = np.arange(1.0, spec.num_classes + 1)
     curves = emit_density_curves(spec, spec.num_classes)
     assert tuple(c.kind for c in curves) == kinds
     for c in curves:
         assert np.all(np.isfinite(c.density)) and np.all(c.density >= 0)
+        np.testing.assert_allclose(c.density, closed_form_law(c.kind, c.y, spec), rtol=1e-12,
+                                   atol=0)
     for kind, fn in (("original", continuous_lt_density), ("unimix_factor", factor_density),
                      ("unimix_full", unimix_density)):
         if kind not in kinds:
             with pytest.raises(ValueError, match="not a finite, nonnegative float64"):
                 fn(grid, spec)
+
+
+@pytest.mark.parametrize("classes,rho,rtol", [
+    (2, 1e160, 1e-12), (2, 1e22, 1e-12), (10, 1 + 1e-6, 1e-8), (10, 1 + 1e-9, 1e-8),
+    (100, 200.0, 1e-12)])
+def test_closed_forms_are_exact_where_the_unshifted_forms_failed(classes, rho, rtol):
+    """The factor curve against its closed form at tau = 1, and the full curve's
+    mass, where the unshifted forms cancelled or underflowed.
+
+    The bound is 1e-12 where nothing cancels: the two forms agree to 3e-16
+    there, and against exact values e^(-lam s) alone carries the rounding of
+    lam * s, up to 710 * 2^-53 = 8e-14. Near rho = 1 the two masses of the
+    normalizer agree to about ln(rho) / 2 of their size, which amplifies their
+    rounding: 5.1e-10 at rho = 1 + 1e-6 and 1.5e-9 at 1 + 1e-9, so the bound
+    is 1e-8 there.
+    """
+    spec = LTSpec(classes, rho)
+    lam, m = spec.lam, classes - 1
+    y = np.linspace(1.0, classes, 201)
+    s = y - 1.0
+    # random pairing, tau = 1, integrated in closed form
+    exact = 2 * lam * np.exp(-lam * s) * -np.expm1(-lam * s) / np.expm1(-lam * m) ** 2
+    np.testing.assert_allclose(factor_density(y, spec), exact, rtol=rtol, atol=0)
+    mass, _ = integrate.quad(lambda t: unimix_density(t, spec), 1, classes)
+    assert abs(mass - 1.0) <= rtol
 
 
 def test_emit_density_curves_trapezoid_mass():
