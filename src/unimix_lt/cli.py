@@ -27,10 +27,9 @@ import numpy as np
 from . import calibration
 from .circles import (DEFAULT_BATCH_SIZE, DEFAULT_LR, DEFAULT_STEPS, SCENARIOS, run_circles,
                       scenario_data, virtual_cloud)
-from .config import (DATA_DEFAULTS, build_training_run, load_config, resolve_config,
-                     resolve_train_config)
-from .data import (TwoCircleSpec, gen_lt_gaussians, gen_two_circles, load_csv,
-                   save_csv)
+from .config import DATA_DEFAULTS, build_training_run, resolve_config, resolve_train_config
+from .data import (TwoCircleSpec, gen_lt_gaussians, gen_two_circles, json_text, load_csv,
+                   load_json, save_csv)
 from .errors import InvariantViolation
 from .mixing import DEFAULT_STREAMS, MixConfig, mc_xi_aug_histogram
 from .model import load_model, predict_proba, save_model, train_two_phase
@@ -54,7 +53,7 @@ def _atomic_write(path: Path, write) -> None:
 
 
 def _write_json(path: Path, obj) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    text = json_text(obj)
     _atomic_write(path, lambda tmp: tmp.write_text(text))
 
 
@@ -75,7 +74,7 @@ def _claim_run_dir(out_dir: Path, command: str) -> None:
     if not cfg.is_file():
         return
     try:
-        previous = load_config(cfg).get("command")
+        previous = load_json(cfg).get("command")
     except (ValueError, OSError) as exc:
         raise ValueError(f"{cfg} is unreadable ({exc}); use a fresh --out") from None
     if previous is not None and previous != command:
@@ -88,7 +87,7 @@ def _open_run(args, resolve) -> dict:
     `resolve(config, flags)` merges the command's defaults < the `--config`
     object < the flags given on the command line.
     """
-    config = load_config(args.config) if args.config else {}
+    config = load_json(args.config) if args.config else {}
     config.pop("command", None)  # what a run directory's config.resolved.json records
     flags = {k: v for k, v in vars(args).items()
              if v is not None and k not in ("command", "func", "config", "out")}
@@ -262,7 +261,7 @@ def _training_metadata(run_dir: Path) -> tuple[str, str]:
         if not cfg_path.is_file():
             return "", ""
         try:
-            cfg = load_config(cfg_path)
+            cfg = load_json(cfg_path)
         except (ValueError, OSError) as exc:
             print(f"warning: {run_dir.name}: unreadable config.resolved.json in "
                   f"{cfg_path.parent} ({exc})", file=sys.stderr)
@@ -287,7 +286,7 @@ def cmd_report(args) -> int:
             print(f"warning: {run_dir.name}: no report.json, skipped", file=sys.stderr)
             continue
         try:
-            scalars = load_config(report_path)
+            scalars = load_json(report_path)
         except (ValueError, OSError) as exc:
             print(f"warning: {run_dir.name}: unreadable report.json ({exc}), skipped",
                   file=sys.stderr)

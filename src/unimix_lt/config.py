@@ -8,7 +8,6 @@ is the identity, so replays reproduce the original run exactly.
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -19,7 +18,7 @@ from .mixing import MIX_MODES, MixConfig
 from .model import TrainConfig
 from .theory import check_prior
 
-__all__ = ["resolve_config", "resolve_train_config", "build_training_run", "load_config"]
+__all__ = ["resolve_config", "resolve_train_config", "build_training_run"]
 
 # The long-tailed Gaussian set, shared by train and gen-data.
 DATA_DEFAULTS = {"classes": 10, "rho": 100.0, "n_max": 500, "dims": 16,
@@ -156,24 +155,3 @@ def build_training_run(cfg: dict):
     )
     return ds, train_cfg
 
-
-def load_config(path) -> dict:
-    """The JSON object in `path`: the one reader of every JSON file the CLI
-    reads except model.json. A file holding anything but one object, NaN,
-    Infinity or a float literal that overflows a float is refused.
-    """
-    def finite(text: str) -> float:
-        value = float(text)
-        if not math.isfinite(value):
-            raise ValueError(f"{path}: numbers must be finite, got {text}")
-        return value
-
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh, parse_float=finite, parse_constant=finite)
-    # RecursionError: nested too deeply; UnicodeDecodeError: bytes that are not text
-    except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
-        raise ValueError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(cfg, dict):
-        raise ValueError(f"{path}: must hold one JSON object")
-    return cfg

@@ -1,4 +1,4 @@
-"""Desk-scale dataset synthesis and CSV ingestion.
+"""Desk-scale dataset synthesis, CSV ingestion, and the one JSON reader and format.
 
 Two generators cover the experiments: isotropic Gaussian clusters with
 exponentially decaying per-class counts, and the two-disjoint-circles
@@ -15,6 +15,7 @@ other file to a per-line parser, so the accepted inputs and the
 from __future__ import annotations
 
 import csv
+import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .streams import derive_rng
-from .theory import check_prior
+from .theory import check_prior, lambda_from_rho
 
 __all__ = [
     "Dataset",
@@ -31,6 +32,8 @@ __all__ = [
     "gen_two_circles",
     "load_csv",
     "save_csv",
+    "load_json",
+    "json_text",
     "empirical_prior",
     "lt_class_counts",
     "class_means",
@@ -95,10 +98,7 @@ def lt_class_counts(num_classes: int, rho: float, n_max: int,
     (class C-1 becomes the head) while leaving class identities alone,
     which builds reversed-LT test sets.
     """
-    if num_classes < 2:
-        raise ValueError("need at least 2 classes")
-    if rho < 1:
-        raise ValueError(f"imbalance factor must be >= 1, got {rho}")
+    lambda_from_rho(rho, num_classes)  # validates rho and C
     if n_max < num_classes:
         raise ValueError("n_max must be >= num_classes so every class gets a sample")
     exponents = -np.arange(num_classes, dtype=np.float64) / (num_classes - 1)
@@ -344,3 +344,31 @@ def _load_lines(path, limit: int) -> Dataset:
     if bad_rows.size:
         raise ValueError(f"{path}:{bad_rows[0] + 2}: features must be finite")
     return Dataset(features, labels)
+
+
+def load_json(path) -> dict:
+    """The JSON object in `path`, by the one reader of every JSON input: anything
+    but one object, a non-finite number (NaN, Infinity, 1e999) or an integer
+    over `int`'s digit limit is a ValueError naming the file."""
+    def finite(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(f"numbers must be finite, got {text}")
+        return value
+
+    try:
+        with open(path) as fh:
+            obj = json.load(fh, parse_float=finite, parse_constant=finite)
+    # RecursionError: nested too deeply; UnicodeDecodeError: bytes that are not text
+    except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: invalid JSON ({exc})") from None
+    except ValueError as exc:  # from `finite`, or an integer over int's digit limit
+        raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: must hold one JSON object")
+    return obj
+
+
+def json_text(obj) -> str:
+    """The text of every JSON artifact: sorted keys, two-space indent, final newline."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"

@@ -26,11 +26,11 @@ the factors. It draws in blocks of 2^16 pairs, so memory stays flat in the
 trial count. Each generator serves one kind of draw, in order, so the
 blocks draw the values whole arrays would, bit for bit, whatever a draw
 consumes.
-A call with enough draws per class pair at alpha = 1/2 first builds one
-table, shared by its streams, of the least raw draw at which each pair's
-weight reaches 1/2, 1 and 3/2 (at most 24 C^2 bytes); its blocks then
-decide each pair with three lookups and compares, with no sine and no
-factor, and count the same classes.
+A call at alpha = 1/2 with enough draws per class pair and at most 1024
+classes first builds one table, shared by its streams, of the least raw draw
+at which each pair's weight reaches 1/2, 1 and 3/2 (24 C^2 bytes; its build
+peaks near ten times that); its blocks then decide each pair with three
+lookups and compares, with no sine and no factor, and count the same classes.
 The streams run on one thread pool, a single stream included, and their
 counts add up in stream order, so the worker count never changes them.
 """
@@ -68,6 +68,7 @@ _MC_BLOCK = 1 << 16  # Monte Carlo pairs drawn per block of one stream
 _TABLE_PAIR_DRAWS = 200
 _TABLE_FIXED_DRAWS = 200_000
 MAX_STREAMS = 1024  # Monte Carlo streams of one call; each holds three generators
+MAX_TABLE_CLASSES = 1024  # most classes a `_thresholds` table is built for (~240 MiB peak)
 DEFAULT_STREAMS = 4  # default Monte Carlo streams of `mc_xi_aug_histogram` and verify-dist
 
 
@@ -246,8 +247,8 @@ def _thresholds(config: MixConfig, prior: np.ndarray) -> np.ndarray:
 def _table_pays_off(config: MixConfig, prior: np.ndarray, trials: int) -> bool:
     """Whether `_thresholds` saves a call more than it costs to build: only
     alpha = 1/2 has a transform to skip (at other alphas the per-draw block
-    measured as fast), and only from enough draws per pair."""
-    return (config.alpha == 0.5
+    measured as fast), from enough draws per pair and up to `MAX_TABLE_CLASSES` classes."""
+    return (config.alpha == 0.5 and prior.shape[0] <= MAX_TABLE_CLASSES
             and trials >= _TABLE_PAIR_DRAWS * prior.shape[0] ** 2 + _TABLE_FIXED_DRAWS)
 
 

@@ -16,12 +16,11 @@ pair batch, and (seed, "mix") for the mixing factors.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, empirical_prior
+from .data import Dataset, empirical_prior, json_text, load_json
 from .errors import InvariantViolation
 from .losses import LossSpec, batch_grad, batch_loss, softmax
 from .mixing import MixConfig, mix_batch
@@ -258,18 +257,13 @@ def save_model(params: MLPParams, path) -> None:
         "layers": [{"w": w.ravel().tolist(), "b": b.tolist()} for w, b in params.layers],
     }
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(json_text(payload))
 
 
 def load_model(path) -> MLPParams:
     """Read a model written by `save_model`; a malformed file raises ValueError."""
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
-        raise ValueError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(payload, dict) or not {"layer_dims", "layers"} <= payload.keys():
+    payload = load_json(path)
+    if not {"layer_dims", "layers"} <= payload.keys():
         raise ValueError(f"{path}: a model needs 'layer_dims' and 'layers'")
     dims, records = payload["layer_dims"], payload["layers"]
     if (not isinstance(dims, list) or len(dims) < 2
@@ -289,8 +283,6 @@ def load_model(path) -> MLPParams:
         try:
             wb = np.array(w + b, dtype=np.float64)
         except OverflowError:  # an integer literal beyond the float range
-            wb = np.array([np.inf])
-        if not np.isfinite(wb).all():
-            raise ValueError(f"{path}: layer {l} has non-finite parameters")
+            raise ValueError(f"{path}: layer {l} has non-finite parameters") from None
         layers.append((wb[:-fan_out].reshape(fan_in, fan_out), wb[-fan_out:]))
     return MLPParams(layers)

@@ -59,7 +59,7 @@ def lambda_from_rho(rho: float, num_classes: int) -> float:
 
     rho = 1 (balanced data) gives 0.
     """
-    if rho < 1:
+    if not rho >= 1:  # NaN fails too
         raise ValueError(f"imbalance factor must be >= 1, got {rho}")
     if num_classes < 2:
         raise ValueError(f"need at least 2 classes, got {num_classes}")

@@ -556,25 +556,41 @@ def test_eval_rejects_label_above_int64(tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
-# bytes that do not decode, in each file train and eval read, and a truncated
-# model.json: one line that names the file
+def linear_model(weight: bytes) -> bytes:
+    """A 4-feature, 3-class linear model.json whose first weight is `weight`."""
+    return (b'{"layer_dims": [4, 3], "layers": [{"w": [%s' % weight + b", 0" * 11
+            + b'], "b": [0, 0, 0]}]}')
+
+
+# bytes that do not decode, in each file train and eval read, a truncated
+# model.json, and a model.json that the JSON reader refuses: one line that
+# names the file, and nothing in --out
 @pytest.mark.parametrize("name,content", [
     ("cfg.json", b'{"classes": 4, "rho": \xff10}'),
     ("model.json", b'{"layer_dims": [4, 3]\xff}'),
     ("data.csv", b"f0,f1,f2,f3,label\n0.1,0.2,0.3,0.4,0\n0.5,\xff0.6,0.7,0.8,1\n"),
     ("model.json", b'{"layer_dims": [4, 8, 3], '),
-], ids=["config-0xff", "model-0xff", "data-0xff", "model-truncated"])
+    ("model.json", linear_model(b"NaN")),
+    ("model.json", linear_model(b"Infinity")),
+    ("model.json", linear_model(b"1e999")),
+    ("model.json", b"[" + linear_model(b"0") + b"]"),
+    ("cfg.json", b'{"classes": 1%s}' % (b"0" * 5000)),  # over int's 4,300-digit limit
+], ids=["config-0xff", "model-0xff", "data-0xff", "model-truncated", "model-nan",
+        "model-infinity", "model-1e999", "model-array", "config-long-int"])
 def test_unreadable_input_file_is_named(tmp_path, capsys, name, content):
     model, data = eval_inputs(tmp_path)
     path = tmp_path / name
     path.write_bytes(content)
     if name == "cfg.json":
-        rc = main(["train", "--config", str(path), "--out", str(tmp_path / "run")])
+        out = tmp_path / "run"
+        rc = main(["train", "--config", str(path), "--out", str(out)])
     else:
+        out = tmp_path / "ev"
         rc = run_eval(tmp_path, model, data)
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and str(path) in err[0]
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("label", ["3", "1000000000"])

@@ -10,6 +10,7 @@ from unimix_lt import data
 from unimix_lt.data import (Dataset, TwoCircleSpec, class_means, empirical_prior,
                             gen_lt_gaussians, gen_two_circles, load_csv,
                             lt_class_counts, save_csv)
+from unimix_lt.theory import LTSpec
 
 # A label bound above every int64 label, so that only the int64 range bounds a label.
 EVERY_INT64 = 2**63
@@ -44,6 +45,15 @@ def test_lt_counts_errors():
         lt_class_counts(10, 100.0, 5)  # cannot populate every class
     with pytest.raises(ValueError):
         lt_class_counts(10, 0.5, 100)
+
+
+@pytest.mark.parametrize("classes,rho", [(1, 10.0), (10, 0.5), (10, math.nan)])
+def test_lt_counts_and_lt_spec_refuse_the_same_domain(classes, rho):
+    with pytest.raises(ValueError) as counts_error:
+        lt_class_counts(classes, rho, 100)
+    with pytest.raises(ValueError) as spec_error:
+        LTSpec(classes, rho)
+    assert str(counts_error.value) == str(spec_error.value)
 
 
 def test_class_means_separation_and_stability():

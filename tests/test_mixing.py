@@ -264,6 +264,15 @@ def test_blocked_mc_counts_match_whole_arrays(mode, alpha, whole_array_mc_chunk,
             np.testing.assert_array_equal(hist, sum(got for got, *_ in chunks) / trials)
 
 
+def test_threshold_table_is_built_only_up_to_max_table_classes():
+    # the build peaks near 240 C^2 bytes, about 15 GiB at iNaturalist's C = 8142;
+    # uniform priors, and nothing is built
+    cfg = MixConfig(alpha=0.5)
+    for classes, pays_off in [(1024, True), (1025, False)]:
+        prior = np.full(classes, 1.0 / classes)
+        assert mixing._table_pays_off(cfg, prior, 10**12) is pays_off
+
+
 @pytest.mark.parametrize("alpha", [0.2, 0.5, 1.0])
 @pytest.mark.parametrize("mode", MIX_MODES)
 @pytest.mark.parametrize("classes,rho", [(20, 100.0), (20, 1e6), (100, 200.0)])
@@ -327,6 +336,17 @@ def test_mc_histogram_matches_the_exact_mixed_class_law(mode, alpha, classes, rh
     bound = (math.sqrt(2.0 / math.pi) * sigma.sum()
              + 6.0 * math.sqrt((1.0 - 2.0 / math.pi) * (sigma**2).sum()))
     assert np.abs(hist - law).sum() < bound
+
+
+@pytest.mark.parametrize("classes,rho", [(10, 10.0), (100, 200.0)])
+def test_factor_only_law_is_the_prior_at_alpha_one(classes, rho):
+    # frac(U + c) is uniform for every shift c, so at alpha = 1 the prior-aware
+    # factor leaves each pair's winner a fair coin: the law of plain mixup
+    prior = discrete_lt_prior(LTSpec(classes, rho))
+    law = mixed_class_law(prior, prior, 1.0, "unimix_factor_only")
+    assert np.abs(law - prior).max() <= 1e-15
+    # at alpha = 1/2 the factor does move the law away from the prior
+    assert np.abs(mixed_class_law(prior, prior, 0.5, "unimix_factor_only") - prior).sum() > 0.1
 
 
 @pytest.mark.parametrize("alpha", [0.2, 0.5, 1.0])
