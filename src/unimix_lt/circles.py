@@ -24,7 +24,6 @@ from .data import Dataset, TwoCircleSpec, empirical_prior, gen_two_circles
 from .losses import LossSpec
 from .mixing import MixConfig, mix_batch, reinforced_class
 from .model import TrainConfig, train_two_phase
-from .sampling import inverse_prior
 from .streams import derive_rng
 
 __all__ = ["SCENARIOS", "BoundaryResult", "scenario_data", "run_circles", "virtual_cloud"]
@@ -124,7 +123,7 @@ def virtual_cloud(ds: Dataset, scenario: str, num_points: int, seed: int) -> np.
         return np.empty((0, 3))
     prior = empirical_prior(ds)
     rng = derive_rng(seed, "cloud")
-    mixed, y_i, y_j, xi = mix_batch(ds, prior, inverse_prior(prior, mix.pair_tau), mix,
+    mixed, y_i, y_j, xi = mix_batch(ds, prior, mix.pair_prior(prior), mix,
                                     num_points, rng, rng, rng)
     labels = reinforced_class(y_i, y_j, xi)
     return np.column_stack([mixed, labels.astype(np.float64)])

@@ -127,9 +127,8 @@ def class_means(num_classes: int, dims: int, cluster_spread: float) -> np.ndarra
         rng = np.random.default_rng(np.random.SeedSequence(0x6D65616E))  # fixed layout stream
         dirs = rng.standard_normal((num_classes, dims))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    diffs = dirs[:, None, :] - dirs[None, :, :]
-    dist = np.linalg.norm(diffs, axis=-1)
-    min_dist = dist[~np.eye(num_classes, dtype=bool)].min()
+    min_dist = min(np.linalg.norm(dirs[k + 1:] - dirs[k], axis=1).min()
+                   for k in range(num_classes - 1))
     if min_dist <= 0:
         raise ValueError("degenerate mean layout; reduce num_classes or raise dims")
     return dirs * (4.0 * cluster_spread / min_dist)

@@ -86,10 +86,9 @@ class MixConfig:
         if self.mode not in MIX_MODES:
             raise ValueError(f"mode must be one of {MIX_MODES}, got {self.mode!r}")
 
-    @property
-    def pair_tau(self) -> float:
-        """Exponent for the pair-member sampler; random (tau=1) except in full mode."""
-        return self.tau if self.mode == "unimix_full" else 1.0
+    def pair_prior(self, prior: np.ndarray) -> np.ndarray:
+        """The prior of second pair members: prior^tau in full mode, else `prior`."""
+        return inverse_prior(prior, self.tau if self.mode == "unimix_full" else 1.0)
 
 
 def _beta_draw(alpha: float, rng: np.random.Generator,
@@ -324,7 +323,7 @@ def mc_xi_aug_histogram(ds_prior: np.ndarray, config: MixConfig, trials: int,
     if not 1 <= streams <= MAX_STREAMS:
         raise ValueError(f"streams must lie in [1, {MAX_STREAMS}], got {streams}")
     prior = check_prior(ds_prior, require_positive=True)
-    pair_prior = inverse_prior(prior, config.pair_tau)
+    pair_prior = config.pair_prior(prior)
     thresholds = _thresholds(config, prior) if _table_pays_off(config, prior, trials) else None
     # only the first min(streams, trials) streams draw; the first trials % streams draw one more
     jobs = [(trials // streams + (k < trials % streams),

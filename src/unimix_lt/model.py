@@ -24,7 +24,7 @@ from .data import Dataset, empirical_prior, json_text, load_json
 from .errors import InvariantViolation
 from .losses import LossSpec, batch_grad, batch_loss, softmax
 from .mixing import MixConfig, mix_batch
-from .sampling import draw_batch, inverse_prior
+from .sampling import draw_batch
 from .streams import derive_rng
 
 __all__ = [
@@ -161,9 +161,11 @@ class TrainConfig:
             raise ValueError("need 0 <= t1_steps <= t2_steps")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not self.lr >= 0:
+            raise ValueError("lr must be >= 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
-        if self.weight_decay < 0:
+        if not self.weight_decay >= 0:
             raise ValueError("weight_decay must be >= 0")
 
     def lr_at(self, step: int) -> float:
@@ -189,7 +191,7 @@ def train_two_phase(ds: Dataset, cfg: TrainConfig):
     if ds.num_samples == 0:
         raise ValueError("dataset is empty")
     prior = empirical_prior(ds)
-    pair_prior = inverse_prior(prior, cfg.mix.pair_tau)
+    pair_prior = cfg.mix.pair_prior(prior)
     params = init_params([ds.dims, *cfg.hidden_dims, ds.num_classes],
                          derive_rng(cfg.seed, "init"))
     rng_batch = derive_rng(cfg.seed, "sampler", 0)

@@ -131,9 +131,9 @@ def _closed_form(density):
 
 
 def _mass(x, m):
-    """Integral of e^(-x*s) over s in [0, m]: m at x = 0, else -expm1(-x*m)/x,
-    which is inf, not an OverflowError, for large negative x."""
-    return -np.expm1(-x * m) / x if x else float(m)
+    """Integral of e^(-x*s) over [0, m], m a scalar or an array: m at x = 0, else
+    -expm1(-x*m)/x, which is inf, not an OverflowError, for large negative x."""
+    return -np.expm1(-x * m) / x if x else m
 
 
 @_closed_form
@@ -161,15 +161,15 @@ def unimix_density(y, spec: LTSpec):
     mass(x) the integral of e^(-x*s) over [0, M]. Random pairing, tau = 1, is
     the factor-only curve: middle-majority, peaking at y = ln(2)/lam + 1.
     tau = -1 reduces to (1 - e^(-lam*s)) / Z: monotone nondecreasing toward
-    the tail. tau = 0 is a removable 0/0 with the limit s e^(-lam*s) / Z,
-    Z = (1 - e^(-lam*M) (1 + lam*M)) / lam^2.
+    the tail. For |tau| < 1/2 the exact identity mass(lam(1+tau)) - mass(lam) =
+    -lam tau (mass(lam) - e^(-lam M) mass(lam tau)) / (lam(1+tau)), with expm1(-lam tau s)
+    = -lam tau mass_s(lam tau) (mass over [0, s]), lets nothing cancel as tau -> 0.
     """
-    if spec.lam == 0.0:
-        raise ValueError("mixed-sample closed forms require rho > 1")
     lam, tau, m = spec.lam, spec.tau, spec.num_classes - 1
     s = y - 1.0
-    if tau == 0.0:
-        return s * np.exp(-lam * s) / ((1.0 - math.exp(-lam * m) * (1.0 + lam * m)) / lam**2)
+    if abs(tau) < 0.5:
+        return (lam * (1.0 + tau) * np.exp(-lam * s) * _mass(lam * tau, s)
+                / (_mass(lam, m) - math.exp(-lam * m) * _mass(lam * tau, m)))
     norm = _mass(lam * (tau + 1.0), m) - _mass(lam, m)
     if norm == math.inf:  # every value would read 0: leave the form undefined instead
         norm = math.nan

@@ -198,6 +198,7 @@ def test_verify_dist_full_mode_runs_at_tau_zero(tmp_path):
     ("mixup", "1", "0", CURVE_KINDS[:2]),
     ("full", "10", "-1", CURVE_KINDS),
     ("factor", "1.000000001", "-1", CURVE_KINDS),
+    ("full", "1.000000001", "0", CURVE_KINDS),
 ])
 @pytest.mark.filterwarnings("error")
 def test_verify_dist_writes_the_curves_defined_at_rho_and_tau(tmp_path, capsys, mode, rho, tau,
@@ -874,6 +875,9 @@ def test_non_finite_numbers_exit_one(tmp_path, capsys, argv, config_text):
                  None, id="train-target-prior-length"),
     pytest.param(["train"], _train_cfg_text("weight_decay", "-1"), None,
                  id="train-negative-weight-decay"),
+    pytest.param(["train"], _train_cfg_text("lr", "-0.1"), None, id="train-negative-lr"),
+    pytest.param(["circles-demo", "--lr=-0.5", "--steps", "10"], None, None,
+                 id="circles-demo-negative-lr"),
     pytest.param(["gen-data"], '{"rho": 10', None, id="gen-data-invalid-json"),
     pytest.param(["gen-data", "--classes", "1"], None, None, id="gen-data-one-class"),
     pytest.param(["gen-data", "--dims", "1"], None, None, id="gen-data-one-dim"),

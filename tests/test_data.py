@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -66,6 +67,17 @@ def test_class_means_separation_and_stability():
     many = class_means(20, 8, 0.5)
     d = np.linalg.norm(many[:, None] - many[None, :], axis=-1)
     assert d[~np.eye(20, dtype=bool)].min() >= 2.0 - 1e-12
+
+
+def test_class_means_memory_is_linear_in_classes():
+    # the C x C x d difference tensor of all pairs peaked at 13 MiB here
+    tracemalloc.start()
+    try:
+        class_means(300, 8, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_gen_lt_gaussians_deterministic():

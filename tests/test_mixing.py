@@ -200,7 +200,7 @@ def test_mix_batch_stream_order(mode, unimix_factor):
     ds = gen_lt_gaussians(5, 20.0, 50, 3, seed=2)
     prior = ds.class_counts / ds.num_samples
     mix = MixConfig(alpha=0.5, mode=mode, tau=-1.0)
-    pair_prior = inverse_prior(prior, mix.pair_tau)
+    pair_prior = mix.pair_prior(prior)
     for seed in range(5):
         streams = [derive_rng(seed, "t", k) for k in range(3)]
         x, y_i, y_j, xi = mix_batch(ds, prior, pair_prior, mix, 32, *streams)
@@ -326,7 +326,7 @@ LAW_TRIALS = 1_000_000
 def test_mc_histogram_matches_the_exact_mixed_class_law(mode, alpha, classes, rho):
     prior = discrete_lt_prior(LTSpec(classes, rho))
     cfg = MixConfig(alpha=alpha, mode=mode, tau=-1.0)
-    law = mixed_class_law(prior, inverse_prior(prior, cfg.pair_tau), alpha, mode)
+    law = mixed_class_law(prior, cfg.pair_prior(prior), alpha, mode)
     assert abs(law.sum() - 1.0) < 1e-12
     hist = mc_xi_aug_histogram(prior, cfg, LAW_TRIALS, seed=7)
     # each count is binomial, so hist_k - law_k is near N(0, sigma_k^2): the
@@ -452,8 +452,11 @@ def test_mix_config_validation():
         MixConfig(alpha=1.5)
     with pytest.raises(ValueError):
         MixConfig(mode="remix")
-    assert MixConfig(mode="vanilla_mixup", tau=-2.0).pair_tau == 1.0
-    assert MixConfig(mode="unimix_full", tau=-2.0).pair_tau == -2.0
+    prior = discrete_lt_prior(LTSpec(5, 10.0))
+    np.testing.assert_array_equal(MixConfig(mode="vanilla_mixup", tau=-2.0).pair_prior(prior),
+                                  prior)
+    np.testing.assert_array_equal(MixConfig(mode="unimix_full", tau=-2.0).pair_prior(prior),
+                                  inverse_prior(prior, -2.0))
 
 
 @pytest.mark.parametrize("value", ["0", "1", "2", "", " 2 ", "3"])

@@ -1,4 +1,5 @@
 import json
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +12,7 @@ from unimix_lt.mixing import MIX_MODES, MixConfig, sample_beta
 from unimix_lt.model import (PREDICT_BLOCK, MLPParams, TrainConfig, _forward_cached,
                              forward, init_params, load_model, predict_proba, save_model,
                              sgd_step, train_two_phase)
-from unimix_lt.sampling import draw_batch, inverse_prior
+from unimix_lt.sampling import draw_batch
 from unimix_lt.streams import derive_rng
 
 
@@ -250,7 +251,7 @@ def _reference_train(ds, cfg, draw, per_layer_model, unimix_factor):
     arithmetic on weights and biases that share no buffer."""
     forward_cached, backward_cached, per_layer_sgd_step = per_layer_model
     prior = empirical_prior(ds)
-    pair_prior = inverse_prior(prior, cfg.mix.pair_tau)
+    pair_prior = cfg.mix.pair_prior(prior)
     init = init_params([ds.dims, *cfg.hidden_dims, ds.num_classes],
                        derive_rng(cfg.seed, "init"))
     params = SimpleNamespace(layers=[(w.copy(), b.copy()) for w, b in init.layers])
@@ -327,6 +328,13 @@ def test_train_rejects_bad_config():
         _basic_config(batch_size=0)
     with pytest.raises(ValueError):
         _basic_config(momentum=1.0)
+
+
+@pytest.mark.parametrize("key,value", [("lr", -0.1), ("lr", math.nan), ("weight_decay", math.nan)])
+def test_train_config_refuses_a_negative_or_nan_rate(key, value):
+    with pytest.raises(ValueError, match=f"{key} must be >= 0"):
+        _basic_config(**{key: value})
+    assert _basic_config(**{key: 0.0}).t2_steps == 40  # a zero rate is valid
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point

@@ -247,6 +247,36 @@ def test_closed_forms_are_exact_where_the_unshifted_forms_failed(classes, rho, r
     assert abs(mass - 1.0) <= rtol
 
 
+@pytest.mark.parametrize("classes,rho,tau,rtol", [
+    *((classes, rho, tau, 1e-12) for classes, rho in ((10, 100.0), (100, 200.0))
+      for tau in (1e-14, -1e-14, 1e-12, 1e-6, -1e-6, 0.0, 0.25, -0.49)),
+    (10, 1 + 1e-6, 0.0, 1e-8), (10, 1 + 1e-9, 0.0, 1e-8)])
+def test_full_curve_is_exact_as_tau_approaches_zero(classes, rho, tau, rtol):
+    """The full curve against g(s) / (integral of g over [0, M]), with
+    g = e^(-lam s) expm1(-lam tau s) / (-lam tau), or s e^(-lam s) at tau = 0,
+    where the difference of two masses cancelled as tau -> 0 (1.9e-5 off at
+    tau = 1e-12, 9.8e-4 at 1e-14) and, at tau = 0, near rho = 1.
+
+    The bound is 1e-12 where nothing cancels, as in the test above: the curve
+    is within 1e-15 of 80-digit references there, and g alone carries the
+    rounding of lam * s; quad's epsrel = 1e-13 keeps the integral below it.
+    Near rho = 1 the normalizer mass(lam) - e^(-lam M) mass(0) still subtracts
+    two numbers that agree to about ln(rho) / 2 of their size: 2.8e-10 at
+    rho = 1 + 1e-6 and 1.2e-9 at 1 + 1e-9, so the bound is 1e-8 there.
+    """
+    spec = LTSpec(classes, rho, tau)
+    lam, m = spec.lam, classes - 1
+    if tau == 0.0:
+        def g(s):
+            return s * np.exp(-lam * s)
+    else:
+        def g(s):
+            return np.exp(-lam * s) * np.expm1(-lam * tau * s) / (-lam * tau)
+    mass, _ = integrate.quad(g, 0, m, epsabs=0, epsrel=1e-13)
+    y = np.linspace(1.0, classes, 201)
+    np.testing.assert_allclose(unimix_density(y, spec), g(y - 1.0) / mass, rtol=rtol, atol=0)
+
+
 def test_emit_density_curves_trapezoid_mass():
     # original and mixup are exact densities; the grid must be fine enough
     curves = emit_density_curves(SPEC, 4001)
