@@ -334,7 +334,7 @@ def test_train_rejects_bad_config():
 def test_train_config_refuses_a_negative_or_nan_rate(key, value):
     with pytest.raises(ValueError, match=f"{key} must be >= 0"):
         _basic_config(**{key: value})
-    assert _basic_config(**{key: 0.0}).t2_steps == 40  # a zero rate is valid
+    _basic_config(**{key: 0.0})  # a zero rate is valid
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
