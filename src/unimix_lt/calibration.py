@@ -166,8 +166,7 @@ def _brier(p, y) -> float:
 
 
 def _confusion(pred, y, c: int):
-    counts = np.zeros((c, c), dtype=np.int64)
-    np.add.at(counts, (y, pred), 1)
+    counts = np.bincount(y * c + pred, minlength=c * c).reshape(c, c)
     return counts, np.log1p(counts.astype(np.float64))
 
 

@@ -16,6 +16,8 @@ I/O error, 2 runtime invariant violation.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -58,10 +60,11 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
-    _atomic_write(path, lambda tmp: tmp.write_text(text))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")  # quotes a field only if it must
+    writer.writerow(header)
+    writer.writerows([_fmt(v) for v in row] for row in rows)
+    _atomic_write(path, lambda tmp: tmp.write_text(buf.getvalue()))
 
 
 def _claim_run_dir(out_dir: Path, command: str) -> None:

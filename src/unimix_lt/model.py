@@ -1,10 +1,12 @@
 """Small fully-connected softmax classifier with hand-derived backprop.
 
 The trainer follows the two-phase recipe: up to step T1 it minimizes the
-mixed vicinal loss on pairs drawn by a random sampler and a (possibly
-inverse) pair sampler, then from T1 to T2 it trains on plain random
-batches with the configured loss alone. Prior margins inside the loss are
-fixed once before the first step, and inference never applies them.
+mixed vicinal loss xi * loss(y_i) + (1 - xi) * loss(y_j) on pairs drawn by
+a random sampler and a (possibly inverse) pair sampler, then from T1 to T2
+it trains on plain random batches with the configured loss alone. A plain
+batch is the case of one label of weight 1, so both phases run the same
+step. Prior margins inside the loss are fixed once before the first step,
+and inference never applies them.
 
 The trainer itself runs on one thread, but numpy's BLAS may run its
 matrix products on several (OpenBLAS's default is one per core), which at
@@ -17,6 +19,7 @@ pair batch, and (seed, "mix") for the mixing factors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -185,7 +188,8 @@ def train_two_phase(ds: Dataset, cfg: TrainConfig):
     """Run the two-phase pipeline; returns (params, log rows (step, phase, loss, lr)).
 
     Phase 1 (steps 0..T1): mixed batches from the random and pair
-    samplers. Phase 2 (T1..T2): plain random batches. A non-finite batch
+    samplers, labels y_i and y_j weighted xi and 1 - xi per row. Phase 2
+    (T1..T2): plain random batches, one label of weight 1. A non-finite batch
     loss, or a non-finite parameter after any update, aborts the run.
     """
     if ds.num_samples == 0:
@@ -206,22 +210,15 @@ def train_two_phase(ds: Dataset, cfg: TrainConfig):
         if step < cfg.t1_steps:
             x, y_i, y_j, xi = mix_batch(ds, prior, pair_prior, cfg.mix, n,
                                         rng_batch, rng_pair, rng_mix)
-            xj = 1.0 - xi
-            logits, acts = _forward_cached(params, x)
-            losses = xi * batch_loss(cfg.loss, logits, y_i) \
-                + xj * batch_loss(cfg.loss, logits, y_j)
-            grad_logits = batch_grad(cfg.loss, logits, y_i)
-            grad_logits *= xi[:, None]
-            grad_j = batch_grad(cfg.loss, logits, y_j)
-            grad_j *= xj[:, None]
-            grad_logits += grad_j
-            phase = 1
+            labels, phase = ((y_i, xi), (y_j, 1.0 - xi)), 1
         else:
             x, y = draw_batch(ds, prior, n, rng_batch)
-            logits, acts = _forward_cached(params, x)
-            losses = batch_loss(cfg.loss, logits, y)
-            grad_logits = batch_grad(cfg.loss, logits, y)
-            phase = 2
+            labels, phase = ((y, 1.0),), 2
+        logits, acts = _forward_cached(params, x)
+        # reduce starts from the first term, as sum's 0 + term would turn a -0.0 into 0.0
+        losses = reduce(np.add, (w * batch_loss(cfg.loss, logits, y) for y, w in labels))
+        grad_logits = reduce(np.add, (np.reshape(w, (-1, 1)) * batch_grad(cfg.loss, logits, y)
+                                      for y, w in labels))
         grad_logits /= n
         loss_val = float(losses.mean())
         if not np.isfinite(loss_val):

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -752,6 +753,21 @@ def test_report_aggregates_and_warns(tmp_path, capsys):
     rows = json.loads((out / "summary.json").read_text(), parse_constant=pytest.fail)
     assert rows[1]["accuracy"] == 0.75
     assert (rows[2]["loss"], rows[2]["mix_mode"], rows[2]["accuracy"]) == ("", "", 0.25)
+
+
+def test_report_quotes_run_names_that_hold_a_comma_or_a_quote(tmp_path):
+    """summary.csv stays rectangular, and each run name reads back as written."""
+    runs = tmp_path / "runs"
+    names = ["a,b", "plain", 'q"x']
+    for name in names:
+        (runs / name).mkdir(parents=True)
+        (runs / name / "report.json").write_text(json.dumps({"accuracy": 0.5, "ece": 0.1}))
+    assert main(["report", "--runs", str(runs)]) == 0
+    with open(runs / "summary.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(row) for row in rows] == [3 + len(calibration.SCALARS)] * 4
+    assert [row[0] for row in rows[1:]] == names
+    assert [row[3:5] for row in rows[1:]] == [["0.5", "0.1"]] * 3
 
 
 def test_report_follows_one_model_path_to_the_training_config(tmp_path, capsys):

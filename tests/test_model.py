@@ -238,10 +238,20 @@ def test_train_degenerates_to_plain_mixup_ce(per_layer_model):
                                    cfg.momentum, cfg.weight_decay)
         ref_log.append(float(losses.mean()))
 
-    assert [loss for _, _, loss, _ in log] == ref_log
-    for (w, b), (rw, rb) in zip(params.layers, ref.layers):
-        np.testing.assert_array_equal(w, rw)
-        np.testing.assert_array_equal(b, rb)
+    assert [loss.hex() for _, _, loss, _ in log] == [loss.hex() for loss in ref_log]
+    _assert_same_bits(params, ref)
+
+
+def _assert_same_bits(params, ref):
+    """Every weight and bias of `params` and `ref` holds the same bits, so a
+    -0.0 where the other holds 0.0 fails."""
+    for (w, b), (rw, rb) in zip(params.layers, ref.layers, strict=True):
+        assert np.array_equal(w.view(np.uint64), rw.view(np.uint64))
+        assert np.array_equal(b.view(np.uint64), rb.view(np.uint64))
+
+
+def _hex_log(log):
+    return [(step, phase, loss.hex(), lr.hex()) for step, phase, loss, lr in log]
 
 
 def _reference_train(ds, cfg, draw, per_layer_model, unimix_factor):
@@ -304,21 +314,27 @@ REFERENCE_RUNS = [
 ]
 
 
-@pytest.mark.parametrize("kind,mix", REFERENCE_RUNS,
-                         ids=[f"{k}-{m.mode}-tau{m.tau:g}" for k, m in REFERENCE_RUNS])
-def test_train_matches_per_sample_sampler_reference(kind, mix, per_sample_draw_batch,
+# 12 of 16 steps mixed, then the all-plain and the all-mixed run
+REFERENCE_CASES = [
+    pytest.param(kind, mix, t1_steps, id=f"{kind}-{mix.mode}-tau{mix.tau:g}{suffix}")
+    for kind, mix in REFERENCE_RUNS
+    for t1_steps, suffix in ((12, ""), (0, "-all-plain"), (16, "-all-mixed"))
+]
+
+
+@pytest.mark.parametrize("kind,mix,t1_steps", REFERENCE_CASES)
+def test_train_matches_per_sample_sampler_reference(kind, mix, t1_steps, per_sample_draw_batch,
                                                     per_layer_model, unimix_factor):
     """The class-sorted sampler and the flat in-place training step keep params
-    and log bitwise, for every loss kind."""
+    and log bitwise, for every loss kind, with all, some or none of the steps mixed."""
     ds = gen_lt_gaussians(5, 20.0, 60, 4, seed=4)
-    cfg = TrainConfig(t1_steps=12, t2_steps=16, batch_size=24, lr=0.1,
+    cfg = TrainConfig(t1_steps=t1_steps, t2_steps=16, batch_size=24, lr=0.1,
                       mix=mix, loss=_kind_spec(kind, ds), seed=5, hidden_dims=(8,))
     params, log = train_two_phase(ds, cfg)
     ref, ref_log = _reference_train(ds, cfg, per_sample_draw_batch, per_layer_model,
                                     unimix_factor)
-    assert log == ref_log
-    for (w, b), (rw, rb) in zip(params.layers, ref.layers):
-        assert np.array_equal(w, rw) and np.array_equal(b, rb)
+    assert _hex_log(log) == _hex_log(ref_log)
+    _assert_same_bits(params, ref)
 
 
 def test_train_rejects_bad_config():
