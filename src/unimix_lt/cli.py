@@ -201,6 +201,9 @@ def cmd_eval(args) -> int:
     resolved = _open_run(args, partial(resolve_config, _EVAL_DEFAULTS))
     if not resolved["model"] or not resolved["data"]:
         raise ValueError("eval requires --model and --data")
+    # absolute, so that report and a replay find them from any directory
+    for key in ("model", "data"):
+        resolved[key] = os.path.abspath(resolved[key])
     params = load_model(resolved["model"])
     ds = load_csv(resolved["data"], max_classes=params.layer_dims[-1])
     if ds.dims != params.layer_dims[0]:
@@ -259,9 +262,12 @@ def cmd_circles_demo(args) -> int:
 def _training_metadata(run_dir: Path) -> tuple[str, str]:
     """Loss kind and mix mode for a run: from its own resolved config, or
     from the training run its eval config points at via the model path."""
-    cfg_path = run_dir / "config.resolved.json"
+    cfg_path, model = run_dir / "config.resolved.json", None
     for _ in range(2):
         if not cfg_path.is_file():
+            if model:  # e.g. a relative model path, or a moved run tree
+                print(f"warning: {run_dir.name}: no config.resolved.json beside its model "
+                      f"{model}", file=sys.stderr)
             return "", ""
         try:
             cfg = load_json(cfg_path)

@@ -73,6 +73,9 @@ def _typed(name: str, value, default):
         return value
     if type(value) is not type(default):
         raise ValueError(f"{name} must be {_TYPE_NAMES[type(default)]}, got {value!r}")
+    # a seed is any integer: streams.derive_rng takes it mod 2^64
+    if type(value) is int and name != "seed" and not -(1 << 63) <= value < 1 << 63:
+        raise ValueError(f"{name} must be an integer in [-2^63, 2^63)")
     return value
 
 
@@ -81,10 +84,11 @@ def resolve_config(defaults: dict, *layers, where: str = "") -> dict:
 
     Every layer must be a JSON object whose keys are keys of `defaults`.
     A scalar must have its default's JSON type: a bool key takes only
-    true or false, an int key only an integer, a float key an integer or
-    a float (stored as a finite float), a str key only a string, a list
-    key a list of such items. An object default is resolved the same way,
-    key by key. `target_prior` is "balanced" or a list of numbers.
+    true or false, an int key only an integer in [-2^63, 2^63) (a seed any
+    integer), a float key an integer or a float (stored as a finite float),
+    a str key only a string, a list key a list of such items. An object
+    default is resolved the same way, key by key. `target_prior` is
+    "balanced" or a list of numbers.
     """
     resolved = dict(defaults)
     for layer in layers:

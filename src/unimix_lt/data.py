@@ -101,6 +101,8 @@ def lt_class_counts(num_classes: int, rho: float, n_max: int,
     lambda_from_rho(rho, num_classes)  # validates rho and C
     if n_max < num_classes:
         raise ValueError("n_max must be >= num_classes so every class gets a sample")
+    if n_max > 1 << 53:  # the largest count float64 rounds exactly
+        raise ValueError("n_max must be at most 2^53")
     exponents = -np.arange(num_classes, dtype=np.float64) / (num_classes - 1)
     counts = np.maximum(1, np.floor(n_max * rho**exponents + 0.5).astype(np.int64))
     return counts[::-1].copy() if reverse else counts

@@ -17,15 +17,15 @@ members by the prior and the second by the pair prior, picks each pair's
 factor (a plain Beta draw in vanilla mode, the prior-aware factor
 otherwise, shifted in place) and combines the features. A mixed sample
 reinforces the class whose weight is >= 0.5 (ties go to the first pair
-member), which `reinforced_class` picks without a branch.
+member), which `reinforced_class` picks into a new array.
 `mc_xi_aug_histogram` tallies that class over many random pairs to
-validate the closed forms in `theory`. It validates the prior once, where
-it enters. Each stream builds its own two class tables once and has three
-named generators, one each for the first members, the second members and
-the factors. It draws in blocks of 2^16 pairs, so memory stays flat in the
-trial count. Each generator serves one kind of draw, in order, so the
-blocks draw the values whole arrays would, bit for bit, whatever a draw
-consumes.
+validate the closed forms in `theory`. It validates the prior and builds
+the two class tables once per call; a stream is just its three named
+generators, one each for the first members, the second members and the
+factors. It draws in blocks of 2^16 pairs, so memory stays flat in the
+trial count, and tallies each block once. Each generator serves one kind
+of draw, in order, so the blocks draw the values whole arrays would, bit
+for bit, whatever a draw consumes.
 A call at alpha = 1/2 with enough draws per class pair and at most 1024
 classes first builds one table, shared by its streams, of the least raw draw
 at which each pair's weight reaches 1/2, 1 and 3/2 (24 C^2 bytes; its build
@@ -163,8 +163,8 @@ def mix_batch(ds: Dataset, prior: np.ndarray, pair_prior: np.ndarray, mix: MixCo
 
 def reinforced_class(y_i: np.ndarray, y_j: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """The class each mixed pair reinforces, y_i where xi >= 0.5 (ties
-    included) else y_j, written over y_i."""
-    return _pick_first(y_i, y_j, xi >= 0.5)
+    included) else y_j, as a new array."""
+    return _pick_first(y_i.copy(), y_j, xi >= 0.5)
 
 
 def _pick_first(y_i: np.ndarray, y_j: np.ndarray, first: np.ndarray) -> np.ndarray:
@@ -263,35 +263,30 @@ def _table_wins(thresholds: np.ndarray, y_i: np.ndarray, y_j: np.ndarray,
     return wins
 
 
-def _mc_chunk(prior, pair_prior, config, trials, rngs, thresholds=None):
+def _mc_chunk(prior, tables, config, trials, rngs, thresholds):
     """Reinforced-class counts of `trials` pairs drawn from one stream.
 
-    `rngs` are the stream's three generators, for the first members, the
-    second members and the factors. Blocks of `_MC_BLOCK` pairs draw the
-    values whole `trials`-long arrays would, while memory stays flat in
-    `trials`. The two class tables are built before the first block and
-    belong to this stream alone; the blocks only draw, weigh and count.
-    Given the `_thresholds` table, a block decides each pair by comparing
-    its raw draw with the pair's levels, and skips the Beta transform and
-    the factor; the counts are the same.
+    A stream is just `rngs`, its generators of the first members, the second
+    members and the factors; it only reads the call's class `tables`. Blocks
+    of `_MC_BLOCK` pairs draw the values whole `trials`-long arrays would,
+    while memory stays flat in `trials`. Each block finds the pairs whose
+    first member wins, by the factor or by the `_thresholds` table (no Beta
+    transform, no factor, the same wins), and tallies them once.
     """
-    rng_i, rng_j, rng_mix = rngs
-    table_i = class_table(prior, trials)
-    table_j = class_table(pair_prior, trials)
+    (table_i, table_j), (rng_i, rng_j, rng_mix) = tables, rngs
     counts = np.zeros(prior.shape[0], dtype=np.int64)
     for start in range(0, trials, _MC_BLOCK):
         n = min(_MC_BLOCK, trials - start)
         y_i = draw_classes(table_i, n, rng_i)
         y_j = draw_classes(table_j, n, rng_j)
+        # `wins` stays bound until the next block replaces it: released within
+        # the block, it let glibc trim and refault the thread's heap each block
+        # (about 60,000 minor faults per 1e7-pair call instead of 4,000-12,000)
         if thresholds is None:
-            y = reinforced_class(y_i, y_j, _factor(config, prior, y_i, y_j, rng_mix))
+            wins = _factor(config, prior, y_i, y_j, rng_mix) >= 0.5
         else:
-            # bound until the next block replaces it: released within the block,
-            # it let glibc trim and refault the thread's heap each block (about
-            # 60,000 minor faults per 1e7-pair call instead of 4,000-12,000)
             wins = _table_wins(thresholds, y_i, y_j, _beta_draw(config.alpha, rng_mix, n))
-            y = _pick_first(y_i, y_j, wins)
-        counts += np.bincount(y, minlength=counts.shape[0])
+        counts += np.bincount(_pick_first(y_i, y_j, wins), minlength=counts.shape[0])
     return counts
 
 
@@ -323,7 +318,7 @@ def mc_xi_aug_histogram(ds_prior: np.ndarray, config: MixConfig, trials: int,
     if not 1 <= streams <= MAX_STREAMS:
         raise ValueError(f"streams must lie in [1, {MAX_STREAMS}], got {streams}")
     prior = check_prior(ds_prior, require_positive=True)
-    pair_prior = config.pair_prior(prior)
+    tables = (class_table(prior, trials), class_table(config.pair_prior(prior), trials))
     thresholds = _thresholds(config, prior) if _table_pays_off(config, prior, trials) else None
     # only the first min(streams, trials) streams draw; the first trials % streams draw one more
     jobs = [(trials // streams + (k < trials % streams),
@@ -331,6 +326,6 @@ def mc_xi_aug_histogram(ds_prior: np.ndarray, config: MixConfig, trials: int,
             for k in range(min(streams, trials))]
     with ThreadPoolExecutor(max_workers=min(len(jobs), _max_workers())) as pool:
         parts = list(pool.map(
-            lambda job: _mc_chunk(prior, pair_prior, config, *job, thresholds), jobs))
+            lambda job: _mc_chunk(prior, tables, config, *job, thresholds), jobs))
     counts = np.sum(parts, axis=0)
     return check_prior(counts / trials)

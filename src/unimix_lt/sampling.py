@@ -13,7 +13,7 @@ class-sorted index in one vectorized gather.
 `draw_classes` inverts the prior's CDF at one uniform per draw, through
 the lookup `class_table` builds: it validates the prior once and holds
 its cumulative edges, so a caller drawing many times from one prior, as
-each Monte Carlo stream does, builds it once. A table built for bulk
+a Monte Carlo call does for all its streams, builds it once. A table built for bulk
 draws also holds a guide table, the "indexed search" of Chen & Asau
 (1974): the bucket floor(u * 4096) gives the first candidate class and a
 few branchless halving steps finish, with exactly the classes

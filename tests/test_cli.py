@@ -512,6 +512,36 @@ def test_report_follows_model_pointer(tmp_path):
     assert rows[0]["mix_mode"] == "unimix_full"
 
 
+def test_eval_records_absolute_paths_that_report_and_replay_follow(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["train", "--config", write_cfg(tmp_path, TINY_TRAIN), "--out", "t"]) == 0
+    assert main(["gen-data", "--out", "d", "--classes", "4", "--rho", "1", "--n-max", "20",
+                 "--dims", "4", "--seed", "0"]) == 0
+    assert main(["eval", "--out", "runs/a", "--model", "t/model.json",
+                 "--data", "d/data.csv"]) == 0
+    resolved = json.loads((tmp_path / "runs/a/config.resolved.json").read_text())
+    assert resolved["model"] == str(tmp_path / "t/model.json")
+    assert resolved["data"] == str(tmp_path / "d/data.csv")
+    # from another directory, report still finds the training config, and a replay its inputs
+    monkeypatch.chdir(tmp_path / "runs")
+    assert main(["report", "--runs", ".", "--out", "../again"]) == 0
+    rows = json.loads((tmp_path / "again/summary.json").read_text())
+    assert (rows[0]["loss"], rows[0]["mix_mode"]) == ("bayias_ce", "unimix_full")
+    assert main(["eval", "--config", "a/config.resolved.json", "--out", "b"]) == 0
+    assert read_bytes(tmp_path / "runs/a") == read_bytes(tmp_path / "runs/b")
+
+
+@pytest.mark.parametrize("dims", ["[16]", "[16, 0]", "[16, 2.5]", "[16, true]"])
+def test_eval_rejects_layer_dims_that_are_not_two_positive_widths(tmp_path, capsys, dims):
+    model, data = eval_inputs(tmp_path)
+    payload = json.loads(model.read_text())
+    model.write_text(json.dumps(payload).replace(json.dumps(payload["layer_dims"]), dims, 1))
+    assert run_eval(tmp_path, model, data) == 1
+    err = capsys.readouterr().err
+    assert f"{model}: layer_dims must list" in err and err.count("\n") == 1
+    assert not (tmp_path / "ev").exists() or not any((tmp_path / "ev").iterdir())
+
+
 def test_eval_dimension_mismatch(tmp_path):
     run = tmp_path / "run"
     cfg = write_cfg(tmp_path, TINY_TRAIN)
@@ -801,6 +831,20 @@ def test_report_follows_one_model_path_to_the_training_config(tmp_path, capsys):
         "d_eval_of_eval": ("", ""), "e_broken_training": ("", "")}
 
 
+def test_report_warns_when_the_model_path_leads_to_no_config(tmp_path, capsys):
+    """A relative model path read from elsewhere, or a moved run tree, names
+    a directory without the training config: the cells stay empty, with a warning."""
+    run = tmp_path / "runs" / "moved"
+    run.mkdir(parents=True)
+    (run / "report.json").write_text(json.dumps({"accuracy": 0.5}))
+    (run / "config.resolved.json").write_text(json.dumps({"model": "gone/model.json"}))
+    assert main(["report", "--runs", str(tmp_path / "runs")]) == 0
+    err = capsys.readouterr().err
+    assert err == "warning: moved: no config.resolved.json beside its model gone/model.json\n"
+    rows = json.loads((tmp_path / "runs" / "summary.json").read_text())
+    assert (rows[0]["loss"], rows[0]["mix_mode"]) == ("", "")
+
+
 def test_report_empty_dir_fails(tmp_path):
     runs = tmp_path / "runs"
     runs.mkdir()
@@ -900,6 +944,17 @@ def test_non_finite_numbers_exit_one(tmp_path, capsys, argv, config_text):
     *(pytest.param(["gen-data", f"--cluster-spread={spread}"], None, None,
                    id=f"gen-data-spread-{spread}") for spread in ("0", "-1")),
     pytest.param(["eval", "--data", "data.csv"], None, None, id="eval-without-model"),
+    # integers beyond int64, and counts beyond what float64 rounds exactly
+    pytest.param(["gen-data", "--n-max", "1" + "0" * 400], None, None, id="gen-data-huge-n-max"),
+    pytest.param(["verify-dist", "--classes", "1" + "0" * 400], None, None,
+                 id="verify-dist-huge-classes"),
+    pytest.param(["train"], _train_cfg_text("t2_steps", "1" + "0" * 400), None,
+                 id="train-huge-t2-steps"),
+    pytest.param(["gen-data", "--classes", "4", "--rho", "10", "--n-max", str(10**30)], None,
+                 None, id="gen-data-n-max-1e30"),
+    pytest.param(["train"], _train_cfg_text("n_max", str(10**30)), None, id="train-n-max-1e30"),
+    pytest.param(["gen-data", "--classes", "2", "--rho", "1", "--n-max", str(2**63 - 1)], None,
+                 None, id="gen-data-n-max-int64-max"),
     # a dict of files under tmp_path in place of a --config text; {tmp} is tmp_path
     pytest.param(["report", "--runs", "{tmp}/runs.json"], {"runs.json": "{}"}, None,
                  id="report-runs-file"),
@@ -930,6 +985,22 @@ def test_bad_input_exits_one_and_writes_nothing(tmp_path, capsys, monkeypatch, a
     assert main([*argv, "--out", str(out)]) == 1
     assert "Traceback" not in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", [["gen-data"], ["verify-dist", "--trials", "1000"]])
+def test_a_seed_is_any_integer_taken_mod_2_64(tmp_path, command):
+    """Seeds beyond int64 run, a run replays from its config.resolved.json,
+    and seeds equal mod 2^64 give the same output."""
+    outputs = {}
+    for seed in (-1, 2**64 - 1, 10**400):
+        out = tmp_path / str(seed)[:8]
+        assert main([*command, "--seed", str(seed), "--out", str(out)]) == 0
+        assert main([command[0], "--config", str(out / "config.resolved.json"),
+                     "--out", str(tmp_path / "replay")]) == 0
+        assert read_bytes(tmp_path / "replay") == read_bytes(out)
+        outputs[seed] = {name: data for name, data in read_bytes(out).items()
+                         if name.endswith(".csv")}  # the JSON files record the seed
+    assert outputs[-1] and outputs[-1] == outputs[2**64 - 1]
 
 
 # ------------------------------------------------ train config: fuzzing

@@ -46,6 +46,8 @@ def test_lt_counts_errors():
         lt_class_counts(10, 100.0, 5)  # cannot populate every class
     with pytest.raises(ValueError):
         lt_class_counts(10, 0.5, 100)
+    with pytest.raises(ValueError, match="2\\^53"):  # the int64 cast would wrap to [1, 1]
+        lt_class_counts(2, 1.0, 2**63 - 1)
 
 
 @pytest.mark.parametrize("classes,rho", [(1, 10.0), (10, 0.5), (10, math.nan)])

@@ -12,7 +12,7 @@ from unimix_lt.cli import main
 from unimix_lt.data import Dataset, gen_lt_gaussians
 from unimix_lt.mixing import (MIX_MODES, MixConfig, mc_xi_aug_histogram, mix_batch,
                               reinforced_class, sample_beta)
-from unimix_lt.sampling import draw_batch, inverse_prior
+from unimix_lt.sampling import class_table, draw_batch, inverse_prior
 from unimix_lt.streams import derive_rng
 from unimix_lt.theory import LTSpec, discrete_lt_prior
 
@@ -220,9 +220,26 @@ def test_reinforced_class_threshold(monkeypatch):
     # histogram counts how many weights reach 0.5; the tie goes to y_i
     monkeypatch.setattr(mixing, "sample_beta",
                         lambda alpha, rng, size=None: np.array([0.7, 0.5, 0.49]))
-    counts = mixing._mc_chunk(np.array([1.0, 0.0]), np.array([0.0, 1.0]), VANILLA, 3,
-                              [derive_rng(0, "t", k) for k in range(3)])
+    tables = (class_table(np.array([1.0, 0.0]), 3), class_table(np.array([0.0, 1.0]), 3))
+    counts = mixing._mc_chunk(np.array([1.0, 0.0]), tables, VANILLA, 3,
+                              [derive_rng(0, "t", k) for k in range(3)], None)
     np.testing.assert_array_equal(counts, [2, 1])
+
+
+def test_reinforced_class_leaves_its_inputs_alone():
+    y_i, y_j, xi = np.array([0, 1, 2]), np.array([3, 4, 5]), np.array([0.7, 0.5, 0.49])
+    np.testing.assert_array_equal(reinforced_class(y_i, y_j, xi), [0, 1, 5])
+    assert y_i.tolist() == [0, 1, 2] and y_j.tolist() == [3, 4, 5]
+
+
+@pytest.mark.parametrize("streams", [1, 4, 7])
+def test_a_call_builds_its_two_class_tables_once(streams, monkeypatch):
+    built = []
+    monkeypatch.setattr(mixing, "class_table",
+                        lambda *args: built.append(args) or class_table(*args))
+    prior = discrete_lt_prior(LTSpec(10, 100.0))
+    mc_xi_aug_histogram(prior, MixConfig(), 100_000, seed=1, streams=streams)
+    assert len(built) == 2
 
 
 # around one block of pairs, and a prime count spanning many blocks; at C = 20
@@ -239,11 +256,11 @@ def test_blocked_mc_counts_match_whole_arrays(mode, alpha, whole_array_mc_chunk,
     blocked, pays_off = mixing._mc_chunk, mixing._table_pays_off
     chunks = []
 
-    def checked(prior, pair_prior, config, trials, rngs, thresholds=None):
+    def checked(prior, tables, config, trials, rngs, thresholds):
         start = [np.random.Generator(copy.deepcopy(rng.bit_generator)) for rng in rngs]
-        got = blocked(prior, pair_prior, config, trials, rngs, thresholds)
-        chunks.append((got, whole_array_mc_chunk(prior, pair_prior, config, trials, start),
-                       thresholds is not None))
+        got = blocked(prior, tables, config, trials, rngs, thresholds)
+        chunks.append((got, whole_array_mc_chunk(prior, config.pair_prior(prior), config,
+                                                 trials, start), thresholds is not None))
         return got
 
     monkeypatch.setattr(mixing, "_mc_chunk", checked)

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from unimix_lt.data import empirical_prior, gen_lt_gaussians
+from unimix_lt.data import Dataset, empirical_prior, gen_lt_gaussians
 from unimix_lt.errors import InvariantViolation
 from unimix_lt.losses import LOSS_KINDS, LossSpec, batch_grad, batch_loss, softmax
 from unimix_lt.mixing import MIX_MODES, MixConfig, sample_beta
@@ -152,6 +152,24 @@ def test_mlp_params_copies_its_input():
     assert np.array_equal(params.layers[0][0], w + 1.0)
     assert np.array_equal(params.layers[0][1], b + 1.0)
     assert params.layers[0][1].dtype == np.float64
+
+
+@pytest.mark.parametrize("layers,message", [
+    pytest.param([], "at least one layer", id="no-layers"),
+    pytest.param([(np.ones((2, 3)), np.ones(4))], "layer 0: weight/bias shapes", id="bias"),
+    pytest.param([(np.ones(3), np.ones(3))], "layer 0: weight/bias shapes", id="vector"),
+    pytest.param([(np.ones((2, 3)), np.ones(3)), (np.ones((4, 2)), np.ones(2))],
+                 "layer 1: input width does not chain", id="chain"),
+])
+def test_mlp_params_refuses_layers_that_do_not_fit(layers, message):
+    with pytest.raises(ValueError, match=message):
+        MLPParams(layers)
+
+
+def test_train_refuses_an_empty_dataset():
+    empty = Dataset(np.empty((0, 3)), np.empty(0, dtype=np.int64))
+    with pytest.raises(ValueError, match="dataset is empty"):
+        train_two_phase(empty, _basic_config())
 
 
 def _basic_config(seed=0, **kw):
