@@ -19,18 +19,27 @@ otherwise, shifted in place) and combines the features. A mixed sample
 reinforces the class whose weight is >= 0.5 (ties go to the first pair
 member), which `reinforced_class` picks into a new array.
 `mc_xi_aug_histogram` tallies that class over many random pairs to
-validate the closed forms in `theory`. It validates the prior and builds
-the two class tables once per call; a stream is just its three named
-generators, one each for the first members, the second members and the
-factors. It draws in blocks of 2^16 pairs, so memory stays flat in the
-trial count, and tallies each block once. Each generator serves one kind
-of draw, in order, so the blocks draw the values whole arrays would, bit
-for bit, whatever a draw consumes.
-A call at alpha = 1/2 with enough draws per class pair and at most 1024
-classes first builds one table, shared by its streams, of the least raw draw
-at which each pair's weight reaches 1/2, 1 and 3/2 (24 C^2 bytes; its build
-peaks near ten times that); its blocks then decide each pair with three
-lookups and compares, with no sine and no factor, and count the same classes.
+validate the closed forms in `theory`. It validates the prior once per
+call; a stream is just its three named generators, rng_i, rng_j and
+rng_mix, and it works in blocks of 2^16 pairs, so memory stays flat in the
+trial count. Each generator serves one kind of draw, in order, so the
+blocks draw the values whole arrays would, bit for bit, whatever a draw
+consumes. A call takes one of two paths:
+
+- per draw: the call builds the two class tables once, and each block
+  draws its first members by rng_i, its second members by rng_j and their
+  factors by rng_mix, then tallies the reinforced classes once;
+- threshold table: a call at alpha = 1/2 with enough draws per class pair
+  and at most 1024 classes builds one table, shared by its streams, of the
+  least raw draw at which each pair's weight reaches 1/2, 1 and 3/2
+  (24 C^2 bytes; its build peaks near ten times that). Each stream draws
+  the multinomial pair count of every (i, j) cell, first-member counts by
+  rng_i and their split over second classes by rng_j, which is the joint
+  law of i.i.d. pairs; each pair still draws its own raw factor by
+  rng_mix, decided by three compares against its cell's thresholds, with
+  no sine and no factor. The counts differ in bits from the per-draw
+  path's, not in law.
+
 The streams run on one thread pool, a single stream included, and their
 counts add up in stream order, so the worker count never changes them.
 """
@@ -251,43 +260,76 @@ def _table_pays_off(config: MixConfig, prior: np.ndarray, trials: int) -> bool:
             and trials >= _TABLE_PAIR_DRAWS * prior.shape[0] ** 2 + _TABLE_FIXED_DRAWS)
 
 
-def _table_wins(thresholds: np.ndarray, y_i: np.ndarray, y_j: np.ndarray,
-                v: np.ndarray) -> np.ndarray:
-    """Whether each pair's first member wins, given its raw factor draw `v`:
-    whether v reaches an odd number of the pair's `_thresholds` levels."""
-    pair = y_i * thresholds.shape[-1]  # the flat index of [i, j], which `take` reads
-    pair += y_j
-    wins = v >= thresholds[0].take(pair)
-    for level in thresholds[1:]:
-        wins ^= v >= level.take(pair)
+def _odd_levels(v: np.ndarray, levels) -> np.ndarray:
+    """Whether each raw factor draw `v` reaches an odd number of its pair's
+    `_thresholds` `levels` (arrays in level order, each broadcast against v):
+    whether the pair's first member wins."""
+    levels = iter(levels)
+    wins = v >= next(levels)
+    for level in levels:
+        wins ^= v >= level
     return wins
+
+
+def _class_counts(n, prior: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Class counts of `n` draws from `prior`, one `rng.multinomial` row per
+    entry of `n` (an int or an array of ints): the law of `draw_classes`.
+
+    numpy refuses an entry above 1, which `check_prior` lets a prior hold
+    within its 1e-12 sum tolerance, so the prior is renormalized; it is cut
+    after its last class with mass, which takes numpy's rounding remainder
+    as the last edge of a `class_table` does.
+    """
+    top = np.flatnonzero(prior)[-1] + 1
+    counts = np.zeros(np.shape(n) + prior.shape, dtype=np.int64)
+    counts[..., :top] = rng.multinomial(n, prior[:top] / prior[:top].sum())
+    return counts
 
 
 def _mc_chunk(prior, tables, config, trials, rngs, thresholds):
     """Reinforced-class counts of `trials` pairs drawn from one stream.
 
-    A stream is just `rngs`, its generators of the first members, the second
-    members and the factors; it only reads the call's class `tables`. Blocks
-    of `_MC_BLOCK` pairs draw the values whole `trials`-long arrays would,
-    while memory stays flat in `trials`. Each block finds the pairs whose
-    first member wins, by the factor or by the `_thresholds` table (no Beta
-    transform, no factor, the same wins), and tallies them once.
+    A stream is just `rngs`: rng_i, rng_j and rng_mix. It reads the call's
+    `tables` and works in blocks of `_MC_BLOCK` pairs, so memory stays flat
+    in `trials`. Without `thresholds`, `tables` are the two priors'
+    `class_table`s, and each block draws its first members by rng_i, its
+    second members by rng_j and their factors by rng_mix, the values whole
+    arrays would, and tallies the winners. With them, `tables` are the two
+    priors: rng_i draws each class's count of first members and rng_j splits
+    each count over the second classes, giving the pairs of each (i, j)
+    cell; the blocks walk the cells row-major, decide each pair's raw
+    factor draw from rng_mix by its cell's thresholds, and credit each
+    cell's wins to class i and the rest to class j.
     """
     (table_i, table_j), (rng_i, rng_j, rng_mix) = tables, rngs
-    counts = np.zeros(prior.shape[0], dtype=np.int64)
-    for start in range(0, trials, _MC_BLOCK):
-        n = min(_MC_BLOCK, trials - start)
-        y_i = draw_classes(table_i, n, rng_i)
-        y_j = draw_classes(table_j, n, rng_j)
-        # `wins` stays bound until the next block replaces it: released within
-        # the block, it let glibc trim and refault the thread's heap each block
-        # (about 60,000 minor faults per 1e7-pair call instead of 4,000-12,000)
-        if thresholds is None:
+    classes = prior.shape[0]
+    if thresholds is None:
+        counts = np.zeros(classes, dtype=np.int64)
+        for start in range(0, trials, _MC_BLOCK):
+            n = min(_MC_BLOCK, trials - start)
+            y_i = draw_classes(table_i, n, rng_i)
+            y_j = draw_classes(table_j, n, rng_j)
+            # `wins` stays bound until the next block replaces it: released within
+            # the block, it let glibc trim and refault the thread's heap each block
+            # (about 60,000 minor faults per 1e7-pair call instead of 4,000-12,000)
             wins = _factor(config, prior, y_i, y_j, rng_mix) >= 0.5
-        else:
-            wins = _table_wins(thresholds, y_i, y_j, _beta_draw(config.alpha, rng_mix, n))
-        counts += np.bincount(_pick_first(y_i, y_j, wins), minlength=counts.shape[0])
-    return counts
+            counts += np.bincount(_pick_first(y_i, y_j, wins), minlength=classes)
+        return counts
+    cells = _class_counts(_class_counts(trials, table_i, rng_i), table_j, rng_j).ravel()
+    ends = np.cumsum(cells)
+    levels = thresholds.reshape(thresholds.shape[0], -1)
+    won = np.zeros_like(cells)
+    for start in range(0, trials, _MC_BLOCK):
+        stop = min(start + _MC_BLOCK, trials)
+        # the cells that hold this block's pairs, and how many of them each holds
+        first, last = np.searchsorted(ends, [start, stop - 1], side="right")
+        held = np.diff(np.minimum(ends[first:last + 1], stop), prepend=start)
+        wins = _odd_levels(_beta_draw(config.alpha, rng_mix, stop - start),
+                           (np.repeat(level[first:last + 1], held) for level in levels))
+        filled = np.flatnonzero(held)
+        won[first + filled] += np.add.reduceat(wins, np.cumsum(held)[filled] - held[filled])
+    won = won.reshape(classes, classes)
+    return won.sum(axis=1) + (cells.reshape(classes, classes) - won).sum(axis=0)
 
 
 def _max_workers() -> int:
@@ -311,15 +353,22 @@ def mc_xi_aug_histogram(ds_prior: np.ndarray, config: MixConfig, trials: int,
     except in full mode). Trials are split over independent seeded
     streams whose partial histograms merge in stream order, so the result
     depends only on (seed, streams), with 1 <= streams <= `MAX_STREAMS`.
-    UNIMIX_LT_THREADS caps the worker threads used to evaluate the streams.
+    Each stream's rng_i draws the first members and rng_j the second, per
+    pair or, where `_table_pays_off`, as the pair count of each class cell;
+    its rng_mix draws one factor per pair. Only the per-draw path builds
+    the two class tables. UNIMIX_LT_THREADS caps the worker threads used
+    to evaluate the streams.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 1 <= streams <= MAX_STREAMS:
         raise ValueError(f"streams must lie in [1, {MAX_STREAMS}], got {streams}")
     prior = check_prior(ds_prior, require_positive=True)
-    tables = (class_table(prior, trials), class_table(config.pair_prior(prior), trials))
-    thresholds = _thresholds(config, prior) if _table_pays_off(config, prior, trials) else None
+    tables = (prior, config.pair_prior(prior))
+    if _table_pays_off(config, prior, trials):
+        thresholds = _thresholds(config, prior)
+    else:
+        thresholds, tables = None, tuple(class_table(p, trials) for p in tables)
     # only the first min(streams, trials) streams draw; the first trials % streams draw one more
     jobs = [(trials // streams + (k < trials % streams),
              [derive_rng(seed, "mc", k, part) for part in ("i", "j", "mix")])

@@ -85,8 +85,40 @@ def _whole_array_mc_chunk(prior, pair_prior, config, trials, rngs):
 
 @pytest.fixture
 def whole_array_mc_chunk():
-    """Oracle for `mixing._mc_chunk`: same signature, same counts."""
+    """Oracle for `mixing._mc_chunk` on the per-draw path: same counts."""
     return _whole_array_mc_chunk
+
+
+def _whole_array_cell_chunk(prior, pair_prior, config, trials, rngs, thresholds):
+    """`mixing._mc_chunk` on the threshold-table path, as whole arrays: the
+    pair count of each (i, j) cell by two multinomial draws, every trial's raw
+    factor draw in one array, and each pair decided by the parity of the
+    number of its cell's thresholds that its draw reaches.
+    """
+    rng_i, rng_j, rng_mix = rngs
+    classes = prior.shape[0]
+
+    def counts(n, p, rng):
+        # renormalized, and cut after the last class with mass
+        top = np.flatnonzero(p)[-1] + 1
+        out = np.zeros(np.shape(n) + p.shape, dtype=np.int64)
+        out[..., :top] = rng.multinomial(n, p[:top] / p[:top].sum())
+        return out
+
+    cells = counts(counts(trials, prior, rng_i), pair_prior, rng_j)
+    if config.alpha in (0.5, 1.0):
+        v = rng_mix.random(trials)
+    else:
+        v = rng_mix.beta(config.alpha, config.alpha, size=trials)
+    y_i, y_j = np.divmod(np.repeat(np.arange(cells.size), cells.ravel()), classes)
+    reached = (v[:, None] >= thresholds[:, y_i, y_j].T).sum(axis=1)
+    return np.bincount(np.where(reached % 2 == 1, y_i, y_j), minlength=classes)
+
+
+@pytest.fixture
+def whole_array_cell_chunk():
+    """Oracle for `mixing._mc_chunk` on the threshold-table path: same counts."""
+    return _whole_array_cell_chunk
 
 
 def _nll(u, y):

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import unimix_lt
-from unimix_lt import calibration, cli
+from unimix_lt import calibration, cli, mixing
 from unimix_lt.cli import build_parser, main
 from unimix_lt.config import resolve_config
 from unimix_lt.data import load_csv
@@ -457,13 +457,21 @@ def test_train_replay_is_bitwise(tmp_path):
     assert read_bytes(run_a) == read_bytes(run_b)
 
 
-def test_verify_dist_replay_is_bitwise(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["verify-dist", "--out", str(a), "--classes", "10", "--rho", "10",
-                 "--trials", "5000", "--seed", "3"]) == 0
-    assert main(["verify-dist", "--out", str(b),
-                 "--config", str(a / "config.resolved.json")]) == 0
-    assert read_bytes(a) == read_bytes(b)
+def test_verify_dist_replay_is_bitwise(tmp_path, monkeypatch):
+    # the second problem's 300,000 trials at C = 20 reach the threshold table's
+    # 200 * 20^2 + 200,000, where each stream draws its pair count per class cell
+    built, thresholds = [], mixing._thresholds
+    monkeypatch.setattr(mixing, "_thresholds",
+                        lambda *args: built.append(args) or thresholds(*args))
+    for k, flags in enumerate((["--classes", "10", "--rho", "10", "--trials", "5000",
+                                "--seed", "3"],
+                               ["--classes", "20", "--rho", "50", "--trials", "300000"])):
+        a, b = tmp_path / f"a{k}", tmp_path / f"b{k}"
+        assert main(["verify-dist", "--out", str(a), *flags]) == 0
+        assert main(["verify-dist", "--out", str(b),
+                     "--config", str(a / "config.resolved.json")]) == 0
+        assert read_bytes(a) == read_bytes(b)
+        assert len(built) == 2 * k
 
 
 def test_run_dirs_are_single_command(tmp_path):

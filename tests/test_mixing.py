@@ -240,6 +240,11 @@ def test_a_call_builds_its_two_class_tables_once(streams, monkeypatch):
     prior = discrete_lt_prior(LTSpec(10, 100.0))
     mc_xi_aug_histogram(prior, MixConfig(), 100_000, seed=1, streams=streams)
     assert len(built) == 2
+    # the threshold-table path (from 200 * 10^2 + 200,000 trials) draws cell
+    # counts from the priors and reads no class table
+    built.clear()
+    mc_xi_aug_histogram(prior, MixConfig(), 220_000, seed=1, streams=streams)
+    assert built == []
 
 
 # around one block of pairs, and a prime count spanning many blocks; at C = 20
@@ -251,7 +256,7 @@ MC_TRIALS = [1, 7, 65_535, 65_536, 65_537, 200_000, 1_000_003]
 @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.7, 1.0])
 @pytest.mark.parametrize("mode", ["vanilla_mixup", "unimix_factor_only", "unimix_full"])
 def test_blocked_mc_counts_match_whole_arrays(mode, alpha, whole_array_mc_chunk,
-                                              monkeypatch):
+                                              whole_array_cell_chunk, monkeypatch):
     cfg = MixConfig(alpha=alpha, mode=mode, tau=-1.0)
     blocked, pays_off = mixing._mc_chunk, mixing._table_pays_off
     chunks = []
@@ -259,8 +264,12 @@ def test_blocked_mc_counts_match_whole_arrays(mode, alpha, whole_array_mc_chunk,
     def checked(prior, tables, config, trials, rngs, thresholds):
         start = [np.random.Generator(copy.deepcopy(rng.bit_generator)) for rng in rngs]
         got = blocked(prior, tables, config, trials, rngs, thresholds)
-        chunks.append((got, whole_array_mc_chunk(prior, config.pair_prior(prior), config,
-                                                 trials, start), thresholds is not None))
+        pair_prior = config.pair_prior(prior)
+        if thresholds is None:
+            want = whole_array_mc_chunk(prior, pair_prior, config, trials, start)
+        else:
+            want = whole_array_cell_chunk(prior, pair_prior, config, trials, start, thresholds)
+        chunks.append((got, want, thresholds is not None))
         return got
 
     monkeypatch.setattr(mixing, "_mc_chunk", checked)
@@ -279,6 +288,55 @@ def test_blocked_mc_counts_match_whole_arrays(mode, alpha, whole_array_mc_chunk,
                 assert got.dtype == want.dtype == np.int64
                 np.testing.assert_array_equal(got, want, err_msg=f"{rho=}, {trials} trials")
             np.testing.assert_array_equal(hist, sum(got for got, *_ in chunks) / trials)
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.5, 1.0])
+@pytest.mark.parametrize("mode", MIX_MODES)
+@pytest.mark.parametrize("prior", [discrete_lt_prior(LTSpec(20, 100.0)),
+                                   discrete_lt_prior(LTSpec(20, 1e6)),
+                                   np.array([0.5 - 2.0**-54, 0.5 + 2.0**-54])],
+                         ids=["rho=100", "rho=1e6", "exactness-trap"])
+def test_odd_levels_decide_as_the_factor(mode, alpha, prior, monkeypatch):
+    # every pair (i, j), at each of its thresholds and the float below it, and
+    # at 0, 1 and some uniform draws: the threshold-table rule on the raw draw
+    # is the factor's `>= 0.5` on the same raw draw, bit for bit
+    cfg = MixConfig(alpha=alpha, mode=mode)
+    table = mixing._thresholds(cfg, prior)
+    classes = prior.shape[0]
+    y_i, y_j = (a.ravel() for a in np.indices((classes, classes)))
+    draws = [np.zeros(classes**2), np.ones(classes**2),
+             *derive_rng(0, "draws").random((8, classes**2))]
+    for level in table:
+        t = np.minimum(level[y_i, y_j], 1.0)  # nextafter(1, 2), which no draw reaches
+        draws += [t, np.nextafter(t, -1.0).clip(0.0)]
+    for v in draws:
+        monkeypatch.setattr(mixing, "_beta_draw", lambda alpha, rng, size: v.copy())
+        want = mixing._factor(cfg, prior, y_i, y_j, None) >= 0.5
+        got = mixing._odd_levels(v, table[:, y_i, y_j])
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("mode", MIX_MODES)
+def test_threshold_table_path_takes_a_prior_entry_above_one(mode):
+    # `check_prior` lets a prior sum to 1 within 1e-12, so an entry may exceed 1,
+    # which numpy's multinomial refuses; 200,800 trials at C = 2 take the table
+    prior = np.array([1.0 + 5e-13, 1e-300])
+    cfg = MixConfig(mode=mode)
+    assert mixing._table_pays_off(cfg, prior, 200_800)
+    hist = mc_xi_aug_histogram(prior, cfg, 200_800, seed=3)
+    # the pairs are (0, 0) but in full mode, whose pair prior is about [1e-300, 1]:
+    # there class 0 wins a pair (0, 1) with probability 1/2
+    want = [0.5, 0.5] if mode == "unimix_full" else [1.0, 0.0]
+    assert np.abs(hist - want).max() <= 6 * 0.5 / math.sqrt(200_800)
+
+
+def test_class_counts_leave_a_class_without_mass_empty():
+    # numpy's multinomial gives its last class what rounding leaves of 1 - sum
+    # (1.1e-16 here, about 111 of 10^18 draws); as a class table's last edge
+    # does, the counts give it to the last class with mass
+    prior = np.array([0.01, 0.41, 0.58, 0.0])
+    counts = mixing._class_counts(10**18, prior, derive_rng(0, "counts"))
+    assert counts[3] == 0 and counts.sum() == 10**18
 
 
 def test_threshold_table_is_built_only_up_to_max_table_classes():
@@ -378,17 +436,21 @@ def test_factor_only_histogram_is_full_mode_at_tau_one(alpha):
 
 
 def test_mc_histogram_memory_is_flat_in_trials(monkeypatch):
-    # whole 1e6-long arrays peak near 74 MB; blocks of 2^16 pairs need a few
+    # whole 1e6-long arrays peak near 74 MB; blocks of 2^16 pairs need a few;
+    # 5e6 trials take the threshold table (from 200 * 100^2 + 200,000), where
+    # whole arrays would hold 40 MB of raw draws alone
     monkeypatch.setenv("UNIMIX_LT_THREADS", "1")
     prior = discrete_lt_prior(LTSpec(100, 200.0, -1.0))
     cfg = MixConfig(alpha=0.5, mode="unimix_full", tau=-1.0)
-    tracemalloc.start()
-    try:
-        mc_xi_aug_histogram(prior, cfg, 1_000_000, seed=7, streams=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 16 * 2**20
+    for trials in (1_000_000, 5_000_000):
+        assert mixing._table_pays_off(cfg, prior, trials) is (trials == 5_000_000)
+        tracemalloc.start()
+        try:
+            mc_xi_aug_histogram(prior, cfg, trials, seed=7, streams=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
 
 def test_mc_histogram_plans_only_the_streams_that_draw(monkeypatch):
@@ -479,11 +541,13 @@ def test_mix_config_validation():
 @pytest.mark.parametrize("value", ["0", "1", "2", "", " 2 ", "3"])
 def test_thread_cap_values_keep_the_histogram(value, monkeypatch, tmp_path):
     cfg = MixConfig(alpha=0.5, mode="unimix_full", tau=-1.0)
-    # one block per stream, and the verify-dist problem with two blocks in each
-    # of 4 streams, so each worker draws several blocks from its own tables
+    # one block per stream; the verify-dist problem with two blocks in each of
+    # 4 streams, so each worker draws several blocks from its own generators;
+    # and 300,000 trials at C = 10, past the threshold table's 220,000
     for prior, trials in ((discrete_lt_prior(LTSpec(10, 50.0)), 20_000),
                           (discrete_lt_prior(LTSpec(100, 200.0, -1.0)),
-                           4 * (mixing._MC_BLOCK + 1000))):
+                           4 * (mixing._MC_BLOCK + 1000)),
+                          (discrete_lt_prior(LTSpec(10, 50.0)), 300_000)):
         monkeypatch.delenv("UNIMIX_LT_THREADS", raising=False)
         want = mc_xi_aug_histogram(prior, cfg, trials, seed=3, streams=4)
         monkeypatch.setenv("UNIMIX_LT_THREADS", value)
