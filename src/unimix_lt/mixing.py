@@ -21,24 +21,23 @@ member), which `reinforced_class` picks into a new array.
 `mc_xi_aug_histogram` tallies that class over many random pairs to
 validate the closed forms in `theory`. It validates the prior once per
 call; a stream is just its three named generators, rng_i, rng_j and
-rng_mix, and it works in blocks of 2^16 pairs, so memory stays flat in the
-trial count. Each generator serves one kind of draw, in order, so the
-blocks draw the values whole arrays would, bit for bit, whatever a draw
-consumes. A call takes one of two paths:
+rng_mix, and memory stays flat in the trial count. A call takes one of two
+paths:
 
-- per draw: the call builds the two class tables once, and each block
-  draws its first members by rng_i, its second members by rng_j and their
-  factors by rng_mix, then tallies the reinforced classes once;
+- per draw: the call builds the two class tables once, and each stream
+  draws blocks of 2^16 pairs, first members by rng_i, second members by
+  rng_j and factors by rng_mix (one kind of draw per generator, so the
+  values whole arrays would, bit for bit), then tallies their winners;
 - threshold table: a call at alpha = 1/2 with enough draws per class pair
   and at most 1024 classes builds one table, shared by its streams, of the
   least raw draw at which each pair's weight reaches 1/2, 1 and 3/2
-  (24 C^2 bytes; its build peaks near ten times that). Each stream draws
-  the multinomial pair count of every (i, j) cell, first-member counts by
-  rng_i and their split over second classes by rng_j, which is the joint
-  law of i.i.d. pairs; each pair still draws its own raw factor by
-  rng_mix, decided by three compares against its cell's thresholds, with
-  no sine and no factor. The counts differ in bits from the per-draw
-  path's, not in law.
+  (24 C^2 bytes; its build peaks near ten times that), and from it each
+  (i, j) cell's exact chance that its first member wins. Each stream draws
+  the multinomial pair count of every cell, first-member counts by rng_i
+  and their split over second classes by rng_j (the joint law of i.i.d.
+  pairs), and each cell's wins by one binomial draw from rng_mix: O(C^2)
+  work, whatever the trial count. The counts differ in bits from the
+  per-draw path's, not in law.
 
 The streams run on one thread pool, a single stream included, and their
 counts add up in stream order, so the worker count never changes them.
@@ -71,9 +70,11 @@ MIX_MODES = ("vanilla_mixup", "unimix_factor_only", "unimix_full")
 _MC_BLOCK = 1 << 16  # Monte Carlo pairs drawn per block of one stream
 # A call builds the `_thresholds` table at alpha = 1/2 from _TABLE_PAIR_DRAWS draws
 # per class pair plus _TABLE_FIXED_DRAWS. Measured break-even of the whole call
-# (full mode, rho = 200, 4 streams on 2 threads, 2-core x86-64 VM, numpy 2.4.6):
-# about 1.5e5 trials at C = 10, 2.4e5-4.8e5 at C = 20, 5e5 at C = 50, 1.8e6 at
-# C = 100 and 8e6 at C = 200.
+# (full mode, rho = 200, 4 streams on 2 threads, one call per fresh process,
+# 2-core x86-64 VM, numpy 2.4.6): about 2e4 trials at C = 10, 2e4-5e4 at C = 20,
+# 5e4-1e5 at C = 50, 2e5 at C = 100 and 7e5-1e6 at C = 200, near 20 C^2 + 2e4.
+# The constants are ten times that; lowering them moves calls onto the table,
+# which changes their histograms' bits (not their law).
 _TABLE_PAIR_DRAWS = 200
 _TABLE_FIXED_DRAWS = 200_000
 MAX_STREAMS = 1024  # Monte Carlo streams of one call; each holds three generators
@@ -254,21 +255,29 @@ def _thresholds(config: MixConfig, prior: np.ndarray) -> np.ndarray:
 
 def _table_pays_off(config: MixConfig, prior: np.ndarray, trials: int) -> bool:
     """Whether `_thresholds` saves a call more than it costs to build: only
-    alpha = 1/2 has a transform to skip (at other alphas the per-draw block
-    measured as fast), from enough draws per pair and up to `MAX_TABLE_CLASSES` classes."""
+    at alpha = 1/2, the one alpha measured (the table's law needs the uniform
+    raw draws of alpha in {1/2, 1}), from enough draws per pair and up to
+    `MAX_TABLE_CLASSES` classes."""
     return (config.alpha == 0.5 and prior.shape[0] <= MAX_TABLE_CLASSES
             and trials >= _TABLE_PAIR_DRAWS * prior.shape[0] ** 2 + _TABLE_FIXED_DRAWS)
 
 
-def _odd_levels(v: np.ndarray, levels) -> np.ndarray:
-    """Whether each raw factor draw `v` reaches an odd number of its pair's
-    `_thresholds` `levels` (arrays in level order, each broadcast against v):
-    whether the pair's first member wins."""
-    levels = iter(levels)
-    wins = v >= next(levels)
-    for level in levels:
-        wins ^= v >= level
-    return wins
+def _win_probs(thresholds: np.ndarray) -> np.ndarray:
+    """Per pair, the chance that a raw draw `rng.random`, uniform on the grid
+    {m / 2^53 : 0 <= m < 2^53}, reaches an odd number of its `_thresholds`
+    levels: that its first member wins (other raw draws have another law).
+
+    2^53 - ceil(t 2^53) grid points reach a level t in [0, 1], none reach
+    nextafter(1, 2). A pair's levels never decrease, so its winning points,
+    r0 - r1 + r2 (r0 in vanilla mode), add up through integers in [0, 2^53]:
+    exact in float64, as is their share of 2^53.
+    """
+    grid = 2.0**53
+    reached = grid - np.ceil(np.minimum(thresholds, 1.0) * grid)
+    wins = reached[0]
+    for sign, level in zip((-1.0, 1.0), reached[1:]):
+        wins += sign * level
+    return wins / grid
 
 
 def _class_counts(n, prior: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -286,24 +295,25 @@ def _class_counts(n, prior: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return counts
 
 
-def _mc_chunk(prior, tables, config, trials, rngs, thresholds):
+def _mc_chunk(prior, tables, config, trials, rngs, probs):
     """Reinforced-class counts of `trials` pairs drawn from one stream.
 
-    A stream is just `rngs`: rng_i, rng_j and rng_mix. It reads the call's
-    `tables` and works in blocks of `_MC_BLOCK` pairs, so memory stays flat
-    in `trials`. Without `thresholds`, `tables` are the two priors'
-    `class_table`s, and each block draws its first members by rng_i, its
+    A stream is just `rngs`: rng_i, rng_j and rng_mix; it reads the call's
+    `tables`. Without `probs`, `tables` are the two priors' `class_table`s,
+    and the stream works in blocks of `_MC_BLOCK` pairs, so memory stays
+    flat in `trials`: each block draws its first members by rng_i, its
     second members by rng_j and their factors by rng_mix, the values whole
     arrays would, and tallies the winners. With them, `tables` are the two
-    priors: rng_i draws each class's count of first members and rng_j splits
-    each count over the second classes, giving the pairs of each (i, j)
-    cell; the blocks walk the cells row-major, decide each pair's raw
-    factor draw from rng_mix by its cell's thresholds, and credit each
-    cell's wins to class i and the rest to class j.
+    priors: rng_i draws each class's count of first members and rng_j
+    splits each count over the second classes, giving the pairs N_ij of
+    each (i, j) cell, and rng_mix draws the cell's wins as one
+    Binomial(N_ij, probs_ij), credited to class i, the rest to class j.
+    That is the law of per-pair raw draws only where `probs` are
+    `_win_probs`, for the uniform raw draws of alpha in {1/2, 1}.
     """
     (table_i, table_j), (rng_i, rng_j, rng_mix) = tables, rngs
-    classes = prior.shape[0]
-    if thresholds is None:
+    if probs is None:
+        classes = prior.shape[0]
         counts = np.zeros(classes, dtype=np.int64)
         for start in range(0, trials, _MC_BLOCK):
             n = min(_MC_BLOCK, trials - start)
@@ -315,21 +325,9 @@ def _mc_chunk(prior, tables, config, trials, rngs, thresholds):
             wins = _factor(config, prior, y_i, y_j, rng_mix) >= 0.5
             counts += np.bincount(_pick_first(y_i, y_j, wins), minlength=classes)
         return counts
-    cells = _class_counts(_class_counts(trials, table_i, rng_i), table_j, rng_j).ravel()
-    ends = np.cumsum(cells)
-    levels = thresholds.reshape(thresholds.shape[0], -1)
-    won = np.zeros_like(cells)
-    for start in range(0, trials, _MC_BLOCK):
-        stop = min(start + _MC_BLOCK, trials)
-        # the cells that hold this block's pairs, and how many of them each holds
-        first, last = np.searchsorted(ends, [start, stop - 1], side="right")
-        held = np.diff(np.minimum(ends[first:last + 1], stop), prepend=start)
-        wins = _odd_levels(_beta_draw(config.alpha, rng_mix, stop - start),
-                           (np.repeat(level[first:last + 1], held) for level in levels))
-        filled = np.flatnonzero(held)
-        won[first + filled] += np.add.reduceat(wins, np.cumsum(held)[filled] - held[filled])
-    won = won.reshape(classes, classes)
-    return won.sum(axis=1) + (cells.reshape(classes, classes) - won).sum(axis=0)
+    cells = _class_counts(_class_counts(trials, table_i, rng_i), table_j, rng_j)
+    won = rng_mix.binomial(cells, probs)
+    return won.sum(axis=1) + (cells - won).sum(axis=0)
 
 
 def _max_workers() -> int:
@@ -355,7 +353,8 @@ def mc_xi_aug_histogram(ds_prior: np.ndarray, config: MixConfig, trials: int,
     depends only on (seed, streams), with 1 <= streams <= `MAX_STREAMS`.
     Each stream's rng_i draws the first members and rng_j the second, per
     pair or, where `_table_pays_off`, as the pair count of each class cell;
-    its rng_mix draws one factor per pair. Only the per-draw path builds
+    its rng_mix draws one factor per pair or, on that path, each cell's
+    wins by one binomial at its `_win_probs`. Only the per-draw path builds
     the two class tables. UNIMIX_LT_THREADS caps the worker threads used
     to evaluate the streams.
     """
@@ -366,15 +365,15 @@ def mc_xi_aug_histogram(ds_prior: np.ndarray, config: MixConfig, trials: int,
     prior = check_prior(ds_prior, require_positive=True)
     tables = (prior, config.pair_prior(prior))
     if _table_pays_off(config, prior, trials):
-        thresholds = _thresholds(config, prior)
+        probs = _win_probs(_thresholds(config, prior))
     else:
-        thresholds, tables = None, tuple(class_table(p, trials) for p in tables)
+        probs, tables = None, tuple(class_table(p, trials) for p in tables)
     # only the first min(streams, trials) streams draw; the first trials % streams draw one more
     jobs = [(trials // streams + (k < trials % streams),
              [derive_rng(seed, "mc", k, part) for part in ("i", "j", "mix")])
             for k in range(min(streams, trials))]
     with ThreadPoolExecutor(max_workers=min(len(jobs), _max_workers())) as pool:
         parts = list(pool.map(
-            lambda job: _mc_chunk(prior, tables, config, *job, thresholds), jobs))
+            lambda job: _mc_chunk(prior, tables, config, *job, probs), jobs))
     counts = np.sum(parts, axis=0)
     return check_prior(counts / trials)

@@ -1,5 +1,7 @@
 import csv
+import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -89,14 +91,35 @@ def whole_array_mc_chunk():
     return _whole_array_mc_chunk
 
 
-def _whole_array_cell_chunk(prior, pair_prior, config, trials, rngs, thresholds):
-    """`mixing._mc_chunk` on the threshold-table path, as whole arrays: the
-    pair count of each (i, j) cell by two multinomial draws, every trial's raw
-    factor draw in one array, and each pair decided by the parity of the
-    number of its cell's thresholds that its draw reaches.
+def _grid_win_probs(thresholds):
+    """Per (i, j) cell, the share of `rng.random`'s grid {m / 2^53} that
+    reaches an odd number of the cell's thresholds, in integer arithmetic:
+    a threshold t is first reached at grid index ceil(t 2^53), and the
+    number of thresholds a point reaches steps by one at each sorted index.
+    """
+    grid = 2**53
+    probs = np.empty(thresholds.shape[1:])
+    for cell in np.ndindex(probs.shape):
+        edges = sorted(min(math.ceil(Fraction(float(t)) * grid), grid)
+                       for t in thresholds[(slice(None), *cell)])
+        edges.append(grid)
+        probs[cell] = sum(b - a for a, b in zip(edges[::2], edges[1::2])) / grid
+    return probs
+
+
+@pytest.fixture
+def grid_win_probs():
+    """Oracle for `mixing._win_probs`: the same probabilities, bit for bit."""
+    return _grid_win_probs
+
+
+def _whole_array_cell_chunk(prior, pair_prior, trials, rngs, thresholds):
+    """`mixing._mc_chunk` on the threshold-table path, written out: the pair
+    count of each (i, j) cell by two multinomial draws, then each cell's
+    wins by one binomial draw at the grid share of its uniform raw draws
+    that win, from `_grid_win_probs`.
     """
     rng_i, rng_j, rng_mix = rngs
-    classes = prior.shape[0]
 
     def counts(n, p, rng):
         # renormalized, and cut after the last class with mass
@@ -106,19 +129,31 @@ def _whole_array_cell_chunk(prior, pair_prior, config, trials, rngs, thresholds)
         return out
 
     cells = counts(counts(trials, prior, rng_i), pair_prior, rng_j)
-    if config.alpha in (0.5, 1.0):
-        v = rng_mix.random(trials)
-    else:
-        v = rng_mix.beta(config.alpha, config.alpha, size=trials)
-    y_i, y_j = np.divmod(np.repeat(np.arange(cells.size), cells.ravel()), classes)
-    reached = (v[:, None] >= thresholds[:, y_i, y_j].T).sum(axis=1)
-    return np.bincount(np.where(reached % 2 == 1, y_i, y_j), minlength=classes)
+    won = rng_mix.binomial(cells, _grid_win_probs(thresholds))
+    return won.sum(axis=1) + (cells - won).sum(axis=0)
 
 
 @pytest.fixture
 def whole_array_cell_chunk():
     """Oracle for `mixing._mc_chunk` on the threshold-table path: same counts."""
     return _whole_array_cell_chunk
+
+
+def _odd_levels(v, levels):
+    """Whether each raw factor draw `v` reaches an odd number of its pair's
+    `_thresholds` `levels` (arrays in level order, each broadcast against v):
+    whether the pair's first member wins."""
+    levels = iter(levels)
+    wins = v >= next(levels)
+    for level in levels:
+        wins ^= v >= level
+    return wins
+
+
+@pytest.fixture
+def odd_levels():
+    """The per-draw threshold rule, which `_thresholds` must make the factor's `>= 0.5`."""
+    return _odd_levels
 
 
 def _nll(u, y):

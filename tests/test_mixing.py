@@ -2,6 +2,7 @@ import copy
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -261,21 +262,25 @@ def test_blocked_mc_counts_match_whole_arrays(mode, alpha, whole_array_mc_chunk,
     blocked, pays_off = mixing._mc_chunk, mixing._table_pays_off
     chunks = []
 
-    def checked(prior, tables, config, trials, rngs, thresholds):
+    def checked(prior, tables, config, trials, rngs, probs):
         start = [np.random.Generator(copy.deepcopy(rng.bit_generator)) for rng in rngs]
-        got = blocked(prior, tables, config, trials, rngs, thresholds)
+        got = blocked(prior, tables, config, trials, rngs, probs)
         pair_prior = config.pair_prior(prior)
-        if thresholds is None:
+        if probs is None:
             want = whole_array_mc_chunk(prior, pair_prior, config, trials, start)
         else:
-            want = whole_array_cell_chunk(prior, pair_prior, config, trials, start, thresholds)
-        chunks.append((got, want, thresholds is not None))
+            want = whole_array_cell_chunk(prior, pair_prior, trials, start,
+                                          mixing._thresholds(config, prior))
+        chunks.append((got, want, probs is not None))
         return got
 
     monkeypatch.setattr(mixing, "_mc_chunk", checked)
     monkeypatch.setattr(mixing, "_table_pays_off", lambda *args: forced or pays_off(*args))
+    # the table path counts the grid of a uniform raw draw, so it is forced
+    # only where the raw draw is `rng.random`
+    forcing = [False, True] if alpha in (0.5, 1.0) else [False]
     # at rho = 1e6 many thresholds lie where sin^2 is flat, near v = 1
-    for rho, forced in itertools.product([100.0, 1e6], [False, True]):
+    for rho, forced in itertools.product([100.0, 1e6], forcing):
         prior = discrete_lt_prior(LTSpec(20, rho))
         for n, trials in enumerate(MC_TRIALS):
             streams = 1 + n % 4
@@ -296,7 +301,7 @@ def test_blocked_mc_counts_match_whole_arrays(mode, alpha, whole_array_mc_chunk,
                                    discrete_lt_prior(LTSpec(20, 1e6)),
                                    np.array([0.5 - 2.0**-54, 0.5 + 2.0**-54])],
                          ids=["rho=100", "rho=1e6", "exactness-trap"])
-def test_odd_levels_decide_as_the_factor(mode, alpha, prior, monkeypatch):
+def test_odd_levels_decide_as_the_factor(mode, alpha, prior, odd_levels, monkeypatch):
     # every pair (i, j), at each of its thresholds and the float below it, and
     # at 0, 1 and some uniform draws: the threshold-table rule on the raw draw
     # is the factor's `>= 0.5` on the same raw draw, bit for bit
@@ -312,8 +317,34 @@ def test_odd_levels_decide_as_the_factor(mode, alpha, prior, monkeypatch):
     for v in draws:
         monkeypatch.setattr(mixing, "_beta_draw", lambda alpha, rng, size: v.copy())
         want = mixing._factor(cfg, prior, y_i, y_j, None) >= 0.5
-        got = mixing._odd_levels(v, table[:, y_i, y_j])
+        got = odd_levels(v, table[:, y_i, y_j])
         np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+@pytest.mark.parametrize("mode", MIX_MODES)
+@pytest.mark.parametrize("prior", [discrete_lt_prior(LTSpec(20, 100.0)),
+                                   discrete_lt_prior(LTSpec(20, 1e6)),
+                                   np.array([0.5 - 2.0**-54, 0.5 + 2.0**-54])],
+                         ids=["rho=100", "rho=1e6", "exactness-trap"])
+def test_win_probs_count_the_grid_points_that_win(mode, alpha, prior, grid_win_probs,
+                                                  monkeypatch):
+    # `rng.random` draws m / 2^53; a pair's threshold t is first reached at
+    # grid index ceil(t 2^53). At each such point and the one below it, in
+    # every pair (i, j), the factor's `>= 0.5` holds where the point reaches
+    # an odd number of those indices, and `_win_probs` is that set's size
+    cfg = MixConfig(alpha=alpha, mode=mode)
+    table = mixing._thresholds(cfg, prior)
+    assert mixing._win_probs(table).tobytes() == grid_win_probs(table).tobytes()
+    classes, grid = prior.shape[0], 2**53
+    y_i, y_j = (a.ravel() for a in np.indices((classes, classes)))
+    edges = np.array([[min(math.ceil(Fraction(float(t)) * grid), grid) for t in level[y_i, y_j]]
+                      for level in table])
+    for m in np.concatenate([edges, edges - 1]).clip(0, grid - 1):
+        v = m * 2.0**-53
+        monkeypatch.setattr(mixing, "_beta_draw", lambda alpha, rng, size: v.copy())
+        want = (m >= edges).sum(axis=0) % 2 == 1
+        np.testing.assert_array_equal(mixing._factor(cfg, prior, y_i, y_j, None) >= 0.5, want)
 
 
 @pytest.mark.parametrize("mode", MIX_MODES)
@@ -392,6 +423,18 @@ def mixed_class_law(prior, pair_prior, alpha, mode):
     return prior * (p_first @ pair_prior) + pair_prior * ((1.0 - p_first).T @ prior)
 
 
+def l1_bound(law, trials):
+    """Six-sigma bound on the L1 distance of a `trials`-pair histogram to `law`.
+
+    Each count is binomial, so hist_k - law_k is near N(0, sigma_k^2): the
+    L1 distance has mean sqrt(2/pi) * sum(sigma_k), and the bound allows
+    six of its standard deviations, counting the classes as independent.
+    """
+    sigma = np.sqrt(law * (1.0 - law) / trials)
+    return (math.sqrt(2.0 / math.pi) * sigma.sum()
+            + 6.0 * math.sqrt((1.0 - 2.0 / math.pi) * (sigma**2).sum()))
+
+
 LAW_TRIALS = 1_000_000
 
 
@@ -404,13 +447,35 @@ def test_mc_histogram_matches_the_exact_mixed_class_law(mode, alpha, classes, rh
     law = mixed_class_law(prior, cfg.pair_prior(prior), alpha, mode)
     assert abs(law.sum() - 1.0) < 1e-12
     hist = mc_xi_aug_histogram(prior, cfg, LAW_TRIALS, seed=7)
-    # each count is binomial, so hist_k - law_k is near N(0, sigma_k^2): the
-    # L1 distance has mean sqrt(2/pi) * sum(sigma_k), and the bound allows
-    # six of its standard deviations, counting the classes as independent
-    sigma = np.sqrt(law * (1.0 - law) / LAW_TRIALS)
-    bound = (math.sqrt(2.0 / math.pi) * sigma.sum()
-             + 6.0 * math.sqrt((1.0 - 2.0 / math.pi) * (sigma**2).sum()))
-    assert np.abs(hist - law).sum() < bound
+    assert np.abs(hist - law).sum() < l1_bound(law, LAW_TRIALS)
+
+
+@pytest.mark.parametrize("classes,rho", [(10, 10.0), (100, 200.0), (200, 200.0)])
+@pytest.mark.parametrize("mode", MIX_MODES)
+def test_win_probs_give_the_exact_mixed_class_law(mode, classes, rho):
+    # the law the threshold-table path samples, pi (P pi') + pi' ((1 - P)^T pi),
+    # is the Beta-CDF law (largest L1 measured 2.4e-16)
+    prior = discrete_lt_prior(LTSpec(classes, rho))
+    cfg = MixConfig(alpha=0.5, mode=mode, tau=-1.0)
+    pair_prior = cfg.pair_prior(prior)
+    p = mixing._win_probs(mixing._thresholds(cfg, prior))
+    law = prior * (p @ pair_prior) + pair_prior * ((1.0 - p).T @ prior)
+    assert np.abs(law - mixed_class_law(prior, pair_prior, 0.5, mode)).sum() <= 1e-15
+
+
+def test_threshold_table_cost_does_not_grow_with_trials(monkeypatch):
+    # each class cell's wins are one binomial draw, so 10^12 trials draw no raw factor
+    def no_raw_draws(*args):
+        raise AssertionError("the threshold-table path drew a raw factor")
+
+    monkeypatch.setattr(mixing, "_beta_draw", no_raw_draws)
+    prior = discrete_lt_prior(LTSpec(20, 100.0))
+    cfg = MixConfig(alpha=0.5, mode="unimix_full", tau=-1.0)
+    trials = 10**12
+    assert mixing._table_pays_off(cfg, prior, trials)
+    hist = mc_xi_aug_histogram(prior, cfg, trials, seed=3)
+    law = mixed_class_law(prior, cfg.pair_prior(prior), 0.5, "unimix_full")
+    assert np.abs(hist - law).sum() < l1_bound(law, trials)
 
 
 @pytest.mark.parametrize("classes,rho", [(10, 10.0), (100, 200.0)])
