@@ -20,6 +20,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 from functools import partial
 from pathlib import Path
@@ -351,8 +352,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_numbers(argv: list[str]) -> list[str]:
+    """`argv` with each value such as -1e-3 joined to the flag before it
+    (`--tau=-1e-3`): argparse takes only plain negatives such as -0.5 for
+    values, and no flag starts with a digit."""
+    out = []
+    for arg in argv:
+        if out and re.fullmatch(r"--[\w-]+", out[-1]) and re.match(r"-\.?\d", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
+    argv = _join_negative_numbers(list(sys.argv[1:]) if argv is None else list(argv))
     parser = build_parser()
     if not argv:
         parser.print_usage(sys.stderr)

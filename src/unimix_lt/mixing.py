@@ -30,14 +30,14 @@ paths:
   values whole arrays would, bit for bit), then tallies their winners;
 - threshold table: a call at alpha = 1/2 with enough draws per class pair
   and at most 1024 classes builds one table, shared by its streams, of the
-  least raw draw at which each pair's weight reaches 1/2, 1 and 3/2
-  (24 C^2 bytes; its build peaks near ten times that), and from it each
-  (i, j) cell's exact chance that its first member wins. Each stream draws
-  the multinomial pair count of every cell, first-member counts by rng_i
-  and their split over second classes by rng_j (the joint law of i.i.d.
-  pairs), and each cell's wins by one binomial draw from rng_mix: O(C^2)
-  work, whatever the trial count. The counts differ in bits from the
-  per-draw path's, not in law.
+  least raw draw, as a grid index, at which each pair's weight reaches 1/2,
+  1 and 3/2 (24 C^2 bytes; its build peaks near ten times that), and from
+  it each (i, j) cell's exact chance that its first member wins. Each
+  stream draws the multinomial pair count of every cell, first-member
+  counts by rng_i and their split over second classes by rng_j (the joint
+  law of i.i.d. pairs), and each cell's wins by one binomial draw from
+  rng_mix: O(C^2) work, whatever the trial count. The counts differ in
+  bits from the per-draw path's, not in law.
 
 The streams run on one thread pool, a single stream included, and their
 counts add up in stream order, so the worker count never changes them.
@@ -186,27 +186,24 @@ def _pick_first(y_i: np.ndarray, y_j: np.ndarray, first: np.ndarray) -> np.ndarr
     return y_i
 
 
-_ONE_BITS = int(np.float64(1.0).view(np.int64))  # the bit pattern of 1.0
-_BRACKET = 1 << 4  # float steps either side of its inverse-map guess that bracket a threshold
+_GRID = 1 << 53  # `rng.random` draws m / 2^53 for a grid index m in [0, 2^53)
+_BRACKET = 1 << 4  # grid steps either side of its inverse-map guess that bracket a threshold
 
 
-def _reached(alpha: float, c: np.ndarray, level: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """Whether fl(T(v) + c) >= level for the draws v of bit patterns `bits`,
-    T as `_beta_transform` applies it; patterns below 0.0 never reach a
-    level and patterns above 1.0 always do."""
-    v = np.maximum(bits, 0)
-    np.minimum(v, _ONE_BITS, out=v)
-    t = _beta_transform(alpha, v.view(np.float64))
+def _reached(alpha: float, c: np.ndarray, level: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Whether fl(T(m / 2^53) + c) >= level at grid indices `m`, T the
+    `_beta_transform`; no m < 0 reaches a level, and m = 2^53 always does."""
+    t = _beta_transform(alpha, m * 2.0**-53)
     t += c
     reached = t >= level
-    reached &= bits >= 0
-    reached |= bits > _ONE_BITS
+    reached &= m >= 0
+    reached |= m >= _GRID
     return reached
 
 
 def _least_reaching(alpha, c, level, lo, hi):
-    """Bisect each entry's bit patterns between `lo`, which does not reach its
-    level, and `hi`, which does, down to the least pattern that does."""
+    """Bisect each entry's grid indices between `lo`, which does not reach its
+    level, and `hi`, which does, down to the least index that does."""
     for _ in range(int((hi - lo).max(initial=0)).bit_length()):
         mid = lo + (hi - lo) // 2
         up = _reached(alpha, c, level, mid)
@@ -216,23 +213,22 @@ def _least_reaching(alpha, c, level, lo, hi):
 
 
 def _thresholds(config: MixConfig, prior: np.ndarray) -> np.ndarray:
-    """Per pair, the least raw draw at which its mixing weight reaches each level.
+    """Entry [l, i, j] is the least grid index m in [0, 2^53] with
+    fl(T(m / 2^53) + c_ij) >= level l, T the `_beta_transform`: the raw draw
+    m / 2^53 of `rng.random` (m < 2^53) at which pair (i, j)'s weight first
+    reaches it, 2^53 where none does. Only alpha in {1/2, 1} draws that grid.
 
-    Entry [l, i, j] is the least float v in [0, 1] with
-    fl(T(v) + c_ij) >= level l, T the `_beta_transform`, or nextafter(1, 2),
-    which no draw reaches. The factor modes take c_ij as `_factor` computes
-    it and the levels 1/2, 1 and 3/2; vanilla mode takes c = 0 and the
-    level 1/2 alone. t = fl(T(v) + c) never decreases in v, and for t in
-    [1, 2] fl(t - 1) is exact (Sterbenz), so the shifted weight
-    frac(T(v) + c) is >= 1/2 exactly when v reaches an odd number of the
-    pair's levels. For alpha != 1/2 this holds because rounding is
-    monotone; at alpha = 1/2 it also needs numpy's float64 sin to be
-    non-decreasing on [0, pi/2].
+    The factor modes take c_ij as `_factor` computes it and the levels 1/2, 1
+    and 3/2; vanilla mode takes c = 0 and the level 1/2 alone.
+    t = fl(T(v) + c) never decreases in v (at alpha = 1/2, if numpy's float64
+    sin is non-decreasing on [0, pi/2]), and for t in [1, 2] fl(t - 1) is
+    exact (Sterbenz), so the weight frac(T(v) + c) is >= 1/2 exactly when v
+    reaches an odd number of the pair's levels.
 
-    Each entry is first bracketed by `_BRACKET` float steps either side of
-    the inverse map, (2/pi) asin(sqrt(level - c)) at alpha = 1/2 and
-    level - c otherwise; the few entries whose bracket fails its end checks
-    (where T is flat near v = 1) are bisected over all of [0, 1].
+    Each entry is first bracketed by `_BRACKET` grid steps either side of
+    its inverse-map guess, (2/pi) asin(sqrt(level - c)) at alpha = 1/2 and
+    level - c otherwise; the few whose bracket fails (where T is flat near
+    v = 1) are bisected over the whole grid, in 54 steps.
     """
     classes = prior.shape[0]
     if config.mode == "vanilla_mixup":
@@ -244,13 +240,13 @@ def _thresholds(config: MixConfig, prior: np.ndarray) -> np.ndarray:
     guess = np.clip(level - c, 0.0, 1.0)
     if config.alpha == 0.5:
         guess = np.arcsin(np.sqrt(guess)) * (2 / np.pi)
-    bits = guess.view(np.int64)
-    lo, hi = bits - _BRACKET, bits + _BRACKET
+    m = np.ceil(guess * _GRID).astype(np.int64)
+    lo, hi = (np.clip(m + step, -1, _GRID) for step in (-_BRACKET, _BRACKET))
     held = ~_reached(config.alpha, c, level, lo) & _reached(config.alpha, c, level, hi)
-    lo[~held], hi[~held] = -1, _ONE_BITS + 1
+    lo[~held], hi[~held] = -1, _GRID
     for part in (held, ~held):
         hi[part] = _least_reaching(config.alpha, c[part], level[part], lo[part], hi[part])
-    return hi.view(np.float64)
+    return hi
 
 
 def _table_pays_off(config: MixConfig, prior: np.ndarray, trials: int) -> bool:
@@ -267,17 +263,11 @@ def _win_probs(thresholds: np.ndarray) -> np.ndarray:
     {m / 2^53 : 0 <= m < 2^53}, reaches an odd number of its `_thresholds`
     levels: that its first member wins (other raw draws have another law).
 
-    2^53 - ceil(t 2^53) grid points reach a level t in [0, 1], none reach
-    nextafter(1, 2). A pair's levels never decrease, so its winning points,
-    r0 - r1 + r2 (r0 in vanilla mode), add up through integers in [0, 2^53]:
-    exact in float64, as is their share of 2^53.
+    A pair's indices m0 <= m1 <= m2 make its winning points those in
+    [m0, m1) and [m2, 2^53) ([m0, 2^53) in vanilla mode): 2^53 - m0 + m1 - m2
+    of them, exact in int64, and exact in float64 as a share of 2^53.
     """
-    grid = 2.0**53
-    reached = grid - np.ceil(np.minimum(thresholds, 1.0) * grid)
-    wins = reached[0]
-    for sign, level in zip((-1.0, 1.0), reached[1:]):
-        wins += sign * level
-    return wins / grid
+    return (_GRID - thresholds[::2].sum(axis=0) + thresholds[1::2].sum(axis=0)) / _GRID
 
 
 def _class_counts(n, prior: np.ndarray, rng: np.random.Generator) -> np.ndarray:

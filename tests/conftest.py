@@ -1,7 +1,5 @@
 import csv
-import math
 from decimal import Decimal, localcontext
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -93,15 +91,14 @@ def whole_array_mc_chunk():
 
 def _grid_win_probs(thresholds):
     """Per (i, j) cell, the share of `rng.random`'s grid {m / 2^53} that
-    reaches an odd number of the cell's thresholds, in integer arithmetic:
-    a threshold t is first reached at grid index ceil(t 2^53), and the
-    number of thresholds a point reaches steps by one at each sorted index.
+    reaches an odd number of the cell's `_thresholds` grid indices, in Python
+    integers: the number of indices a point m reaches steps by one at each
+    sorted index, and an index 2^53 is reached by no point.
     """
     grid = 2**53
     probs = np.empty(thresholds.shape[1:])
     for cell in np.ndindex(probs.shape):
-        edges = sorted(min(math.ceil(Fraction(float(t)) * grid), grid)
-                       for t in thresholds[(slice(None), *cell)])
+        edges = sorted(int(m) for m in thresholds[(slice(None), *cell)])
         edges.append(grid)
         probs[cell] = sum(b - a for a, b in zip(edges[::2], edges[1::2])) / grid
     return probs
@@ -117,7 +114,7 @@ def _whole_array_cell_chunk(prior, pair_prior, trials, rngs, thresholds):
     """`mixing._mc_chunk` on the threshold-table path, written out: the pair
     count of each (i, j) cell by two multinomial draws, then each cell's
     wins by one binomial draw at the grid share of its uniform raw draws
-    that win, from `_grid_win_probs`.
+    that win, from `_grid_win_probs` of the `_thresholds` grid indices.
     """
     rng_i, rng_j, rng_mix = rngs
 
@@ -137,23 +134,6 @@ def _whole_array_cell_chunk(prior, pair_prior, trials, rngs, thresholds):
 def whole_array_cell_chunk():
     """Oracle for `mixing._mc_chunk` on the threshold-table path: same counts."""
     return _whole_array_cell_chunk
-
-
-def _odd_levels(v, levels):
-    """Whether each raw factor draw `v` reaches an odd number of its pair's
-    `_thresholds` `levels` (arrays in level order, each broadcast against v):
-    whether the pair's first member wins."""
-    levels = iter(levels)
-    wins = v >= next(levels)
-    for level in levels:
-        wins ^= v >= level
-    return wins
-
-
-@pytest.fixture
-def odd_levels():
-    """The per-draw threshold rule, which `_thresholds` must make the factor's `>= 0.5`."""
-    return _odd_levels
 
 
 def _nll(u, y):

@@ -58,6 +58,24 @@ def test_help_exits_zero():
     assert main(["--help"]) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-dist", "--classes", "10", "--trials", "1000", "--tau", "-1e-3"],
+    ["circles-demo", "--steps", "5", "--cloud-points", "3", "--x0", "-2e0"],
+], ids=["verify-dist-tau", "circles-demo-x0"])
+def test_a_negative_number_in_exponent_form_is_a_value(tmp_path, argv):
+    # argparse alone reads -1e-3 after a flag as another flag; no flag starts with a digit
+    *head, flag, value = argv
+    assert main([*head, flag, value, "--out", str(tmp_path / "spaced")]) == 0
+    assert main([*head, f"{flag}={value}", "--out", str(tmp_path / "joined")]) == 0
+    assert read_bytes(tmp_path / "spaced") == read_bytes(tmp_path / "joined")
+
+
+@pytest.mark.parametrize("value", ["-nan", "-inf"])
+def test_a_negative_non_number_after_a_flag_is_refused(tmp_path, value):
+    assert main(["verify-dist", "--out", str(tmp_path), "--trials", "1000", "--tau", value]) == 1
+    assert not any(tmp_path.iterdir())
+
+
 # Every flag of each run command: (argv text, value it resolves to); None is a switch.
 RUN_FLAGS = {
     "gen-data": (cli._GEN_DEFAULTS, {

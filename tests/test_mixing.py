@@ -2,7 +2,6 @@ import copy
 import itertools
 import math
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -295,56 +294,52 @@ def test_blocked_mc_counts_match_whole_arrays(mode, alpha, whole_array_mc_chunk,
             np.testing.assert_array_equal(hist, sum(got for got, *_ in chunks) / trials)
 
 
-@pytest.mark.parametrize("alpha", [0.2, 0.5, 1.0])
-@pytest.mark.parametrize("mode", MIX_MODES)
-@pytest.mark.parametrize("prior", [discrete_lt_prior(LTSpec(20, 100.0)),
-                                   discrete_lt_prior(LTSpec(20, 1e6)),
-                                   np.array([0.5 - 2.0**-54, 0.5 + 2.0**-54])],
-                         ids=["rho=100", "rho=1e6", "exactness-trap"])
-def test_odd_levels_decide_as_the_factor(mode, alpha, prior, odd_levels, monkeypatch):
-    # every pair (i, j), at each of its thresholds and the float below it, and
-    # at 0, 1 and some uniform draws: the threshold-table rule on the raw draw
-    # is the factor's `>= 0.5` on the same raw draw, bit for bit
-    cfg = MixConfig(alpha=alpha, mode=mode)
-    table = mixing._thresholds(cfg, prior)
-    classes = prior.shape[0]
-    y_i, y_j = (a.ravel() for a in np.indices((classes, classes)))
-    draws = [np.zeros(classes**2), np.ones(classes**2),
-             *derive_rng(0, "draws").random((8, classes**2))]
-    for level in table:
-        t = np.minimum(level[y_i, y_j], 1.0)  # nextafter(1, 2), which no draw reaches
-        draws += [t, np.nextafter(t, -1.0).clip(0.0)]
-    for v in draws:
-        monkeypatch.setattr(mixing, "_beta_draw", lambda alpha, rng, size: v.copy())
-        want = mixing._factor(cfg, prior, y_i, y_j, None) >= 0.5
-        got = odd_levels(v, table[:, y_i, y_j])
-        np.testing.assert_array_equal(got, want)
+TABLE_PRIORS = pytest.mark.parametrize(
+    "prior", [discrete_lt_prior(LTSpec(20, 100.0)), discrete_lt_prior(LTSpec(20, 1e6)),
+              np.array([0.5 - 2.0**-54, 0.5 + 2.0**-54])],
+    ids=["rho=100", "rho=1e6", "exactness-trap"])
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0])
 @pytest.mark.parametrize("mode", MIX_MODES)
-@pytest.mark.parametrize("prior", [discrete_lt_prior(LTSpec(20, 100.0)),
-                                   discrete_lt_prior(LTSpec(20, 1e6)),
-                                   np.array([0.5 - 2.0**-54, 0.5 + 2.0**-54])],
-                         ids=["rho=100", "rho=1e6", "exactness-trap"])
-def test_win_probs_count_the_grid_points_that_win(mode, alpha, prior, grid_win_probs,
-                                                  monkeypatch):
-    # `rng.random` draws m / 2^53; a pair's threshold t is first reached at
-    # grid index ceil(t 2^53). At each such point and the one below it, in
-    # every pair (i, j), the factor's `>= 0.5` holds where the point reaches
-    # an odd number of those indices, and `_win_probs` is that set's size
+@TABLE_PRIORS
+def test_odd_levels_decide_as_the_factor(mode, alpha, prior, monkeypatch):
+    # `rng.random` draws m / 2^53, and a pair's `_thresholds` are grid indices.
+    # At 0, 2^53 - 1, some uniform draws, and each index and the one below it,
+    # in every pair (i, j), the factor's `>= 0.5` holds where the point
+    # reaches an odd number of those indices, bit for bit
     cfg = MixConfig(alpha=alpha, mode=mode)
     table = mixing._thresholds(cfg, prior)
-    assert mixing._win_probs(table).tobytes() == grid_win_probs(table).tobytes()
     classes, grid = prior.shape[0], 2**53
     y_i, y_j = (a.ravel() for a in np.indices((classes, classes)))
-    edges = np.array([[min(math.ceil(Fraction(float(t)) * grid), grid) for t in level[y_i, y_j]]
-                      for level in table])
-    for m in np.concatenate([edges, edges - 1]).clip(0, grid - 1):
+    edges = table[:, y_i, y_j]
+    uniform = (derive_rng(0, "draws").random((8, classes**2)) * grid).astype(np.int64)
+    for m in [np.zeros(classes**2, dtype=np.int64), np.full(classes**2, grid - 1), *uniform,
+              *np.concatenate([edges, edges - 1]).clip(0, grid - 1)]:
         v = m * 2.0**-53
         monkeypatch.setattr(mixing, "_beta_draw", lambda alpha, rng, size: v.copy())
         want = (m >= edges).sum(axis=0) % 2 == 1
         np.testing.assert_array_equal(mixing._factor(cfg, prior, y_i, y_j, None) >= 0.5, want)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+@pytest.mark.parametrize("mode", MIX_MODES)
+@TABLE_PRIORS
+def test_win_probs_count_the_grid_points_that_win(mode, alpha, prior, grid_win_probs):
+    # `_win_probs` is, per pair, the share of the grid that reaches an odd number
+    # of its `_thresholds` indices: the points where the factor's `>= 0.5` holds
+    table = mixing._thresholds(MixConfig(alpha=alpha, mode=mode), prior)
+    assert mixing._win_probs(table).tobytes() == grid_win_probs(table).tobytes()
+
+
+def test_rng_random_draws_the_grid_the_table_counts():
+    # the table's law rests on `rng.random` returning (raw >> 11) / 2^53 for each
+    # 64-bit raw output; a change there would move P_ij by about 2^-53, far below
+    # what any Monte Carlo bound can see
+    for k, part in itertools.product(range(3), ("i", "j", "mix")):
+        rng = derive_rng(11, "mc", k, part)
+        raw = copy.deepcopy(rng.bit_generator).random_raw(2**16)
+        assert rng.random(2**16).tobytes() == ((raw >> 11) * 2.0**-53).tobytes()
 
 
 @pytest.mark.parametrize("mode", MIX_MODES)
@@ -379,13 +374,21 @@ def test_threshold_table_is_built_only_up_to_max_table_classes():
         assert mixing._table_pays_off(cfg, prior, 10**12) is pays_off
 
 
-@pytest.mark.parametrize("alpha", [0.2, 0.5, 1.0])
+# keyed by the ids pytest gives a (classes, rho) pair
+THRESHOLD_PRIORS = {f"{c}-{rho}": discrete_lt_prior(LTSpec(c, rho))
+                    for c, rho in [(20, 100.0), (20, 1e6), (100, 200.0)]}
+THRESHOLD_PRIORS["exactness-trap"] = np.array([0.5 - 2.0**-54, 0.5 + 2.0**-54])
+# c = 1.0 exactly in pair (1, 0), which reaches the level 1 at m = 0
+THRESHOLD_PRIORS["entry-above-one"] = np.array([1.0 + 5e-13, 1e-300])
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
 @pytest.mark.parametrize("mode", MIX_MODES)
-@pytest.mark.parametrize("classes,rho", [(20, 100.0), (20, 1e6), (100, 200.0)])
-def test_thresholds_are_the_least_draws_reaching_each_level(mode, alpha, classes, rho):
-    # entry t of level L: T(prev float of t) + c < L <= T(t) + c, with v = 1.0 a
-    # candidate draw; nextafter(1, 2) marks a level that no v in [0, 1] reaches
-    prior = discrete_lt_prior(LTSpec(classes, rho))
+@pytest.mark.parametrize("prior", THRESHOLD_PRIORS.values(), ids=THRESHOLD_PRIORS.keys())
+def test_thresholds_are_the_least_draws_reaching_each_level(mode, alpha, prior):
+    # grid index m of level L: T((m - 1) / 2^53) + c < L <= T(m / 2^53) + c, and
+    # m = 2^53 marks a level that no draw m / 2^53 of `rng.random` reaches
+    classes, grid = prior.shape[0], 2**53
     cfg = MixConfig(alpha=alpha, mode=mode)
     table = mixing._thresholds(cfg, prior)
     if mode == "vanilla_mixup":
@@ -393,17 +396,15 @@ def test_thresholds_are_the_least_draws_reaching_each_level(mode, alpha, classes
     else:
         levels, c = [0.5, 1.0, 1.5], prior[None, :] / (prior[:, None] + prior[None, :])
 
-    def shifted(v):
-        return mixing._beta_transform(alpha, np.array(v)) + c
+    def shifted(m):
+        return mixing._beta_transform(alpha, m * 2.0**-53) + c
 
-    assert table.shape == (len(levels), classes, classes)
-    for level, t in zip(levels, table):
-        never = t == np.nextafter(1.0, 2.0)
-        assert (t[~never] >= 0.0).all() and (t[~never] <= 1.0).all()
-        assert (shifted(np.ones_like(t))[never] < level).all()
-        assert (shifted(np.where(never, 1.0, t))[~never] >= level).all()
-        below = np.nextafter(t, -1.0)
-        assert (shifted(np.maximum(below, 0.0))[(t > 0.0) & ~never] < level).all()
+    assert table.shape == (len(levels), classes, classes) and table.dtype == np.int64
+    for level, m in zip(levels, table):
+        never = m == grid
+        assert (m >= 0).all() and (m <= grid).all()
+        assert (shifted(np.where(never, 0, m))[~never] >= level).all()
+        assert (shifted(np.maximum(m - 1, 0))[m > 0] < level).all()
 
 
 def mixed_class_law(prior, pair_prior, alpha, mode):
