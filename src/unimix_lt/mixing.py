@@ -29,15 +29,13 @@ paths:
   rng_j and factors by rng_mix (one kind of draw per generator, so the
   values whole arrays would, bit for bit), then tallies their winners;
 - threshold table: a call at alpha = 1/2 with enough draws per class pair
-  and at most 1024 classes builds one table, shared by its streams, of the
-  least raw draw, as a grid index, at which each pair's weight reaches 1/2,
-  1 and 3/2 (24 C^2 bytes; its build peaks near ten times that), and from
-  it each (i, j) cell's exact chance that its first member wins. Each
-  stream draws the multinomial pair count of every cell, first-member
-  counts by rng_i and their split over second classes by rng_j (the joint
-  law of i.i.d. pairs), and each cell's wins by one binomial draw from
-  rng_mix: O(C^2) work, whatever the trial count. The counts differ in
-  bits from the per-draw path's, not in law.
+  and at most 1024 classes builds one table of the least raw draw, as a
+  grid index, at which each pair's weight reaches 1/2, 1 and 3/2 (24 C^2
+  bytes; its build peaks near ten times that), and from it the exact law q
+  of one pair's reinforced class (`_table_law`). The counts of n i.i.d.
+  pairs are Multinomial(n, q), which each stream draws whole by rng_i:
+  O(C) work, whatever the trial count. The counts differ in bits from the
+  per-draw path's, not in law.
 
 The streams run on one thread pool, a single stream included, and their
 counts add up in stream order, so the worker count never changes them.
@@ -270,9 +268,17 @@ def _win_probs(thresholds: np.ndarray) -> np.ndarray:
     return (_GRID - thresholds[::2].sum(axis=0) + thresholds[1::2].sum(axis=0)) / _GRID
 
 
-def _class_counts(n, prior: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Class counts of `n` draws from `prior`, one `rng.multinomial` row per
-    entry of `n` (an int or an array of ints): the law of `draw_classes`.
+def _table_law(config: MixConfig, prior: np.ndarray) -> np.ndarray:
+    """q = pi (P pi') + pi' ((1 - P)^T pi), the exact law of one pair's reinforced
+    class at alpha in {1/2, 1}: P the `_win_probs` of `_thresholds`, pi' the pair prior."""
+    p = _win_probs(_thresholds(config, prior))
+    pair_prior = config.pair_prior(prior)
+    return prior * (p @ pair_prior) + pair_prior * ((1.0 - p).T @ prior)
+
+
+def _class_counts(n: int, prior: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Class counts of `n` draws from `prior` by one `rng.multinomial`: the
+    law of `draw_classes`.
 
     numpy refuses an entry above 1, which `check_prior` lets a prior hold
     within its 1e-12 sum tolerance, so the prior is renormalized; it is cut
@@ -280,44 +286,36 @@ def _class_counts(n, prior: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     as the last edge of a `class_table` does.
     """
     top = np.flatnonzero(prior)[-1] + 1
-    counts = np.zeros(np.shape(n) + prior.shape, dtype=np.int64)
-    counts[..., :top] = rng.multinomial(n, prior[:top] / prior[:top].sum())
+    counts = np.zeros(prior.shape, dtype=np.int64)
+    counts[:top] = rng.multinomial(n, prior[:top] / prior[:top].sum())
     return counts
 
 
-def _mc_chunk(prior, tables, config, trials, rngs, probs):
+def _mc_chunk(prior, tables, config, trials, rngs, law):
     """Reinforced-class counts of `trials` pairs drawn from one stream.
 
-    A stream is just `rngs`: rng_i, rng_j and rng_mix; it reads the call's
-    `tables`. Without `probs`, `tables` are the two priors' `class_table`s,
-    and the stream works in blocks of `_MC_BLOCK` pairs, so memory stays
-    flat in `trials`: each block draws its first members by rng_i, its
-    second members by rng_j and their factors by rng_mix, the values whole
-    arrays would, and tallies the winners. With them, `tables` are the two
-    priors: rng_i draws each class's count of first members and rng_j
-    splits each count over the second classes, giving the pairs N_ij of
-    each (i, j) cell, and rng_mix draws the cell's wins as one
-    Binomial(N_ij, probs_ij), credited to class i, the rest to class j.
-    That is the law of per-pair raw draws only where `probs` are
-    `_win_probs`, for the uniform raw draws of alpha in {1/2, 1}.
+    A stream is just `rngs`: rng_i, rng_j and rng_mix. With a `law`, rng_i
+    draws the counts whole, as one multinomial. Without one, the stream
+    reads the call's two `class_table`s in blocks of `_MC_BLOCK` pairs, so
+    memory stays flat in `trials`: each block draws its first members by
+    rng_i, its second by rng_j and their factors by rng_mix, the values
+    whole arrays would, and tallies the winners.
     """
+    if law is not None:
+        return _class_counts(trials, law, rngs[0])
     (table_i, table_j), (rng_i, rng_j, rng_mix) = tables, rngs
-    if probs is None:
-        classes = prior.shape[0]
-        counts = np.zeros(classes, dtype=np.int64)
-        for start in range(0, trials, _MC_BLOCK):
-            n = min(_MC_BLOCK, trials - start)
-            y_i = draw_classes(table_i, n, rng_i)
-            y_j = draw_classes(table_j, n, rng_j)
-            # `wins` stays bound until the next block replaces it: released within
-            # the block, it let glibc trim and refault the thread's heap each block
-            # (about 60,000 minor faults per 1e7-pair call instead of 4,000-12,000)
-            wins = _factor(config, prior, y_i, y_j, rng_mix) >= 0.5
-            counts += np.bincount(_pick_first(y_i, y_j, wins), minlength=classes)
-        return counts
-    cells = _class_counts(_class_counts(trials, table_i, rng_i), table_j, rng_j)
-    won = rng_mix.binomial(cells, probs)
-    return won.sum(axis=1) + (cells - won).sum(axis=0)
+    classes = prior.shape[0]
+    counts = np.zeros(classes, dtype=np.int64)
+    for start in range(0, trials, _MC_BLOCK):
+        n = min(_MC_BLOCK, trials - start)
+        y_i = draw_classes(table_i, n, rng_i)
+        y_j = draw_classes(table_j, n, rng_j)
+        # `wins` stays bound until the next block replaces it: released within
+        # the block, it let glibc trim and refault the thread's heap each block
+        # (about 60,000 minor faults per 1e7-pair call instead of 4,000-12,000)
+        wins = _factor(config, prior, y_i, y_j, rng_mix) >= 0.5
+        counts += np.bincount(_pick_first(y_i, y_j, wins), minlength=classes)
+    return counts
 
 
 def _max_workers() -> int:
@@ -341,29 +339,27 @@ def mc_xi_aug_histogram(ds_prior: np.ndarray, config: MixConfig, trials: int,
     except in full mode). Trials are split over independent seeded
     streams whose partial histograms merge in stream order, so the result
     depends only on (seed, streams), with 1 <= streams <= `MAX_STREAMS`.
-    Each stream's rng_i draws the first members and rng_j the second, per
-    pair or, where `_table_pays_off`, as the pair count of each class cell;
-    its rng_mix draws one factor per pair or, on that path, each cell's
-    wins by one binomial at its `_win_probs`. Only the per-draw path builds
-    the two class tables. UNIMIX_LT_THREADS caps the worker threads used
-    to evaluate the streams.
+    Each stream draws the first members by rng_i, the second by rng_j and
+    one factor per pair by rng_mix or, where `_table_pays_off`, its counts
+    whole by rng_i from their exact law, `_table_law`. Only the per-draw
+    path builds the two class tables. UNIMIX_LT_THREADS caps the worker
+    threads used to evaluate the streams.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 1 <= streams <= MAX_STREAMS:
         raise ValueError(f"streams must lie in [1, {MAX_STREAMS}], got {streams}")
     prior = check_prior(ds_prior, require_positive=True)
-    tables = (prior, config.pair_prior(prior))
     if _table_pays_off(config, prior, trials):
-        probs = _win_probs(_thresholds(config, prior))
+        law, tables = _table_law(config, prior), None
     else:
-        probs, tables = None, tuple(class_table(p, trials) for p in tables)
+        law, tables = None, [class_table(p, trials) for p in (prior, config.pair_prior(prior))]
     # only the first min(streams, trials) streams draw; the first trials % streams draw one more
     jobs = [(trials // streams + (k < trials % streams),
              [derive_rng(seed, "mc", k, part) for part in ("i", "j", "mix")])
             for k in range(min(streams, trials))]
     with ThreadPoolExecutor(max_workers=min(len(jobs), _max_workers())) as pool:
         parts = list(pool.map(
-            lambda job: _mc_chunk(prior, tables, config, *job, probs), jobs))
+            lambda job: _mc_chunk(prior, tables, config, *job, law), jobs))
     counts = np.sum(parts, axis=0)
     return check_prior(counts / trials)

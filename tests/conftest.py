@@ -110,30 +110,25 @@ def grid_win_probs():
     return _grid_win_probs
 
 
-def _whole_array_cell_chunk(prior, pair_prior, trials, rngs, thresholds):
-    """`mixing._mc_chunk` on the threshold-table path, written out: the pair
-    count of each (i, j) cell by two multinomial draws, then each cell's
-    wins by one binomial draw at the grid share of its uniform raw draws
-    that win, from `_grid_win_probs` of the `_thresholds` grid indices.
+def _exact_law_chunk(prior, pair_prior, trials, rngs, thresholds):
+    """`mixing._mc_chunk` on the threshold-table path, written out: the counts
+    of `trials` i.i.d. pairs as one multinomial draw by rng_i over the law
+    q = pi (P pi') + pi' ((1 - P)^T pi), P the `_grid_win_probs` of the
+    `_thresholds` grid indices, renormalized and cut after its last class
+    with mass.
     """
-    rng_i, rng_j, rng_mix = rngs
-
-    def counts(n, p, rng):
-        # renormalized, and cut after the last class with mass
-        top = np.flatnonzero(p)[-1] + 1
-        out = np.zeros(np.shape(n) + p.shape, dtype=np.int64)
-        out[..., :top] = rng.multinomial(n, p[:top] / p[:top].sum())
-        return out
-
-    cells = counts(counts(trials, prior, rng_i), pair_prior, rng_j)
-    won = rng_mix.binomial(cells, _grid_win_probs(thresholds))
-    return won.sum(axis=1) + (cells - won).sum(axis=0)
+    p = _grid_win_probs(thresholds)
+    q = prior * (p @ pair_prior) + pair_prior * ((1.0 - p).T @ prior)
+    top = np.flatnonzero(q)[-1] + 1
+    counts = np.zeros(q.shape, dtype=np.int64)
+    counts[:top] = rngs[0].multinomial(trials, q[:top] / q[:top].sum())
+    return counts
 
 
 @pytest.fixture
-def whole_array_cell_chunk():
+def exact_law_chunk():
     """Oracle for `mixing._mc_chunk` on the threshold-table path: same counts."""
-    return _whole_array_cell_chunk
+    return _exact_law_chunk
 
 
 def _nll(u, y):

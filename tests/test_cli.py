@@ -477,7 +477,7 @@ def test_train_replay_is_bitwise(tmp_path):
 
 def test_verify_dist_replay_is_bitwise(tmp_path, monkeypatch):
     # the second problem's 300,000 trials at C = 20 reach the threshold table's
-    # 200 * 20^2 + 200,000, where each stream draws its pair count per class cell
+    # 200 * 20^2 + 200,000, where each stream draws its counts from the exact law
     built, thresholds = [], mixing._thresholds
     monkeypatch.setattr(mixing, "_thresholds",
                         lambda *args: built.append(args) or thresholds(*args))
@@ -743,12 +743,26 @@ def test_eval_rejects_truncated_layer_list(tmp_path, capsys):
 
 @pytest.mark.parametrize("module", ["unimix_lt", "unimix_lt.cli"])
 def test_python_dash_m_runs_the_cli(tmp_path, module):
+    # README: `python -m unimix_lt <command>` runs the same CLI as `unimix-lt`
     src = str(Path(unimix_lt.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-m", module, "eval"], capture_output=True,
-                          text=True, cwd=tmp_path, env=env, timeout=60)
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", module, *args], capture_output=True,
+                              text=True, cwd=tmp_path, env=env, timeout=60)
+
+    proc = run("eval")
     assert proc.returncode == 1
     assert "--out" in proc.stderr and "Traceback" not in proc.stderr
+    proc = run()  # no command: the usage line
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("usage: unimix-lt") and "Traceback" not in proc.stderr
+    flags = ["--classes", "10", "--trials", "1000"]
+    proc = run("verify-dist", "--out", "sub", *flags)
+    assert proc.returncode == 0, proc.stderr
+    assert main(["verify-dist", "--out", str(tmp_path / "main"), *flags]) == 0
+    hist = [(tmp_path / run_dir / "histogram.csv").read_bytes() for run_dir in ("sub", "main")]
+    assert hist[0] == hist[1]
 
 
 def test_circles_demo_outputs(tmp_path):

@@ -240,8 +240,8 @@ def test_a_call_builds_its_two_class_tables_once(streams, monkeypatch):
     prior = discrete_lt_prior(LTSpec(10, 100.0))
     mc_xi_aug_histogram(prior, MixConfig(), 100_000, seed=1, streams=streams)
     assert len(built) == 2
-    # the threshold-table path (from 200 * 10^2 + 200,000 trials) draws cell
-    # counts from the priors and reads no class table
+    # the threshold-table path (from 200 * 10^2 + 200,000 trials) draws each
+    # stream's counts from the exact law and reads no class table
     built.clear()
     mc_xi_aug_histogram(prior, MixConfig(), 220_000, seed=1, streams=streams)
     assert built == []
@@ -256,21 +256,21 @@ MC_TRIALS = [1, 7, 65_535, 65_536, 65_537, 200_000, 1_000_003]
 @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.7, 1.0])
 @pytest.mark.parametrize("mode", ["vanilla_mixup", "unimix_factor_only", "unimix_full"])
 def test_blocked_mc_counts_match_whole_arrays(mode, alpha, whole_array_mc_chunk,
-                                              whole_array_cell_chunk, monkeypatch):
+                                              exact_law_chunk, monkeypatch):
     cfg = MixConfig(alpha=alpha, mode=mode, tau=-1.0)
     blocked, pays_off = mixing._mc_chunk, mixing._table_pays_off
     chunks = []
 
-    def checked(prior, tables, config, trials, rngs, probs):
+    def checked(prior, tables, config, trials, rngs, law):
         start = [np.random.Generator(copy.deepcopy(rng.bit_generator)) for rng in rngs]
-        got = blocked(prior, tables, config, trials, rngs, probs)
+        got = blocked(prior, tables, config, trials, rngs, law)
         pair_prior = config.pair_prior(prior)
-        if probs is None:
+        if law is None:
             want = whole_array_mc_chunk(prior, pair_prior, config, trials, start)
         else:
-            want = whole_array_cell_chunk(prior, pair_prior, trials, start,
-                                          mixing._thresholds(config, prior))
-        chunks.append((got, want, probs is not None))
+            want = exact_law_chunk(prior, pair_prior, trials, start,
+                                   mixing._thresholds(config, prior))
+        chunks.append((got, want, law is not None))
         return got
 
     monkeypatch.setattr(mixing, "_mc_chunk", checked)
@@ -455,17 +455,17 @@ def test_mc_histogram_matches_the_exact_mixed_class_law(mode, alpha, classes, rh
 @pytest.mark.parametrize("mode", MIX_MODES)
 def test_win_probs_give_the_exact_mixed_class_law(mode, classes, rho):
     # the law the threshold-table path samples, pi (P pi') + pi' ((1 - P)^T pi),
-    # is the Beta-CDF law (largest L1 measured 2.4e-16)
+    # is the Beta-CDF law at both alphas whose raw draw is `rng.random`
+    # (largest L1 measured 2.4e-16)
     prior = discrete_lt_prior(LTSpec(classes, rho))
-    cfg = MixConfig(alpha=0.5, mode=mode, tau=-1.0)
-    pair_prior = cfg.pair_prior(prior)
-    p = mixing._win_probs(mixing._thresholds(cfg, prior))
-    law = prior * (p @ pair_prior) + pair_prior * ((1.0 - p).T @ prior)
-    assert np.abs(law - mixed_class_law(prior, pair_prior, 0.5, mode)).sum() <= 1e-15
+    for alpha in (0.5, 1.0):
+        cfg = MixConfig(alpha=alpha, mode=mode, tau=-1.0)
+        law = mixed_class_law(prior, cfg.pair_prior(prior), alpha, mode)
+        assert np.abs(mixing._table_law(cfg, prior) - law).sum() <= 1e-15
 
 
 def test_threshold_table_cost_does_not_grow_with_trials(monkeypatch):
-    # each class cell's wins are one binomial draw, so 10^12 trials draw no raw factor
+    # each stream's counts are one multinomial draw, so 10^12 trials draw no raw factor
     def no_raw_draws(*args):
         raise AssertionError("the threshold-table path drew a raw factor")
 
