@@ -29,16 +29,16 @@ paths:
   rng_j and factors by rng_mix (one kind of draw per generator, so the
   values whole arrays would, bit for bit), then tallies their winners;
 - threshold table: a call at alpha = 1/2 with enough draws per class pair
-  and at most 1024 classes builds one table of the least raw draw, as a
-  grid index, at which each pair's weight reaches 1/2, 1 and 3/2 (24 C^2
-  bytes; its build peaks near ten times that), and from it the exact law q
-  of one pair's reinforced class (`_table_law`). The counts of n i.i.d.
-  pairs are Multinomial(n, q), which each stream draws whole by rng_i:
-  O(C) work, whatever the trial count. The counts differ in bits from the
-  per-draw path's, not in law.
+  and at most 1024 classes computes the exact law q of one pair's
+  reinforced class in closed form from the Beta CDF (`_table_law`, O(C^2)
+  work and memory). The counts of n i.i.d. pairs are Multinomial(n, q),
+  which each stream draws whole by rng_i: O(C) work, whatever the trial
+  count. The counts differ in bits from the per-draw path's, not in law.
 
-The streams run on one thread pool, a single stream included, and their
-counts add up in stream order, so the worker count never changes them.
+The per-draw path runs its streams on one thread pool, a single stream
+included; the table path runs its streams, one multinomial each, in the
+calling thread. Either way the counts add up in stream order, so the worker
+count never changes them.
 """
 
 from __future__ import annotations
@@ -66,17 +66,17 @@ __all__ = [
 MIX_MODES = ("vanilla_mixup", "unimix_factor_only", "unimix_full")
 
 _MC_BLOCK = 1 << 16  # Monte Carlo pairs drawn per block of one stream
-# A call builds the `_thresholds` table at alpha = 1/2 from _TABLE_PAIR_DRAWS draws
-# per class pair plus _TABLE_FIXED_DRAWS. Measured break-even of the whole call
-# (full mode, rho = 200, 4 streams on 2 threads, one call per fresh process,
-# 2-core x86-64 VM, numpy 2.4.6): about 2e4 trials at C = 10, 2e4-5e4 at C = 20,
-# 5e4-1e5 at C = 50, 2e5 at C = 100 and 7e5-1e6 at C = 200, near 20 C^2 + 2e4.
-# The constants are ten times that; lowering them moves calls onto the table,
-# which changes their histograms' bits (not their law).
+# A call takes the threshold table at alpha = 1/2 from _TABLE_PAIR_DRAWS draws per
+# class pair plus _TABLE_FIXED_DRAWS. Measured break-even of the whole call (full
+# mode, rho = 200, 4 streams, one call per fresh process, 2-core x86-64 VM, numpy
+# 2.4.6): at C = 10, 100 and 200 the two paths are within noise of each other up to
+# about 1e4 trials (11-15 ms a call, most of it numpy.random's first import), and
+# the table is faster above that. The constants are 20 to 800 times that; lowering
+# them moves calls onto the table, which changes their histograms' bits (not their law).
 _TABLE_PAIR_DRAWS = 200
 _TABLE_FIXED_DRAWS = 200_000
 MAX_STREAMS = 1024  # Monte Carlo streams of one call; each holds three generators
-MAX_TABLE_CLASSES = 1024  # most classes a `_thresholds` table is built for (~240 MiB peak)
+MAX_TABLE_CLASSES = 1024  # most classes `_table_law` is built for (24 MiB peak, 64 ms, at 1024)
 DEFAULT_STREAMS = 4  # default Monte Carlo streams of `mc_xi_aug_histogram` and verify-dist
 
 
@@ -184,94 +184,44 @@ def _pick_first(y_i: np.ndarray, y_j: np.ndarray, first: np.ndarray) -> np.ndarr
     return y_i
 
 
-_GRID = 1 << 53  # `rng.random` draws m / 2^53 for a grid index m in [0, 2^53)
-_BRACKET = 1 << 4  # grid steps either side of its inverse-map guess that bracket a threshold
-
-
-def _reached(alpha: float, c: np.ndarray, level: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Whether fl(T(m / 2^53) + c) >= level at grid indices `m`, T the
-    `_beta_transform`; no m < 0 reaches a level, and m = 2^53 always does."""
-    t = _beta_transform(alpha, m * 2.0**-53)
-    t += c
-    reached = t >= level
-    reached &= m >= 0
-    reached |= m >= _GRID
-    return reached
-
-
-def _least_reaching(alpha, c, level, lo, hi):
-    """Bisect each entry's grid indices between `lo`, which does not reach its
-    level, and `hi`, which does, down to the least index that does."""
-    for _ in range(int((hi - lo).max(initial=0)).bit_length()):
-        mid = lo + (hi - lo) // 2
-        up = _reached(alpha, c, level, mid)
-        np.copyto(hi, mid, where=up)
-        np.copyto(lo, mid, where=~up)
-    return hi
-
-
-def _thresholds(config: MixConfig, prior: np.ndarray) -> np.ndarray:
-    """Entry [l, i, j] is the least grid index m in [0, 2^53] with
-    fl(T(m / 2^53) + c_ij) >= level l, T the `_beta_transform`: the raw draw
-    m / 2^53 of `rng.random` (m < 2^53) at which pair (i, j)'s weight first
-    reaches it, 2^53 where none does. Only alpha in {1/2, 1} draws that grid.
-
-    The factor modes take c_ij as `_factor` computes it and the levels 1/2, 1
-    and 3/2; vanilla mode takes c = 0 and the level 1/2 alone.
-    t = fl(T(v) + c) never decreases in v (at alpha = 1/2, if numpy's float64
-    sin is non-decreasing on [0, pi/2]), and for t in [1, 2] fl(t - 1) is
-    exact (Sterbenz), so the weight frac(T(v) + c) is >= 1/2 exactly when v
-    reaches an odd number of the pair's levels.
-
-    Each entry is first bracketed by `_BRACKET` grid steps either side of
-    its inverse-map guess, (2/pi) asin(sqrt(level - c)) at alpha = 1/2 and
-    level - c otherwise; the few whose bracket fails (where T is flat near
-    v = 1) are bisected over the whole grid, in 54 steps.
-    """
-    classes = prior.shape[0]
-    if config.mode == "vanilla_mixup":
-        levels, c = [0.5], np.zeros((classes, classes))
-    else:
-        levels, c = [0.5, 1.0, 1.5], prior[None, :] / (prior[:, None] + prior[None, :])
-    level = np.broadcast_to(np.reshape(levels, (-1, 1, 1)), (len(levels), classes, classes))
-    c = np.broadcast_to(c, level.shape)
-    guess = np.clip(level - c, 0.0, 1.0)
-    if config.alpha == 0.5:
-        guess = np.arcsin(np.sqrt(guess)) * (2 / np.pi)
-    m = np.ceil(guess * _GRID).astype(np.int64)
-    lo, hi = (np.clip(m + step, -1, _GRID) for step in (-_BRACKET, _BRACKET))
-    held = ~_reached(config.alpha, c, level, lo) & _reached(config.alpha, c, level, hi)
-    lo[~held], hi[~held] = -1, _GRID
-    for part in (held, ~held):
-        hi[part] = _least_reaching(config.alpha, c[part], level[part], lo[part], hi[part])
-    return hi
+def _beta_cdf(alpha: float, x: np.ndarray) -> np.ndarray:
+    """The Beta(alpha, alpha) CDF at alpha in {1/2, 1}, at `x` clipped to
+    [0, 1], in place: (2/pi) asin(sqrt(x)) at alpha = 1/2 (the arcsine law),
+    x itself at alpha = 1. It inverts `_beta_transform`."""
+    np.clip(x, 0.0, 1.0, out=x)
+    if alpha == 0.5:
+        np.sqrt(x, out=x)
+        np.arcsin(x, out=x)
+        x *= 2 / np.pi
+    return x
 
 
 def _table_pays_off(config: MixConfig, prior: np.ndarray, trials: int) -> bool:
-    """Whether `_thresholds` saves a call more than it costs to build: only
-    at alpha = 1/2, the one alpha measured (the table's law needs the uniform
-    raw draws of alpha in {1/2, 1}), from enough draws per pair and up to
-    `MAX_TABLE_CLASSES` classes."""
+    """Whether `_table_law` saves a call more than it costs: at alpha = 1/2,
+    the one measured of the two it holds at, from enough draws per pair and
+    up to `MAX_TABLE_CLASSES` classes."""
     return (config.alpha == 0.5 and prior.shape[0] <= MAX_TABLE_CLASSES
             and trials >= _TABLE_PAIR_DRAWS * prior.shape[0] ** 2 + _TABLE_FIXED_DRAWS)
 
 
-def _win_probs(thresholds: np.ndarray) -> np.ndarray:
-    """Per pair, the chance that a raw draw `rng.random`, uniform on the grid
-    {m / 2^53 : 0 <= m < 2^53}, reaches an odd number of its `_thresholds`
-    levels: that its first member wins (other raw draws have another law).
-
-    A pair's indices m0 <= m1 <= m2 make its winning points those in
-    [m0, m1) and [m2, 2^53) ([m0, 2^53) in vanilla mode): 2^53 - m0 + m1 - m2
-    of them, exact in int64, and exact in float64 as a share of 2^53.
-    """
-    return (_GRID - thresholds[::2].sum(axis=0) + thresholds[1::2].sum(axis=0)) / _GRID
-
-
 def _table_law(config: MixConfig, prior: np.ndarray) -> np.ndarray:
-    """q = pi (P pi') + pi' ((1 - P)^T pi), the exact law of one pair's reinforced
-    class at alpha in {1/2, 1}: P the `_win_probs` of `_thresholds`, pi' the pair prior."""
-    p = _win_probs(_thresholds(config, prior))
+    """q = pi (P pi') + pi' ((1 - P)^T pi), the law of one pair's reinforced
+    class at alpha in {1/2, 1}, pi' the pair prior. The first member i wins
+    with P_ij = 1/2 in vanilla mode, else with P(frac(beta + c) >= 1/2) =
+    F(1 - c) - F(1/2 - c) + 1 - F(3/2 - c), F the `_beta_cdf` and c as
+    `_factor` computes it. This is the law in real arithmetic: the rounding
+    of `_factor`'s shift moves the sampler's law off it by up to 1.35e-8 in
+    L1 (measured at two-class priors within 2^-54 of 1/2 or with an entry
+    above 1; 4.1e-14 at C = 20, rho = 1e6).
+    """
+    if config.mode == "vanilla_mixup":
+        p = np.full((prior.shape[0],) * 2, 0.5)
+    else:
+        c = prior[None, :] / (prior[:, None] + prior[None, :])
+        p = _beta_cdf(config.alpha, 1.0 - c)
+        p -= _beta_cdf(config.alpha, 0.5 - c)
+        p += 1.0
+        p -= _beta_cdf(config.alpha, 1.5 - c)
     pair_prior = config.pair_prior(prior)
     return prior * (p @ pair_prior) + pair_prior * ((1.0 - p).T @ prior)
 
@@ -340,26 +290,25 @@ def mc_xi_aug_histogram(ds_prior: np.ndarray, config: MixConfig, trials: int,
     streams whose partial histograms merge in stream order, so the result
     depends only on (seed, streams), with 1 <= streams <= `MAX_STREAMS`.
     Each stream draws the first members by rng_i, the second by rng_j and
-    one factor per pair by rng_mix or, where `_table_pays_off`, its counts
-    whole by rng_i from their exact law, `_table_law`. Only the per-draw
-    path builds the two class tables. UNIMIX_LT_THREADS caps the worker
-    threads used to evaluate the streams.
+    one factor per pair by rng_mix, on a thread pool whose workers
+    UNIMIX_LT_THREADS caps; or, where `_table_pays_off`, its counts whole
+    by rng_i from their exact law, `_table_law`, in the calling thread.
     """
+    workers = _max_workers()
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 1 <= streams <= MAX_STREAMS:
         raise ValueError(f"streams must lie in [1, {MAX_STREAMS}], got {streams}")
     prior = check_prior(ds_prior, require_positive=True)
-    if _table_pays_off(config, prior, trials):
-        law, tables = _table_law(config, prior), None
-    else:
-        law, tables = None, [class_table(p, trials) for p in (prior, config.pair_prior(prior))]
     # only the first min(streams, trials) streams draw; the first trials % streams draw one more
     jobs = [(trials // streams + (k < trials % streams),
              [derive_rng(seed, "mc", k, part) for part in ("i", "j", "mix")])
             for k in range(min(streams, trials))]
-    with ThreadPoolExecutor(max_workers=min(len(jobs), _max_workers())) as pool:
-        parts = list(pool.map(
-            lambda job: _mc_chunk(prior, tables, config, *job, law), jobs))
-    counts = np.sum(parts, axis=0)
-    return check_prior(counts / trials)
+    if _table_pays_off(config, prior, trials):
+        law = _table_law(config, prior)
+        parts = [_mc_chunk(prior, None, config, *job, law) for job in jobs]
+    else:
+        tables = [class_table(p, trials) for p in (prior, config.pair_prior(prior))]
+        with ThreadPoolExecutor(max_workers=min(len(jobs), workers)) as pool:
+            parts = list(pool.map(lambda job: _mc_chunk(prior, tables, config, *job, None), jobs))
+    return check_prior(np.sum(parts, axis=0) / trials)

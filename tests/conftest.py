@@ -89,39 +89,15 @@ def whole_array_mc_chunk():
     return _whole_array_mc_chunk
 
 
-def _grid_win_probs(thresholds):
-    """Per (i, j) cell, the share of `rng.random`'s grid {m / 2^53} that
-    reaches an odd number of the cell's `_thresholds` grid indices, in Python
-    integers: the number of indices a point m reaches steps by one at each
-    sorted index, and an index 2^53 is reached by no point.
-    """
-    grid = 2**53
-    probs = np.empty(thresholds.shape[1:])
-    for cell in np.ndindex(probs.shape):
-        edges = sorted(int(m) for m in thresholds[(slice(None), *cell)])
-        edges.append(grid)
-        probs[cell] = sum(b - a for a, b in zip(edges[::2], edges[1::2])) / grid
-    return probs
-
-
-@pytest.fixture
-def grid_win_probs():
-    """Oracle for `mixing._win_probs`: the same probabilities, bit for bit."""
-    return _grid_win_probs
-
-
-def _exact_law_chunk(prior, pair_prior, trials, rngs, thresholds):
+def _exact_law_chunk(law, trials, rngs):
     """`mixing._mc_chunk` on the threshold-table path, written out: the counts
-    of `trials` i.i.d. pairs as one multinomial draw by rng_i over the law
-    q = pi (P pi') + pi' ((1 - P)^T pi), P the `_grid_win_probs` of the
-    `_thresholds` grid indices, renormalized and cut after its last class
-    with mass.
+    of `trials` i.i.d. pairs as one multinomial draw by rng_i over the law q
+    of one pair's reinforced class, renormalized and cut after its last
+    class with mass.
     """
-    p = _grid_win_probs(thresholds)
-    q = prior * (p @ pair_prior) + pair_prior * ((1.0 - p).T @ prior)
-    top = np.flatnonzero(q)[-1] + 1
-    counts = np.zeros(q.shape, dtype=np.int64)
-    counts[:top] = rngs[0].multinomial(trials, q[:top] / q[:top].sum())
+    top = np.flatnonzero(law)[-1] + 1
+    counts = np.zeros(law.shape, dtype=np.int64)
+    counts[:top] = rngs[0].multinomial(trials, law[:top] / law[:top].sum())
     return counts
 
 

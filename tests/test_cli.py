@@ -478,9 +478,9 @@ def test_train_replay_is_bitwise(tmp_path):
 def test_verify_dist_replay_is_bitwise(tmp_path, monkeypatch):
     # the second problem's 300,000 trials at C = 20 reach the threshold table's
     # 200 * 20^2 + 200,000, where each stream draws its counts from the exact law
-    built, thresholds = [], mixing._thresholds
-    monkeypatch.setattr(mixing, "_thresholds",
-                        lambda *args: built.append(args) or thresholds(*args))
+    built, table_law = [], mixing._table_law
+    monkeypatch.setattr(mixing, "_table_law",
+                        lambda *args: built.append(args) or table_law(*args))
     for k, flags in enumerate((["--classes", "10", "--rho", "10", "--trials", "5000",
                                 "--seed", "3"],
                                ["--classes", "20", "--rho", "50", "--trials", "300000"])):
@@ -942,6 +942,9 @@ def test_non_finite_numbers_exit_one(tmp_path, capsys, argv, config_text):
     pytest.param(["verify-dist", "--streams", "1025", "--trials", "10"], None, None,
                  id="verify-dist-streams-1025"),
     pytest.param(["verify-dist", "--trials", "1000"], None, "abc", id="verify-dist-threads"),
+    # the threshold-table path runs its streams without the pool, and still checks the cap
+    pytest.param(["verify-dist", "--classes", "20", "--rho", "50", "--trials", "300000"], None,
+                 "abc", id="verify-dist-table-threads"),
     pytest.param(["circles-demo", "--cloud-points", "-1", "--steps", "10"], None, None,
                  id="circles-demo-negative-cloud"),
     pytest.param(["gen-data", "--kind", "bogus"], None, None, id="gen-data-kind-flag"),

@@ -264,21 +264,19 @@ def test_blocked_mc_counts_match_whole_arrays(mode, alpha, whole_array_mc_chunk,
     def checked(prior, tables, config, trials, rngs, law):
         start = [np.random.Generator(copy.deepcopy(rng.bit_generator)) for rng in rngs]
         got = blocked(prior, tables, config, trials, rngs, law)
-        pair_prior = config.pair_prior(prior)
         if law is None:
-            want = whole_array_mc_chunk(prior, pair_prior, config, trials, start)
+            want = whole_array_mc_chunk(prior, config.pair_prior(prior), config, trials, start)
         else:
-            want = exact_law_chunk(prior, pair_prior, trials, start,
-                                   mixing._thresholds(config, prior))
+            want = exact_law_chunk(mixing._table_law(config, prior), trials, start)
         chunks.append((got, want, law is not None))
         return got
 
     monkeypatch.setattr(mixing, "_mc_chunk", checked)
     monkeypatch.setattr(mixing, "_table_pays_off", lambda *args: forced or pays_off(*args))
-    # the table path counts the grid of a uniform raw draw, so it is forced
-    # only where the raw draw is `rng.random`
+    # the table's law is the closed form at alpha in {1/2, 1}, so it is forced
+    # only there
     forcing = [False, True] if alpha in (0.5, 1.0) else [False]
-    # at rho = 1e6 many thresholds lie where sin^2 is flat, near v = 1
+    # at rho = 1e6 many pairs' shifts c lie near 0 and 1, where the CDF's arguments clip
     for rho, forced in itertools.product([100.0, 1e6], forcing):
         prior = discrete_lt_prior(LTSpec(20, rho))
         for n, trials in enumerate(MC_TRIALS):
@@ -292,54 +290,6 @@ def test_blocked_mc_counts_match_whole_arrays(mode, alpha, whole_array_mc_chunk,
                 assert got.dtype == want.dtype == np.int64
                 np.testing.assert_array_equal(got, want, err_msg=f"{rho=}, {trials} trials")
             np.testing.assert_array_equal(hist, sum(got for got, *_ in chunks) / trials)
-
-
-TABLE_PRIORS = pytest.mark.parametrize(
-    "prior", [discrete_lt_prior(LTSpec(20, 100.0)), discrete_lt_prior(LTSpec(20, 1e6)),
-              np.array([0.5 - 2.0**-54, 0.5 + 2.0**-54])],
-    ids=["rho=100", "rho=1e6", "exactness-trap"])
-
-
-@pytest.mark.parametrize("alpha", [0.5, 1.0])
-@pytest.mark.parametrize("mode", MIX_MODES)
-@TABLE_PRIORS
-def test_odd_levels_decide_as_the_factor(mode, alpha, prior, monkeypatch):
-    # `rng.random` draws m / 2^53, and a pair's `_thresholds` are grid indices.
-    # At 0, 2^53 - 1, some uniform draws, and each index and the one below it,
-    # in every pair (i, j), the factor's `>= 0.5` holds where the point
-    # reaches an odd number of those indices, bit for bit
-    cfg = MixConfig(alpha=alpha, mode=mode)
-    table = mixing._thresholds(cfg, prior)
-    classes, grid = prior.shape[0], 2**53
-    y_i, y_j = (a.ravel() for a in np.indices((classes, classes)))
-    edges = table[:, y_i, y_j]
-    uniform = (derive_rng(0, "draws").random((8, classes**2)) * grid).astype(np.int64)
-    for m in [np.zeros(classes**2, dtype=np.int64), np.full(classes**2, grid - 1), *uniform,
-              *np.concatenate([edges, edges - 1]).clip(0, grid - 1)]:
-        v = m * 2.0**-53
-        monkeypatch.setattr(mixing, "_beta_draw", lambda alpha, rng, size: v.copy())
-        want = (m >= edges).sum(axis=0) % 2 == 1
-        np.testing.assert_array_equal(mixing._factor(cfg, prior, y_i, y_j, None) >= 0.5, want)
-
-
-@pytest.mark.parametrize("alpha", [0.5, 1.0])
-@pytest.mark.parametrize("mode", MIX_MODES)
-@TABLE_PRIORS
-def test_win_probs_count_the_grid_points_that_win(mode, alpha, prior, grid_win_probs):
-    # `_win_probs` is, per pair, the share of the grid that reaches an odd number
-    # of its `_thresholds` indices: the points where the factor's `>= 0.5` holds
-    table = mixing._thresholds(MixConfig(alpha=alpha, mode=mode), prior)
-    assert mixing._win_probs(table).tobytes() == grid_win_probs(table).tobytes()
-
-
-def test_rng_random_draws_the_grid_the_table_counts():
-    # the table's law rests on `rng.random` returning (raw >> 11) / 2^53 for each
-    # 64-bit raw output; a change there would move P_ij by about 2^-53, far below
-    # what any Monte Carlo bound can see
-    for k, part in itertools.product(range(3), ("i", "j", "mix")):
-        rng = derive_rng(11, "mc", k, part)
-        raw = copy.deepcopy(rng.bit_generator).random_raw(2**16)
-        assert rng.random(2**16).tobytes() == ((raw >> 11) * 2.0**-53).tobytes()
 
 
 @pytest.mark.parametrize("mode", MIX_MODES)
@@ -366,45 +316,25 @@ def test_class_counts_leave_a_class_without_mass_empty():
 
 
 def test_threshold_table_is_built_only_up_to_max_table_classes():
-    # the build peaks near 240 C^2 bytes, about 15 GiB at iNaturalist's C = 8142;
-    # uniform priors, and nothing is built
+    # the law's build peaks near 24 C^2 bytes, about 1.5 GiB at iNaturalist's
+    # C = 8142; uniform priors, and nothing is built
     cfg = MixConfig(alpha=0.5)
     for classes, pays_off in [(1024, True), (1025, False)]:
         prior = np.full(classes, 1.0 / classes)
         assert mixing._table_pays_off(cfg, prior, 10**12) is pays_off
 
 
-# keyed by the ids pytest gives a (classes, rho) pair
-THRESHOLD_PRIORS = {f"{c}-{rho}": discrete_lt_prior(LTSpec(c, rho))
-                    for c, rho in [(20, 100.0), (20, 1e6), (100, 200.0)]}
-THRESHOLD_PRIORS["exactness-trap"] = np.array([0.5 - 2.0**-54, 0.5 + 2.0**-54])
-# c = 1.0 exactly in pair (1, 0), which reaches the level 1 at m = 0
-THRESHOLD_PRIORS["entry-above-one"] = np.array([1.0 + 5e-13, 1e-300])
-
-
-@pytest.mark.parametrize("alpha", [0.5, 1.0])
 @pytest.mark.parametrize("mode", MIX_MODES)
-@pytest.mark.parametrize("prior", THRESHOLD_PRIORS.values(), ids=THRESHOLD_PRIORS.keys())
-def test_thresholds_are_the_least_draws_reaching_each_level(mode, alpha, prior):
-    # grid index m of level L: T((m - 1) / 2^53) + c < L <= T(m / 2^53) + c, and
-    # m = 2^53 marks a level that no draw m / 2^53 of `rng.random` reaches
-    classes, grid = prior.shape[0], 2**53
-    cfg = MixConfig(alpha=alpha, mode=mode)
-    table = mixing._thresholds(cfg, prior)
-    if mode == "vanilla_mixup":
-        levels, c = [0.5], np.zeros((classes, classes))
-    else:
-        levels, c = [0.5, 1.0, 1.5], prior[None, :] / (prior[:, None] + prior[None, :])
-
-    def shifted(m):
-        return mixing._beta_transform(alpha, m * 2.0**-53) + c
-
-    assert table.shape == (len(levels), classes, classes) and table.dtype == np.int64
-    for level, m in zip(levels, table):
-        never = m == grid
-        assert (m >= 0).all() and (m <= grid).all()
-        assert (shifted(np.where(never, 0, m))[~never] >= level).all()
-        assert (shifted(np.maximum(m - 1, 0))[m > 0] < level).all()
+def test_table_law_peaks_under_64_mib_at_max_table_classes(mode):
+    # measured 24 MiB in the factor modes and 16 MiB in vanilla mode
+    prior = discrete_lt_prior(LTSpec(mixing.MAX_TABLE_CLASSES, 200.0))
+    tracemalloc.start()
+    try:
+        mixing._table_law(MixConfig(alpha=0.5, mode=mode), prior)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20
 
 
 def mixed_class_law(prior, pair_prior, alpha, mode):
@@ -447,17 +377,30 @@ def test_mc_histogram_matches_the_exact_mixed_class_law(mode, alpha, classes, rh
     cfg = MixConfig(alpha=alpha, mode=mode, tau=-1.0)
     law = mixed_class_law(prior, cfg.pair_prior(prior), alpha, mode)
     assert abs(law.sum() - 1.0) < 1e-12
+    # at C = 100 every alpha takes the per-draw path, so these cases check the
+    # closed form that `_table_law` samples against the sampler itself
+    assert classes == 10 or not mixing._table_pays_off(cfg, prior, LAW_TRIALS)
     hist = mc_xi_aug_histogram(prior, cfg, LAW_TRIALS, seed=7)
     assert np.abs(hist - law).sum() < l1_bound(law, LAW_TRIALS)
 
 
-@pytest.mark.parametrize("classes,rho", [(10, 10.0), (100, 200.0), (200, 200.0)])
+# keyed by the ids pytest gives a (classes, rho) pair
+LAW_PRIORS = {f"{c}-{rho}": discrete_lt_prior(LTSpec(c, rho))
+              for c, rho in [(10, 10.0), (100, 200.0), (200, 200.0)]}
+# c one ulp below 1/2 in pair (1, 0): the exactness trap of any interval form
+LAW_PRIORS["exactness-trap"] = np.array([0.5 - 2.0**-54, 0.5 + 2.0**-54])
+# c = 1.0 exactly in pair (1, 0), and an entry above 1 within the sum tolerance
+LAW_PRIORS["entry-above-one"] = np.array([1.0 + 5e-13, 1e-300])
+
+
+@pytest.mark.parametrize("prior", LAW_PRIORS.values(), ids=LAW_PRIORS.keys())
 @pytest.mark.parametrize("mode", MIX_MODES)
-def test_win_probs_give_the_exact_mixed_class_law(mode, classes, rho):
+def test_table_law_is_the_exact_mixed_class_law(mode, prior):
     # the law the threshold-table path samples, pi (P pi') + pi' ((1 - P)^T pi),
-    # is the Beta-CDF law at both alphas whose raw draw is `rng.random`
-    # (largest L1 measured 2.4e-16)
-    prior = discrete_lt_prior(LTSpec(classes, rho))
+    # is the Beta-CDF law of the scipy oracle at both alphas it holds at. The
+    # largest L1 measured is 2.2e-16 (exactness trap, full mode, alpha = 1/2),
+    # 9e-17 on the long-tailed priors and 0 at the entry above one; 1e-15 is
+    # about four times the largest
     for alpha in (0.5, 1.0):
         cfg = MixConfig(alpha=alpha, mode=mode, tau=-1.0)
         law = mixed_class_law(prior, cfg.pair_prior(prior), alpha, mode)
