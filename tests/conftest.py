@@ -6,7 +6,7 @@ import pytest
 
 from unimix_lt.data import empirical_prior
 from unimix_lt.losses import bayias_margin, softmax
-from unimix_lt.mixing import sample_beta
+from unimix_lt.mixing import _beta_transform, sample_beta
 from unimix_lt.model import _backward_cached, _forward_cached
 from unimix_lt.sampling import class_table, draw_batch, draw_classes, inverse_prior
 from unimix_lt.streams import derive_rng
@@ -87,6 +87,63 @@ def _whole_array_mc_chunk(prior, pair_prior, config, trials, rngs):
 def whole_array_mc_chunk():
     """Oracle for `mixing._mc_chunk` on the per-draw path: same counts."""
     return _whole_array_mc_chunk
+
+
+_GRID = 2**53  # `rng.random` draws m / 2^53 for a grid index m in [0, 2^53)
+
+
+def _grid_thresholds(config, prior):
+    """Entry [l, i, j] is the least grid index m in [0, 2^53] with
+    fl(T(m / 2^53) + c_ij) >= level l, T the `mixing._beta_transform`: the
+    raw draw m / 2^53 of `rng.random` at which pair (i, j)'s weight first
+    reaches the level, 2^53 where no draw does.
+
+    The factor modes take c_ij as `mixing._factor` computes it and the levels
+    1/2, 1 and 3/2; vanilla mode takes c = 0 and the level 1/2 alone. Each
+    entry is bisected over the whole grid, in 54 steps, which takes
+    fl(T(v) + c) non-decreasing in v.
+    """
+    classes = prior.shape[0]
+    if config.mode == "vanilla_mixup":
+        levels, c = [0.5], np.zeros((classes, classes))
+    else:
+        levels, c = [0.5, 1.0, 1.5], prior[None, :] / (prior[:, None] + prior[None, :])
+    level = np.reshape(levels, (-1, 1, 1))
+    # lo = -1 reaches no level and hi = 2^53 every one; only indices between are drawn
+    lo = np.full((len(levels), classes, classes), -1, dtype=np.int64)
+    hi = np.full(lo.shape, _GRID, dtype=np.int64)
+    while (open_ := hi - lo > 1).any():
+        mid = lo + (hi - lo) // 2
+        up = _beta_transform(config.alpha, mid * 2.0**-53) + c >= level
+        np.copyto(hi, mid, where=open_ & up)
+        np.copyto(lo, mid, where=open_ & ~up)
+    return hi
+
+
+@pytest.fixture
+def grid_thresholds():
+    """Oracle for where the factor's `>= 0.5` flips on `rng.random`'s grid."""
+    return _grid_thresholds
+
+
+def _grid_win_probs(thresholds):
+    """Per (i, j) cell, the share of `rng.random`'s grid {m / 2^53} that
+    reaches an odd number of the cell's `_grid_thresholds` indices, in Python
+    integers: the number of indices a point m reaches steps by one at each
+    sorted index, and an index 2^53 is reached by no point.
+    """
+    probs = np.empty(thresholds.shape[1:])
+    for cell in np.ndindex(probs.shape):
+        edges = sorted(int(m) for m in thresholds[(slice(None), *cell)])
+        edges.append(_GRID)
+        probs[cell] = sum(b - a for a, b in zip(edges[::2], edges[1::2])) / _GRID
+    return probs
+
+
+@pytest.fixture
+def grid_win_probs():
+    """Oracle for the chance that a pair's first member wins, counted on the grid."""
+    return _grid_win_probs
 
 
 def _exact_law_chunk(law, trials, rngs):

@@ -292,6 +292,66 @@ def test_blocked_mc_counts_match_whole_arrays(mode, alpha, whole_array_mc_chunk,
             np.testing.assert_array_equal(hist, sum(got for got, *_ in chunks) / trials)
 
 
+TABLE_PRIORS = {"rho=100": discrete_lt_prior(LTSpec(20, 100.0)),
+                "rho=1e6": discrete_lt_prior(LTSpec(20, 1e6)),
+                "exactness-trap": np.array([0.5 - 2.0**-54, 0.5 + 2.0**-54])}
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+@pytest.mark.parametrize("mode", MIX_MODES)
+@pytest.mark.parametrize("prior", TABLE_PRIORS.values(), ids=TABLE_PRIORS.keys())
+def test_odd_levels_decide_as_the_factor(mode, alpha, prior, grid_thresholds, monkeypatch):
+    # `rng.random` draws m / 2^53, and the grid oracle gives each pair's levels
+    # as grid indices. At 0, 2^53 - 1, some uniform draws, and each index and
+    # the one below it, in every pair (i, j), the factor's `>= 0.5` holds where
+    # the point reaches an odd number of those indices, bit for bit
+    cfg = MixConfig(alpha=alpha, mode=mode)
+    table = grid_thresholds(cfg, prior)
+    classes, grid = prior.shape[0], 2**53
+    y_i, y_j = (a.ravel() for a in np.indices((classes, classes)))
+    edges = table[:, y_i, y_j]
+    uniform = (derive_rng(0, "draws").random((8, classes**2)) * grid).astype(np.int64)
+    for m in [np.zeros(classes**2, dtype=np.int64), np.full(classes**2, grid - 1), *uniform,
+              *np.concatenate([edges, edges - 1]).clip(0, grid - 1)]:
+        v = m * 2.0**-53
+        monkeypatch.setattr(mixing, "_beta_draw", lambda alpha, rng, size: v.copy())
+        want = (m >= edges).sum(axis=0) % 2 == 1
+        np.testing.assert_array_equal(mixing._factor(cfg, prior, y_i, y_j, None) >= 0.5, want)
+
+
+# the L1 bound of each prior is about five times the largest measured over the
+# modes and alphas: 1.6e-16 at rho = 100, 4.1e-14 at rho = 1e6 (full mode,
+# alpha = 1/2) and 6.9e-10 at the exactness trap (factor modes, alpha = 1/2)
+GRID_LAW_L1 = {"rho=100": 1e-15, "rho=1e6": 2e-13, "exactness-trap": 3.5e-9}
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+@pytest.mark.parametrize("mode", MIX_MODES)
+@pytest.mark.parametrize("prior,l1", [(TABLE_PRIORS[k], b) for k, b in GRID_LAW_L1.items()],
+                         ids=GRID_LAW_L1.keys())
+def test_win_probs_count_the_grid_points_that_win(mode, alpha, prior, l1, grid_thresholds,
+                                                  grid_win_probs):
+    # `_table_law` is the law whose P_ij is, per pair, the share of `rng.random`'s
+    # grid that reaches an odd number of the pair's levels: the points where the
+    # factor's `>= 0.5` holds. Its closed form is that count in real arithmetic,
+    # so the two differ only by the rounding of the factor's shift c
+    cfg = MixConfig(alpha=alpha, mode=mode)
+    p = grid_win_probs(grid_thresholds(cfg, prior))
+    pair_prior = cfg.pair_prior(prior)
+    grid_law = prior * (p @ pair_prior) + pair_prior * ((1.0 - p).T @ prior)
+    assert np.abs(mixing._table_law(cfg, prior) - grid_law).sum() <= l1
+
+
+def test_rng_random_draws_the_grid_the_table_counts():
+    # the grid oracle's law rests on `rng.random` returning (raw >> 11) / 2^53
+    # for each 64-bit raw output; a change there would move P_ij by about
+    # 2^-53, far below what any Monte Carlo bound can see
+    for k, part in itertools.product(range(3), ("i", "j", "mix")):
+        rng = derive_rng(11, "mc", k, part)
+        raw = copy.deepcopy(rng.bit_generator).random_raw(2**16)
+        assert rng.random(2**16).tobytes() == ((raw >> 11) * 2.0**-53).tobytes()
+
+
 @pytest.mark.parametrize("mode", MIX_MODES)
 def test_threshold_table_path_takes_a_prior_entry_above_one(mode):
     # `check_prior` lets a prior sum to 1 within 1e-12, so an entry may exceed 1,
@@ -395,7 +455,7 @@ LAW_PRIORS["entry-above-one"] = np.array([1.0 + 5e-13, 1e-300])
 
 @pytest.mark.parametrize("prior", LAW_PRIORS.values(), ids=LAW_PRIORS.keys())
 @pytest.mark.parametrize("mode", MIX_MODES)
-def test_table_law_is_the_exact_mixed_class_law(mode, prior):
+def test_win_probs_give_the_exact_mixed_class_law(mode, prior):
     # the law the threshold-table path samples, pi (P pi') + pi' ((1 - P)^T pi),
     # is the Beta-CDF law of the scipy oracle at both alphas it holds at. The
     # largest L1 measured is 2.2e-16 (exactness trap, full mode, alpha = 1/2),
