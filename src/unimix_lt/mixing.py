@@ -30,8 +30,9 @@ paths:
   values whole arrays would, bit for bit), then tallies their winners;
 - threshold table: a call at alpha = 1/2 with enough draws per class pair
   and at most 1024 classes computes the exact law q of one pair's
-  reinforced class in closed form from the Beta CDF (`_table_law`, O(C^2)
-  work and memory). The counts of n i.i.d. pairs are Multinomial(n, q),
+  reinforced class in closed form (`_table_law`: O(C) in vanilla mode,
+  where each pair's winner is a fair coin, else O(C^2) work and memory
+  from the Beta CDF). The counts of n i.i.d. pairs are Multinomial(n, q),
   which each stream draws whole by rng_i: O(C) work, whatever the trial
   count. The counts differ in bits from the per-draw path's, not in law.
 
@@ -76,7 +77,7 @@ _MC_BLOCK = 1 << 16  # Monte Carlo pairs drawn per block of one stream
 _TABLE_PAIR_DRAWS = 200
 _TABLE_FIXED_DRAWS = 200_000
 MAX_STREAMS = 1024  # Monte Carlo streams of one call; each holds three generators
-MAX_TABLE_CLASSES = 1024  # most classes `_table_law` is built for (24 MiB peak, 64 ms, at 1024)
+MAX_TABLE_CLASSES = 1024  # most classes of `_table_law` (factor modes: 24 MiB, 64 ms, at 1024)
 DEFAULT_STREAMS = 4  # default Monte Carlo streams of `mc_xi_aug_histogram` and verify-dist
 
 
@@ -99,37 +100,22 @@ class MixConfig:
         return inverse_prior(prior, self.tau if self.mode == "unimix_full" else 1.0)
 
 
-def _beta_draw(alpha: float, rng: np.random.Generator,
-               size: int | tuple[int, ...]) -> np.ndarray:
-    """The raw draws behind `sample_beta`: one uniform `rng.random` per draw
-    at alpha in {1/2, 1}, else `rng.beta`."""
-    if alpha in (0.5, 1.0):
-        return rng.random(size)
-    return rng.beta(alpha, alpha, size=size)
-
-
-def _beta_transform(alpha: float, v: np.ndarray) -> np.ndarray:
-    """Raw draws `v` of `_beta_draw` as Beta(alpha, alpha) draws, in place.
-
-    alpha = 1/2 (the arcsine law) maps a uniform v to sin^2(pi v / 2);
-    every other alpha keeps v. Both maps are non-decreasing in v.
-    """
-    if alpha == 0.5:
-        v *= np.pi / 2
-        np.sin(v, out=v)
-        np.square(v, out=v)
-    return v
-
-
 def sample_beta(alpha: float, rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
     """An array of `size` Beta(alpha, alpha) draws.
 
     Two cases take one uniform U = `rng.random` per draw, each an exact
     transform: alpha = 1 is U itself, and alpha = 1/2 (the arcsine law) is
-    sin^2(pi U / 2). Every other alpha draws `rng.beta`, which refuses
-    alpha <= 0.
+    sin^2(pi U / 2), computed in place. Every other alpha draws `rng.beta`,
+    which refuses alpha <= 0.
     """
-    return _beta_transform(alpha, _beta_draw(alpha, rng, size))
+    if alpha not in (0.5, 1.0):
+        return rng.beta(alpha, alpha, size=size)
+    u = rng.random(size)
+    if alpha == 0.5:
+        u *= np.pi / 2
+        np.sin(u, out=u)
+        np.square(u, out=u)
+    return u
 
 
 def _factor(mix: MixConfig, prior: np.ndarray, y_i: np.ndarray, y_j: np.ndarray,
@@ -184,15 +170,13 @@ def _pick_first(y_i: np.ndarray, y_j: np.ndarray, first: np.ndarray) -> np.ndarr
     return y_i
 
 
-def _beta_cdf(alpha: float, x: np.ndarray) -> np.ndarray:
-    """The Beta(alpha, alpha) CDF at alpha in {1/2, 1}, at `x` clipped to
-    [0, 1], in place: (2/pi) asin(sqrt(x)) at alpha = 1/2 (the arcsine law),
-    x itself at alpha = 1. It inverts `_beta_transform`."""
+def _beta_cdf(x: np.ndarray) -> np.ndarray:
+    """The Beta(1/2, 1/2) (arcsine) CDF (2/pi) asin(sqrt(x)) at `x` clipped
+    to [0, 1], in place: the inverse of `sample_beta`'s map at alpha = 1/2."""
     np.clip(x, 0.0, 1.0, out=x)
-    if alpha == 0.5:
-        np.sqrt(x, out=x)
-        np.arcsin(x, out=x)
-        x *= 2 / np.pi
+    np.sqrt(x, out=x)
+    np.arcsin(x, out=x)
+    x *= 2 / np.pi
     return x
 
 
@@ -207,22 +191,23 @@ def _table_pays_off(config: MixConfig, prior: np.ndarray, trials: int) -> bool:
 def _table_law(config: MixConfig, prior: np.ndarray) -> np.ndarray:
     """q = pi (P pi') + pi' ((1 - P)^T pi), the law of one pair's reinforced
     class at alpha in {1/2, 1}, pi' the pair prior. The first member i wins
-    with P_ij = 1/2 in vanilla mode, else with P(frac(beta + c) >= 1/2) =
-    F(1 - c) - F(1/2 - c) + 1 - F(3/2 - c), F the `_beta_cdf` and c as
-    `_factor` computes it. This is the law in real arithmetic: the rounding
-    of `_factor`'s shift moves the sampler's law off it by up to 1.35e-8 in
-    L1 (measured at two-class priors within 2^-54 of 1/2 or with an entry
-    above 1; 4.1e-14 at C = 20, rho = 1e6).
+    with P_ij = 1/2 wherever the shift cannot move the winner (vanilla mode,
+    and alpha = 1, where frac(U + c) is uniform), so q is
+    (pi sum(pi') + pi' sum(pi)) / 2, in O(C). The factor modes at alpha = 1/2
+    take P_ij = P(frac(beta + c) >= 1/2) = F(1 - c) - F(1/2 - c) + 1 - F(3/2 - c),
+    F the `_beta_cdf` and c as `_factor` computes it. This is the law in real
+    arithmetic: the rounding of `_factor`'s shift moves the sampler's law off
+    it by up to 1.35e-8 in L1 (measured at two-class priors within 2^-54 of
+    1/2 or with an entry above 1; 4.1e-14 at C = 20, rho = 1e6).
     """
-    if config.mode == "vanilla_mixup":
-        p = np.full((prior.shape[0],) * 2, 0.5)
-    else:
-        c = prior[None, :] / (prior[:, None] + prior[None, :])
-        p = _beta_cdf(config.alpha, 1.0 - c)
-        p -= _beta_cdf(config.alpha, 0.5 - c)
-        p += 1.0
-        p -= _beta_cdf(config.alpha, 1.5 - c)
     pair_prior = config.pair_prior(prior)
+    if config.mode == "vanilla_mixup" or config.alpha == 1.0:
+        return 0.5 * (prior * pair_prior.sum() + pair_prior * prior.sum())
+    c = prior[None, :] / (prior[:, None] + prior[None, :])
+    p = _beta_cdf(1.0 - c)
+    p -= _beta_cdf(0.5 - c)
+    p += 1.0
+    p -= _beta_cdf(1.5 - c)
     return prior * (p @ pair_prior) + pair_prior * ((1.0 - p).T @ prior)
 
 

@@ -1,12 +1,13 @@
 import csv
 from decimal import Decimal, localcontext
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from unimix_lt.data import empirical_prior
 from unimix_lt.losses import bayias_margin, softmax
-from unimix_lt.mixing import _beta_transform, sample_beta
+from unimix_lt.mixing import sample_beta
 from unimix_lt.model import _backward_cached, _forward_cached
 from unimix_lt.sampling import class_table, draw_batch, draw_classes, inverse_prior
 from unimix_lt.streams import derive_rng
@@ -94,9 +95,9 @@ _GRID = 2**53  # `rng.random` draws m / 2^53 for a grid index m in [0, 2^53)
 
 def _grid_thresholds(config, prior):
     """Entry [l, i, j] is the least grid index m in [0, 2^53] with
-    fl(T(m / 2^53) + c_ij) >= level l, T the `mixing._beta_transform`: the
-    raw draw m / 2^53 of `rng.random` at which pair (i, j)'s weight first
-    reaches the level, 2^53 where no draw does.
+    fl(T(m / 2^53) + c_ij) >= level l, T the map `sample_beta` applies to
+    each `rng.random` draw: the raw draw m / 2^53 at which pair (i, j)'s
+    weight first reaches the level, 2^53 where no draw does.
 
     The factor modes take c_ij as `mixing._factor` computes it and the levels
     1/2, 1 and 3/2; vanilla mode takes c = 0 and the level 1/2 alone. Each
@@ -114,7 +115,8 @@ def _grid_thresholds(config, prior):
     hi = np.full(lo.shape, _GRID, dtype=np.int64)
     while (open_ := hi - lo > 1).any():
         mid = lo + (hi - lo) // 2
-        up = _beta_transform(config.alpha, mid * 2.0**-53) + c >= level
+        draws = SimpleNamespace(random=lambda size: mid * 2.0**-53)
+        up = sample_beta(config.alpha, draws, mid.shape) + c >= level
         np.copyto(hi, mid, where=open_ & up)
         np.copyto(lo, mid, where=open_ & ~up)
     return hi

@@ -43,11 +43,14 @@ def test_sample_beta_arcsine_ks():
 @pytest.mark.parametrize("alpha", [0.5, 1.0])
 def test_sample_beta_takes_one_uniform_per_draw(alpha):
     # the blocked Monte Carlo relies on this: n draws leave the stream where
-    # n uniforms would, whatever block sizes the n draws are split into
+    # n uniforms would, whatever block sizes the n draws are split into; and
+    # each draw is its uniform's exact transform, bit for bit
     for n in (0, 1, 1000):
         rng, twin = derive_rng(9, "beta"), derive_rng(9, "beta")
-        sample_beta(alpha, rng, size=n)
-        twin.random(n)
+        got = sample_beta(alpha, rng, size=n)
+        u = twin.random(n)
+        want = u if alpha == 1.0 else np.square(np.sin(u * (np.pi / 2)))
+        assert got.tobytes() == want.tobytes()
         assert rng.random() == twin.random()
 
 
@@ -300,7 +303,7 @@ TABLE_PRIORS = {"rho=100": discrete_lt_prior(LTSpec(20, 100.0)),
 @pytest.mark.parametrize("alpha", [0.5, 1.0])
 @pytest.mark.parametrize("mode", MIX_MODES)
 @pytest.mark.parametrize("prior", TABLE_PRIORS.values(), ids=TABLE_PRIORS.keys())
-def test_odd_levels_decide_as_the_factor(mode, alpha, prior, grid_thresholds, monkeypatch):
+def test_odd_levels_decide_as_the_factor(mode, alpha, prior, grid_thresholds):
     # `rng.random` draws m / 2^53, and the grid oracle gives each pair's levels
     # as grid indices. At 0, 2^53 - 1, some uniform draws, and each index and
     # the one below it, in every pair (i, j), the factor's `>= 0.5` holds where
@@ -313,10 +316,9 @@ def test_odd_levels_decide_as_the_factor(mode, alpha, prior, grid_thresholds, mo
     uniform = (derive_rng(0, "draws").random((8, classes**2)) * grid).astype(np.int64)
     for m in [np.zeros(classes**2, dtype=np.int64), np.full(classes**2, grid - 1), *uniform,
               *np.concatenate([edges, edges - 1]).clip(0, grid - 1)]:
-        v = m * 2.0**-53
-        monkeypatch.setattr(mixing, "_beta_draw", lambda alpha, rng, size: v.copy())
         want = (m >= edges).sum(axis=0) % 2 == 1
-        np.testing.assert_array_equal(mixing._factor(cfg, prior, y_i, y_j, None) >= 0.5, want)
+        xi = mixing._factor(cfg, prior, y_i, y_j, _FixedBeta(m * 2.0**-53))
+        np.testing.assert_array_equal(xi >= 0.5, want)
 
 
 # the L1 bound of each prior is about five times the largest measured over the
@@ -386,15 +388,19 @@ def test_threshold_table_is_built_only_up_to_max_table_classes():
 
 @pytest.mark.parametrize("mode", MIX_MODES)
 def test_table_law_peaks_under_64_mib_at_max_table_classes(mode):
-    # measured 24 MiB in the factor modes and 16 MiB in vanilla mode
+    # measured 24 MiB in the factor modes at alpha = 1/2; where every pair's
+    # winner is a fair coin (vanilla mode, or alpha = 1) the law is O(C)
     prior = discrete_lt_prior(LTSpec(mixing.MAX_TABLE_CLASSES, 200.0))
-    tracemalloc.start()
-    try:
-        mixing._table_law(MixConfig(alpha=0.5, mode=mode), prior)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 64 * 2**20
+    for alpha in (0.5, 1.0):
+        tracemalloc.start()
+        try:
+            mixing._table_law(MixConfig(alpha=alpha, mode=mode), prior)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20
+        if mode == "vanilla_mixup" or alpha == 1.0:
+            assert peak < 2**20, f"{alpha=}"
 
 
 def mixed_class_law(prior, pair_prior, alpha, mode):
@@ -468,11 +474,11 @@ def test_win_probs_give_the_exact_mixed_class_law(mode, prior):
 
 
 def test_threshold_table_cost_does_not_grow_with_trials(monkeypatch):
-    # each stream's counts are one multinomial draw, so 10^12 trials draw no raw factor
-    def no_raw_draws(*args):
-        raise AssertionError("the threshold-table path drew a raw factor")
+    # each stream's counts are one multinomial draw, so 10^12 trials draw no factor
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the threshold-table path drew a factor")
 
-    monkeypatch.setattr(mixing, "_beta_draw", no_raw_draws)
+    monkeypatch.setattr(mixing, "sample_beta", no_draws)
     prior = discrete_lt_prior(LTSpec(20, 100.0))
     cfg = MixConfig(alpha=0.5, mode="unimix_full", tau=-1.0)
     trials = 10**12
@@ -609,14 +615,16 @@ def test_mix_config_validation():
 
 @pytest.mark.parametrize("value", ["0", "1", "2", "", " 2 ", "3"])
 def test_thread_cap_values_keep_the_histogram(value, monkeypatch, tmp_path):
-    cfg = MixConfig(alpha=0.5, mode="unimix_full", tau=-1.0)
     # one block per stream; the verify-dist problem with two blocks in each of
-    # 4 streams, so each worker draws several blocks from its own generators;
-    # and 300,000 trials at C = 10, past the threshold table's 220,000
-    for prior, trials in ((discrete_lt_prior(LTSpec(10, 50.0)), 20_000),
-                          (discrete_lt_prior(LTSpec(100, 200.0, -1.0)),
-                           4 * (mixing._MC_BLOCK + 1000)),
-                          (discrete_lt_prior(LTSpec(10, 50.0)), 300_000)):
+    # 4 streams, so each worker draws several blocks from its own generators,
+    # at alpha = 1/2 and at alpha = 0.2, whose factors `rng.beta` draws; and
+    # 300,000 trials at C = 10, past the threshold table's 220,000
+    wide = discrete_lt_prior(LTSpec(100, 200.0, -1.0))
+    for alpha, prior, trials in ((0.5, discrete_lt_prior(LTSpec(10, 50.0)), 20_000),
+                                 (0.5, wide, 4 * (mixing._MC_BLOCK + 1000)),
+                                 (0.2, wide, 4 * (mixing._MC_BLOCK + 1000)),
+                                 (0.5, discrete_lt_prior(LTSpec(10, 50.0)), 300_000)):
+        cfg = MixConfig(alpha=alpha, mode="unimix_full", tau=-1.0)
         monkeypatch.delenv("UNIMIX_LT_THREADS", raising=False)
         want = mc_xi_aug_histogram(prior, cfg, trials, seed=3, streams=4)
         monkeypatch.setenv("UNIMIX_LT_THREADS", value)
