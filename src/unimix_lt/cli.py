@@ -4,13 +4,15 @@ Every run-directory command (gen-data, verify-dist, train, eval,
 circles-demo) is declared once, by its defaults table: each key is also a
 flag (`--` plus the key, `_` -> `-`) of the default's type. The command
 takes one path: resolve its config (defaults < `--config` < flags, typed
-by `config.resolve_config`), claim `--out`, compute every
-output, then commit: each artifact is written atomically (temp file +
-rename), and `config.resolved.json`, with every default made explicit, is
-written last. A command that fails before the commit leaves nothing in
-`--out`. Re-running a command from its `config.resolved.json` reproduces
-the output files byte for byte. Exit codes: 0 success, 1 configuration or
-I/O error, 2 runtime invariant violation.
+by `config.resolve_config`), claim `--out`, compute every output, then
+commit: make the run directory, write each artifact atomically (a temp
+file, then a rename; a failed write removes its temp file), and write
+`config.resolved.json`, with every default made explicit, last. A command
+that fails before the commit leaves nothing in `--out`. Re-running a
+command from its `config.resolved.json` reproduces the output files byte
+for byte. Exit codes: 0 success, 1 configuration or I/O error, 2 runtime
+invariant violation. The parser is built once per process, by the first
+`main` call; `main` runs `cmd_<command>`, looked up by name at each call.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import json
 import os
 import re
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -41,18 +43,15 @@ from .theory import LTSpec, discrete_lt_prior, emit_density_curves
 __all__ = ["main", "entrypoint"]
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def _atomic_write(path: Path, write) -> None:
-    """Run `write(tmp)` on a temp file beside `path`, then rename it onto `path`."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """`write(tmp)` on a temp file beside `path`, renamed onto it; removed if either fails."""
     tmp = path.with_name(path.name + ".tmp")
-    write(tmp)
-    os.replace(tmp, path)
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_json(path: Path, obj) -> None:
@@ -64,7 +63,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")  # quotes a field only if it must
     writer.writerow(header)
-    writer.writerows([_fmt(v) for v in row] for row in rows)
+    writer.writerows(rows)  # a Python float writes as its repr
     _atomic_write(path, lambda tmp: tmp.write_text(buf.getvalue()))
 
 
@@ -94,7 +93,7 @@ def _open_run(args, resolve) -> dict:
     config = load_json(args.config) if args.config else {}
     config.pop("command", None)  # what a run directory's config.resolved.json records
     flags = {k: v for k, v in vars(args).items()
-             if v is not None and k not in ("command", "func", "config", "out")}
+             if v is not None and k not in ("command", "config", "out")}
     resolved = resolve(config, flags)
     _claim_run_dir(Path(args.out), args.command)
     return resolved
@@ -107,6 +106,7 @@ def _commit(args, resolved: dict, artifacts: dict) -> int:
     `writer(out / name, *rest)` once every output has been computed.
     """
     out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     for name, (writer, *rest) in artifacts.items():
         writer(out / name, *rest)
     _write_json(out / "config.resolved.json", {"command": args.command, **resolved})
@@ -168,13 +168,14 @@ def cmd_verify_dist(args) -> int:
     config = MixConfig(alpha=resolved["alpha"], mode=mode, tau=tau)
 
     curves = emit_density_curves(spec, resolved["resolution"])
-    curve_rows = [(c.kind, y, d) for c in curves for y, d in zip(c.y, c.density)]
+    curve_rows = [(c.kind, y, d) for c in curves
+                  for y, d in zip(c.y.tolist(), c.density.tolist())]
     hist = mc_xi_aug_histogram(discrete_lt_prior(spec), config, resolved["trials"],
                                resolved["seed"], streams=resolved["streams"])
     return _commit(args, resolved, {
         "curves.csv": (_write_csv, ["kind", "y", "density"], curve_rows),
         "histogram.csv": (_write_csv, ["class", "empirical_prob"],
-                          [(k + 1, hist[k]) for k in range(classes)])})
+                          list(enumerate(hist.tolist(), start=1)))})
 
 
 # -------------------------------------------------------------------- train
@@ -216,16 +217,15 @@ def cmd_eval(args) -> int:
     report = calibration.evaluate_predictions(
         preds, ds.labels, num_bins=resolved["bins"], num_ranges=resolved["ranges"],
         tace_threshold=resolved["tace_threshold"], density_batch=resolved["density_batch"])
-    c = report.confusion.shape[0]
-    header = ["true"] + [f"pred_{k}" for k in range(c)]
+    header = ["true"] + [f"pred_{k}" for k in range(report.confusion.shape[0])]
     return _commit(args, resolved, {
         "report.json": (_write_json, report.scalars()),
         "reliability.csv": (_write_csv, ["bin_lo", "bin_hi", "count", "acc", "conf"],
                             report.reliability),
         "confusion.csv": (_write_csv, header,
-                          [(k, *report.confusion[k]) for k in range(c)]),
+                          [(k, *row) for k, row in enumerate(report.confusion.tolist())]),
         "confusion_log.csv": (_write_csv, header,
-                              [(k, *report.confusion_log[k]) for k in range(c)]),
+                              [(k, *row) for k, row in enumerate(report.confusion_log.tolist())]),
         "density.csv": (_write_csv, ["batch", "conf", "acc"],
                         [(i, *point) for i, point in enumerate(report.density)])})
 
@@ -246,10 +246,10 @@ def cmd_circles_demo(args) -> int:
                         batch_size=resolved["batch_size"], lr=resolved["lr"])
         boundary_rows.append((scenario, r.weight[0], r.weight[1], r.bias, r.angle_error_deg,
                               r.offset))
-        for (x, y), label in zip(ds.features, ds.labels):
-            point_rows.append((scenario, x, y, int(label), 0))
+        for (x, y), label in zip(ds.features.tolist(), ds.labels.tolist()):
+            point_rows.append((scenario, x, y, label, 0))
         cloud = virtual_cloud(ds, scenario, resolved["cloud_points"], resolved["seed"])
-        for x, y, label in cloud:
+        for x, y, label in cloud.tolist():
             point_rows.append((scenario, x, y, int(label), 1))
     return _commit(args, resolved, {
         "boundary.csv": (_write_csv, ["scenario", "w0", "w1", "b", "angle_error_deg",
@@ -307,6 +307,7 @@ def cmd_report(args) -> int:
     if not rows:
         raise ValueError(f"{runs} contains no completed runs")
     out = Path(args.out) if args.out else runs
+    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "summary.csv", ["run", "loss", "mix_mode", *calibration.SCALARS],
                [[r["run"], r["loss"], r["mix_mode"]]
                 + [("" if r[k] is None else r[k]) for k in calibration.SCALARS]
@@ -317,23 +318,22 @@ def cmd_report(args) -> int:
 
 # ------------------------------------------------------------------ parsing
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unimix-lt",
         description="Prior-aware mixing and prior-compensated margins on "
                     "long-tailed synthetic data.")
     subs = parser.add_subparsers(dest="command", required=True)
-    # each run command: its name, help line, handler and the defaults its flags come from
-    for name, help_line, func, defaults in (
-            ("gen-data", "synthesize a dataset CSV plus metadata", cmd_gen_data,
-             _GEN_DEFAULTS),
+    # each run command: its name, help line and the defaults its flags come from
+    for name, help_line, defaults in (
+            ("gen-data", "synthesize a dataset CSV plus metadata", _GEN_DEFAULTS),
             ("verify-dist", "emit density curves and a Monte Carlo histogram",
-             cmd_verify_dist, _VERIFY_DEFAULTS),
+             _VERIFY_DEFAULTS),
             # train's keys come from --config alone
-            ("train", "train on synthetic LT Gaussians per a JSON config", cmd_train, {}),
-            ("eval", "evaluate a model on a dataset CSV", cmd_eval, _EVAL_DEFAULTS),
-            ("circles-demo", "run the decision-boundary study", cmd_circles_demo,
-             _DEMO_DEFAULTS)):
+            ("train", "train on synthetic LT Gaussians per a JSON config", {}),
+            ("eval", "evaluate a model on a dataset CSV", _EVAL_DEFAULTS),
+            ("circles-demo", "run the decision-boundary study", _DEMO_DEFAULTS)):
         p = subs.add_parser(name, help=help_line)
         p.add_argument("--config", help="JSON config (e.g. a config.resolved.json)")
         p.add_argument("--out", required=True, help="run directory for outputs")
@@ -342,12 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
                      else {"type": type(default)})
             p.add_argument("--" + key.replace("_", "-"), **parse,
                            help=f"default: {json.dumps(default)}")
-        p.set_defaults(func=func)
 
     p = subs.add_parser("report", help="summarize completed runs into one table")
     p.add_argument("--runs", required=True, help="directory containing run directories")
     p.add_argument("--out", help="output directory (default: --runs)")
-    p.set_defaults(func=cmd_report)
 
     return parser
 
@@ -378,7 +376,7 @@ def main(argv=None) -> int:
     try:
         # each boundary's own check reports a fault; numpy's warnings would only precede it
         with np.errstate(all="ignore"):
-            return args.func(args)
+            return globals()["cmd_" + args.command.replace("-", "_")](args)
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2

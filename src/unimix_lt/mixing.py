@@ -229,9 +229,9 @@ def _class_counts(n: int, prior: np.ndarray, rng: np.random.Generator) -> np.nda
 def _mc_chunk(prior, tables, config, trials, rngs, law):
     """Reinforced-class counts of `trials` pairs drawn from one stream.
 
-    A stream is just `rngs`: rng_i, rng_j and rng_mix. With a `law`, rng_i
-    draws the counts whole, as one multinomial. Without one, the stream
-    reads the call's two `class_table`s in blocks of `_MC_BLOCK` pairs, so
+    A stream is just `rngs`: rng_i, rng_j and rng_mix; with a `law`, rng_i
+    alone, which draws the counts whole, as one multinomial. Without one, the
+    stream reads the call's two `class_table`s in blocks of `_MC_BLOCK` pairs, so
     memory stays flat in `trials`: each block draws its first members by
     rng_i, its second by rng_j and their factors by rng_mix, the values
     whole arrays would, and tallies the winners.
@@ -285,15 +285,17 @@ def mc_xi_aug_histogram(ds_prior: np.ndarray, config: MixConfig, trials: int,
     if not 1 <= streams <= MAX_STREAMS:
         raise ValueError(f"streams must lie in [1, {MAX_STREAMS}], got {streams}")
     prior = check_prior(ds_prior, require_positive=True)
+    table = _table_pays_off(config, prior, trials)
+    parts = ("i",) if table else ("i", "j", "mix")  # a table stream draws by rng_i alone
     # only the first min(streams, trials) streams draw; the first trials % streams draw one more
     jobs = [(trials // streams + (k < trials % streams),
-             [derive_rng(seed, "mc", k, part) for part in ("i", "j", "mix")])
+             [derive_rng(seed, "mc", k, part) for part in parts])
             for k in range(min(streams, trials))]
-    if _table_pays_off(config, prior, trials):
+    if table:
         law = _table_law(config, prior)
-        parts = [_mc_chunk(prior, None, config, *job, law) for job in jobs]
+        counts = [_mc_chunk(prior, None, config, *job, law) for job in jobs]
     else:
         tables = [class_table(p, trials) for p in (prior, config.pair_prior(prior))]
         with ThreadPoolExecutor(max_workers=min(len(jobs), workers)) as pool:
-            parts = list(pool.map(lambda job: _mc_chunk(prior, tables, config, *job, None), jobs))
-    return check_prior(np.sum(parts, axis=0) / trials)
+            counts = list(pool.map(lambda job: _mc_chunk(prior, tables, config, *job, None), jobs))
+    return check_prior(np.sum(counts, axis=0) / trials)

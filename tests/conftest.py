@@ -1,4 +1,5 @@
 import csv
+import io
 from decimal import Decimal, localcontext
 from types import SimpleNamespace
 
@@ -365,6 +366,28 @@ def _csv_writer_save_csv(ds, path):
 def csv_writer_save_csv():
     """Byte-equality oracle for `data.save_csv`: same signature, same file."""
     return _csv_writer_save_csv
+
+
+def _fmt(value) -> str:
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def _per_cell_csv_text(header, rows):
+    """The text `cli._write_csv` wrote when it formatted each cell itself:
+    a Python or numpy float as repr(float(value)), any other value by str."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(v) for v in row] for row in rows)
+    return buf.getvalue()
+
+
+@pytest.fixture
+def per_cell_csv_text():
+    """Byte-equality oracle for `cli._write_csv`: the file's text from (header, rows)."""
+    return _per_cell_csv_text
 
 
 def _closed_form_law(kind, y, spec):

@@ -465,6 +465,34 @@ def test_memory_error_exits_one_and_writes_nothing(tmp_path, capsys, monkeypatch
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_a_failed_artifact_write_leaves_no_temp_file(tmp_path, capsys, monkeypatch):
+    def disk_full(params, path):
+        Path(path).write_text('{"layer_dims": [')
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "save_model", disk_full)
+    out = tmp_path / "run"
+    assert main(["train", "--config", write_cfg(tmp_path, TINY_TRAIN), "--out", str(out)]) == 1
+    assert "No space left on device" in capsys.readouterr().err
+    assert list(out.glob("*.tmp")) == [] and not (out / "config.resolved.json").exists()
+
+
+def test_the_parser_is_built_once_and_commands_are_looked_up_at_call_time(tmp_path,
+                                                                           monkeypatch):
+    assert build_parser() is build_parser()
+    argv = ["verify-dist", "--classes", "4", "--trials", "100"]
+    assert main([*argv, "--out", str(tmp_path / "real")]) == 0
+    called = []
+    monkeypatch.setattr(cli, "cmd_verify_dist", lambda args: called.append(args.out) or 0)
+    assert main([*argv, "--out", str(tmp_path / "fake")]) == 0
+    assert called == [str(tmp_path / "fake")] and not (tmp_path / "fake").exists()
+    # the cached parser holds no handler that could outlive such a patch
+    for command in [*RUN_FLAGS, "report"]:
+        flag = "--runs" if command == "report" else "--out"
+        args = build_parser().parse_args([command, flag, str(tmp_path)])
+        assert not any(callable(v) for v in vars(args).values())
+
+
 def test_train_replay_is_bitwise(tmp_path):
     run_a = tmp_path / "a"
     run_b = tmp_path / "b"
@@ -838,6 +866,41 @@ def test_report_quotes_run_names_that_hold_a_comma_or_a_quote(tmp_path):
     assert [len(row) for row in rows] == [3 + len(calibration.SCALARS)] * 4
     assert [row[0] for row in rows[1:]] == names
     assert [row[3:5] for row in rows[1:]] == [["0.5", "0.1"]] * 3
+
+
+# floats on each side of repr's switch to exponent form, the least subnormal,
+# -0.0 and the largest float
+CSV_FLOATS = [1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05, 5e-324, -0.0,
+              sys.float_info.max]
+
+
+def test_write_csv_writes_the_bytes_of_per_cell_formatting(tmp_path, per_cell_csv_text):
+    # csv.writer formats each cell by str, which is repr for a float; the rows mix
+    # Python and numpy scalars, as a caller that skipped `.tolist()` would pass
+    int64 = np.iinfo(np.int64)
+    header = ["x", "np_x", "neg,x", "np_neg_x"]
+    rows = [(x, np.float64(x), -x, np.float64(-x)) for x in CSV_FLOATS]
+    rows += [(np.int64(int64.min), np.int64(int64.max), int64.min, int64.max),
+             (True, False, np.True_, np.False_),
+             ("a,b", 'q"x', "", "plain")]
+    cli._write_csv(tmp_path / "rows.csv", header, rows)
+    assert (tmp_path / "rows.csv").read_bytes() == per_cell_csv_text(header, rows).encode()
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_a_finite_numpy_float_prints_as_its_python_repr(x):
+    assert str(np.float64(x)) == repr(x)
+
+
+@settings(max_examples=50, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(st.floats(), st.integers(-2**63, 2**63 - 1), st.text()), max_size=5))
+def test_write_csv_matches_per_cell_formatting(tmp_path, per_cell_csv_text, rows):
+    rows = [(x, np.float64(x), k, np.int64(k), text) for x, k, text in rows]
+    header = ["x", "np_x", "k", "np_k", "text"]
+    cli._write_csv(tmp_path / "rows.csv", header, rows)
+    assert (tmp_path / "rows.csv").read_bytes() == per_cell_csv_text(header, rows).encode()
 
 
 def test_report_follows_one_model_path_to_the_training_config(tmp_path, capsys):

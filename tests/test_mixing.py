@@ -250,6 +250,23 @@ def test_a_call_builds_its_two_class_tables_once(streams, monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize("streams", [1, 4, 7])
+def test_table_path_derives_one_generator_per_stream(streams, exact_law_chunk, monkeypatch):
+    derived = []
+    monkeypatch.setattr(mixing, "derive_rng", lambda *key: derived.append(key) or derive_rng(*key))
+    prior, trials = discrete_lt_prior(LTSpec(10, 100.0)), 220_000
+    hist = mc_xi_aug_histogram(prior, MixConfig(), trials, seed=1, streams=streams)
+    # each table stream draws by its rng_i alone, the generator it always had
+    assert derived == [(1, "mc", k, "i") for k in range(streams)]
+    law = mixing._table_law(MixConfig(), prior)
+    want = sum(exact_law_chunk(law, trials // streams + (k < trials % streams), [rng])
+               for k, rng in enumerate(derive_rng(*key) for key in derived))
+    assert np.array_equal(hist, want / trials)
+    derived.clear()
+    mc_xi_aug_histogram(prior, MixConfig(), 100_000, seed=1, streams=streams)
+    assert derived == [(1, "mc", k, part) for k in range(streams) for part in ("i", "j", "mix")]
+
+
 # around one block of pairs, and a prime count spanning many blocks; at C = 20
 # and alpha = 1/2, 1,000,003 trials take the threshold table by size (from
 # 200 * 20^2 + 200,000 = 280,000 trials) and the smaller counts the per-draw factor
