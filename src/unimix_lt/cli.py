@@ -8,7 +8,8 @@ by `config.resolve_config`), claim `--out`, compute every output, then
 commit: make the run directory, write each artifact atomically (a temp
 file, then a rename; a failed write removes its temp file), and write
 `config.resolved.json`, with every default made explicit, last. A command
-that fails before the commit leaves nothing in `--out`. Re-running a
+that fails before the commit leaves nothing in `--out`; a write that fails
+during it removes the artifacts already written. Re-running a
 command from its `config.resolved.json` reproduces the output files byte
 for byte. Exit codes: 0 success, 1 configuration or I/O error, 2 runtime
 invariant violation. The parser is built once per process, by the first
@@ -103,13 +104,22 @@ def _commit(args, resolved: dict, artifacts: dict) -> int:
     """Write every artifact, then `config.resolved.json` last.
 
     Each artifact is `name: (writer, *rest)`, written as
-    `writer(out / name, *rest)` once every output has been computed.
+    `writer(out / name, *rest)` once every output has been computed. If a
+    write fails, the artifacts already in place are removed before the error
+    propagates.
     """
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for name, (writer, *rest) in artifacts.items():
-        writer(out / name, *rest)
-    _write_json(out / "config.resolved.json", {"command": args.command, **resolved})
+    written = []
+    try:
+        for name, (writer, *rest) in artifacts.items():
+            writer(out / name, *rest)
+            written.append(out / name)
+        _write_json(out / "config.resolved.json", {"command": args.command, **resolved})
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
     return 0
 
 

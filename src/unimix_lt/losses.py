@@ -23,9 +23,13 @@ w * (softmax(u) - e_y) / scale: w is w_y, or for focal the per-row weight
 per-class temperature rescales logits rather than shifting them, so cdt
 alone breaks softmax shift invariance and simplex-tangent gradients.
 
-Natural log throughout. `batch_loss` and `batch_grad` are the one
-evaluation path: they take an (N, C) logit matrix and N labels, and a
-single logit vector is the N = 1 case.
+Natural log throughout. `step_loss` and `batch_grad` are the one
+evaluation path: they take an (N, C) logit matrix and N labels in [0, C),
+and a single logit vector is the N = 1 case. `step_loss` takes a step's
+weighted labels, (y_i, xi) and (y_j, 1 - xi) for a mixed pair, and computes
+the transformed logits and their log-sum-exp once for all of them (ldam's
+transform depends on the label: once per label); `batch_loss` is its
+one-label case. `batch_grad` runs once per label.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ __all__ = [
     "LOSS_KINDS",
     "softmax",
     "bayias_margin",
-    "batch_loss",
+    "step_loss",
     "batch_grad",
 ]
 
@@ -72,13 +76,6 @@ def bayias_margin(train_prior: np.ndarray, target_prior: np.ndarray | None = Non
     if pi_target.shape != pi.shape:
         raise ValueError("train and target priors must have the same length")
     return np.log(pi) - np.log(pi_target)
-
-
-def _nll(u: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """-log softmax(u)_y for each row of an (N, C) logit matrix."""
-    m = u.max(axis=-1, keepdims=True)
-    lse = (m + np.log(np.exp(u - m).sum(axis=-1, keepdims=True)))[..., 0]
-    return lse - u[np.arange(u.shape[0]), y]
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,46 +129,70 @@ class LossSpec:
             object.__setattr__(self, name, value)
 
 
+def _true_class(u: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Flat index of each row's true-class entry in an (N, C) matrix, row by row."""
+    return np.arange(0, u.size, u.shape[-1]) + y
+
+
 def _logits(spec: LossSpec, z: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The logits u the softmax sees: z + margins, z less the true-class margin, or z / scale."""
     if spec.margins is not None:
         return z + spec.margins
     if spec.true_margins is not None:
         u = z.copy()
-        u[np.arange(u.shape[0]), y] -= spec.true_margins[y]
+        u.ravel()[_true_class(u, y)] -= spec.true_margins[y]
         return u
     if spec.scale is not None:
         return z / spec.scale
     return z
 
 
-def batch_loss(spec: LossSpec, z: np.ndarray, y) -> np.ndarray:
-    """Per-sample loss values for an (N, C) logit matrix and (N,) labels."""
+def step_loss(spec: LossSpec, z: np.ndarray, labels) -> np.ndarray:
+    """Per-sample loss of a step for an (N, C) logit matrix and its weighted
+    labels, a sequence of (y, w): the sum of w * loss(y) in label order, the
+    first term plus the second."""
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    y = np.atleast_1d(np.asarray(y, dtype=np.int64))
-    nll = _nll(_logits(spec, z, y), y)
-    if spec.kind == "focal":
-        nll *= (1.0 - np.exp(-nll)) ** spec.gamma  # exactly 1.0 at gamma = 0
-    return nll if spec.weights is None else spec.weights[y] * nll
+    total = u = None
+    for y, w in labels:
+        y = np.atleast_1d(np.asarray(y, dtype=np.int64))
+        if u is None or spec.true_margins is not None:
+            u = _logits(spec, z, y)
+            m = u.max(axis=-1)
+            e = u - m[:, None]
+            lse = np.log(np.exp(e, out=e).sum(axis=-1)) + m
+        loss = lse - u.take(_true_class(u, y))  # -log softmax(u)_y
+        if spec.kind == "focal":
+            loss *= (1.0 - np.exp(-loss)) ** spec.gamma  # exactly 1.0 at gamma = 0
+        if spec.weights is not None:
+            loss *= spec.weights[y]
+        loss *= w  # exact at a plain step's w = 1.0
+        total = loss if total is None else total + loss
+    return total
+
+
+def batch_loss(spec: LossSpec, z: np.ndarray, y) -> np.ndarray:
+    """Per-sample loss values for an (N, C) logit matrix and (N,) labels:
+    the one-label `step_loss`."""
+    return step_loss(spec, z, ((y, 1.0),))
 
 
 def batch_grad(spec: LossSpec, z: np.ndarray, y) -> np.ndarray:
     """Per-sample gradients d loss / d logits, shape (N, C)."""
-    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
+    z = np.atleast_2d(np.ascontiguousarray(z, dtype=np.float64))  # for `g.ravel()` below
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
-    rows = np.arange(z.shape[0])
     g = softmax(_logits(spec, z, y))
+    true = _true_class(g, y)
     w = None if spec.weights is None else spec.weights[y]
     if spec.kind == "focal" and spec.gamma != 0.0:
         with np.errstate(divide="ignore", invalid="ignore"):
-            log_p = np.log(g[rows, y])
+            log_p = np.log(g.take(true))
             p_y = np.exp(log_p)
             w = (1.0 - p_y) ** spec.gamma \
                 - spec.gamma * (1.0 - p_y) ** (spec.gamma - 1.0) * p_y * log_p
         # where p_y rounds to 1 or 0 the formula meets 0 * inf; use its limits there
         w[p_y == 1.0] = 0.0
         w[p_y == 0.0] = 1.0
-    g[rows, y] -= 1.0
+    g.ravel()[true] -= 1.0
     if w is not None:
         g *= w[:, None]
     if spec.scale is not None:

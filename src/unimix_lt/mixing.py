@@ -146,13 +146,17 @@ def mix_batch(ds: Dataset, prior: np.ndarray, pair_prior: np.ndarray, mix: MixCo
 
     In the factor modes `prior` must be strictly positive, as `empirical_prior`
     returns it. The streams are drawn in order: first members (rng_i), second members
-    (rng_j), then the factors (rng_mix); one stream may serve all three.
+    (rng_j), then the factors (rng_mix); one stream may serve all three. The
+    features are mixed in place in the two member batches `draw_batch` gathered,
+    so x reuses the first member's buffer.
     """
     x_i, y_i = draw_batch(ds, prior, n, rng_i)
     x_j, y_j = draw_batch(ds, pair_prior, n, rng_j)
     xi = _factor(mix, prior, y_i, y_j, rng_mix)
-    x = xi[:, None] * x_i + (1.0 - xi)[:, None] * x_j
-    return x, y_i, y_j, xi
+    x_i *= xi[:, None]
+    x_j *= (1.0 - xi)[:, None]
+    x_i += x_j
+    return x_i, y_i, y_j, xi
 
 
 def reinforced_class(y_i: np.ndarray, y_j: np.ndarray, xi: np.ndarray) -> np.ndarray:

@@ -5,8 +5,10 @@ mixed vicinal loss xi * loss(y_i) + (1 - xi) * loss(y_j) on pairs drawn by
 a random sampler and a (possibly inverse) pair sampler, then from T1 to T2
 it trains on plain random batches with the configured loss alone. A plain
 batch is the case of one label of weight 1, so both phases run the same
-step. Prior margins inside the loss are fixed once before the first step,
-and inference never applies them.
+step: one `losses.step_loss` over its weighted labels, and one
+`batch_grad` per label, scaled by its weight and summed in place. Prior
+margins inside the loss are fixed once before the first step, and
+inference never applies them.
 
 The trainer itself runs on one thread, but numpy's BLAS may run its
 matrix products on several (OpenBLAS's default is one per core), which at
@@ -19,13 +21,12 @@ pair batch, and (seed, "mix") for the mixing factors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
 from .data import Dataset, empirical_prior, json_text, load_json
 from .errors import InvariantViolation
-from .losses import LossSpec, batch_grad, batch_loss, softmax
+from .losses import LossSpec, batch_grad, softmax, step_loss
 from .mixing import MixConfig, mix_batch
 from .sampling import draw_batch
 from .streams import derive_rng
@@ -136,11 +137,14 @@ def sgd_step(params: MLPParams, grad: np.ndarray, velocity: np.ndarray, lr: floa
     v <- mu*v + g + wd*p; p <- p - lr*v.
 
     `grad` and `velocity` are flat vectors with the layout of `params.flat`;
-    the velocity starts at zero.
+    the velocity starts at zero. One temporary holds g + wd*p, then lr*v.
     """
+    update = weight_decay * params.flat
+    update += grad
     velocity *= momentum
-    velocity += grad + weight_decay * params.flat
-    params.flat -= lr * velocity
+    velocity += update
+    np.multiply(velocity, lr, out=update)
+    params.flat -= update
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,14 +219,16 @@ def train_two_phase(ds: Dataset, cfg: TrainConfig):
             x, y = draw_batch(ds, prior, n, rng_batch)
             labels, phase = ((y, 1.0),), 2
         logits, acts = _forward_cached(params, x)
-        # reduce starts from the first term, as sum's 0 + term would turn a -0.0 into 0.0
-        losses = reduce(np.add, (w * batch_loss(cfg.loss, logits, y) for y, w in labels))
-        grad_logits = reduce(np.add, (np.reshape(w, (-1, 1)) * batch_grad(cfg.loss, logits, y)
-                                      for y, w in labels))
-        grad_logits /= n
-        loss_val = float(losses.mean())
+        loss_val = float(step_loss(cfg.loss, logits, labels).sum()) / n  # the bits of .mean()
         if not np.isfinite(loss_val):
             raise InvariantViolation(f"non-finite loss {loss_val} at step {step}")
+        grad_logits = None  # the first term starts the sum: 0 + term would turn -0.0 into 0.0
+        for y, w in labels:
+            g = batch_grad(cfg.loss, logits, y)
+            if phase == 1:  # a plain step's weight 1.0 needs no multiply
+                g *= w[:, None]
+            grad_logits = g if grad_logits is None else np.add(grad_logits, g, out=grad_logits)
+        grad_logits /= n
         _backward_cached(params, acts, grad_logits, grads)
         sgd_step(params, grads.flat, velocity, lr, cfg.momentum, cfg.weight_decay)
         if not np.isfinite(params.flat).all():

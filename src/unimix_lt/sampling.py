@@ -117,7 +117,8 @@ def draw_batch(ds: Dataset, prior: np.ndarray, batch_size: int,
                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Sample (features, labels) with replacement: class by prior, instance uniform.
 
-    Every class carrying prior mass must be populated in the dataset.
+    Every class carrying prior mass must be populated in the dataset. Both
+    arrays are new, so a caller may write into them.
     """
     p = check_prior(prior)
     if p.shape[0] != ds.num_classes:
@@ -127,6 +128,6 @@ def draw_batch(ds: Dataset, prior: np.ndarray, batch_size: int,
         raise ValueError(f"prior puts mass on empty classes {bad}")
     classes = draw_classes(class_table(p, batch_size), batch_size, rng)
     offsets = rng.random(batch_size)
-    within = (offsets * ds.class_counts[classes]).astype(np.int64)
-    picks = ds.class_order[ds.class_starts[classes] + within]
-    return ds.features[picks], ds.labels[picks]
+    offsets *= ds.class_counts.take(classes)
+    picks = ds.class_order.take(ds.class_starts.take(classes) + offsets.astype(np.int64))
+    return ds.features.take(picks, axis=0), ds.labels.take(picks)

@@ -1,6 +1,7 @@
 import csv
 import io
 from decimal import Decimal, localcontext
+from functools import reduce
 from types import SimpleNamespace
 
 import numpy as np
@@ -240,6 +241,19 @@ def _if_chain_batch_grad(spec, z, y):
         u[rows, y] -= (spec.ldam_c / _chain_counts(spec)**0.25)[y]
         return softmax(u) - onehot
     raise AssertionError(spec.kind)
+
+
+def _reduce_step_loss(spec, z, labels):
+    """The trainer's step loss before `losses.step_loss`: one per-label loss
+    per (y, w) label, weighted, and summed by `reduce`, which starts from the
+    first term."""
+    return reduce(np.add, (w * _if_chain_batch_loss(spec, z, y) for y, w in labels))
+
+
+@pytest.fixture
+def per_label_step_loss():
+    """Oracle for `losses.step_loss`: (spec, z, labels) -> per-sample losses."""
+    return _reduce_step_loss
 
 
 @pytest.fixture

@@ -477,6 +477,34 @@ def test_a_failed_artifact_write_leaves_no_temp_file(tmp_path, capsys, monkeypat
     assert list(out.glob("*.tmp")) == [] and not (out / "config.resolved.json").exists()
 
 
+@pytest.mark.parametrize("failing", ["_write_csv", "_write_json"])
+def test_a_failed_commit_removes_the_artifacts_it_wrote(tmp_path, capsys, monkeypatch, failing):
+    """train writes model.json, then train_log.csv, then config.resolved.json:
+    a failure at either later write takes model.json back out of a fresh
+    --out. A failed rerun into a finished run directory removes what it
+    replaced, keeps the files it did not reach, and a rerun restores the run."""
+    cfg = write_cfg(tmp_path, TINY_TRAIN)
+    done = tmp_path / "done"
+    assert main(["train", "--config", cfg, "--out", str(done)]) == 0
+    before = {p.name: p.read_bytes() for p in done.iterdir()}
+
+    def disk_full(path, *args):
+        raise OSError(28, "No space left on device")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, failing, disk_full)
+        for out in (tmp_path / "fresh", done):
+            assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+            assert "No space left on device" in capsys.readouterr().err
+    assert list((tmp_path / "fresh").iterdir()) == []
+    kept = {"train_log.csv", "config.resolved.json"} if failing == "_write_csv" \
+        else {"config.resolved.json"}
+    assert {p.name: p.read_bytes() for p in done.iterdir()} == \
+        {name: before[name] for name in kept}
+    assert main(["train", "--config", cfg, "--out", str(done)]) == 0
+    assert {p.name: p.read_bytes() for p in done.iterdir()} == before
+
+
 def test_the_parser_is_built_once_and_commands_are_looked_up_at_call_time(tmp_path,
                                                                            monkeypatch):
     assert build_parser() is build_parser()

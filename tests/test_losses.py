@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from unimix_lt.data import lt_class_counts
-from unimix_lt.losses import LossSpec, batch_grad, batch_loss, bayias_margin, softmax
+from unimix_lt.losses import (LOSS_KINDS, LossSpec, batch_grad, batch_loss, bayias_margin,
+                               softmax, step_loss)
 
 COUNTS = np.array([500, 300, 180, 108, 65, 5])
 PRIOR = COUNTS / COUNTS.sum()
@@ -276,6 +277,43 @@ def test_batch_path_matches_per_kind_oracle(c, scale, if_chain_losses):
         finite = np.isfinite(want).all(axis=1)
         assert np.array_equal(got[finite], want[finite]), (spec.kind, spec.gamma)
         assert np.isfinite(got).all(), (spec.kind, spec.gamma)
+
+
+@pytest.mark.parametrize("c", [2, 10])
+@pytest.mark.parametrize("scale", [3.0, 300.0])
+def test_step_loss_is_the_per_label_sum_bit_for_bit(c, scale, per_label_step_loss):
+    """One transform and log-sum-exp per step give the bits of one loss per label,
+    weighted and summed first plus second: every kind, la, focal at gamma 0, 0.5, 1, 2,
+    xi at 0, 1, -0.0 and random, plain one-label steps, C- and Fortran-ordered logits."""
+    rng = np.random.default_rng(c)
+    z = rng.standard_normal((64, c)) * scale
+    y_i, y_j = rng.integers(0, c, (2, 64))
+    specs = _oracle_specs(c)
+    assert {s.kind for s in specs} == set(LOSS_KINDS)
+    assert {s.gamma for s in specs if s.kind == "focal"} >= {0.0, 0.5, 2.0}
+    steps = [((y_i, 1.0),), ((y_j, 1.0),)]
+    for xi in (np.zeros(64), np.ones(64), np.full(64, -0.0), rng.random(64)):
+        steps.append(((y_i, xi), (y_j, 1.0 - xi)))
+    for spec in specs:
+        for logits in (z, np.asfortranarray(z)):
+            for labels in steps:
+                got = step_loss(spec, logits, labels)
+                want = per_label_step_loss(spec, logits, labels)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), spec.kind
+        assert np.array_equal(batch_loss(spec, z, y_i).view(np.uint64),
+                              per_label_step_loss(spec, z, ((y_i, 1.0),)).view(np.uint64))
+
+
+def test_batch_grad_takes_any_memory_layout():
+    """The true-class 1 is subtracted through a flat index, which must not
+    land in a copy of a Fortran-ordered or strided logit matrix."""
+    rng = np.random.default_rng(4)
+    z = rng.standard_normal((16, 5))
+    y = rng.integers(0, 5, 16)
+    for spec in _oracle_specs(5):
+        want = batch_grad(spec, z, y)
+        for logits in (np.asfortranarray(z), np.repeat(z, 2, axis=1)[:, ::2]):
+            assert np.array_equal(batch_grad(spec, logits, y), want), spec.kind
 
 
 @pytest.mark.parametrize("gamma", [0.5, 0.9, 1.0, 2.0])

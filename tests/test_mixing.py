@@ -8,10 +8,13 @@ import pytest
 from scipy import stats
 
 from unimix_lt import mixing
+from unimix_lt.circles import virtual_cloud
 from unimix_lt.cli import main
-from unimix_lt.data import Dataset, gen_lt_gaussians
+from unimix_lt.data import Dataset, TwoCircleSpec, gen_lt_gaussians, gen_two_circles
+from unimix_lt.losses import LossSpec
 from unimix_lt.mixing import (MIX_MODES, MixConfig, mc_xi_aug_histogram, mix_batch,
                               reinforced_class, sample_beta)
+from unimix_lt.model import TrainConfig, train_two_phase
 from unimix_lt.sampling import class_table, draw_batch, inverse_prior
 from unimix_lt.streams import derive_rng
 from unimix_lt.theory import LTSpec, discrete_lt_prior
@@ -214,8 +217,24 @@ def test_mix_batch_stream_order(mode, unimix_factor):
                    else unimix_factor(prior[want_i], prior[want_j], 0.5, m))
         assert np.array_equal(y_i, want_i) and np.array_equal(y_j, want_j)
         assert np.array_equal(xi, want_xi)
-        assert np.array_equal(x, xi[:, None] * x_i + (1.0 - xi)[:, None] * x_j)
+        want_x = xi[:, None] * x_i + (1.0 - xi)[:, None] * x_j
+        assert np.array_equal(x.view(np.uint64), want_x.view(np.uint64))
         assert all(s.random() == r.random() for s, r in zip(streams, (a, b, m)))
+
+
+def test_mixing_in_place_leaves_the_dataset_alone():
+    """`mix_batch` mixes in the member batches it gathered: a two-phase run and
+    the circles' virtual clouds leave the dataset's features and labels bit for bit."""
+    ds = gen_two_circles(TwoCircleSpec(n_pos=60, n_neg=8))
+    features, labels = ds.features.copy(), ds.labels.copy()
+    for mode in MIX_MODES:
+        train_two_phase(ds, TrainConfig(t1_steps=6, t2_steps=8, batch_size=16, lr=0.1,
+                                        mix=MixConfig(mode=mode), loss=LossSpec(kind="ce"),
+                                        seed=3, hidden_dims=(4,)))
+    for scenario in ("mixup", "unimix"):
+        virtual_cloud(ds, scenario, 100, seed=3)
+    assert np.array_equal(ds.features.view(np.uint64), features.view(np.uint64))
+    assert np.array_equal(ds.labels, labels)
 
 
 def test_reinforced_class_threshold(monkeypatch):
